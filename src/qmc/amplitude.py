@@ -228,11 +228,6 @@ class Amplitude:
         return self.text()
 
 
-def canonicalize(x: Amplitude) -> Amplitude:
-    """Re-run denominator reduction; idempotent and value preserving."""
-    return Amplitude(x.num, x.sqrt2_exp)
-
-
 class ExactReal:
     """Real value (p + q*sqrt2) / 2^k, canonical: k = 0 or p, q not both even."""
 

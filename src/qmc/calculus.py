@@ -193,66 +193,147 @@ def sequent_text(seq: Sequent) -> str:
 # Rules and proof trees
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Ax:
-    pass
+class RuleApp:
+    """One application of a proof rule.
+
+    The subclasses below are the rule table: each is the one place that
+    states its rule's premise count, labels, script keyword and form, and the
+    conclusion it derives.  `form` lists the script operands after the
+    keyword: `premise` is a premise binding, `ket` and `gate` give the rule's
+    field (a basis state, a gate with its wires), and `word=kind` is an
+    operand written `word=...`.
+    """
+
+    arity = 1
+    keyword: str
+    form: tuple[str, ...] = ("premise",)
+    latex_name: str
+    takes_born = False  # only measurement may consume a Born annotation
+    assumable = False  # may stand without premises as an assumption leaf
+
+    def label(self) -> str:
+        return self.keyword
+
+    def latex(self) -> str:
+        return self.latex_name
+
+    def conclude(self, premises: Sequence[Sequent]) -> Sequent:
+        """The conclusion from premises of the right count and normal form."""
+        raise NotImplementedError
 
 
 @dataclass(frozen=True)
-class Prep:
+class Ax(RuleApp):
+    arity = 0
+    keyword = "ax"
+    form = ()
+    latex_name = "Ax"
+
+    def conclude(self, premises: Sequence[Sequent]) -> Sequent:
+        return Coherent(ket("0"))
+
+
+@dataclass(frozen=True)
+class Prep(RuleApp):
     outcome: BasisState
+    keyword = "prep"
+    form = ("ket",)
+    latex_name = "Prep"
+    assumable = True
+
+    def label(self) -> str:
+        return f"prep {self.outcome}"
+
+    def conclude(self, premises: Sequence[Sequent]) -> Sequent:
+        for prem in premises:  # none for an assumption leaf
+            if not isinstance(prem, Measured):
+                raise WrongPremiseShape("prep needs a measured premise")
+            if prem.outcome != self.outcome:
+                raise PrepOutcomeMismatch(
+                    f"prep of {self.outcome} but the premise measured {prem.outcome}"
+                )
+        return Coherent(ket(self.outcome))
 
 
 @dataclass(frozen=True)
-class Tensor:
-    pass
+class Tensor(RuleApp):
+    arity = 2
+    keyword = "tensor"
+    form = ("premise", "premise")
+    latex_name = r"\otimes"
+
+    def conclude(self, premises: Sequence[Sequent]) -> Sequent:
+        left, right = premises
+        if not isinstance(left, Coherent) or not isinstance(right, Coherent):
+            raise WrongPremiseShape("tensor needs two coherent premises")
+        return Coherent(tensor(left.state, right.state))
 
 
 @dataclass(frozen=True)
-class Unitary:
+class Unitary(RuleApp):
     app: GateApplication
+    keyword = "gate"
+    form = ("gate", "premise")
+
+    def label(self) -> str:
+        return self.app.label()
+
+    def latex(self) -> str:
+        return r"\mathbf{%s}" % self.app.gate.name
+
+    def conclude(self, premises: Sequence[Sequent]) -> Sequent:
+        (prem,) = premises
+        if not isinstance(prem, Coherent):
+            raise WrongPremiseShape("a gate rule needs one coherent premise")
+        return Coherent(apply(self.app, prem.state))
 
 
 @dataclass(frozen=True)
-class BornRule:
-    pass
+class BornRule(RuleApp):
+    keyword = "born"
+    latex_name = "BR"
+
+    def conclude(self, premises: Sequence[Sequent]) -> Sequent:
+        (prem,) = premises
+        if not isinstance(prem, Coherent):
+            raise WrongPremiseShape("the Born rule needs one coherent premise")
+        return BornAnnotated(prem.state, distribution(prem.state))
 
 
 @dataclass(frozen=True)
-class Measure:
+class Measure(RuleApp):
     outcome: BasisState
+    keyword = "measure"
+    form = ("premise", "outcome=ket")
+    latex_name = "M"
+    takes_born = True
+
+    def label(self) -> str:
+        return f"measure {self.outcome}"
+
+    def conclude(self, premises: Sequence[Sequent]) -> Sequent:
+        (prem,) = premises
+        if not isinstance(prem, BornAnnotated):
+            raise WrongPremiseShape("measurement needs one Born-annotated premise")
+        if self.outcome not in prem.dist:
+            raise OutcomeNotInSupport(
+                f"outcome {self.outcome} has amplitude 0; only support "
+                "components are measurable conclusions"
+            )
+        return Measured(prem.state, self.outcome, prem.dist[self.outcome])
 
 
 @dataclass(frozen=True)
-class Weaken:
+class Weaken(RuleApp):
     # Constructible and parsable so scripts using it can be rejected with a
     # checked error instead of a syntax error; never checkable.
-    extra: BasisState | None = None
+    extra: BasisState = BasisState("0")
+    keyword = "weaken"
+    form = ("premise", "ket")
+    latex_name = "Weak"
 
 
-RuleApp = Union[Ax, Prep, Tensor, Unitary, BornRule, Measure, Weaken]
-
-_ARITY = {Ax: 0, Prep: 1, Tensor: 2, Unitary: 1, BornRule: 1, Measure: 1, Weaken: 1}
-
-
-def rule_arity(rule: RuleApp) -> int:
-    return _ARITY[type(rule)]
-
-
-def rule_label(rule: RuleApp) -> str:
-    if isinstance(rule, Ax):
-        return "ax"
-    if isinstance(rule, Prep):
-        return f"prep {rule.outcome}"
-    if isinstance(rule, Tensor):
-        return "tensor"
-    if isinstance(rule, Unitary):
-        return rule.app.label()
-    if isinstance(rule, BornRule):
-        return "born"
-    if isinstance(rule, Measure):
-        return f"measure {rule.outcome}"
-    return "weaken"
+RULES = (Ax, Prep, Tensor, Unitary, BornRule, Measure, Weaken)
 
 
 @dataclass(frozen=True)
@@ -270,14 +351,29 @@ class ProofNode:
     label: str | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
-        expected = rule_arity(self.rule)
-        if isinstance(self.rule, Prep) and not self.premises:
-            return
-        if len(self.premises) != expected:
+        if len(self.premises) != self.rule.arity and not self.is_assumption:
             raise ValueError(
-                f"rule {rule_label(self.rule)} takes {expected} premises, "
+                f"rule {self.rule.label()} takes {self.rule.arity} premises, "
                 f"got {len(self.premises)}"
             )
+
+    @property
+    def is_assumption(self) -> bool:
+        return self.rule.assumable and not self.premises
+
+    @classmethod
+    def derive(
+        cls,
+        rule: RuleApp,
+        premises: tuple[ProofNode, ...] = (),
+        label: str | None = None,
+    ) -> ProofNode:
+        """The node concluding what the rule derives from the premises; a
+        premise-free preparation is an assumption leaf."""
+        if rule.assumable and not premises:
+            return cls(rule, (), rule.conclude(()), label)
+        conclusion = apply_rule(rule, [p.conclusion for p in premises])
+        return cls(rule, premises, conclusion, label)
 
 
 def apply_rule(rule: RuleApp, premises: Sequence[Sequent]) -> Sequent:
@@ -287,62 +383,16 @@ def apply_rule(rule: RuleApp, premises: Sequence[Sequent]) -> Sequent:
             "weakening is rejected: an added state would interfere with the "
             "superposition already present, so prior conclusions need not survive"
         )
-    if len(premises) != rule_arity(rule):
+    if len(premises) != rule.arity:
         raise WrongPremiseShape(
-            f"rule {rule_label(rule)} takes {rule_arity(rule)} premises, "
-            f"got {len(premises)}"
+            f"rule {rule.label()} takes {rule.arity} premises, got {len(premises)}"
         )
-    if not isinstance(rule, Measure):
-        for prem in premises:
-            if isinstance(prem, BornAnnotated):
-                raise BRNormalFormViolation(
-                    "a Born-annotated sequent may only feed a measurement; "
-                    "the distribution is introduced at the penultimate step"
-                )
-
-    if isinstance(rule, Ax):
-        return Coherent(ket("0"))
-
-    if isinstance(rule, Prep):
-        (prem,) = premises
-        if not isinstance(prem, Measured):
-            raise WrongPremiseShape("prep needs a measured premise")
-        if prem.outcome != rule.outcome:
-            raise PrepOutcomeMismatch(
-                f"prep of {rule.outcome} but the premise measured {prem.outcome}"
-            )
-        return Coherent(ket(rule.outcome))
-
-    if isinstance(rule, Tensor):
-        left, right = premises
-        if not isinstance(left, Coherent) or not isinstance(right, Coherent):
-            raise WrongPremiseShape("tensor needs two coherent premises")
-        return Coherent(tensor(left.state, right.state))
-
-    if isinstance(rule, Unitary):
-        (prem,) = premises
-        if not isinstance(prem, Coherent):
-            raise WrongPremiseShape("a gate rule needs one coherent premise")
-        return Coherent(apply(rule.app, prem.state))
-
-    if isinstance(rule, BornRule):
-        (prem,) = premises
-        if not isinstance(prem, Coherent):
-            raise WrongPremiseShape("the Born rule needs one coherent premise")
-        return BornAnnotated(prem.state, distribution(prem.state))
-
-    if isinstance(rule, Measure):
-        (prem,) = premises
-        if not isinstance(prem, BornAnnotated):
-            raise WrongPremiseShape("measurement needs one Born-annotated premise")
-        if rule.outcome not in prem.dist:
-            raise OutcomeNotInSupport(
-                f"outcome {rule.outcome} has amplitude 0; only support "
-                "components are measurable conclusions"
-            )
-        return Measured(prem.state, rule.outcome, prem.dist[rule.outcome])
-
-    raise WrongPremiseShape(f"unknown rule {rule!r}")
+    if not rule.takes_born and any(isinstance(p, BornAnnotated) for p in premises):
+        raise BRNormalFormViolation(
+            "a Born-annotated sequent may only feed a measurement; "
+            "the distribution is introduced at the penultimate step"
+        )
+    return rule.conclude(premises)
 
 
 # ---------------------------------------------------------------------------
@@ -395,47 +445,25 @@ def check(proof: ProofNode) -> CheckReport:
         for i, prem in enumerate(node.premises):
             visit(prem, path + (i,))
         label = node.label
-        rule = rule_label(node.rule)
+        rule = node.rule.label()
         found = sequent_text(node.conclusion)
-        if isinstance(node.rule, Prep) and not node.premises:
-            expected: Sequent = Coherent(ket(node.rule.outcome))
-            if node.conclusion == expected:
-                assumptions.append((path, node.rule.outcome))
-                nodes.append(NodeReport(path, rule, "assumed", "", found, label))
-            else:
-                nodes.append(
-                    NodeReport(
-                        path,
-                        rule,
-                        "invalid",
-                        f"expected {sequent_text(expected)}, found {found}",
-                        found,
-                        label,
-                    )
-                )
-            return
         try:
-            expected = apply_rule(node.rule, [p.conclusion for p in node.premises])
+            if node.is_assumption:
+                expected = node.rule.conclude(())
+            else:
+                expected = apply_rule(node.rule, [p.conclusion for p in node.premises])
         except (RuleError, ValueError) as err:
-            nodes.append(
-                NodeReport(
-                    path, rule, "invalid", f"{type(err).__name__}: {err}", found, label
-                )
-            )
+            detail = f"{type(err).__name__}: {err}"
+            nodes.append(NodeReport(path, rule, "invalid", detail, found, label))
             return
-        if expected == node.conclusion:
-            nodes.append(NodeReport(path, rule, "ok", "", found, label))
+        if expected != node.conclusion:
+            detail = f"expected {sequent_text(expected)}, found {found}"
+            nodes.append(NodeReport(path, rule, "invalid", detail, found, label))
+        elif node.is_assumption:
+            assumptions.append((path, node.rule.outcome))
+            nodes.append(NodeReport(path, rule, "assumed", "", found, label))
         else:
-            nodes.append(
-                NodeReport(
-                    path,
-                    rule,
-                    "invalid",
-                    f"expected {sequent_text(expected)}, found {found}",
-                    found,
-                    label,
-                )
-            )
+            nodes.append(NodeReport(path, rule, "ok", "", found, label))
 
     visit(proof, ())
     return CheckReport(

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import random
+import re
 import sys
 from pathlib import Path
 
@@ -20,7 +21,6 @@ from .calculus import (
     Coherent,
     Measure,
     Measured,
-    apply_rule,
     distribution,
     sample_outcome,
     sequent_text,
@@ -161,8 +161,7 @@ def cmd_run(args: argparse.Namespace) -> int:
                 "the proof must end in a Born annotation to be run"
             )
         outcome, _ = sample_outcome(root.dist, seed)
-        rule = Measure(outcome)
-        proof = calculus.ProofNode(rule, (base,), apply_rule(rule, [root]))
+        proof = calculus.ProofNode.derive(Measure(outcome), (base,))
     sys.stdout.write(frontend.render_proof(proof, "ascii"))
     conclusion = proof.conclusion
     assert isinstance(conclusion, Measured)
@@ -171,8 +170,9 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def _script_name(stem: str) -> str:
-    cleaned = "".join(c if c.isalnum() or c == "_" else "_" for c in stem)
-    if not cleaned or not (cleaned[0].isalpha() or cleaned[0] == "_"):
+    """A proof name the script parser accepts, from a file stem."""
+    cleaned = re.sub(r"[^A-Za-z0-9_]", "_", stem)
+    if not frontend.is_identifier(cleaned):
         cleaned = "p_" + cleaned
     return cleaned
 
@@ -370,17 +370,12 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_argparser().parse_args(argv)
     try:
         return args.func(args)
-    except SourceError as err:
+    except (SourceError, _UsageError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except _UsageError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except _ValidationError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except UnsupportedTranslation as err:
-        print(f"error: UnsupportedTranslation: {err}", file=sys.stderr)
+    except (_ValidationError, UnsupportedTranslation) as err:
+        kind = "" if isinstance(err, _ValidationError) else "UnsupportedTranslation: "
+        print(f"error: {kind}{err}", file=sys.stderr)
         return 1
 
 

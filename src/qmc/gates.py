@@ -36,10 +36,11 @@ class GateApplication:
     def __post_init__(self) -> None:
         if len(self.wires) != self.gate.arity:
             raise ValueError(
-                f"{self.gate.name} needs {self.gate.arity} wires, got {len(self.wires)}"
+                f"{self.gate.name} takes {self.gate.arity} wire(s), "
+                f"got {len(self.wires)}"
             )
         if len(set(self.wires)) != len(self.wires):
-            raise ValueError(f"duplicate wires in {self.gate.name} application")
+            raise ValueError("duplicate wires")
         if any(w < 0 for w in self.wires):
             raise ValueError("wire indices must be nonnegative")
 

@@ -14,25 +14,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Union
 
 from . import calculus
-from .calculus import (
-    Ax,
-    BornRule,
-    Measure,
-    Prep,
-    ProofNode,
-    RuleError,
-    Tensor,
-    Unitary,
-    Weaken,
-    apply_rule,
-    rule_label,
-    sequent_text,
-)
+from .calculus import RULES, ProofNode, RuleApp, RuleError, sequent_text
 from .gates import BUILTIN_NAMES, GateApplication, builtin
-from .state import BasisState, ket
+from .state import BasisState
 from .translate import Circuit
 
 
@@ -51,56 +37,16 @@ class SourceError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Proof-script AST
+# Proof scripts
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class AxExpr:
-    pass
-
-
-@dataclass(frozen=True)
-class PrepExpr:
-    ket: str
-
-
-@dataclass(frozen=True)
-class TensorExpr:
-    left: str
-    right: str
-
-
-@dataclass(frozen=True)
-class GateExpr:
-    gate: str
-    wires: tuple[int, ...]
-    arg: str
-
-
-@dataclass(frozen=True)
-class BornExpr:
-    arg: str
-
-
-@dataclass(frozen=True)
-class MeasureExpr:
-    arg: str
-    outcome: str
-
-
-@dataclass(frozen=True)
-class WeakenExpr:
-    arg: str
-    ket: str
-
-
-Expr = Union[AxExpr, PrepExpr, TensorExpr, GateExpr, BornExpr, MeasureExpr, WeakenExpr]
-
-
-@dataclass(frozen=True)
 class Binding:
+    """`name = keyword operands;`: a rule and the names of its premises."""
+
     name: str
-    expr: Expr
+    rule: RuleApp
+    premises: tuple[str, ...]
     line: int
     col: int
 
@@ -111,10 +57,19 @@ class ProofScript:
     bindings: tuple[Binding, ...]
 
 
+_RULES = {rule.keyword: rule for rule in RULES}
+# Rule keywords, the words of `word=kind` operands, and `proof` itself.
 _KEYWORDS = frozenset(
-    {"proof", "ax", "prep", "tensor", "gate", "born", "measure", "outcome", "weaken"}
+    ["proof", *_RULES]
+    + [slot.split("=")[0] for rule in RULES for slot in rule.form if "=" in slot]
 )
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_INT_RE = re.compile(r"[0-9]+")  # ASCII digits only, in both formats
+
+
+def is_identifier(text: str) -> bool:
+    """Whether the text can name a proof or a binding in a script."""
+    return bool(_IDENT_RE.fullmatch(text)) and text not in _KEYWORDS
 
 
 # ---------------------------------------------------------------------------
@@ -179,21 +134,15 @@ def _tokenize(text: str) -> list[_Token]:
             col += j + 1 - i
             i = j + 1
             continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(_Token("INT", text[i:j], start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        m = _IDENT_RE.match(text, i)
-        if m:
-            tokens.append(_Token("IDENT", m.group(), start_line, start_col))
-            col += m.end() - i
-            i = m.end()
-            continue
-        raise SourceError(start_line, start_col, "unexpected character", ch)
+        for kind, pattern in (("INT", _INT_RE), ("IDENT", _IDENT_RE)):
+            m = pattern.match(text, i)
+            if m:
+                tokens.append(_Token(kind, m.group(), start_line, start_col))
+                col += m.end() - i
+                i = m.end()
+                break
+        else:
+            raise SourceError(start_line, start_col, "unexpected character", ch)
     tokens.append(_Token("EOF", "", line, col))
     return tokens
 
@@ -269,11 +218,11 @@ class _ScriptParser:
                     f"identifier {name_tok.text!r} is bound twice", name_tok
                 )
             self.expect_punct("=")
-            expr = self.parse_expr(use)
+            rule, premises = self.parse_rule(use)
             self.expect_punct(";")
             bound.add(name_tok.text)
             bindings.append(
-                Binding(name_tok.text, expr, name_tok.line, name_tok.col)
+                Binding(name_tok.text, rule, premises, name_tok.line, name_tok.col)
             )
         close = self.expect_punct("}")
         if not bindings:
@@ -285,65 +234,46 @@ class _ScriptParser:
             raise self.fail("unexpected input after closing '}'", tail)
         return ProofScript(name, tuple(bindings))
 
-    def parse_expr(self, use) -> Expr:
+    def parse_rule(self, use) -> tuple[RuleApp, tuple[str, ...]]:
+        """A rule keyword and its operands, read as the rule's form says."""
         tok = self.peek()
-        if tok.kind != "IDENT":
-            raise self.fail("expected a rule expression")
-        word = tok.text
-        if word == "ax":
+        if tok.kind != "IDENT" or tok.text not in _RULES:
+            raise self.fail("expected a rule expression", tok)
+        self.advance()
+        rule = _RULES[tok.text]
+        fields: list[object] = []
+        premises: list[str] = []
+        for slot in rule.form:
+            word, _, kind = slot.rpartition("=")
+            if word:
+                self.expect_keyword(word)
+                self.expect_punct("=")
+            if kind == "premise":
+                premises.append(use(self.expect_ident("a premise identifier")))
+            elif kind == "ket":
+                fields.append(BasisState(self.expect_ket().text[1:-1]))
+            else:
+                fields.append(self.parse_gate())
+        return rule(*fields), tuple(premises)
+
+    def parse_gate(self) -> GateApplication:
+        gate_tok = self.peek()
+        if gate_tok.kind != "IDENT" or gate_tok.text not in BUILTIN_NAMES:
+            raise self.fail(
+                f"unknown gate name; expected one of {', '.join(BUILTIN_NAMES)}",
+                gate_tok,
+            )
+        self.advance()
+        self.expect_punct("[")
+        wires = [self._wire()]
+        while self.peek().kind == "PUNCT" and self.peek().text == ",":
             self.advance()
-            return AxExpr()
-        if word == "prep":
-            self.advance()
-            return PrepExpr(self._ket_bits(self.expect_ket()))
-        if word == "tensor":
-            self.advance()
-            left = use(self.expect_ident("a premise identifier"))
-            right = use(self.expect_ident("a premise identifier"))
-            return TensorExpr(left, right)
-        if word == "gate":
-            self.advance()
-            gate_tok = self.peek()
-            if gate_tok.kind != "IDENT" or gate_tok.text not in BUILTIN_NAMES:
-                raise self.fail(
-                    f"unknown gate name; expected one of {', '.join(BUILTIN_NAMES)}",
-                    gate_tok,
-                )
-            self.advance()
-            self.expect_punct("[")
-            wires = [self._wire()]
-            while self.peek().kind == "PUNCT" and self.peek().text == ",":
-                self.advance()
-                wires.append(self._wire())
-            self.expect_punct("]")
-            arity = builtin(gate_tok.text).arity
-            if len(wires) != arity:
-                raise SourceError(
-                    gate_tok.line,
-                    gate_tok.col,
-                    f"{gate_tok.text} takes {arity} wire(s), got {len(wires)}",
-                    gate_tok.text,
-                )
-            if len(set(wires)) != len(wires):
-                raise SourceError(
-                    gate_tok.line, gate_tok.col, "duplicate wires", gate_tok.text
-                )
-            arg = use(self.expect_ident("a premise identifier"))
-            return GateExpr(gate_tok.text, tuple(wires), arg)
-        if word == "born":
-            self.advance()
-            return BornExpr(use(self.expect_ident("a premise identifier")))
-        if word == "measure":
-            self.advance()
-            arg = use(self.expect_ident("a premise identifier"))
-            self.expect_keyword("outcome")
-            self.expect_punct("=")
-            return MeasureExpr(arg, self._ket_bits(self.expect_ket()))
-        if word == "weaken":
-            self.advance()
-            arg = use(self.expect_ident("a premise identifier"))
-            return WeakenExpr(arg, self._ket_bits(self.expect_ket()))
-        raise self.fail("expected a rule expression", tok)
+            wires.append(self._wire())
+        self.expect_punct("]")
+        try:
+            return GateApplication(builtin(gate_tok.text), tuple(wires))
+        except ValueError as err:
+            raise self.fail(str(err), gate_tok) from None
 
     def _wire(self) -> int:
         tok = self.peek()
@@ -351,10 +281,6 @@ class _ScriptParser:
             raise self.fail("expected a wire index")
         self.advance()
         return int(tok.text)
-
-    @staticmethod
-    def _ket_bits(tok: _Token) -> str:
-        return tok.text[1:-1]
 
 
 def parse_proof(text: str) -> ProofScript:
@@ -399,43 +325,14 @@ def elaborate(script: ProofScript) -> ProofNode:
     nodes: dict[str, ProofNode] = {}
     completed: list[tuple[str, ProofNode]] = []
     for index, b in enumerate(script.bindings):
+        premises = tuple(nodes[name] for name in b.premises)
         try:
-            node = _elaborate_binding(b, nodes)
+            node = ProofNode.derive(b.rule, premises, b.name)
         except (RuleError, ValueError) as cause:
             raise ElaborationError(b, index, cause, completed) from cause
         nodes[b.name] = node
         completed.append((b.name, node))
     return nodes[script.bindings[-1].name]
-
-
-def _elaborate_binding(b: Binding, nodes: dict[str, ProofNode]) -> ProofNode:
-    e = b.expr
-    if isinstance(e, AxExpr):
-        rule: calculus.RuleApp = Ax()
-        premises: tuple[ProofNode, ...] = ()
-    elif isinstance(e, PrepExpr):
-        outcome = BasisState(e.ket)
-        return ProofNode(
-            Prep(outcome), (), calculus.Coherent(ket(outcome)), label=b.name
-        )
-    elif isinstance(e, TensorExpr):
-        rule = Tensor()
-        premises = (nodes[e.left], nodes[e.right])
-    elif isinstance(e, GateExpr):
-        rule = Unitary(GateApplication(builtin(e.gate), e.wires))
-        premises = (nodes[e.arg],)
-    elif isinstance(e, BornExpr):
-        rule = BornRule()
-        premises = (nodes[e.arg],)
-    elif isinstance(e, MeasureExpr):
-        rule = Measure(BasisState(e.outcome))
-        premises = (nodes[e.arg],)
-    else:
-        assert isinstance(e, WeakenExpr)
-        rule = Weaken(BasisState(e.ket))
-        premises = (nodes[e.arg],)
-    conclusion = apply_rule(rule, [p.conclusion for p in premises])
-    return ProofNode(rule, premises, conclusion, label=b.name)
 
 
 # ---------------------------------------------------------------------------
@@ -459,26 +356,10 @@ def render_proof(p: ProofNode, format: str = "ascii") -> str:
 
 def _ascii(node: ProofNode, depth: int, lines: list[str]) -> None:
     lines.append(
-        "  " * depth + sequent_text(node.conclusion) + f"  [{rule_label(node.rule)}]"
+        "  " * depth + sequent_text(node.conclusion) + f"  [{node.rule.label()}]"
     )
     for prem in node.premises:
         _ascii(prem, depth + 1, lines)
-
-
-def _latex_rule_name(rule: calculus.RuleApp) -> str:
-    if isinstance(rule, Ax):
-        return "Ax"
-    if isinstance(rule, Prep):
-        return "Prep"
-    if isinstance(rule, Tensor):
-        return r"\otimes"
-    if isinstance(rule, Unitary):
-        return r"\mathbf{%s}" % rule.app.gate.name
-    if isinstance(rule, BornRule):
-        return "BR"
-    if isinstance(rule, Measure):
-        return "M"
-    return "Weak"
 
 
 def _latex_sequent(seq: calculus.Sequent) -> str:
@@ -494,21 +375,16 @@ def _latex_sequent(seq: calculus.Sequent) -> str:
 
 def _latex(node: ProofNode, lines: list[str]) -> None:
     conclusion = r"$%s$" % _latex_sequent(node.conclusion)
-    if not node.premises:
-        if isinstance(node.rule, Ax):
-            lines.append(r"\AxiomC{}")
-            lines.append(r"\RightLabel{$Ax$}")
-            lines.append(r"\UnaryInfC{%s}" % conclusion)
-        else:  # assumption leaf
-            lines.append(r"\AxiomC{%s}" % conclusion)
+    if node.is_assumption:
+        lines.append(r"\AxiomC{%s}" % conclusion)
         return
     for prem in node.premises:
         _latex(prem, lines)
-    lines.append(r"\RightLabel{$%s$}" % _latex_rule_name(node.rule))
-    if len(node.premises) == 1:
-        lines.append(r"\UnaryInfC{%s}" % conclusion)
-    else:
-        lines.append(r"\BinaryInfC{%s}" % conclusion)
+    if not node.premises:
+        lines.append(r"\AxiomC{}")
+    lines.append(r"\RightLabel{$%s$}" % node.rule.latex())
+    inference = r"\BinaryInfC" if len(node.premises) == 2 else r"\UnaryInfC"
+    lines.append(inference + "{%s}" % conclusion)
 
 
 def render_script(p: ProofNode, name: str = "main") -> str:
@@ -530,12 +406,7 @@ def render_script(p: ProofNode, name: str = "main") -> str:
     used: set[str] = set()
     for i, node in enumerate(order):
         label = node.label
-        if (
-            label
-            and label not in used
-            and label not in _KEYWORDS
-            and _IDENT_RE.fullmatch(label)
-        ):
+        if label and label not in used and is_identifier(label):
             chosen = label
         else:
             k = i
@@ -554,28 +425,24 @@ def render_script(p: ProofNode, name: str = "main") -> str:
 
 def _script_expr(node: ProofNode, names: dict[int, str]) -> str:
     rule = node.rule
-    args = [names[id(prem)] for prem in node.premises]
-    if isinstance(rule, Ax):
-        return "ax"
-    if isinstance(rule, Prep):
-        if args:
-            raise ValueError(
-                "a preparation step with a premise has no script form; the "
-                "grammar's prep is an assumption leaf"
-            )
-        return f"prep |{rule.outcome.bits}>"
-    if isinstance(rule, Tensor):
-        return f"tensor {args[0]} {args[1]}"
-    if isinstance(rule, Unitary):
-        wires = ",".join(str(w) for w in rule.app.wires)
-        return f"gate {rule.app.gate.name} [{wires}] {args[0]}"
-    if isinstance(rule, BornRule):
-        return f"born {args[0]}"
-    if isinstance(rule, Measure):
-        return f"measure {args[0]} outcome=|{rule.outcome.bits}>"
-    assert isinstance(rule, Weaken)
-    extra = f" |{rule.extra.bits}>" if rule.extra is not None else " |0>"
-    return f"weaken {args[0]}{extra}"
+    if len(node.premises) != rule.form.count("premise"):
+        raise ValueError(
+            "a preparation step with a premise has no script form; the "
+            "grammar's prep is an assumption leaf"
+        )
+    premises = iter(names[id(prem)] for prem in node.premises)
+    values = iter(vars(rule).values())  # the rule's fields, in order
+    parts = [rule.keyword]
+    for slot in rule.form:
+        word, eq, kind = slot.rpartition("=")
+        if kind == "premise":
+            text = next(premises)
+        elif kind == "ket":
+            text = str(next(values))
+        else:
+            text = next(values).label()
+        parts.append(word + eq + text)
+    return " ".join(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -600,7 +467,7 @@ def parse_circuit(text: str) -> Circuit:
         if width is None:
             if head != "qubits":
                 raise SourceError(lineno, head_col, "expected a 'qubits N' header", head)
-            if len(fields) != 2 or not fields[1][0].isdigit():
+            if len(fields) != 2 or not _INT_RE.fullmatch(fields[1][0]):
                 raise SourceError(
                     lineno, head_col, "expected 'qubits N' with a single count", head
                 )
@@ -628,31 +495,19 @@ def parse_circuit(text: str) -> Circuit:
                 f"unknown gate name; expected one of {', '.join(BUILTIN_NAMES)}",
                 head,
             )
-        gate = builtin(head)
-        wire_fields = fields[1:]
-        if len(wire_fields) != gate.arity:
-            raise SourceError(
-                lineno,
-                head_col,
-                f"{head} takes {gate.arity} wire(s), got {len(wire_fields)}",
-                head,
-            )
         wires = []
-        for text_w, col_w in wire_fields:
-            if not text_w.isdigit():
+        for text_w, col_w in fields[1:]:
+            if not _INT_RE.fullmatch(text_w):
                 raise SourceError(lineno, col_w, "expected a wire index", text_w)
-            w = int(text_w)
-            if w >= width:
-                raise SourceError(
-                    lineno,
-                    col_w,
-                    f"wire {w} out of range for {width}-qubit circuit",
-                    text_w,
-                )
-            wires.append(w)
-        if len(set(wires)) != len(wires):
-            raise SourceError(lineno, head_col, "duplicate wires", head)
-        ops.append(GateApplication(gate, tuple(wires)))
+            try:
+                Circuit.check_wire(int(text_w), width)
+            except ValueError as err:
+                raise SourceError(lineno, col_w, str(err), text_w) from None
+            wires.append(int(text_w))
+        try:
+            ops.append(GateApplication(builtin(head), tuple(wires)))
+        except ValueError as err:
+            raise SourceError(lineno, head_col, str(err), head) from None
     if width is None:
         raise SourceError(1, 1, "empty circuit description; expected 'qubits N'")
     return Circuit(width, tuple(ops), measured)

@@ -22,8 +22,6 @@ from .calculus import (
     ProofNode,
     Tensor,
     Unitary,
-    Weaken,
-    apply_rule,
     sample_outcome,
 )
 from .gates import GateApplication, apply as apply_gate, builtin
@@ -48,10 +46,13 @@ class Circuit:
             raise ValueError("circuit needs at least one qubit")
         for op in self.ops:
             for w in op.wires:
-                if w >= self.width:
-                    raise ValueError(
-                        f"wire {w} out of range for {self.width}-qubit circuit"
-                    )
+                self.check_wire(w, self.width)
+
+    @staticmethod
+    def check_wire(wire: int, width: int) -> None:
+        """The range check shared with the circuit parser."""
+        if wire >= width:
+            raise ValueError(f"wire {wire} out of range for {width}-qubit circuit")
 
 
 def final_state(c: Circuit) -> Superposition:
@@ -74,32 +75,20 @@ def circuit_to_proof(
     """
     if mode not in ("enumerate", "sample"):
         raise ValueError(f"unknown translation mode: {mode}")
-    node = ProofNode(Ax(), (), apply_rule(Ax(), []))
+    node = ProofNode.derive(Ax())
     for _ in range(c.width - 1):
-        leaf = ProofNode(Ax(), (), apply_rule(Ax(), []))
-        node = ProofNode(
-            Tensor(),
-            (node, leaf),
-            apply_rule(Tensor(), [node.conclusion, leaf.conclusion]),
-        )
+        node = ProofNode.derive(Tensor(), (node, ProofNode.derive(Ax())))
     for op in c.ops:
-        rule = Unitary(op)
-        node = ProofNode(rule, (node,), apply_rule(rule, [node.conclusion]))
+        node = ProofNode.derive(Unitary(op), (node,))
     if not c.measured:
         return [node]
-    born = ProofNode(BornRule(), (node,), apply_rule(BornRule(), [node.conclusion]))
+    born = ProofNode.derive(BornRule(), (node,))
     dist = born.conclusion.dist  # type: ignore[union-attr]
     if mode == "enumerate":
         outcomes = dist.outcomes()
     else:
         outcomes = [sample_outcome(dist, seed)[0]]
-    proofs = []
-    for outcome in outcomes:
-        rule = Measure(outcome)
-        proofs.append(
-            ProofNode(rule, (born,), apply_rule(rule, [born.conclusion]))
-        )
-    return proofs
+    return [ProofNode.derive(Measure(outcome), (born,)) for outcome in outcomes]
 
 
 def proof_to_circuit(p: ProofNode) -> Circuit:
@@ -112,15 +101,13 @@ def proof_to_circuit(p: ProofNode) -> Circuit:
     measured = False
     root = p
     if isinstance(root.rule, Measure):
-        measured = True
         root = root.premises[0]
         if not isinstance(root.rule, BornRule):
             raise UnsupportedTranslation(
                 "a measurement must conclude from a Born annotation"
             )
-        root = root.premises[0]
-    elif isinstance(root.rule, BornRule):
-        # A pending measurement: the circuit asked for one, no branch chosen.
+    if isinstance(root.rule, BornRule):
+        # A measurement was asked for, whether or not a branch was chosen.
         measured = True
         root = root.premises[0]
 
@@ -148,13 +135,8 @@ def proof_to_circuit(p: ProofNode) -> Circuit:
             shifted = tuple(lo + wire for wire in rule.app.wires)
             ops.append(GateApplication(rule.app.gate, shifted))
             return lo, w
-        if isinstance(rule, (BornRule, Measure)):
-            raise UnsupportedTranslation(
-                "measurement below the root has no single-circuit form"
-            )
-        if isinstance(rule, Weaken):
-            raise UnsupportedTranslation("weakening has no circuit form")
-        raise UnsupportedTranslation(f"rule {rule!r} has no circuit form")
+        # Measurement below the root, or weakening.
+        raise UnsupportedTranslation(f"rule {rule.label()} has no circuit form")
 
     _, width = walk(root)
     return Circuit(width, tuple(ops), measured)

@@ -16,7 +16,6 @@ from qmc.amplitude import (
     OMEGA,
     REAL_ONE,
     REAL_ZERO,
-    canonicalize,
 )
 
 SQRT2 = Amplitude(CycloInt(0, 1, 0, -1))  # w - w^3
@@ -182,8 +181,13 @@ def test_lift_by_sqrt2_then_reduce_is_identity(x):
 
 @given(amplitudes())
 def test_canonicalize_idempotent_and_value_preserving(x):
-    assert canonicalize(x) == x
-    assert approx_eq(canonicalize(x).to_complex(), x.to_complex())
+    # The constructor canonicalizes: rebuilding from a canonical or a lifted
+    # form gives x back, and the lifted form has the same value.
+    lifted = x.num.times_sqrt2()
+    assert Amplitude(x.num, x.sqrt2_exp) == x
+    assert Amplitude(lifted, x.sqrt2_exp + 1) == x
+    lifted_value = lifted.to_complex() / math.sqrt(2) ** (x.sqrt2_exp + 1)
+    assert approx_eq(lifted_value, x.to_complex())
 
 
 def test_negative_exponent_rejected():

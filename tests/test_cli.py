@@ -43,6 +43,25 @@ def test_check_parse_error_is_positioned(run_cli, tmp_path):
     assert "line 1" in err and "column" in err
 
 
+@pytest.mark.parametrize(
+    "command, name, text, where",
+    [
+        ("dist", "sup.qc", "qubits \u00b2\n", "line 1, column 1"),
+        ("dist", "sup.qc", "qubits 1\nH \u00b2\n", "line 2, column 3"),
+        ("check", "sup.qmc", "proof p { a = ax; g = gate H [\u00b2] a; }\n", "line 1, column 31"),
+    ],
+)
+def test_non_ascii_digits_are_positioned_parse_errors(
+    run_cli, tmp_path, command, name, text, where
+):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(command, str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {where}: ")
+
+
 def test_check_rejects_circuit_files(run_cli, workdir):
     code, _, err = run_cli("check", str(workdir / "bell.qc"))
     assert code == 2
@@ -233,6 +252,20 @@ def test_translate_unmeasured_circuit_gives_one_proof(run_cli, workdir):
     assert out.splitlines() == [str(workdir / "hh.qmc")]
     check_code, _, _ = run_cli("check", str(workdir / "hh.qmc"))
     assert check_code == 0
+
+
+@pytest.mark.parametrize("stem", ["caf\u00e9", "proof"])
+@pytest.mark.parametrize("circuit", ["qubits 1\nH 0\n", "qubits 1\nH 0\nmeasure\n"])
+def test_translated_scripts_check_whatever_the_stem(run_cli, tmp_path, stem, circuit):
+    source = tmp_path / f"{stem}.qc"
+    source.write_text(circuit, encoding="utf-8")
+    code, out, _ = run_cli("translate", str(source), "--to", "proof")
+    assert code == 0
+    written = out.splitlines()
+    assert written
+    for path in written:
+        check_code, _, err = run_cli("check", path)
+        assert (check_code, err) == (0, "")
 
 
 def test_translate_outdir(run_cli, workdir, tmp_path):

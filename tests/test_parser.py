@@ -6,15 +6,15 @@ from hypothesis import strategies as st
 
 from qmc.calculus import (
     Coherent,
+    Measure,
     Measured,
     NonMonotonicityViolation,
+    Unitary,
     check,
     sequent_text,
 )
 from qmc.parser import (
     ElaborationError,
-    GateExpr,
-    MeasureExpr,
     ProofScript,
     SourceError,
     elaborate,
@@ -24,6 +24,7 @@ from qmc.parser import (
     render_proof,
     render_script,
 )
+from qmc.gates import GateApplication, builtin
 from qmc.state import BasisState, ket
 from qmc.translate import circuit_to_proof
 
@@ -43,14 +44,15 @@ def test_bell_script_parses():
     # Born annotation, and the measurement.
     assert len(script.bindings) == 7
     assert [b.name for b in script.bindings] == ["a", "h", "b", "t", "c", "d", "m"]
-    last = script.bindings[-1].expr
-    assert isinstance(last, MeasureExpr)
-    assert last.outcome == "00"
+    last = script.bindings[-1]
+    assert isinstance(last.rule, Measure)
+    assert last.rule.outcome == BasisState("00")
 
 
 def test_gate_expr_carries_wires():
     script = parse_proof("proof p { a = ax; g = gate H [0] a; }")
-    assert script.bindings[1].expr == GateExpr("H", (0,), "a")
+    assert script.bindings[1].rule == Unitary(GateApplication(builtin("H"), (0,)))
+    assert script.bindings[1].premises == ("a",)
 
 
 def test_non_binary_ket_digit_is_a_source_error():
@@ -128,6 +130,14 @@ def test_parser_never_panics(text):
         assert err.line >= 1 and err.column >= 1
 
 
+def test_script_wires_take_ascii_digits_only():
+    for digit in ("\u00b2", "\u0661"):  # superscript two, Arabic-Indic one
+        with pytest.raises(SourceError) as err:
+            parse_proof(f"proof p {{ a = ax; g = gate H [{digit}] a; }}")
+        assert (err.value.line, err.value.column) == (1, 31)
+        assert err.value.message == "unexpected character"
+
+
 # ---------------------------------------------------------------------------
 # parse_circuit
 # ---------------------------------------------------------------------------
@@ -152,6 +162,24 @@ def test_wire_out_of_range_is_positioned():
         parse_circuit("qubits 1\nCNOT 0 1\n")
     assert err.value.line == 2
     assert "out of range" in err.value.message
+
+
+@pytest.mark.parametrize(
+    "text, line, column, message",
+    [
+        ("qubits \u00b2\n", 1, 1, "expected 'qubits N' with a single count"),
+        ("qubits 1\nH \u00b2\n", 2, 3, "expected a wire index"),
+        ("qubits 2\nH \u0661\n", 2, 3, "expected a wire index"),
+    ],
+)
+def test_circuit_numbers_take_ascii_digits_only(text, line, column, message):
+    with pytest.raises(SourceError) as err:
+        parse_circuit(text)
+    assert (err.value.line, err.value.column, err.value.message) == (
+        line,
+        column,
+        message,
+    )
 
 
 def test_gate_after_measure():
@@ -186,6 +214,47 @@ def test_circuit_parser_never_panics(text):
         parse_circuit(text)
     except SourceError as err:
         assert err.line >= 1 and err.column >= 1
+
+
+_NUMBERS = st.sampled_from(["0", "1", "2", "7", "x", "\u00b2", "\u0661"])
+_CIRCUIT_TEXTS = st.builds(
+    lambda width, lines: f"qubits {width}\n" + "\n".join(lines),
+    _NUMBERS,
+    st.lists(
+        st.builds(
+            lambda gate, wires: " ".join([gate, *wires]),
+            st.sampled_from(["H", "CNOT", "Q", "measure"]),
+            st.lists(_NUMBERS, max_size=3),
+        ),
+        max_size=4,
+    ),
+)
+_SCRIPT_TEXTS = st.lists(
+    st.sampled_from(
+        [
+            "a = ax;", "b = ax;", "p = prep |1>;", "t = tensor a b;",
+            "g = gate H [0] a;", "g = gate CNOT [0,1] t;", "g = gate H [1] p;",
+            "g = gate H [\u00b2] a;", "g = gate X [\u0661] t;", "d = born g;",
+            "d = born a;", "m = measure d outcome=|0>;", "m = measure d outcome=|01>;",
+            "w = weaken a |0>;", "h = gate H [0] m;",
+        ]
+    ),
+    min_size=1,
+    max_size=6,
+).map(lambda bindings: "proof s { " + " ".join(bindings) + " }")
+
+
+@settings(max_examples=300)
+@given(st.one_of(st.text(max_size=80), _CIRCUIT_TEXTS, _SCRIPT_TEXTS))
+def test_parsers_raise_only_their_own_errors(text):
+    try:
+        parse_circuit(text)
+    except SourceError:
+        pass
+    try:
+        elaborate(parse_proof(text))
+    except (SourceError, ElaborationError):
+        pass
 
 
 def test_render_circuit_round_trips():
