@@ -6,6 +6,17 @@ this ring, so any state reachable from a computational basis state stays
 inside it.  That makes total destructive cancellation a decidable zero test
 instead of an epsilon comparison on floats.
 
+The state engine works on packed amplitudes: a tuple (a0, a1, a2, a3, k)
+standing for (a0 + a1*w + a2*w^2 + a3*w^3) / sqrt2^k, in the
+smallest-denominator-exponent normal form of Giles & Selinger
+(arXiv:1212.0506): k = 0 or the numerator is not divisible by sqrt2, and
+zero is (0, 0, 0, 0, 0).  Canonical tuples are equal exactly when the values
+are, so the zero test and equality are tuple comparisons.  The module-level
+`_mul`, `_add`, `_canonical` and `_mod_sq` are the one implementation of the
+ring, and `_real_add` of the sum of the reals that `_mod_sq` yields.  They are module-private because the state engine calls them once per
+term.  `Amplitude` is the value the API and the renderers see: a thin
+wrapper around one packed tuple, whose operators call those functions.
+
 Coefficients are Python ints, hence arbitrary precision: values grow, they
 never silently wrap.
 """
@@ -19,9 +30,136 @@ _SQRT2 = math.sqrt(2.0)
 _POWER_NAMES = ("", "w", "w^2", "w^3")
 _POWER_LATEX = ("", r"\omega", r"\omega^2", r"\omega^3")
 
+Packed = tuple[int, int, int, int, int]
+
+PACKED_ZERO: Packed = (0, 0, 0, 0, 0)
+PACKED_ONE: Packed = (1, 0, 0, 0, 0)
+
+
+def _times_sqrt2(a0: int, a1: int, a2: int, a3: int) -> tuple[int, int, int, int]:
+    # Multiply by sqrt2 = w - w^3.
+    return a1 - a3, a0 + a2, a1 + a3, a2 - a0
+
+
+def _canonical(a0: int, a1: int, a2: int, a3: int, k: int) -> Packed:
+    """Divide out sqrt2 while k > 0 and the numerator allows it.
+
+    z / sqrt2 = z * sqrt2 / 2 is integral iff a0 = a2 and a1 = a3 modulo 2.
+    """
+    while k and not (a0 ^ a2) & 1 and not (a1 ^ a3) & 1:
+        if not (a0 or a1 or a2 or a3):
+            return PACKED_ZERO
+        a0, a1, a2, a3 = (a1 - a3) >> 1, (a0 + a2) >> 1, (a1 + a3) >> 1, (a2 - a0) >> 1
+        k -= 1
+    return a0, a1, a2, a3, k
+
+
+def _mul(x: Packed, y: Packed) -> Packed:
+    # Convolution folded with w^4 = -1; the exponents add.
+    a0, a1, a2, a3, ka = x
+    b0, b1, b2, b3, kb = y
+    return _canonical(
+        a0 * b0 - a1 * b3 - a2 * b2 - a3 * b1,
+        a0 * b1 + a1 * b0 - a2 * b3 - a3 * b2,
+        a0 * b2 + a1 * b1 + a2 * b0 - a3 * b3,
+        a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0,
+        ka + kb,
+    )
+
+
+def _add(x: Packed, y: Packed) -> Packed:
+    # Lift the smaller exponent: num / sqrt2^k = num * sqrt2^d / sqrt2^(k+d),
+    # with sqrt2^d = 2^(d // 2) * sqrt2^(d % 2).
+    a0, a1, a2, a3, ka = x
+    b0, b1, b2, b3, kb = y
+    if ka < kb:
+        a0, a1, a2, a3, ka, b0, b1, b2, b3, kb = b0, b1, b2, b3, kb, a0, a1, a2, a3, ka
+    d = ka - kb
+    if d & 1:
+        b0, b1, b2, b3 = _times_sqrt2(b0, b1, b2, b3)
+    d >>= 1
+    return _canonical(
+        a0 + (b0 << d), a1 + (b1 << d), a2 + (b2 << d), a3 + (b3 << d), ka
+    )
+
+
+def _conj(x: Packed) -> Packed:
+    # conj(w) = w^-1 = -w^3, conj(w^2) = -w^2, conj(w^3) = -w.
+    a0, a1, a2, a3, k = x
+    return a0, -a3, -a2, -a1, k
+
+
+def _mod_sq(x: Packed) -> tuple[int, int, int]:
+    """|x|^2 = (p + q*sqrt2) / 2^k as (p, q, k), not reduced.
+
+    num * conj(num) is real, p + q*w - q*w^3 with q*(w - w^3) = q*sqrt2, and
+    the denominator sqrt2^k squares to 2^k.
+    """
+    a0, a1, a2, a3, k = x
+    return (
+        a0 * a0 + a1 * a1 + a2 * a2 + a3 * a3,
+        a0 * a1 + a1 * a2 + a2 * a3 - a3 * a0,
+        k,
+    )
+
+
+def _real_add(x: tuple[int, int, int], y: tuple[int, int, int]) -> tuple[int, int, int]:
+    """(p + q*sqrt2) / 2^k triples added over the larger k, not reduced."""
+    pa, qa, ka = x
+    pb, qb, kb = y
+    if ka < kb:
+        pa, qa, ka, pb, qb, kb = pb, qb, kb, pa, qa, ka
+    d = ka - kb
+    return pa + (pb << d), qa + (qb << d), ka
+
+
+def _to_complex(x: Packed) -> complex:
+    a0, a1, a2, a3, k = x
+    re = a0 + (a1 - a3) / _SQRT2
+    im = a2 + (a1 + a3) / _SQRT2
+    return complex(re, im) / _SQRT2**k
+
+
+def _poly(coeffs: tuple[int, ...], powers: tuple[str, str, str, str], mul: str) -> str:
+    parts: list[tuple[str, str]] = []
+    for coef, power in zip(coeffs, powers):
+        if coef == 0:
+            continue
+        if not power:
+            body = str(abs(coef))
+        elif abs(coef) == 1:
+            body = power
+        else:
+            body = f"{abs(coef)}{mul}{power}"
+        parts.append(("-" if coef < 0 else "+", body))
+    if not parts:
+        return "0"
+    sign, body = parts[0]
+    out = ("-" if sign == "-" else "") + body
+    for sign, body in parts[1:]:
+        out += f" {sign} {body}"
+    return out
+
+
+def _poly_text(x: Packed) -> str:
+    """The numerator of a packed amplitude, as in `1 - w + 2*w^3`."""
+    return _poly(x[:4], _POWER_NAMES, "*")
+
+
+def _latex(x: Packed) -> str:
+    body = _poly(x[:4], _POWER_LATEX, "")
+    k = x[4]
+    if k == 0:
+        return body
+    if " " in body:
+        body = f"({body})"
+    denom = r"\sqrt{2}" if k == 1 else r"\sqrt{2}^{%d}" % k
+    return r"\frac{%s}{%s}" % (body, denom)
+
 
 class CycloInt:
-    """a0 + a1*w + a2*w^2 + a3*w^3 with integer coefficients."""
+    """a0 + a1*w + a2*w^2 + a3*w^3 with integer coefficients: the numerator
+    of an `Amplitude`, as the API shows it."""
 
     __slots__ = ("a0", "a1", "a2", "a3")
 
@@ -48,181 +186,97 @@ class CycloInt:
     def __repr__(self) -> str:
         return f"CycloInt{self.coeffs}"
 
-    def __add__(self, other: CycloInt) -> CycloInt:
-        return CycloInt(
-            self.a0 + other.a0,
-            self.a1 + other.a1,
-            self.a2 + other.a2,
-            self.a3 + other.a3,
-        )
-
-    def __neg__(self) -> CycloInt:
-        return CycloInt(-self.a0, -self.a1, -self.a2, -self.a3)
-
-    def __sub__(self, other: CycloInt) -> CycloInt:
-        return self + (-other)
-
-    def __mul__(self, other: CycloInt) -> CycloInt:
-        # Convolution folded with w^4 = -1.
-        a0, a1, a2, a3 = self.coeffs
-        b0, b1, b2, b3 = other.coeffs
-        return CycloInt(
-            a0 * b0 - a1 * b3 - a2 * b2 - a3 * b1,
-            a0 * b1 + a1 * b0 - a2 * b3 - a3 * b2,
-            a0 * b2 + a1 * b1 + a2 * b0 - a3 * b3,
-            a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0,
-        )
-
-    def conj(self) -> CycloInt:
-        # conj(w) = w^-1 = -w^3, conj(w^2) = -w^2, conj(w^3) = -w.
-        return CycloInt(self.a0, -self.a3, -self.a2, -self.a1)
-
     def times_sqrt2(self) -> CycloInt:
-        # Multiply by sqrt2 = w - w^3.
-        a0, a1, a2, a3 = self.coeffs
-        return CycloInt(a1 - a3, a0 + a2, a1 + a3, a2 - a0)
+        return CycloInt(*_times_sqrt2(*self.coeffs))
 
     def divisible_by_sqrt2(self) -> bool:
-        # z / sqrt2 = z * sqrt2 / 2, integral iff all four entries of
-        # z * sqrt2 are even, i.e. a0 = a2 and a1 = a3 modulo 2.
-        return (self.a0 - self.a2) % 2 == 0 and (self.a1 - self.a3) % 2 == 0
-
-    def div_sqrt2(self) -> CycloInt:
-        if not self.divisible_by_sqrt2():
-            raise ValueError(f"{self!r} is not divisible by sqrt2")
-        a0, a1, a2, a3 = self.coeffs
-        return CycloInt(
-            (a1 - a3) // 2, (a0 + a2) // 2, (a1 + a3) // 2, (a2 - a0) // 2
-        )
-
-    def is_zero(self) -> bool:
-        return self.coeffs == (0, 0, 0, 0)
-
-    def term_count(self) -> int:
-        return sum(1 for c in self.coeffs if c != 0)
+        return _canonical(*self.coeffs, 1)[4] == 0
 
     def to_complex(self) -> complex:
-        re = self.a0 + (self.a1 - self.a3) / _SQRT2
-        im = self.a2 + (self.a1 + self.a3) / _SQRT2
-        return complex(re, im)
-
-    def poly_text(self) -> str:
-        return self._poly(_POWER_NAMES, mul="*")
-
-    def poly_latex(self) -> str:
-        return self._poly(_POWER_LATEX, mul="")
-
-    def _poly(self, powers: tuple[str, str, str, str], mul: str) -> str:
-        parts: list[tuple[str, str]] = []
-        for coef, power in zip(self.coeffs, powers):
-            if coef == 0:
-                continue
-            if not power:
-                body = str(abs(coef))
-            elif abs(coef) == 1:
-                body = power
-            else:
-                body = f"{abs(coef)}{mul}{power}"
-            parts.append(("-" if coef < 0 else "+", body))
-        if not parts:
-            return "0"
-        sign, body = parts[0]
-        out = ("-" if sign == "-" else "") + body
-        for sign, body in parts[1:]:
-            out += f" {sign} {body}"
-        return out
+        return _to_complex((*self.coeffs, 0))
 
 
 class Amplitude:
     """num / sqrt2^k with num in Z[w] and k >= 0, kept in canonical form.
 
-    Canonical means k = 0 or num is not divisible by sqrt2; the zero value is
-    uniquely (0, 0).  The constructor canonicalizes, so equality is plain
-    component comparison.
+    The value is the packed tuple in `packed`; canonical means k = 0 or num
+    is not divisible by sqrt2, and the zero value is uniquely (0, 0).  The
+    constructor canonicalizes, so equality is plain tuple comparison.
     """
 
-    __slots__ = ("num", "sqrt2_exp")
+    __slots__ = ("packed",)
 
     def __init__(self, num: CycloInt, sqrt2_exp: int = 0) -> None:
         if sqrt2_exp < 0:
             raise ValueError("sqrt2 exponent must be nonnegative")
-        if num.is_zero():
-            sqrt2_exp = 0
-        else:
-            while sqrt2_exp > 0 and num.divisible_by_sqrt2():
-                num = num.div_sqrt2()
-                sqrt2_exp -= 1
-        self.num = num
-        self.sqrt2_exp = sqrt2_exp
+        self.packed = _canonical(*num.coeffs, sqrt2_exp)
+
+    @classmethod
+    def of(cls, packed: Packed) -> Amplitude:
+        """The amplitude of an already canonical packed tuple."""
+        amp = object.__new__(cls)
+        amp.packed = packed
+        return amp
 
     @classmethod
     def from_int(cls, n: int) -> Amplitude:
         return cls(CycloInt(n))
 
+    @property
+    def num(self) -> CycloInt:
+        return CycloInt(*self.packed[:4])
+
+    @property
+    def sqrt2_exp(self) -> int:
+        return self.packed[4]
+
     def __eq__(self, other: object) -> bool:
         if isinstance(other, int):
             return self == Amplitude.from_int(other)
         if isinstance(other, Amplitude):
-            return self.num == other.num and self.sqrt2_exp == other.sqrt2_exp
+            return self.packed == other.packed
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.num.coeffs, self.sqrt2_exp))
+        return hash(self.packed)
 
     def __repr__(self) -> str:
         return f"Amplitude({self.text()})"
 
     def __add__(self, other: Amplitude) -> Amplitude:
-        # Lift the smaller denominator exponent: num / sqrt2^k = num*sqrt2 / sqrt2^(k+1).
-        a, b = self, other
-        na, nb = a.num, b.num
-        k = max(a.sqrt2_exp, b.sqrt2_exp)
-        for _ in range(k - a.sqrt2_exp):
-            na = na.times_sqrt2()
-        for _ in range(k - b.sqrt2_exp):
-            nb = nb.times_sqrt2()
-        return Amplitude(na + nb, k)
+        return Amplitude.of(_add(self.packed, other.packed))
 
     def __neg__(self) -> Amplitude:
-        return Amplitude(-self.num, self.sqrt2_exp)
+        a0, a1, a2, a3, k = self.packed
+        return Amplitude.of((-a0, -a1, -a2, -a3, k))
 
     def __sub__(self, other: Amplitude) -> Amplitude:
         return self + (-other)
 
     def __mul__(self, other: Amplitude) -> Amplitude:
-        return Amplitude(self.num * other.num, self.sqrt2_exp + other.sqrt2_exp)
+        return Amplitude.of(_mul(self.packed, other.packed))
 
     def conj(self) -> Amplitude:
-        return Amplitude(self.num.conj(), self.sqrt2_exp)
+        return Amplitude.of(_conj(self.packed))
 
     def is_zero(self) -> bool:
-        return self.num.is_zero()
+        return self.packed == PACKED_ZERO
 
     def mod_sq(self) -> ExactReal:
-        """|self|^2 as an exact real; the product num * conj(num) is real."""
-        m = self.num * self.num.conj()
-        if m.a2 != 0 or m.a1 + m.a3 != 0:
-            raise ArithmeticError(f"modulus squared of {self!r} is not real")
-        # A real element of Z[w] has the form p + q*sqrt2 with q = a1 = -a3.
-        return ExactReal(m.a0, m.a1, self.sqrt2_exp)
+        """|self|^2 as an exact real."""
+        return ExactReal(*_mod_sq(self.packed))
 
     def to_complex(self) -> complex:
-        return self.num.to_complex() / _SQRT2**self.sqrt2_exp
+        return _to_complex(self.packed)
 
     def text(self) -> str:
-        body = f"({self.num.poly_text()})"
+        body = f"({_poly_text(self.packed)})"
         if self.sqrt2_exp == 0:
             return body
         return f"{body}/sqrt2^{self.sqrt2_exp}"
 
     def latex(self) -> str:
-        body = self.num.poly_latex()
-        if self.sqrt2_exp == 0:
-            return body
-        if " " in body:
-            body = f"({body})"
-        denom = r"\sqrt{2}" if self.sqrt2_exp == 1 else r"\sqrt{2}^{%d}" % self.sqrt2_exp
-        return r"\frac{%s}{%s}" % (body, denom)
+        return _latex(self.packed)
 
     def __str__(self) -> str:
         return self.text()
@@ -261,10 +315,7 @@ class ExactReal:
         return f"ExactReal({self.text()})"
 
     def __add__(self, other: ExactReal) -> ExactReal:
-        k = max(self.k, other.k)
-        sa = 1 << (k - self.k)
-        sb = 1 << (k - other.k)
-        return ExactReal(self.p * sa + other.p * sb, self.q * sa + other.q * sb, k)
+        return ExactReal(*_real_add((self.p, self.q, self.k), (other.p, other.q, other.k)))
 
     def __neg__(self) -> ExactReal:
         return ExactReal(-self.p, -self.q, self.k)

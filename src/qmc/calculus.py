@@ -21,7 +21,7 @@ from typing import Iterator, Mapping, Sequence, Union
 
 from .amplitude import ExactReal, REAL_ONE, REAL_ZERO
 from .gates import GateApplication, apply
-from .state import BasisState, Superposition, ket, norm_sq, support, tensor
+from .state import BasisState, Superposition, born_weights, ket, norm_sq, support, tensor
 
 
 # ---------------------------------------------------------------------------
@@ -119,11 +119,11 @@ class Distribution:
 
 def distribution(s: Superposition) -> Distribution:
     """Born distribution of a normalized state: P(x) = |amplitude(x)|^2."""
-    if norm_sq(s) != REAL_ONE:
-        raise UnnormalizedState(
-            f"state has norm squared {norm_sq(s).text()}, expected 1"
-        )
-    return Distribution({basis: amp.mod_sq() for basis, amp in s.terms()})
+    weights = born_weights(s)
+    n = norm_sq(s)
+    if n != REAL_ONE:
+        raise UnnormalizedState(f"state has norm squared {n.text()}, expected 1")
+    return Distribution(weights)
 
 
 def _require_normalized(state: Superposition) -> None:
@@ -501,17 +501,15 @@ def _splitmix64(seed: int) -> int:
 def sample_outcome(dist: Distribution, seed: int) -> tuple[BasisState, ExactReal]:
     """Draw one outcome, reproducibly across platforms.
 
-    One SplitMix64 output from the raw 64-bit seed is mapped to [0, 1) and
-    inverted through the CDF over lexicographically ordered outcomes, using
-    float views of the exact probabilities.
+    One SplitMix64 output z from the raw 64-bit seed is read as the dyadic
+    u = z / 2^64 in [0, 1), and the CDF over lexicographically ordered
+    outcomes is inverted exactly: the first outcome whose cumulative
+    probability exceeds u is drawn, decided by an exact sign test.
     """
-    u = _splitmix64(seed & _MASK64) / 2.0**64
-    acc = 0.0
-    result = None
+    u = ExactReal(_splitmix64(seed & _MASK64), 0, 64)
+    acc = REAL_ZERO
     for basis, p in dist.items():
-        result = (basis, p)
-        acc += p.to_float()
-        if u < acc:
-            return result
-    assert result is not None
-    return result  # float rounding left u at the tail; take the last outcome
+        acc = acc + p
+        if (acc - u).sign() > 0:
+            return basis, p
+    raise AssertionError("probabilities sum to 1 and u < 1")

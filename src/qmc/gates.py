@@ -1,17 +1,30 @@
 """Unitary gate registry and exact gate application.
 
 Gates are small matrices of exact amplitudes.  Application to a register
-never materializes the 2^n x 2^n embedding: each basis term is rewritten on
-the selected wires and the results are merged with `combine`, which is where
-interference between computational paths takes effect.
+never materializes the 2^n x 2^n embedding.  `apply` is one loop over the
+packed terms: it reads the selected wires' bits off each basis index, and
+for every nonzero entry of that matrix column emits the product amplitude
+with the row's bits put in their place.  The results are merged with
+`combine`, which is where interference between computational paths takes
+effect.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .amplitude import AMP_ONE, AMP_ZERO, Amplitude, CycloInt, INV_SQRT2, OMEGA
-from .state import BasisState, Superposition, combine
+from .amplitude import (
+    AMP_ONE,
+    AMP_ZERO,
+    INV_SQRT2,
+    OMEGA,
+    PACKED_ONE,
+    Amplitude,
+    CycloInt,
+    Packed,
+    _mul,
+)
+from .state import Superposition, combine
 
 Matrix = tuple[tuple[Amplitude, ...], ...]
 
@@ -21,6 +34,30 @@ class Gate:
     name: str
     arity: int
     matrix: Matrix  # matrix[row][col], col = input basis index
+    # Computed once: columns[col] lists (row, packed entry) for the nonzero
+    # entries of a column, and row_bits[row] the row's bit per wire, in the
+    # order the application lists its wires.
+    columns: tuple[tuple[tuple[int, Packed], ...], ...] = field(
+        init=False, repr=False, compare=False
+    )
+    row_bits: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        size = 1 << self.arity
+        columns = tuple(
+            tuple(
+                (row, self.matrix[row][col].packed)
+                for row in range(size)
+                if not self.matrix[row][col].is_zero()
+            )
+            for col in range(size)
+        )
+        row_bits = tuple(
+            tuple((row >> (self.arity - 1 - j)) & 1 for j in range(self.arity))
+            for row in range(size)
+        )
+        object.__setattr__(self, "columns", columns)
+        object.__setattr__(self, "row_bits", row_bits)
 
 
 @dataclass(frozen=True)
@@ -102,26 +139,33 @@ def apply(app: GateApplication, s: Superposition) -> Superposition:
     Other wires are untouched.  Because the rewritten terms are merged with
     `combine`, exact cancellation between them happens here.
     """
+    width = s.width
     for w in app.wires:
-        if w >= s.width:
+        if w >= width:
             raise ValueError(
-                f"wire {w} out of range for width-{s.width} register"
+                f"wire {w} out of range for width-{width} register"
             )
-    arity = app.gate.arity
-    matrix = app.gate.matrix
-    # Sparse column view: most gate columns have one or two nonzero entries.
-    columns = [
-        [(row, matrix[row][col]) for row in range(1 << arity) if not matrix[row][col].is_zero()]
-        for col in range(1 << arity)
+    # Wire w is bit width-1-w of a basis index.  place[row] puts a row's bits
+    # there, so a term's column is found by masking its index.
+    shifts = [width - 1 - w for w in app.wires]
+    place = [
+        sum(bit << shift for bit, shift in zip(bits, shifts))
+        for bits in app.gate.row_bits
     ]
-    parts: list[tuple[Amplitude, BasisState]] = []
-    for basis, amp in s.terms():
-        col = 0
-        for w in app.wires:
-            col = (col << 1) | basis.bit(w)
-        for row, entry in columns[col]:
-            assignments = {
-                w: (row >> (arity - 1 - j)) & 1 for j, w in enumerate(app.wires)
-            }
-            parts.append((amp * entry, basis.with_bits(assignments)))
-    return combine(parts, s.width)
+    mask = place[-1]  # the last row has every wire's bit set
+    # A unit entry (None here) passes the amplitude through unchanged.
+    targets = {
+        place[col]: [
+            (place[row], None if entry == PACKED_ONE else entry)
+            for row, entry in rows
+        ]
+        for col, rows in enumerate(app.gate.columns)
+    }
+    parts: list[tuple[Packed, int]] = []
+    emit = parts.append
+    for basis, amp in s.packed.items():
+        wires = basis & mask
+        rest = basis ^ wires
+        for row, entry in targets[wires]:
+            emit((amp if entry is None else _mul(amp, entry), rest | row))
+    return combine(parts, width)

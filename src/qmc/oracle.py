@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 
+from .amplitude import _to_complex
 from .state import Superposition
 from .translate import Circuit
 
@@ -78,7 +79,7 @@ def compare(s: Superposition, f: FloatState, tol: float) -> tuple[bool, float]:
     if s.width != f.width:
         raise ValueError(f"width mismatch: {s.width} vs {f.width}")
     dense = np.zeros(1 << s.width, dtype=complex)
-    for basis, amp in s.terms():
-        dense[int(basis.bits, 2)] = amp.to_complex()
+    for basis, amp in s.packed.items():
+        dense[basis] = _to_complex(amp)
     deviation = float(np.max(np.abs(dense - f.vec)))
     return deviation < tol, deviation

@@ -67,6 +67,17 @@ _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _INT_RE = re.compile(r"[0-9]+")  # ASCII digits only, in both formats
 
 
+def _number(text: str, line: int, column: int) -> int:
+    """The value of an `_INT_RE` token; one too long for `int()` (by default
+    more than 4300 digits) is a positioned error, not a traceback."""
+    try:
+        return int(text)
+    except ValueError:
+        raise SourceError(
+            line, column, f"number too long ({len(text)} digits)", text[:12] + "..."
+        ) from None
+
+
 def is_identifier(text: str) -> bool:
     """Whether the text can name a proof or a binding in a script."""
     return bool(_IDENT_RE.fullmatch(text)) and text not in _KEYWORDS
@@ -280,7 +291,7 @@ class _ScriptParser:
         if tok.kind != "INT":
             raise self.fail("expected a wire index")
         self.advance()
-        return int(tok.text)
+        return _number(tok.text, tok.line, tok.col)
 
 
 def parse_proof(text: str) -> ProofScript:
@@ -471,7 +482,7 @@ def parse_circuit(text: str) -> Circuit:
                 raise SourceError(
                     lineno, head_col, "expected 'qubits N' with a single count", head
                 )
-            width = int(fields[1][0])
+            width = _number(fields[1][0], lineno, fields[1][1])
             if width < 1:
                 raise SourceError(
                     lineno, fields[1][1], "qubit count must be at least 1", fields[1][0]
@@ -499,11 +510,12 @@ def parse_circuit(text: str) -> Circuit:
         for text_w, col_w in fields[1:]:
             if not _INT_RE.fullmatch(text_w):
                 raise SourceError(lineno, col_w, "expected a wire index", text_w)
+            wire = _number(text_w, lineno, col_w)
             try:
-                Circuit.check_wire(int(text_w), width)
+                Circuit.check_wire(wire, width)
             except ValueError as err:
                 raise SourceError(lineno, col_w, str(err), text_w) from None
-            wires.append(int(text_w))
+            wires.append(wire)
         try:
             ops.append(GateApplication(builtin(head), tuple(wires)))
         except ValueError as err:

@@ -1,17 +1,37 @@
 """Superpositions over n-qubit computational basis states.
 
-A superposition stores only nonzero canonical amplitudes keyed by basis
-state; summing amplitudes of like basis states and dropping exact zeros is
-where destructive interference eliminates terms.  Iteration order is always
-lexicographic by bitstring, so renderings and reports are deterministic.
+A superposition is packed: a dict from each basis state's integer value to
+its canonical packed amplitude (see `amplitude`).  Wire 0 is the most
+significant bit, so ascending integer order is lexicographic order by
+bitstring, and iteration always follows it; renderings and reports are
+deterministic.  Only nonzero amplitudes are stored.  Summing amplitudes of
+like basis states and dropping exact zeros, in `combine`, is where
+destructive interference eliminates terms.
+
+`BasisState` and `Amplitude` are the values the API shows: `terms()`,
+`amplitude()` and the constructor take or give them, and the engine builds
+them only there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
-from .amplitude import AMP_ONE, Amplitude, ExactReal, REAL_ZERO
+from .amplitude import (
+    AMP_ZERO,
+    PACKED_ONE,
+    PACKED_ZERO,
+    Amplitude,
+    ExactReal,
+    Packed,
+    _add,
+    _latex,
+    _mod_sq,
+    _mul,
+    _poly_text,
+    _real_add,
+)
 
 
 @dataclass(frozen=True, order=True)
@@ -26,81 +46,107 @@ class BasisState:
         if set(self.bits) - {"0", "1"}:
             raise ValueError(f"basis state bits must be 0 or 1: {self.bits!r}")
 
+    @classmethod
+    def of(cls, index: int, width: int) -> BasisState:
+        """The width-bit basis state whose integer value is index."""
+        return cls(format(index, f"0{width}b"))
+
     @property
     def width(self) -> int:
         return len(self.bits)
 
-    def bit(self, wire: int) -> int:
-        return int(self.bits[wire])
-
-    def concat(self, other: BasisState) -> BasisState:
-        return BasisState(self.bits + other.bits)
-
-    def with_bits(self, assignments: Mapping[int, int]) -> BasisState:
-        chars = list(self.bits)
-        for wire, value in assignments.items():
-            chars[wire] = "1" if value else "0"
-        return BasisState("".join(chars))
+    @property
+    def index(self) -> int:
+        """The integer value of the bits, wire 0 most significant."""
+        return int(self.bits, 2)
 
     def __str__(self) -> str:
         return f"|{self.bits}>"
 
 
 class Superposition:
-    """Association from basis states to nonzero canonical amplitudes."""
+    """Association from basis states to nonzero canonical amplitudes.
 
-    __slots__ = ("width", "_terms")
+    `packed` maps basis indices to packed amplitudes in ascending order; it
+    is read-only, like the whole value, so the norm is computed once and
+    cached.
+    """
+
+    __slots__ = ("width", "packed", "_norm")
 
     def __init__(self, width: int, terms: Mapping[BasisState, Amplitude]) -> None:
-        if width < 1:
-            raise ValueError("register width must be at least 1")
-        kept: dict[BasisState, Amplitude] = {}
-        for basis in sorted(terms):
+        packed: dict[int, Packed] = {}
+        for basis, amp in terms.items():
             if basis.width != width:
                 raise ValueError(
                     f"basis state {basis} has width {basis.width}, expected {width}"
                 )
-            amp = terms[basis]
-            if not amp.is_zero():
-                kept[basis] = amp
+            packed[basis.index] = amp.packed
+        self._init(width, packed)
+
+    @classmethod
+    def _of(cls, width: int, sums: dict[int, Packed]) -> Superposition:
+        s = object.__new__(cls)
+        s._init(width, sums)
+        return s
+
+    def _init(self, width: int, sums: dict[int, Packed]) -> None:
+        if width < 1:
+            raise ValueError("register width must be at least 1")
+        keys = sorted(sums)
+        if keys and (keys[0] < 0 or keys[-1] >> width):
+            bad = keys[0] if keys[0] < 0 else keys[-1]
+            raise ValueError(f"basis index {bad} does not fit width {width}")
         self.width = width
-        self._terms = kept
+        self.packed = {b: sums[b] for b in keys if sums[b] != PACKED_ZERO}
+        self._norm: ExactReal | None = None
 
     def terms(self) -> Iterator[tuple[BasisState, Amplitude]]:
-        return iter(self._terms.items())
+        width = self.width
+        return (
+            (BasisState.of(b, width), Amplitude.of(amp))
+            for b, amp in self.packed.items()
+        )
 
     def amplitude(self, basis: BasisState) -> Amplitude:
-        from .amplitude import AMP_ZERO
-
-        return self._terms.get(basis, AMP_ZERO)
+        if basis.width != self.width:
+            return AMP_ZERO
+        return Amplitude.of(self.packed.get(basis.index, PACKED_ZERO))
 
     def __contains__(self, basis: BasisState) -> bool:
-        return basis in self._terms
+        return basis.width == self.width and basis.index in self.packed
 
     def __len__(self) -> int:
-        return len(self._terms)
+        return len(self.packed)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Superposition):
-            return self.width == other.width and self._terms == other._terms
+            return self.width == other.width and self.packed == other.packed
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.width, tuple(self._terms.items())))
+        return hash((self.width, tuple(self.packed.items())))
 
     def render(self) -> str:
-        if not self._terms:
-            return "0"
-        return " + ".join(
-            _term_text(amp, basis) for basis, amp in self._terms.items()
-        )
+        return self._join(lambda amp: f"({_coeff_text(amp)})", "|%s>")
 
     def latex(self) -> str:
-        if not self._terms:
+        return self._join(_latex, r"\ket{%s}")
+
+    def _join(self, coeff: Callable[[Packed], str], ket: str) -> str:
+        """The terms as coefficient text before each ket; a unit amplitude
+        shows the bare ket.  Each distinct amplitude is formatted once."""
+        if not self.packed:
             return "0"
-        return " + ".join(
-            _term_latex(amp, basis) for basis, amp in self._terms.items()
-        )
+        fmt = f"0{self.width}b"
+        texts = {PACKED_ONE: ""}
+        parts = []
+        for b, amp in self.packed.items():
+            text = texts.get(amp)
+            if text is None:
+                text = texts[amp] = coeff(amp)
+            parts.append(text + ket % format(b, fmt))
+        return " + ".join(parts)
 
     def __str__(self) -> str:
         return self.render()
@@ -109,71 +155,73 @@ class Superposition:
         return f"Superposition({self.width}, {self.render()})"
 
 
-def _coeff_text(amp: Amplitude) -> str:
-    poly = amp.num.poly_text()
-    if amp.sqrt2_exp == 0:
+def _coeff_text(amp: Packed) -> str:
+    poly = _poly_text(amp)
+    k = amp[4]
+    if k == 0:
         return poly
-    base = poly if amp.num.term_count() == 1 else f"({poly})"
-    if amp.sqrt2_exp == 1:
+    single = sum(1 for c in amp[:4] if c) == 1
+    base = poly if single else f"({poly})"
+    if k == 1:
         return f"{base}/sqrt2"
-    return f"{base}/sqrt2^{amp.sqrt2_exp}"
-
-
-def _term_text(amp: Amplitude, basis: BasisState) -> str:
-    if amp == AMP_ONE:
-        return str(basis)
-    return f"({_coeff_text(amp)}){basis}"
-
-
-def _term_latex(amp: Amplitude, basis: BasisState) -> str:
-    ket = r"\ket{%s}" % basis.bits
-    if amp == AMP_ONE:
-        return ket
-    return amp.latex() + ket
+    return f"{base}/sqrt2^{k}"
 
 
 def ket(bits: str | BasisState) -> Superposition:
     """Single-term superposition |bits> with amplitude 1."""
     basis = bits if isinstance(bits, BasisState) else BasisState(bits)
-    return Superposition(basis.width, {basis: AMP_ONE})
+    return Superposition._of(basis.width, {basis.index: PACKED_ONE})
 
 
 def tensor(s1: Superposition, s2: Superposition) -> Superposition:
     """Tensor product; widths add, amplitudes multiply pairwise."""
-    terms: dict[BasisState, Amplitude] = {}
-    for b1, a1 in s1.terms():
-        for b2, a2 in s2.terms():
-            terms[b1.concat(b2)] = a1 * a2
-    return Superposition(s1.width + s2.width, terms)
+    w2 = s2.width
+    terms = {
+        (b1 << w2) | b2: _mul(a1, a2)
+        for b1, a1 in s1.packed.items()
+        for b2, a2 in s2.packed.items()
+    }
+    return Superposition._of(s1.width + w2, terms)
 
 
-def combine(
-    parts: Iterable[tuple[Amplitude, BasisState]], width: int
-) -> Superposition:
-    """Sum amplitudes of like basis states; exact zero sums are removed.
+def combine(parts: Iterable[tuple[Packed, int]], width: int) -> Superposition:
+    """Sum packed amplitudes of like basis indices; exact zero sums are removed.
 
     This is the single place where interference happens: two equal,
     oppositely signed contributions to the same basis state cancel and the
     term disappears from the support.
     """
-    sums: dict[BasisState, Amplitude] = {}
+    sums: dict[int, Packed] = {}
     for amp, basis in parts:
-        if basis.width != width:
-            raise ValueError(
-                f"basis state {basis} has width {basis.width}, expected {width}"
-            )
         prev = sums.get(basis)
-        sums[basis] = amp if prev is None else prev + amp
-    return Superposition(width, sums)
+        sums[basis] = amp if prev is None else _add(prev, amp)
+    return Superposition._of(width, sums)
 
 
 def norm_sq(s: Superposition) -> ExactReal:
-    total = REAL_ZERO
-    for _, amp in s.terms():
-        total = total + amp.mod_sq()
-    return total
+    """Sum of |amplitude|^2, computed once per superposition."""
+    if s._norm is None:
+        total = (0, 0, 0)
+        for amp in s.packed.values():
+            total = _real_add(total, _mod_sq(amp))
+        s._norm = ExactReal(*total)
+    return s._norm
+
+
+def born_weights(s: Superposition) -> dict[BasisState, ExactReal]:
+    """|amplitude|^2 per basis state, in order; their sum is cached as the
+    norm, so a distribution computes each weight once."""
+    weights = {}
+    total = (0, 0, 0)
+    for b, amp in s.packed.items():
+        weight = _mod_sq(amp)
+        weights[BasisState.of(b, s.width)] = ExactReal(*weight)
+        total = _real_add(total, weight)
+    if s._norm is None:
+        s._norm = ExactReal(*total)
+    return weights
 
 
 def support(s: Superposition) -> list[BasisState]:
     """Basis states with nonzero amplitude, in lexicographic order."""
-    return [basis for basis, _ in s.terms()]
+    return [BasisState.of(b, s.width) for b in s.packed]

@@ -1,0 +1,48 @@
+"""The benchmark's tracer still finds every hook it wraps.
+
+`perfbench/tracer.py` wraps qmc's public functions, the ring methods of
+`Amplitude` and `ExactReal`, and the `__post_init__` of `BasisState` and the
+sequent classes.  A renamed or dropped hook, or a gate application that no
+longer goes through `state.combine`, would otherwise surface only when the
+benchmark runs.  The double Hadamard in `hh.qc`/`hh.qmc` must show up as
+combines with at least one exact cancellation.
+"""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+
+from conftest import GOLDEN
+
+ROOT = Path(__file__).resolve().parent.parent
+# Per-layer metrics that `perfbench/run.py` measures itself, outside a trace.
+MEASURED_BY_RUNNER = {
+    "translate.proof_tree_mb",
+    "cli.interp_s",
+    "cli.import_s",
+    "trace.overhead_frac",
+}
+
+
+def test_tracer_hooks_cover_every_layer_metric(monkeypatch, capsys):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import tracer
+
+    from qmc.cli import main
+
+    t = tracer.Tracer()
+    t.install()
+    try:
+        assert main(["dist", str(GOLDEN / "hh.qc")]) == 0
+        assert main(["check", str(GOLDEN / "hh.qmc")]) == 0
+    finally:
+        t.uninstall()
+    capsys.readouterr()
+
+    metrics = tracer.layer_metrics(t.raw())
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    names = {entry["name"] for entry in declared}
+    assert set(metrics) == names - MEASURED_BY_RUNNER
+    assert metrics["state.combine_calls"] > 0
+    assert metrics["state.terms_cancelled"] >= 1

@@ -27,6 +27,7 @@ from qmc.calculus import (
     Weaken,
     WrongPremiseShape,
     WrongRootShape,
+    _splitmix64,
     apply_rule,
     check,
     distribution,
@@ -131,7 +132,7 @@ def test_distribution_of_point_state():
 
 def test_distribution_rejects_unnormalized_states():
     half = Amplitude(CycloInt(1), 2)
-    skew = combine([(half, BasisState("0"))], 1)
+    skew = Superposition(1, {BasisState("0"): half})
     with pytest.raises(UnnormalizedState):
         distribution(skew)
 
@@ -172,7 +173,7 @@ def test_coherent_requires_normalized_nonempty_state():
         Coherent(combine([], 1))
     half = Amplitude(CycloInt(1), 2)
     with pytest.raises(UnnormalizedState):
-        Coherent(combine([(half, BasisState("0"))], 1))
+        Coherent(Superposition(1, {BasisState("0"): half}))
 
 
 def test_measured_probability_must_match_the_born_weight():
@@ -331,6 +332,21 @@ def test_sampling_frequencies_converge():
         1 for seed in range(1, 10001) if sample_outcome(dist, seed)[0].bits == "00"
     )
     assert 0.45 < hits / 10000 < 0.55
+
+
+def test_sampling_decides_an_irrational_boundary_exactly():
+    # H T H gives P(|0>) = (2 + sqrt2)/4.  This seed's SplitMix64 draw z
+    # (found by inverting SplitMix64) lies below 2^64 * P(|0>), so |0> is
+    # drawn, but a float CDF (z / 2.0**64 < p.to_float()) would draw |1>.
+    seed = 16559512301985308444
+    hth = Circuit(1, tuple(GateApplication(builtin(g), (0,)) for g in "HTH"))
+    dist = distribution(final_state(hth))
+    p0 = ExactReal(2, 1, 2)
+    assert dist[BasisState("0")] == p0
+    z = _splitmix64(seed)
+    assert (p0 - ExactReal(z, 0, 64)).sign() > 0
+    assert not z / 2.0**64 < p0.to_float()
+    assert sample_outcome(dist, seed) == (BasisState("0"), p0)
 
 
 def test_sampling_returns_probability_with_the_outcome():

@@ -62,6 +62,25 @@ def test_non_ascii_digits_are_positioned_parse_errors(
     assert err.startswith(f"error: {where}: ")
 
 
+@pytest.mark.parametrize(
+    "command, name, text, where",
+    [
+        ("dist", "big.qc", "qubits " + "1" * 4301 + "\n", "line 1, column 8"),
+        ("dist", "big.qc", "qubits 2\nH " + "1" * 4301 + "\n", "line 2, column 3"),
+        ("check", "big.qmc", "proof p { a = ax; g = gate H [" + "1" * 4301 + "] a; }\n",
+         "line 1, column 31"),
+    ],
+    ids=["qc-header", "qc-wire", "qmc-wire"],
+)
+def test_oversized_numbers_exit_2_with_one_line(run_cli, tmp_path, command, name, text, where):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(command, str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {where}: number too long (4301 digits) (at '111111111111...')\n"
+
+
 def test_check_rejects_circuit_files(run_cli, workdir):
     code, _, err = run_cli("check", str(workdir / "bell.qc"))
     assert code == 2

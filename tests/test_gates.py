@@ -7,7 +7,7 @@ import pytest
 from qmc.amplitude import AMP_ONE, AMP_ZERO, Amplitude, CycloInt, INV_SQRT2
 from qmc.gates import Gate, GateApplication, apply, builtin, is_unitary, BUILTIN_NAMES
 from qmc.oracle import compare, run_circuit
-from qmc.state import BasisState, combine, ket, norm_sq
+from qmc.state import BasisState, Superposition, ket, norm_sq
 from qmc.translate import final_state, random_circuit
 
 from conftest import random_orbit_state
@@ -52,19 +52,19 @@ def test_zero_row_matrix_is_not_unitary():
 
 def test_hadamard_on_zero():
     result = apply(GateApplication(builtin("H"), (0,)), ket("0"))
-    expected = combine(
-        [(INV_SQRT2, BasisState("0")), (INV_SQRT2, BasisState("1"))], 1
+    expected = Superposition(
+        1, {BasisState("0"): INV_SQRT2, BasisState("1"): INV_SQRT2}
     )
     assert result == expected
 
 
 def test_cnot_entangles():
-    pre = combine(
-        [(INV_SQRT2, BasisState("00")), (INV_SQRT2, BasisState("10"))], 2
+    pre = Superposition(
+        2, {BasisState("00"): INV_SQRT2, BasisState("10"): INV_SQRT2}
     )
     result = apply(GateApplication(builtin("CNOT"), (0, 1)), pre)
-    expected = combine(
-        [(INV_SQRT2, BasisState("00")), (INV_SQRT2, BasisState("11"))], 2
+    expected = Superposition(
+        2, {BasisState("00"): INV_SQRT2, BasisState("11"): INV_SQRT2}
     )
     assert result == expected
 

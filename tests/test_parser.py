@@ -182,6 +182,26 @@ def test_circuit_numbers_take_ascii_digits_only(text, line, column, message):
     )
 
 
+HUGE = "1" * 4301  # one digit past int()'s default conversion limit
+
+
+@pytest.mark.parametrize(
+    "parse, text, line, column",
+    [
+        (parse_circuit, f"qubits {HUGE}\n", 1, 8),
+        (parse_circuit, f"qubits 2\nH {HUGE}\n", 2, 3),
+        (parse_proof, f"proof p {{ a = ax; g = gate H [{HUGE}] a; }}", 1, 31),
+    ],
+    ids=["qc-header", "qc-wire", "qmc-wire"],
+)
+def test_oversized_numbers_are_positioned_errors(parse, text, line, column):
+    with pytest.raises(SourceError) as err:
+        parse(text)
+    assert (err.value.line, err.value.column) == (line, column)
+    assert err.value.message == "number too long (4301 digits)"
+    assert len(str(err.value)) < 100
+
+
 def test_gate_after_measure():
     with pytest.raises(SourceError, match="after measure"):
         parse_circuit("qubits 1\nmeasure\nH 0\n")
