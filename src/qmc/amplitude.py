@@ -13,8 +13,10 @@ smallest-denominator-exponent normal form of Giles & Selinger
 zero is (0, 0, 0, 0, 0).  Canonical tuples are equal exactly when the values
 are, so the zero test and equality are tuple comparisons.  The module-level
 `_mul`, `_add`, `_canonical` and `_mod_sq` are the one implementation of the
-ring, and `_real_add` of the sum of the reals that `_mod_sq` yields.  They are module-private because the state engine calls them once per
-term.  `Amplitude` is the value the API and the renderers see: a thin
+ring, `_times_unit` is `_mul` by a unit w^j / sqrt2^e done as a rotation of
+the coefficients, and `_real_add` is the sum of the reals that `_mod_sq`
+yields.  They are module-private because the state engine calls them once
+per term.  `Amplitude` is the value the API and the renderers see: a thin
 wrapper around one packed tuple, whose operators call those functions.
 
 Coefficients are Python ints, hence arbitrary precision: values grow, they
@@ -65,6 +67,29 @@ def _mul(x: Packed, y: Packed) -> Packed:
         a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0,
         ka + kb,
     )
+
+
+def _times_unit(x: Packed, j: int, e: int) -> Packed:
+    """x * w^j / sqrt2^e.
+
+    Multiplying by w shifts the coefficients one power up, and w^4 = -1
+    wraps the top one around negated.  w^j is a unit of Z[w], so it leaves
+    a numerator not divisible by sqrt2 not divisible: when k > 0 the
+    exponents just add, and only k = 0 needs `_canonical`.
+    """
+    a0, a1, a2, a3, k = x
+    if j & 4:
+        a0, a1, a2, a3 = -a0, -a1, -a2, -a3
+    j &= 3
+    if j == 1:
+        a0, a1, a2, a3 = -a3, a0, a1, a2
+    elif j == 2:
+        a0, a1, a2, a3 = -a2, -a3, a0, a1
+    elif j == 3:
+        a0, a1, a2, a3 = -a1, -a2, -a3, a0
+    if k or not e:
+        return a0, a1, a2, a3, k + e
+    return _canonical(a0, a1, a2, a3, e)
 
 
 def _add(x: Packed, y: Packed) -> Packed:

@@ -70,17 +70,20 @@ class Distribution:
     __slots__ = ("_probs",)
 
     def __init__(self, probs: Mapping[BasisState, ExactReal]) -> None:
-        ordered: dict[BasisState, ExactReal] = {}
+        self._probs = _positive({basis: probs[basis] for basis in sorted(probs)})
         total = REAL_ZERO
-        for basis in sorted(probs):
-            p = probs[basis]
-            if p.sign() <= 0:
-                raise ValueError(f"probability of {basis} must be positive, got {p}")
-            ordered[basis] = p
+        for p in self._probs.values():
             total = total + p
         if total != REAL_ONE:
             raise ValueError(f"probabilities sum to {total}, expected 1")
-        self._probs = ordered
+
+    @classmethod
+    def _of(cls, probs: dict[BasisState, ExactReal]) -> Distribution:
+        """The distribution of probabilities already in order whose sum the
+        caller has checked to be 1."""
+        dist = object.__new__(cls)
+        dist._probs = _positive(probs)
+        return dist
 
     def items(self) -> Iterator[tuple[BasisState, ExactReal]]:
         return iter(self._probs.items())
@@ -117,13 +120,22 @@ class Distribution:
         return f"Distribution({self.render()})"
 
 
+def _positive(probs: dict[BasisState, ExactReal]) -> dict[BasisState, ExactReal]:
+    """probs, once each is checked to be positive."""
+    for basis, p in probs.items():
+        if p.sign() <= 0:
+            raise ValueError(f"probability of {basis} must be positive, got {p}")
+    return probs
+
+
 def distribution(s: Superposition) -> Distribution:
     """Born distribution of a normalized state: P(x) = |amplitude(x)|^2."""
     weights = born_weights(s)
     n = norm_sq(s)
     if n != REAL_ONE:
         raise UnnormalizedState(f"state has norm squared {n.text()}, expected 1")
-    return Distribution(weights)
+    # The weights are in order and their sum is the norm just checked.
+    return Distribution._of(weights)
 
 
 def _require_normalized(state: Superposition) -> None:

@@ -8,6 +8,7 @@ the input bytes, flags, and seed; QMC_SEED provides a default for --seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import random
 import re
@@ -325,7 +326,10 @@ def cmd_selftest(args: argparse.Namespace) -> int:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
-def _build_argparser() -> argparse.ArgumentParser:
+@functools.cache
+def _argparser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves it
+    unchanged."""
     top = argparse.ArgumentParser(
         prog="qmc",
         description="Exact proof kernel for a sequent calculus of single "
@@ -367,7 +371,7 @@ def _build_argparser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_argparser().parse_args(argv)
+    args = _argparser().parse_args(argv)
     try:
         return args.func(args)
     except (SourceError, _UsageError) as err:

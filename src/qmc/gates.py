@@ -1,10 +1,18 @@
 """Unitary gate registry and exact gate application.
 
 Gates are small matrices of exact amplitudes.  Application to a register
-never materializes the 2^n x 2^n embedding.  `apply` is one loop over the
-packed terms: it reads the selected wires' bits off each basis index, and
-for every nonzero entry of that matrix column emits the product amplitude
-with the row's bits put in their place.  The results are merged with
+never materializes the 2^n x 2^n embedding.  Each gate precomputes a kernel
+once: its nonzero entries per column, each written as w^j / sqrt2^e when it
+has that form (every built-in entry does) and kept as a packed amplitude
+otherwise, and whether the gate is a permutation.
+
+`apply` reads the selected wires' bits off each basis index.  A permutation
+gate (X, Z, S, T, CNOT, I) has one unit entry w^j per column in distinct
+rows, so it sends each term to its own basis index, rotated by w^j; no two
+terms meet, and the result is built directly.  Any other gate emits, for
+every nonzero entry of the column, the amplitude times the entry with the
+row's bits put in their place; a unit-scaled entry rotates the amplitude
+(`_times_unit`) instead of multiplying it.  Those results are merged with
 `combine`, which is where interference between computational paths takes
 effect.
 """
@@ -18,11 +26,11 @@ from .amplitude import (
     AMP_ZERO,
     INV_SQRT2,
     OMEGA,
-    PACKED_ONE,
     Amplitude,
     CycloInt,
     Packed,
     _mul,
+    _times_unit,
 )
 from .state import Superposition, combine
 
@@ -34,30 +42,43 @@ class Gate:
     name: str
     arity: int
     matrix: Matrix  # matrix[row][col], col = input basis index
-    # Computed once: columns[col] lists (row, packed entry) for the nonzero
-    # entries of a column, and row_bits[row] the row's bit per wire, in the
-    # order the application lists its wires.
-    columns: tuple[tuple[tuple[int, Packed], ...], ...] = field(
+    # Computed once: kernel[col] lists (row, j, e, entry) for the nonzero
+    # entries of a column.  An entry of the form w^j / sqrt2^e has entry
+    # None; any other keeps its packed tuple in entry.  A permutation gate
+    # has one entry w^j per column, and no two columns share a row.
+    kernel: tuple[tuple[tuple[int, int, int, Packed | None], ...], ...] = field(
         init=False, repr=False, compare=False
     )
-    row_bits: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    permutation: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         size = 1 << self.arity
-        columns = tuple(
+        kernel = tuple(
             tuple(
-                (row, self.matrix[row][col].packed)
+                (row, *_unit_form(self.matrix[row][col].packed))
                 for row in range(size)
                 if not self.matrix[row][col].is_zero()
             )
             for col in range(size)
         )
-        row_bits = tuple(
-            tuple((row >> (self.arity - 1 - j)) & 1 for j in range(self.arity))
-            for row in range(size)
-        )
-        object.__setattr__(self, "columns", columns)
-        object.__setattr__(self, "row_bits", row_bits)
+        # Rows of the columns that hold a single entry w^j; a permutation
+        # has size of them, all distinct.
+        rows = {
+            column[0][0]
+            for column in kernel
+            if len(column) == 1 and column[0][2:] == (0, None)
+        }
+        object.__setattr__(self, "kernel", kernel)
+        object.__setattr__(self, "permutation", len(rows) == size)
+
+
+def _unit_form(x: Packed) -> tuple[int, int, Packed | None]:
+    """(j, e, None) when x = w^j / sqrt2^e, else (0, 0, x)."""
+    nonzero = [i for i in range(4) if x[i]]
+    if len(nonzero) == 1 and abs(x[nonzero[0]]) == 1:
+        i = nonzero[0]
+        return i if x[i] > 0 else i + 4, x[4], None
+    return 0, 0, x
 
 
 @dataclass(frozen=True)
@@ -136,8 +157,10 @@ def is_unitary(g: Gate) -> bool:
 def apply(app: GateApplication, s: Superposition) -> Superposition:
     """Apply the gate to the designated wires of every basis term.
 
-    Other wires are untouched.  Because the rewritten terms are merged with
-    `combine`, exact cancellation between them happens here.
+    Other wires are untouched.  A permutation gate moves each term to one
+    new basis index, so no two terms meet and the result is built directly.
+    Any other gate's rewritten terms are merged with `combine`, so exact
+    cancellation between them happens there.
     """
     width = s.width
     for w in app.wires:
@@ -145,27 +168,41 @@ def apply(app: GateApplication, s: Superposition) -> Superposition:
             raise ValueError(
                 f"wire {w} out of range for width-{width} register"
             )
-    # Wire w is bit width-1-w of a basis index.  place[row] puts a row's bits
+    gate = app.gate
+    # Wire w is bit width-1-w of a basis index, and row bit j (from the
+    # most significant) belongs to wires[j].  place[row] puts a row's bits
     # there, so a term's column is found by masking its index.
-    shifts = [width - 1 - w for w in app.wires]
+    arity = gate.arity
     place = [
-        sum(bit << shift for bit, shift in zip(bits, shifts))
-        for bits in app.gate.row_bits
+        sum(
+            1 << (width - 1 - w)
+            for j, w in enumerate(app.wires)
+            if row >> (arity - 1 - j) & 1
+        )
+        for row in range(1 << arity)
     ]
     mask = place[-1]  # the last row has every wire's bit set
-    # A unit entry (None here) passes the amplitude through unchanged.
+    if gate.permutation:
+        moves = {
+            place[col]: (place[row], j)
+            for col, ((row, j, _, _),) in enumerate(gate.kernel)
+        }
+        out: dict[int, Packed] = {}
+        for basis, amp in s.packed.items():
+            wires = basis & mask
+            row, j = moves[wires]
+            out[basis ^ wires | row] = _times_unit(amp, j, 0) if j else amp
+        return Superposition._of(width, out)
     targets = {
-        place[col]: [
-            (place[row], None if entry == PACKED_ONE else entry)
-            for row, entry in rows
-        ]
-        for col, rows in enumerate(app.gate.columns)
+        place[col]: [(place[row], j, e, entry) for row, j, e, entry in column]
+        for col, column in enumerate(gate.kernel)
     }
     parts: list[tuple[Packed, int]] = []
     emit = parts.append
     for basis, amp in s.packed.items():
         wires = basis & mask
         rest = basis ^ wires
-        for row, entry in targets[wires]:
-            emit((amp if entry is None else _mul(amp, entry), rest | row))
+        for row, j, e, entry in targets[wires]:
+            part = _times_unit(amp, j, e) if entry is None else _mul(amp, entry)
+            emit((part, rest | row))
     return combine(parts, width)

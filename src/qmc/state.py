@@ -4,9 +4,11 @@ A superposition is packed: a dict from each basis state's integer value to
 its canonical packed amplitude (see `amplitude`).  Wire 0 is the most
 significant bit, so ascending integer order is lexicographic order by
 bitstring, and iteration always follows it; renderings and reports are
-deterministic.  Only nonzero amplitudes are stored.  Summing amplitudes of
-like basis states and dropping exact zeros, in `combine`, is where
-destructive interference eliminates terms.
+deterministic.  Only nonzero amplitudes are stored: the public constructor
+drops zeros, and `combine`, the only place where terms of like basis states
+meet, drops a sum that comes out exactly zero.  That is where destructive
+interference eliminates terms.  Gates that cannot make two terms meet
+(permutations and phases, see `gates`) build their result without it.
 
 `BasisState` and `Amplitude` are the values the API shows: `terms()`,
 `amplitude()` and the constructor take or give them, and the engine builds
@@ -81,7 +83,8 @@ class Superposition:
                 raise ValueError(
                     f"basis state {basis} has width {basis.width}, expected {width}"
                 )
-            packed[basis.index] = amp.packed
+            if not amp.is_zero():
+                packed[basis.index] = amp.packed
         self._init(width, packed)
 
     @classmethod
@@ -91,6 +94,8 @@ class Superposition:
         return s
 
     def _init(self, width: int, sums: dict[int, Packed]) -> None:
+        """Store sums in ascending order of basis index; sums holds no zero
+        amplitude."""
         if width < 1:
             raise ValueError("register width must be at least 1")
         keys = sorted(sums)
@@ -98,7 +103,7 @@ class Superposition:
             bad = keys[0] if keys[0] < 0 else keys[-1]
             raise ValueError(f"basis index {bad} does not fit width {width}")
         self.width = width
-        self.packed = {b: sums[b] for b in keys if sums[b] != PACKED_ZERO}
+        self.packed = {b: sums[b] for b in keys}
         self._norm: ExactReal | None = None
 
     def terms(self) -> Iterator[tuple[BasisState, Amplitude]]:
@@ -194,17 +199,35 @@ def combine(parts: Iterable[tuple[Packed, int]], width: int) -> Superposition:
     sums: dict[int, Packed] = {}
     for amp, basis in parts:
         prev = sums.get(basis)
-        sums[basis] = amp if prev is None else _add(prev, amp)
+        if prev is not None:
+            amp = _add(prev, amp)
+        if amp != PACKED_ZERO:
+            sums[basis] = amp
+        elif prev is not None:
+            del sums[basis]
     return Superposition._of(width, sums)
 
 
 def norm_sq(s: Superposition) -> ExactReal:
     """Sum of |amplitude|^2, computed once per superposition."""
     if s._norm is None:
-        total = (0, 0, 0)
-        for amp in s.packed.values():
-            total = _real_add(total, _mod_sq(amp))
-        s._norm = ExactReal(*total)
+        # |num|^2 = p + q*sqrt2 as in `amplitude._mod_sq`, over 2^k; the
+        # running sums p_total, q_total stand over 2^k_max.
+        p_total = q_total = k_max = 0
+        for a0, a1, a2, a3, k in s.packed.values():
+            p = a0 * a0 + a1 * a1 + a2 * a2 + a3 * a3
+            q = a0 * a1 + a1 * a2 + a2 * a3 - a3 * a0
+            if k == k_max:
+                p_total += p
+                q_total += q
+            elif k < k_max:
+                p_total += p << (k_max - k)
+                q_total += q << (k_max - k)
+            else:
+                p_total = (p_total << (k - k_max)) + p
+                q_total = (q_total << (k - k_max)) + q
+                k_max = k
+        s._norm = ExactReal(p_total, q_total, k_max)
     return s._norm
 
 

@@ -16,6 +16,8 @@ from qmc.amplitude import (
     OMEGA,
     REAL_ONE,
     REAL_ZERO,
+    _mul,
+    _times_unit,
 )
 
 SQRT2 = Amplitude(CycloInt(0, 1, 0, -1))  # w - w^3
@@ -188,6 +190,18 @@ def test_canonicalize_idempotent_and_value_preserving(x):
     assert Amplitude(lifted, x.sqrt2_exp + 1) == x
     lifted_value = lifted.to_complex() / math.sqrt(2) ** (x.sqrt2_exp + 1)
     assert approx_eq(lifted_value, x.to_complex())
+
+
+def unit(j: int, e: int) -> Amplitude:
+    """w^j / sqrt2^e."""
+    coeffs = [0, 0, 0, 0]
+    coeffs[j % 4] = -1 if j >= 4 else 1
+    return Amplitude(CycloInt(*coeffs), e)
+
+
+@given(amplitudes(), st.integers(0, 7), st.integers(0, 3))
+def test_times_unit_equals_the_product(x, j, e):
+    assert _times_unit(x.packed, j, e) == _mul(x.packed, unit(j, e).packed)
 
 
 def test_negative_exponent_rejected():

@@ -2,8 +2,9 @@
 
 `perfbench/tracer.py` wraps qmc's public functions, the ring methods of
 `Amplitude` and `ExactReal`, and the `__post_init__` of `BasisState` and the
-sequent classes.  A renamed or dropped hook, or a gate application that no
-longer goes through `state.combine`, would otherwise surface only when the
+sequent classes.  A renamed or dropped hook, or a gate that can interfere
+(one that can send two terms to the same basis state, such as H) no longer
+going through `state.combine`, would otherwise surface only when the
 benchmark runs.  The double Hadamard in `hh.qc`/`hh.qmc` must show up as
 combines with at least one exact cancellation.
 """

@@ -287,6 +287,34 @@ def test_translated_scripts_check_whatever_the_stem(run_cli, tmp_path, stem, cir
         assert (check_code, err) == (0, "")
 
 
+def test_main_carries_no_state_between_calls(run_cli, workdir):
+    # main parses with one parser per process; translate without --seed sets
+    # args.enumerate, which must not reach the next call.
+    from qmc import cli
+
+    bell = str(workdir / "bell.qc")
+    calls = [
+        ("translate", bell, "--to", "proof"),
+        ("translate", bell, "--to", "proof", "--seed", "3"),
+        ("dist", bell),
+    ]
+
+    def outcome(argv):
+        for path in workdir.glob("bell_*.qmc"):
+            path.unlink()
+        result = run_cli(*argv)
+        written = {p.name: p.read_text() for p in sorted(workdir.glob("bell_*.qmc"))}
+        return result, written
+
+    shared = [outcome(argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        cli._argparser.cache_clear()
+        fresh.append(outcome(argv))
+    assert shared == fresh
+    assert [len(written) for _, written in shared] == [2, 1, 0]
+
+
 def test_translate_outdir(run_cli, workdir, tmp_path):
     outdir = tmp_path / "out"
     outdir.mkdir()

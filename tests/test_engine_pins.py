@@ -8,7 +8,9 @@ string-keyed engine that preceded the packed one, so any change to the
 engine must reproduce its answers term for term and in the same order.
 
 A hypothesis property also compares `gates.apply` with the textbook column
-sum written here with `Amplitude` arithmetic and `BasisState` bits.
+sum written here with `Amplitude` arithmetic and `BasisState` bits, on the
+built-in gates and on gates outside that set: non-unitary ones, entries with
+no w^j / sqrt2^e form, and single-entry columns that may share a row.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ import random
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import GOLDEN, random_orbit_state
-from qmc.amplitude import AMP_ZERO
-from qmc.gates import BUILTIN_NAMES, GateApplication, apply, builtin
+from qmc.amplitude import AMP_ZERO, INV_SQRT2, Amplitude, CycloInt
+from qmc.gates import BUILTIN_NAMES, Gate, GateApplication, apply, builtin
 from qmc.state import BasisState, Superposition
 from qmc.translate import Circuit, final_state, random_circuit
 
@@ -74,16 +76,53 @@ def column_sum(app: GateApplication, s: Superposition) -> Superposition:
     return Superposition(s.width, out)
 
 
-@settings(max_examples=150, deadline=None)
+def unit(j: int) -> Amplitude:
+    coeffs = [0, 0, 0, 0]
+    coeffs[j % 4] = -1 if j >= 4 else 1
+    return Amplitude(CycloInt(*coeffs))
+
+
+# Entries of gates outside the built-in set: zero, w^j (so also +-1),
+# +-1/sqrt2, and (1 + w)/sqrt2 and 2, which have no w^j / sqrt2^e form.
+ENTRIES = (
+    AMP_ZERO,
+    *(unit(j) for j in range(8)),
+    INV_SQRT2,
+    -INV_SQRT2,
+    Amplitude(CycloInt(1, 1), 1),
+    Amplitude(CycloInt(2)),
+)
+
+
+@st.composite
+def custom_gates(draw) -> Gate:
+    arity = draw(st.integers(1, 2))
+    size = 1 << arity
+    if draw(st.booleans()):
+        # One nonzero entry per column, in rows that may repeat.
+        rows = [draw(st.integers(0, size - 1)) for _ in range(size)]
+        entries = [draw(st.sampled_from(ENTRIES[1:])) for _ in range(size)]
+        matrix = tuple(
+            tuple(entries[col] if rows[col] == row else AMP_ZERO for col in range(size))
+            for row in range(size)
+        )
+    else:
+        matrix = tuple(
+            tuple(draw(st.sampled_from(ENTRIES)) for _ in range(size))
+            for _ in range(size)
+        )
+    return Gate("U", arity, matrix)
+
+
+@settings(max_examples=300, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
     width=st.integers(1, 5),
     n_gates=st.integers(0, 14),
-    name=st.sampled_from(BUILTIN_NAMES),
+    gate=st.one_of(st.sampled_from(BUILTIN_NAMES).map(builtin), custom_gates()),
     data=st.data(),
 )
-def test_apply_equals_the_textbook_column_sum(seed, width, n_gates, name, data):
-    gate = builtin(name)
+def test_apply_equals_the_textbook_column_sum(seed, width, n_gates, gate, data):
     assume(gate.arity <= width)
     state = random_orbit_state(random.Random(seed), width, n_gates)
     wires = tuple(

@@ -41,6 +41,13 @@ def test_all_builtins_are_unitary():
         assert is_unitary(builtin(name)), name
 
 
+def test_permutation_flags():
+    # X, CNOT and I move basis states; Z, S and T multiply them by w^j.
+    for name in ("X", "Z", "S", "T", "CNOT", "I"):
+        assert builtin(name).permutation, name
+    assert not builtin("H").permutation
+
+
 def test_zero_row_matrix_is_not_unitary():
     broken = Gate("BAD", 1, ((AMP_ZERO, AMP_ZERO), (AMP_ZERO, AMP_ONE)))
     assert not is_unitary(broken)
