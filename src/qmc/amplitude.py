@@ -317,11 +317,12 @@ class ExactReal:
             raise ValueError("power-of-two exponent must be nonnegative")
         if p == 0 and q == 0:
             k = 0
-        else:
-            while k > 0 and p % 2 == 0 and q % 2 == 0:
-                p //= 2
-                q //= 2
-                k -= 1
+        elif k:
+            low = p | q  # its trailing zeros are those p and q share
+            shift = min(k, (low & -low).bit_length() - 1)
+            p >>= shift
+            q >>= shift
+            k -= shift
         self.p = p
         self.q = q
         self.k = k

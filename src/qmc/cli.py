@@ -53,6 +53,13 @@ def _read(path: str) -> str:
         raise _UsageError(f"{path} is not valid UTF-8: {err}") from err
 
 
+def _write(path: Path, content: str) -> None:
+    try:
+        path.write_text(content, encoding="utf-8")
+    except OSError as err:
+        raise _UsageError(f"cannot write {path}: {err}") from err
+
+
 def _kind(path: str) -> str:
     suffix = Path(path).suffix
     if suffix in (".qmc", ".qc"):
@@ -216,7 +223,7 @@ def cmd_translate(args: argparse.Namespace) -> int:
         circuit = translate.proof_to_circuit(proof)
         outputs.append((outdir / f"{stem}.qc", frontend.render_circuit(circuit)))
     for path, content in outputs:
-        path.write_text(content, encoding="utf-8")
+        _write(path, content)
         print(path)
     return 0
 

@@ -171,16 +171,12 @@ def apply(app: GateApplication, s: Superposition) -> Superposition:
     gate = app.gate
     # Wire w is bit width-1-w of a basis index, and row bit j (from the
     # most significant) belongs to wires[j].  place[row] puts a row's bits
-    # there, so a term's column is found by masking its index.
-    arity = gate.arity
-    place = [
-        sum(
-            1 << (width - 1 - w)
-            for j, w in enumerate(app.wires)
-            if row >> (arity - 1 - j) & 1
-        )
-        for row in range(1 << arity)
-    ]
+    # there, so a term's column is found by masking its index.  Each wire
+    # doubles the list: every entry without its bit, then with it.
+    place = [0]
+    for w in app.wires:
+        bit = 1 << (width - 1 - w)
+        place = [p | b for p in place for b in (0, bit)]
     mask = place[-1]  # the last row has every wire's bit set
     if gate.permutation:
         moves = {

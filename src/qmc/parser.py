@@ -8,6 +8,13 @@ with a reason, not a syntax error.
 
 Both formats are UTF-8 with `#` comments.  Every parse failure carries a
 1-based line and column into the original text.
+
+A script is scanned by one regular expression, one named alternative per
+token kind, into `(kind, text, line, column)` tuples, and the parser reads
+that list by index.  Each parse builds one `GateApplication` per distinct
+gate and wires (in a circuit, per distinct gate line) and shares it between
+the bindings or operations that repeat it; a bad application fails where it
+first occurs.
 """
 
 from __future__ import annotations
@@ -57,11 +64,16 @@ class ProofScript:
     bindings: tuple[Binding, ...]
 
 
-_RULES = {rule.keyword: rule for rule in RULES}
+# Each rule by keyword, with its form as (word, kind) pairs; word is "" unless
+# the operand is written `word=...`.
+_FORMS = {
+    rule.keyword: (rule, tuple(slot.rpartition("=")[::2] for slot in rule.form))
+    for rule in RULES
+}
 # Rule keywords, the words of `word=kind` operands, and `proof` itself.
 _KEYWORDS = frozenset(
-    ["proof", *_RULES]
-    + [slot.split("=")[0] for rule in RULES for slot in rule.form if "=" in slot]
+    ["proof", *_FORMS]
+    + [word for _, form in _FORMS.values() for word, _ in form if word]
 )
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _INT_RE = re.compile(r"[0-9]+")  # ASCII digits only, in both formats
@@ -84,214 +96,190 @@ def is_identifier(text: str) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Tokenizer
+# Scanner
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # IDENT INT KET PUNCT EOF
-    text: str
-    line: int
-    col: int
+# One alternative per token kind, blank, comment and newline; BADKET is a
+# `|` that does not start a well-formed ket, and BAD any other character.
+_TOKEN_RE = re.compile(
+    r"(?P<BLANK>[ \t\r]+)"
+    rf"|(?P<IDENT>{_IDENT_RE.pattern})"
+    r"|(?P<PUNCT>[{}=;\[\],])"
+    r"|(?P<NL>\n)"
+    rf"|(?P<INT>{_INT_RE.pattern})"
+    r"|(?P<KET>\|[01]+>)"
+    r"|(?P<BADKET>\|[01]*)"
+    r"|(?P<COMMENT>#[^\n]*)"
+    r"|(?P<BAD>.)",
+    re.DOTALL,
+)
+
+# (kind, text, line, column); kind is IDENT, INT, KET, PUNCT or EOF.
+_Token = tuple[str, str, int, int]
 
 
-_PUNCT = "{}=;[],"
-
-
-def _tokenize(text: str) -> list[_Token]:
+def _scan(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
+    append = tokens.append
+    line, start = 1, 0  # start: the offset where the current line begins
+    m = None
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "BLANK" or kind == "COMMENT":
+            continue
+        if kind == "NL":
             line += 1
-            col = 1
-            i += 1
+            start = m.end()
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_line, start_col = line, col
-        if ch in _PUNCT:
-            tokens.append(_Token("PUNCT", ch, start_line, start_col))
-            i += 1
-            col += 1
-            continue
-        if ch == "|":
-            j = i + 1
-            while j < n and text[j] in "01":
-                j += 1
-            if j == i + 1:
-                bad = text[i : j + 1]
-                raise SourceError(
-                    start_line, start_col, "ket digits must be 0 or 1", bad
-                )
-            if j >= n or text[j] != ">":
-                bad = text[i : min(j + 1, n)]
-                message = (
-                    "ket digits must be 0 or 1"
-                    if j < n
-                    else "unterminated ket"
-                )
-                raise SourceError(start_line, start_col, message, bad)
-            tokens.append(_Token("KET", text[i : j + 1], start_line, start_col))
-            col += j + 1 - i
-            i = j + 1
-            continue
-        for kind, pattern in (("INT", _INT_RE), ("IDENT", _IDENT_RE)):
-            m = pattern.match(text, i)
-            if m:
-                tokens.append(_Token(kind, m.group(), start_line, start_col))
-                col += m.end() - i
-                i = m.end()
-                break
-        else:
-            raise SourceError(start_line, start_col, "unexpected character", ch)
-    tokens.append(_Token("EOF", "", line, col))
+        col = m.start() - start + 1
+        if kind == "BADKET":
+            i, j = m.span()
+            bad = text[i : j + 1]  # with the character that stopped the digits
+            if j == len(text) and j > i + 1:
+                raise SourceError(line, col, "unterminated ket", bad)
+            raise SourceError(line, col, "ket digits must be 0 or 1", bad)
+        if kind == "BAD":
+            raise SourceError(line, col, "unexpected character", m[0])
+        append((kind, m[0], line, col))
+    # End of input; a final comment leaves the column at its '#'.
+    if m is not None and m.lastgroup == "COMMENT":
+        end = m.start()
+    else:
+        end = len(text)
+    append(("EOF", "", line, end - start + 1))
     return tokens
 
 
 class _ScriptParser:
+    """Reads the scanned tokens by index.
+
+    Punctuation and keywords are matched by text alone: no other kind of
+    token can carry that text, and the EOF token's text is empty, so no
+    match ever moves past it.
+    """
+
     def __init__(self, text: str) -> None:
-        self.tokens = _tokenize(text)
+        self.tokens = _scan(text)
         self.pos = 0
-
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "EOF":
-            self.pos += 1
-        return tok
+        # One GateApplication per distinct (gate, wires) in this script.
+        self.apps: dict[tuple[str, tuple[int, ...]], GateApplication] = {}
 
     def fail(self, message: str, tok: _Token | None = None) -> SourceError:
-        tok = tok or self.peek()
-        return SourceError(tok.line, tok.col, message, tok.text)
+        _, text, line, col = tok or self.tokens[self.pos]
+        return SourceError(line, col, message, text)
 
-    def expect_punct(self, ch: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != "PUNCT" or tok.text != ch:
-            raise self.fail(f"expected {ch!r}")
-        return self.advance()
-
-    def expect_keyword(self, word: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != "IDENT" or tok.text != word:
-            raise self.fail(f"expected {word!r}")
-        return self.advance()
+    def expect(self, text: str) -> _Token:
+        """The next token, which must be the given punctuation or keyword."""
+        tok = self.tokens[self.pos]
+        if tok[1] != text:
+            raise self.fail(f"expected {text!r}")
+        self.pos += 1
+        return tok
 
     def expect_ident(self, what: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != "IDENT":
+        tok = self.tokens[self.pos]
+        if tok[0] != "IDENT":
             raise self.fail(f"expected {what}")
-        if tok.text in _KEYWORDS:
-            raise self.fail(f"{tok.text!r} is a reserved word", tok)
-        return self.advance()
-
-    def expect_ket(self) -> _Token:
-        tok = self.peek()
-        if tok.kind != "KET":
-            raise self.fail("expected a ket like |01>")
-        return self.advance()
+        if tok[1] in _KEYWORDS:
+            raise self.fail(f"{tok[1]!r} is a reserved word", tok)
+        self.pos += 1
+        return tok
 
     def parse(self) -> ProofScript:
-        self.expect_keyword("proof")
-        name = self.expect_ident("a proof name").text
-        self.expect_punct("{")
+        self.expect("proof")
+        name = self.expect_ident("a proof name")[1]
+        self.expect("{")
         bindings: list[Binding] = []
         bound: set[str] = set()
         consumed: set[str] = set()
-
-        def use(tok: _Token) -> str:
-            if tok.text not in bound:
-                raise self.fail(f"unbound identifier {tok.text!r}", tok)
-            if tok.text in consumed:
-                raise self.fail(
-                    f"identifier {tok.text!r} already consumed; premises are "
-                    "linear resources",
-                    tok,
-                )
-            consumed.add(tok.text)
-            return tok.text
-
-        while not (self.peek().kind == "PUNCT" and self.peek().text == "}"):
+        tokens = self.tokens
+        while tokens[self.pos][1] != "}":
             name_tok = self.expect_ident("a binding name")
-            if name_tok.text in bound:
-                raise self.fail(
-                    f"identifier {name_tok.text!r} is bound twice", name_tok
-                )
-            self.expect_punct("=")
-            rule, premises = self.parse_rule(use)
-            self.expect_punct(";")
-            bound.add(name_tok.text)
-            bindings.append(
-                Binding(name_tok.text, rule, premises, name_tok.line, name_tok.col)
-            )
-        close = self.expect_punct("}")
+            _, bind, line, col = name_tok
+            if bind in bound:
+                raise self.fail(f"identifier {bind!r} is bound twice", name_tok)
+            self.expect("=")
+            rule, premises = self.parse_rule(bound, consumed)
+            self.expect(";")
+            bound.add(bind)
+            bindings.append(Binding(bind, rule, premises, line, col))
+        close = self.expect("}")
         if not bindings:
             raise SourceError(
-                close.line, close.col, "a proof needs at least one binding", "}"
+                close[2], close[3], "a proof needs at least one binding", "}"
             )
-        tail = self.peek()
-        if tail.kind != "EOF":
-            raise self.fail("unexpected input after closing '}'", tail)
+        if tokens[self.pos][0] != "EOF":
+            raise self.fail("unexpected input after closing '}'")
         return ProofScript(name, tuple(bindings))
 
-    def parse_rule(self, use) -> tuple[RuleApp, tuple[str, ...]]:
+    def parse_rule(
+        self, bound: set[str], consumed: set[str]
+    ) -> tuple[RuleApp, tuple[str, ...]]:
         """A rule keyword and its operands, read as the rule's form says."""
-        tok = self.peek()
-        if tok.kind != "IDENT" or tok.text not in _RULES:
-            raise self.fail("expected a rule expression", tok)
-        self.advance()
-        rule = _RULES[tok.text]
+        tokens = self.tokens
+        tok = tokens[self.pos]
+        if tok[1] not in _FORMS:
+            raise self.fail("expected a rule expression")
+        self.pos += 1
+        rule, form = _FORMS[tok[1]]
         fields: list[object] = []
         premises: list[str] = []
-        for slot in rule.form:
-            word, _, kind = slot.rpartition("=")
+        for word, kind in form:
             if word:
-                self.expect_keyword(word)
-                self.expect_punct("=")
+                self.expect(word)
+                self.expect("=")
             if kind == "premise":
-                premises.append(use(self.expect_ident("a premise identifier")))
+                tok = self.expect_ident("a premise identifier")
+                premise = tok[1]
+                if premise not in bound:
+                    raise self.fail(f"unbound identifier {premise!r}", tok)
+                if premise in consumed:
+                    raise self.fail(
+                        f"identifier {premise!r} already consumed; premises are "
+                        "linear resources",
+                        tok,
+                    )
+                consumed.add(premise)
+                premises.append(premise)
             elif kind == "ket":
-                fields.append(BasisState(self.expect_ket().text[1:-1]))
+                tok = tokens[self.pos]
+                if tok[0] != "KET":
+                    raise self.fail("expected a ket like |01>")
+                self.pos += 1
+                fields.append(BasisState(tok[1][1:-1]))
             else:
                 fields.append(self.parse_gate())
         return rule(*fields), tuple(premises)
 
     def parse_gate(self) -> GateApplication:
-        gate_tok = self.peek()
-        if gate_tok.kind != "IDENT" or gate_tok.text not in BUILTIN_NAMES:
+        gate_tok = self.tokens[self.pos]
+        if gate_tok[1] not in BUILTIN_NAMES:
             raise self.fail(
-                f"unknown gate name; expected one of {', '.join(BUILTIN_NAMES)}",
-                gate_tok,
+                f"unknown gate name; expected one of {', '.join(BUILTIN_NAMES)}"
             )
-        self.advance()
-        self.expect_punct("[")
+        self.pos += 1
+        self.expect("[")
         wires = [self._wire()]
-        while self.peek().kind == "PUNCT" and self.peek().text == ",":
-            self.advance()
+        while self.tokens[self.pos][1] == ",":
+            self.pos += 1
             wires.append(self._wire())
-        self.expect_punct("]")
-        try:
-            return GateApplication(builtin(gate_tok.text), tuple(wires))
-        except ValueError as err:
-            raise self.fail(str(err), gate_tok) from None
+        self.expect("]")
+        key = (gate_tok[1], tuple(wires))
+        app = self.apps.get(key)
+        if app is None:
+            try:
+                app = GateApplication(builtin(gate_tok[1]), key[1])
+            except ValueError as err:
+                raise self.fail(str(err), gate_tok) from None
+            self.apps[key] = app
+        return app
 
     def _wire(self) -> int:
-        tok = self.peek()
-        if tok.kind != "INT":
+        tok = self.tokens[self.pos]
+        if tok[0] != "INT":
             raise self.fail("expected a wire index")
-        self.advance()
-        return _number(tok.text, tok.line, tok.col)
+        self.pos += 1
+        return _number(tok[1], tok[2], tok[3])
 
 
 def parse_proof(text: str) -> ProofScript:
@@ -460,6 +448,9 @@ def _script_expr(node: ProofNode, names: dict[int, str]) -> str:
 # Circuit format
 # ---------------------------------------------------------------------------
 
+_FIELD_RE = re.compile(r"\S+")
+
+
 def parse_circuit(text: str) -> Circuit:
     """Parse the line-oriented circuit format.
 
@@ -468,12 +459,21 @@ def parse_circuit(text: str) -> Circuit:
     """
     width: int | None = None
     ops: list[GateApplication] = []
+    # One GateApplication per distinct gate line, keyed by its words: a line
+    # seen before was valid, or parsing would have stopped there.
+    # `str.split` and `_FIELD_RE` cut at the same (Unicode) whitespace.
+    apps: dict[tuple[str, ...], GateApplication] = {}
     measured = False
     for lineno, raw in enumerate(text.splitlines(), 1):
         code = raw.split("#", 1)[0]
-        fields = [(m.group(), m.start() + 1) for m in re.finditer(r"\S+", code)]
-        if not fields:
+        words = tuple(code.split())
+        if not words:
             continue
+        app = apps.get(words)
+        if app is not None and not measured:
+            ops.append(app)
+            continue
+        fields = [(m.group(), m.start() + 1) for m in _FIELD_RE.finditer(code)]
         head, head_col = fields[0]
         if width is None:
             if head != "qubits":
@@ -517,9 +517,11 @@ def parse_circuit(text: str) -> Circuit:
                 raise SourceError(lineno, col_w, str(err), text_w) from None
             wires.append(wire)
         try:
-            ops.append(GateApplication(builtin(head), tuple(wires)))
+            app = GateApplication(builtin(head), tuple(wires))
         except ValueError as err:
             raise SourceError(lineno, head_col, str(err), head) from None
+        apps[words] = app
+        ops.append(app)
     if width is None:
         raise SourceError(1, 1, "empty circuit description; expected 'qubits N'")
     return Circuit(width, tuple(ops), measured)

@@ -50,8 +50,14 @@ class BasisState:
 
     @classmethod
     def of(cls, index: int, width: int) -> BasisState:
-        """The width-bit basis state whose integer value is index."""
-        return cls(format(index, f"0{width}b"))
+        """The width-bit basis state whose integer value is index.
+
+        For indices the engine has range-checked (`Superposition._init`), so
+        the bits need no second check.
+        """
+        state = object.__new__(cls)
+        object.__setattr__(state, "bits", format(index, f"0{width}b"))
+        return state
 
     @property
     def width(self) -> int:

@@ -132,8 +132,11 @@ def proof_to_circuit(p: ProofNode) -> Circuit:
             return lo, w1 + w2
         if isinstance(rule, Unitary):
             lo, w = walk(node.premises[0])
-            shifted = tuple(lo + wire for wire in rule.app.wires)
-            ops.append(GateApplication(rule.app.gate, shifted))
+            if lo:
+                shifted = tuple(lo + wire for wire in rule.app.wires)
+                ops.append(GateApplication(rule.app.gate, shifted))
+            else:
+                ops.append(rule.app)
             return lo, w
         # Measurement below the root, or weakening.
         raise UnsupportedTranslation(f"rule {rule.label()} has no circuit form")

@@ -252,6 +252,29 @@ def test_exact_real_sign_mixed():
     assert REAL_ZERO.sign() == 0
 
 
+def _halving_reduction(p, q, k):
+    """The canonical form found one halving at a time."""
+    if p == 0 and q == 0:
+        return 0, 0, 0
+    while k > 0 and p % 2 == 0 and q % 2 == 0:
+        p //= 2
+        q //= 2
+        k -= 1
+    return p, q, k
+
+
+@given(
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.integers(min_value=0, max_value=40),
+    st.integers(min_value=0, max_value=45),
+)
+def test_exact_real_reduces_like_repeated_halving(p, q, k, twos):
+    p, q = p << twos, q << twos  # shared trailing zeros, up to past k
+    x = ExactReal(p, q, k)
+    assert (x.p, x.q, x.k) == _halving_reduction(p, q, k)
+
+
 exact_reals = st.builds(
     ExactReal,
     st.integers(min_value=-50, max_value=50),

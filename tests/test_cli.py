@@ -331,6 +331,27 @@ def test_translate_outdir(run_cli, workdir, tmp_path):
     assert (outdir / "bell_00.qmc").exists() and (outdir / "bell_11.qmc").exists()
 
 
+@pytest.mark.parametrize(
+    "name, args",
+    [
+        ("bell.qc", ["--to", "proof", "--enumerate"]),
+        ("bell_00.qmc", ["--to", "circuit"]),
+    ],
+)
+def test_translate_into_a_missing_outdir_is_a_usage_error(
+    run_cli, workdir, tmp_path, name, args
+):
+    outdir = tmp_path / "missing" / "out"
+    code, out, err = run_cli(
+        "translate", str(workdir / name), *args, "--outdir", str(outdir)
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {outdir}")
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "missing").exists()
+
+
 # ---------------------------------------------------------------------------
 # render
 # ---------------------------------------------------------------------------

@@ -120,6 +120,182 @@ def test_unterminated_ket():
         parse_proof("proof p { a = prep |01")
 
 
+_GATES = "I, X, Z, S, T, H, CNOT"
+_HUGE_WIRE = "1" * 4301
+
+
+@pytest.mark.parametrize(
+    "text, line, column, message, token",
+    [
+        ("prof p { a = ax; }", 1, 1, "expected 'proof'", "prof"),
+        ("", 1, 1, "expected 'proof'", ""),
+        ("proof 1 { a = ax; }", 1, 7, "expected a proof name", "1"),
+        ("proof ax { a = ax; }", 1, 7, "'ax' is a reserved word", "ax"),
+        ("proof p ( a = ax; }", 1, 9, "unexpected character", "("),
+        ("proof p { 1 = ax; }", 1, 11, "expected a binding name", "1"),
+        ("proof p { gate = ax; }", 1, 11, "'gate' is a reserved word", "gate"),
+        ("proof p { a = ax; a = ax; }", 1, 19, "identifier 'a' is bound twice", "a"),
+        ("proof p { a ax; }", 1, 13, "expected '='", "ax"),
+        ("proof p { a = nope; }", 1, 15, "expected a rule expression", "nope"),
+        ("proof p {\n\tb = ax;\n\tc = 7;", 3, 6, "expected a rule expression", "7"),
+        ("proof p { a = ax }", 1, 18, "expected ';'", "}"),
+        ("proof p { }", 1, 11, "a proof needs at least one binding", "}"),
+        ("proof p { a = ax; } x", 1, 21, "unexpected input after closing '}'", "x"),
+        ("proof p { a = ax; m = measure a |0>; }", 1, 33, "expected 'outcome'", "|0>"),
+        ("proof p { a = ax; m = measure a outcome |0>; }", 1, 41, "expected '='", "|0>"),
+        ("proof p { a = ax; t = tensor a 1; }", 1, 32, "expected a premise identifier", "1"),
+        ("proof p { a = ax; t = tensor a born; }", 1, 32, "'born' is a reserved word", "born"),
+        ("proof p { t = tensor a b; }", 1, 22, "unbound identifier 'a'", "a"),
+        (
+            "proof p { a = ax; b = ax; t = tensor a a; }",
+            1,
+            40,
+            "identifier 'a' already consumed; premises are linear resources",
+            "a",
+        ),
+        ("proof p { a = prep 0; }", 1, 20, "expected a ket like |01>", "0"),
+        (
+            "proof p { a = ax; g = gate Q [0] a; }",
+            1,
+            28,
+            f"unknown gate name; expected one of {_GATES}",
+            "Q",
+        ),
+        ("proof p { a = ax; g = gate H 0 a; }", 1, 30, "expected '['", "0"),
+        ("proof p { a = ax; g = gate H [x] a; }", 1, 31, "expected a wire index", "x"),
+        ("proof p { a = ax; g = gate H [0 1] a; }", 1, 33, "expected ']'", "1"),
+        (
+            f"proof p {{ a = ax; g = gate H [{_HUGE_WIRE}] a; }}",
+            1,
+            31,
+            "number too long (4301 digits)",
+            "111111111111...",
+        ),
+        ("proof p { a = ax; g = gate H [0,1] a; }", 1, 28, "H takes 1 wire(s), got 2", "H"),
+        (
+            "proof p { a = ax; g = gate H [0] a; k = gate H [0,0] g; }",
+            1,
+            46,
+            "H takes 1 wire(s), got 2",
+            "H",
+        ),
+        (
+            "proof p { a = ax;\n  g = gate H [0] a;\n  k = gate H [0] g;\n"
+            "  j = gate CNOT [0] k; }",
+            4,
+            12,
+            "CNOT takes 2 wire(s), got 1",
+            "CNOT",
+        ),
+        (
+            "proof p { a = ax; b = ax; t = tensor a b;\n g = gate CNOT [1,1] t; }",
+            2,
+            11,
+            "duplicate wires",
+            "CNOT",
+        ),
+        ("proof p { a = prep |x>; }", 1, 20, "ket digits must be 0 or 1", "|x"),
+        ("proof p { a = prep |\n>; }", 1, 20, "ket digits must be 0 or 1", "|\n"),
+        ("proof p { a = prep |", 1, 20, "ket digits must be 0 or 1", "|"),
+        ("proof p { a = prep |01x; }", 1, 20, "ket digits must be 0 or 1", "|01x"),
+        ("proof p { a = prep |01", 1, 20, "unterminated ket", "|01"),
+        ("proof p { a = ax; @ }", 1, 19, "unexpected character", "@"),
+        # At end of input after a comment, the column stays at the '#'.
+        ("proof p { a = ax; # trailing", 1, 19, "expected a binding name", ""),
+        (
+            "proof p {\n\ta = ax;\r\n  b = ax; # c\n  t = tensor a b;\n",
+            5,
+            1,
+            "expected a binding name",
+            "",
+        ),
+    ],
+    ids=[
+        "no-proof-keyword",
+        "empty-input",
+        "proof-name-not-ident",
+        "proof-name-reserved",
+        "unexpected-paren",
+        "binding-name-not-ident",
+        "binding-name-reserved",
+        "bound-twice",
+        "missing-equals",
+        "unknown-rule",
+        "rule-is-a-number-after-tabs",
+        "missing-semicolon",
+        "empty-body",
+        "input-after-close",
+        "missing-outcome-word",
+        "missing-outcome-equals",
+        "premise-not-ident",
+        "premise-reserved",
+        "unbound",
+        "consumed-twice",
+        "ket-expected",
+        "unknown-gate",
+        "missing-open-bracket",
+        "wire-not-int",
+        "missing-close-bracket",
+        "number-too-long",
+        "arity",
+        "arity-after-a-valid-use",
+        "arity-on-line-4",
+        "duplicate-wires",
+        "ket-bad-digit",
+        "ket-newline",
+        "ket-bar-at-eof",
+        "ket-unclosed",
+        "ket-unterminated-at-eof",
+        "unexpected-character",
+        "eof-after-comment",
+        "eof-after-newline",
+    ],
+)
+def test_script_errors_are_pinned(text, line, column, message, token):
+    with pytest.raises(SourceError) as err:
+        parse_proof(text)
+    got = (err.value.line, err.value.column, err.value.message, err.value.token)
+    assert got == (line, column, message, token)
+
+
+@pytest.mark.parametrize(
+    "text, line, column, message, token",
+    [
+        ("qubits 2\nH 0\nCNOT 1 1\nH 1\nCNOT 1 1\n", 3, 1, "duplicate wires", "CNOT"),
+        (
+            "qubits 2\nCNOT 0 1\nCNOT 0\nCNOT 0 1\nCNOT 0\n",
+            3,
+            1,
+            "CNOT takes 2 wire(s), got 1",
+            "CNOT",
+        ),
+        ("qubits 2\nH 0\nH 0 1\nH 1 # c\nH 0 1\n", 3, 1, "H takes 1 wire(s), got 2", "H"),
+        (
+            "qubits 2\nH 0\nH 0 # c\nH 2\n",
+            4,
+            3,
+            "wire 2 out of range for 2-qubit circuit",
+            "2",
+        ),
+        ("qubits 2\nH 00\nH 0\nH x\n", 4, 3, "expected a wire index", "x"),
+    ],
+    ids=[
+        "duplicate-wires",
+        "arity",
+        "arity-with-comment-after",
+        "range-after-valid-repeats",
+        "wire-not-int-after-leading-zero",
+    ],
+)
+def test_repeated_circuit_lines_fail_where_they_first_go_wrong(
+    text, line, column, message, token
+):
+    with pytest.raises(SourceError) as err:
+        parse_circuit(text)
+    got = (err.value.line, err.value.column, err.value.message, err.value.token)
+    assert got == (line, column, message, token)
+
+
 @settings(max_examples=300)
 @given(st.text(max_size=80))
 def test_parser_never_panics(text):
@@ -275,6 +451,17 @@ def test_parsers_raise_only_their_own_errors(text):
         elaborate(parse_proof(text))
     except (SourceError, ElaborationError):
         pass
+
+
+def test_repeated_applications_share_one_object():
+    script = parse_proof(
+        "proof p { a = ax; g = gate H [0] a; h = gate H [0] g; k = gate X [0] h; }"
+    )
+    first, second, other = (b.rule.app for b in script.bindings[1:])
+    assert first is second and first is not other
+    circuit = parse_circuit("qubits 2\nCNOT 0 1\nH 0\nCNOT  0 1 # again\nCNOT 1 0\n")
+    assert circuit.ops[0] is circuit.ops[2]
+    assert circuit.ops[0] != circuit.ops[3]
 
 
 def test_render_circuit_round_trips():

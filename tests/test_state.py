@@ -252,3 +252,12 @@ def test_render_unit_amplitude_is_bare_ket():
 def test_render_power_of_half():
     s = Superposition(1, {BasisState("0"): HALF})
     assert s.render() == "(1/sqrt2^2)|0>"
+
+
+@given(st.data())
+def test_basis_state_of_equals_the_checked_constructor(data):
+    width = data.draw(st.integers(min_value=1, max_value=70))
+    index = data.draw(st.integers(min_value=0, max_value=2**width - 1))
+    state = BasisState.of(index, width)
+    assert state == BasisState(format(index, f"0{width}b"))
+    assert (state.index, state.width) == (index, width)
