@@ -348,19 +348,22 @@ class Weaken(RuleApp):
 RULES = (Ax, Prep, Tensor, Unitary, BornRule, Measure, Weaken)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProofNode:
     """One rule application; premises are subproofs, the conclusion a sequent.
 
     A preparation node normally has one measured premise; with no premises it
     is an assumption leaf standing for a measurement concluded in some
     derivation not shown here, and the checker records it as such.
+
+    Nodes compare and hash by identity, and the repr leaves out the premises,
+    so neither ever descends into the tree.
     """
 
     rule: RuleApp
-    premises: tuple[ProofNode, ...]
+    premises: tuple[ProofNode, ...] = field(repr=False)
     conclusion: Sequent
-    label: str | None = field(default=None, compare=False)
+    label: str | None = None
 
     def __post_init__(self) -> None:
         if len(self.premises) != self.rule.arity and not self.is_assumption:
@@ -388,6 +391,29 @@ class ProofNode:
         return cls(rule, premises, conclusion, label)
 
 
+def walk(root: ProofNode) -> Iterator[tuple[ProofNode, int, bool]]:
+    """Depth-first over a proof tree, with an explicit stack in place of
+    recursion, so a proof of any depth can be walked.
+
+    Yields (node, position, entering) twice per node: on entering it, before
+    any event of its premises, and on leaving it, after all of them.  The
+    position is the node's index among its parent's premises, 0 for the root.
+    """
+    stack = [(root, 0, True)]
+    push, pop = stack.append, stack.pop
+    while stack:
+        event = pop()
+        yield event
+        node, position, entering = event
+        if entering:
+            push((node, position, False))
+            premises = node.premises
+            i = len(premises)
+            while i:  # the last premise first, so the first comes off first
+                i -= 1
+                push((premises[i], i, True))
+
+
 def apply_rule(rule: RuleApp, premises: Sequence[Sequent]) -> Sequent:
     """Compute the conclusion a rule derives from the given premise sequents."""
     if isinstance(rule, Weaken):
@@ -411,14 +437,30 @@ def apply_rule(rule: RuleApp, premises: Sequence[Sequent]) -> Sequent:
 # Checking
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NodeReport:
-    path: tuple[int, ...]
+    """The verdict on one node.  Reports compare by identity, since a
+    structural == would descend through the place as deep as the node;
+    `CheckReport.signature` is the structural identity."""
+
+    # () at the root, else (parent's place, position among the parent's
+    # premises): one link per report, not a copy of the path.
+    place: tuple = field(repr=False)
     rule: str
     status: str  # "ok" | "assumed" | "invalid"
     detail: str = ""
     conclusion: str = ""
     label: str | None = None
+
+    @property
+    def path(self) -> tuple[int, ...]:
+        """Premise positions from the root down to this node."""
+        path: list[int] = []
+        place = self.place
+        while place:
+            place, position = place
+            path.append(position)
+        return tuple(reversed(path))
 
     @property
     def ok(self) -> bool:
@@ -452,10 +494,12 @@ def check(proof: ProofNode) -> CheckReport:
     """
     nodes: list[NodeReport] = []
     assumptions: list[tuple[tuple[int, ...], BasisState]] = []
-
-    def visit(node: ProofNode, path: tuple[int, ...]) -> None:
-        for i, prem in enumerate(node.premises):
-            visit(prem, path + (i,))
+    places: list[tuple] = []  # of the nodes entered and not yet left
+    for node, position, entering in walk(proof):
+        if entering:
+            places.append((places[-1], position) if places else ())
+            continue
+        place = places.pop()
         label = node.label
         rule = node.rule.label()
         found = sequent_text(node.conclusion)
@@ -466,18 +510,16 @@ def check(proof: ProofNode) -> CheckReport:
                 expected = apply_rule(node.rule, [p.conclusion for p in node.premises])
         except (RuleError, ValueError) as err:
             detail = f"{type(err).__name__}: {err}"
-            nodes.append(NodeReport(path, rule, "invalid", detail, found, label))
-            return
+            nodes.append(NodeReport(place, rule, "invalid", detail, found, label))
+            continue
         if expected != node.conclusion:
             detail = f"expected {sequent_text(expected)}, found {found}"
-            nodes.append(NodeReport(path, rule, "invalid", detail, found, label))
+            nodes.append(NodeReport(place, rule, "invalid", detail, found, label))
         elif node.is_assumption:
-            assumptions.append((path, node.rule.outcome))
-            nodes.append(NodeReport(path, rule, "assumed", "", found, label))
+            nodes.append(NodeReport(place, rule, "assumed", "", found, label))
+            assumptions.append((nodes[-1].path, node.rule.outcome))
         else:
-            nodes.append(NodeReport(path, rule, "ok", "", found, label))
-
-    visit(proof, ())
+            nodes.append(NodeReport(place, rule, "ok", "", found, label))
     return CheckReport(
         valid=all(n.ok for n in nodes),
         nodes=tuple(nodes),

@@ -3,6 +3,8 @@
 Exit codes: 0 success, 1 check or validation failure, 2 usage or parse error.
 Reports go to stdout, errors to stderr.  All commands are deterministic given
 the input bytes, flags, and seed; QMC_SEED provides a default for --seed.
+When the reader of stdout goes away first (`qmc dist big.qc | head -1`), the
+command stops quietly with exit 1: no message and no traceback.
 """
 
 from __future__ import annotations
@@ -380,7 +382,14 @@ def _argparser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _argparser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows up here, inside the guard
+        return code
+    except BrokenPipeError:
+        # Whatever is still buffered goes to devnull, so that the flush at
+        # interpreter shutdown does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (SourceError, _UsageError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

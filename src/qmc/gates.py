@@ -163,6 +163,7 @@ def apply(app: GateApplication, s: Superposition) -> Superposition:
     cancellation between them happens there.
     """
     width = s.width
+    # The only range check a script's `gate H [3]` on a 1-qubit premise meets.
     for w in app.wires:
         if w >= width:
             raise ValueError(

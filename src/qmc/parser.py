@@ -23,7 +23,7 @@ import re
 from dataclasses import dataclass
 
 from . import calculus
-from .calculus import RULES, ProofNode, RuleApp, RuleError, sequent_text
+from .calculus import RULES, ProofNode, RuleApp, RuleError, sequent_text, walk
 from .gates import BUILTIN_NAMES, GateApplication, builtin
 from .state import BasisState
 from .translate import Circuit
@@ -343,22 +343,21 @@ def render_proof(p: ProofNode, format: str = "ascii") -> str:
     inference-style prooftree markup."""
     if format == "ascii":
         lines: list[str] = []
-        _ascii(p, 0, lines)
-        return "\n".join(lines) + "\n"
-    if format == "latex":
+        depth = 0
+        for node, _, entering in walk(p):
+            if entering:
+                text = sequent_text(node.conclusion) + f"  [{node.rule.label()}]"
+                lines.append("  " * depth + text)
+            depth += 1 if entering else -1
+    elif format == "latex":
         lines = [r"\begin{prooftree}"]
-        _latex(p, lines)
+        for node, _, entering in walk(p):
+            if not entering:
+                _latex(node, lines)
         lines.append(r"\end{prooftree}")
-        return "\n".join(lines) + "\n"
-    raise ValueError(f"unknown render format: {format}")
-
-
-def _ascii(node: ProofNode, depth: int, lines: list[str]) -> None:
-    lines.append(
-        "  " * depth + sequent_text(node.conclusion) + f"  [{node.rule.label()}]"
-    )
-    for prem in node.premises:
-        _ascii(prem, depth + 1, lines)
+    else:
+        raise ValueError(f"unknown render format: {format}")
+    return "\n".join(lines) + "\n"
 
 
 def _latex_sequent(seq: calculus.Sequent) -> str:
@@ -373,12 +372,11 @@ def _latex_sequent(seq: calculus.Sequent) -> str:
 
 
 def _latex(node: ProofNode, lines: list[str]) -> None:
+    """Append one node's lines, which follow those of its premises."""
     conclusion = r"$%s$" % _latex_sequent(node.conclusion)
     if node.is_assumption:
         lines.append(r"\AxiomC{%s}" % conclusion)
         return
-    for prem in node.premises:
-        _latex(prem, lines)
     if not node.premises:
         lines.append(r"\AxiomC{}")
     lines.append(r"\RightLabel{$%s$}" % node.rule.latex())
@@ -393,14 +391,7 @@ def render_script(p: ProofNode, name: str = "main") -> str:
     gaps.  Preparation nodes with a premise have no script form, because the
     grammar's `prep` is an assumption leaf.
     """
-    order: list[ProofNode] = []
-
-    def walk(node: ProofNode) -> None:
-        for prem in node.premises:
-            walk(prem)
-        order.append(node)
-
-    walk(p)
+    order = [node for node, _, entering in walk(p) if not entering]
     names: dict[int, str] = {}
     used: set[str] = set()
     for i, node in enumerate(order):
@@ -450,12 +441,18 @@ def _script_expr(node: ProofNode, names: dict[int, str]) -> str:
 
 _FIELD_RE = re.compile(r"\S+")
 
+# The widest register a circuit header may ask for, checked before anything
+# of that width is built: `qubits 3000000000` would otherwise exhaust memory
+# on |0...0> alone, long before reporting anything.
+MAX_QUBITS = 1 << 16
+
 
 def parse_circuit(text: str) -> Circuit:
     """Parse the line-oriented circuit format.
 
-    A `qubits N` header, one gate application per line, and an optional final
-    `measure`.  Wire indices are checked against the header immediately.
+    A `qubits N` header with 1 <= N <= MAX_QUBITS, one gate application per
+    line, and an optional final `measure`.  Wire indices are checked against
+    the header immediately.
     """
     width: int | None = None
     ops: list[GateApplication] = []
@@ -486,6 +483,13 @@ def parse_circuit(text: str) -> Circuit:
             if width < 1:
                 raise SourceError(
                     lineno, fields[1][1], "qubit count must be at least 1", fields[1][0]
+                )
+            if width > MAX_QUBITS:
+                raise SourceError(
+                    lineno,
+                    fields[1][1],
+                    f"qubit count must be at most {MAX_QUBITS}",
+                    fields[1][0],
                 )
             continue
         if measured:

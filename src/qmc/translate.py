@@ -23,6 +23,7 @@ from .calculus import (
     Tensor,
     Unitary,
     sample_outcome,
+    walk,
 )
 from .gates import GateApplication, apply as apply_gate, builtin
 from .state import Superposition, ket
@@ -112,36 +113,36 @@ def proof_to_circuit(p: ProofNode) -> Circuit:
         root = root.premises[0]
 
     ops: list[GateApplication] = []
-    next_wire = 0
-
-    def walk(node: ProofNode) -> tuple[int, int]:
-        nonlocal next_wire
+    # (lowest wire, width) of each subtree left and not yet used by its
+    # parent.  Wires go out left to right, so the top span ends at the next
+    # free wire.
+    spans: list[tuple[int, int]] = []
+    for node, _, entering in walk(root):
         rule = node.rule
+        if entering:
+            if isinstance(rule, (Ax, Tensor, Unitary)):
+                continue
+            if isinstance(rule, Prep):
+                raise UnsupportedTranslation(
+                    "proofs that prepare from an earlier measurement describe "
+                    "sequential composition and have no single-circuit form"
+                )
+            # Measurement below the root, or weakening.
+            raise UnsupportedTranslation(f"rule {rule.label()} has no circuit form")
         if isinstance(rule, Ax):
-            lo = next_wire
-            next_wire += 1
-            return lo, 1
-        if isinstance(rule, Prep):
-            raise UnsupportedTranslation(
-                "proofs that prepare from an earlier measurement describe "
-                "sequential composition and have no single-circuit form"
-            )
-        if isinstance(rule, Tensor):
-            lo, w1 = walk(node.premises[0])
-            _, w2 = walk(node.premises[1])
-            return lo, w1 + w2
-        if isinstance(rule, Unitary):
-            lo, w = walk(node.premises[0])
+            spans.append((sum(spans[-1]) if spans else 0, 1))
+        elif isinstance(rule, Tensor):
+            _, w2 = spans.pop()
+            lo, w1 = spans.pop()
+            spans.append((lo, w1 + w2))
+        else:
+            lo = spans[-1][0]
             if lo:
                 shifted = tuple(lo + wire for wire in rule.app.wires)
                 ops.append(GateApplication(rule.app.gate, shifted))
             else:
                 ops.append(rule.app)
-            return lo, w
-        # Measurement below the root, or weakening.
-        raise UnsupportedTranslation(f"rule {rule.label()} has no circuit form")
-
-    _, width = walk(root)
+    ((_, width),) = spans
     return Circuit(width, tuple(ops), measured)
 
 

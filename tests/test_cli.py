@@ -1,6 +1,10 @@
 """CLI behavior: exit codes, report formats, determinism, file emission."""
 
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -79,6 +83,19 @@ def test_oversized_numbers_exit_2_with_one_line(run_cli, tmp_path, command, name
     assert code == 2
     assert out == ""
     assert err == f"error: {where}: number too long (4301 digits) (at '111111111111...')\n"
+
+
+def test_width_over_the_limit_exits_2_with_one_line(run_cli, tmp_path):
+    # Without the limit this header exhausts memory building |0...0>.
+    path = tmp_path / "huge.qc"
+    path.write_text("qubits 3000000000\nmeasure\n")
+    code, out, err = run_cli("dist", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: line 1, column 8: qubit count must be at most 65536 "
+        "(at '3000000000')\n"
+    )
 
 
 def test_check_rejects_circuit_files(run_cli, workdir):
@@ -385,3 +402,60 @@ def test_selftest_fault_injection_names_unitarity(run_cli):
     code, _, err = run_cli("selftest", "--inject-fault", "H")
     assert code == 1
     assert "unitarity" in err and "H" in err
+
+
+# ---------------------------------------------------------------------------
+# deep proofs and closed pipes
+# ---------------------------------------------------------------------------
+
+def test_a_ten_thousand_gate_chain_passes_every_command(run_cli, tmp_path):
+    # Far deeper than the default recursion limit, which stays as it is.
+    assert sys.getrecursionlimit() == 1000
+    ops = (["H 0"] + ["T 0"] * 8 + ["H 0"]) * 1000
+    circuit = "qubits 1\n" + "\n".join(ops) + "\nmeasure\n"
+    (tmp_path / "chain.qc").write_text(circuit)
+    chain = str(tmp_path / "chain.qc")
+    script = str(tmp_path / "chain_0.qmc")
+    nodes = len(ops) + 3  # the axiom, the gates, born and measure
+
+    assert run_cli("translate", chain, "--to", "proof")[0] == 0
+    code, out, _ = run_cli("check", script)
+    assert code == 0 and len(out.splitlines()) == nodes + 1
+    code, out, _ = run_cli("render", script)
+    assert code == 0 and len(out.splitlines()) == nodes
+    code, out, _ = run_cli("render", script, "--format", "latex")
+    assert code == 0 and out.count("InfC{") == nodes
+    back = tmp_path / "back"
+    back.mkdir()
+    assert run_cli("translate", script, "--to", "circuit", "--outdir", str(back))[0] == 0
+    assert (back / "chain_0.qc").read_text() == circuit
+    code, out, _ = run_cli("run", chain, "--seed", "1")
+    assert code == 0 and out.endswith("outcome |0> p=1\n")
+    assert run_cli("dist", chain) == (0, "|0> 1 1.0\n", "")
+
+    from qmc.parser import elaborate, parse_proof
+
+    root = elaborate(parse_proof(Path(script).read_text()))
+    assert hash(root) == hash(root)
+    assert root == root and root != root.premises[0]
+    assert repr(root).startswith("ProofNode(rule=Measure(")
+
+
+def test_a_closed_pipe_ends_quietly_with_exit_1(tmp_path):
+    # 4096 outcomes print more than a pipe holds, so the write that finds
+    # the reader gone cannot be avoided.
+    path = tmp_path / "wide.qc"
+    path.write_text("qubits 12\n" + "".join(f"H {w}\n" for w in range(12)) + "measure\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qmc", "dist", str(path)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    proc.stdout.read(1)
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert err == b""
+    assert proc.returncode == 1

@@ -1,9 +1,15 @@
 """Front-end tests: grammar, positioned errors, linearity, rendering."""
 
+import io
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qmc.cli import main
 from qmc.calculus import (
     Coherent,
     Measure,
@@ -278,6 +284,13 @@ def test_script_errors_are_pinned(text, line, column, message, token):
             "2",
         ),
         ("qubits 2\nH 00\nH 0\nH x\n", 4, 3, "expected a wire index", "x"),
+        (
+            "qubits 65537\nH 0\nH 0\n",
+            1,
+            8,
+            "qubit count must be at most 65536",
+            "65537",
+        ),
     ],
     ids=[
         "duplicate-wires",
@@ -285,6 +298,7 @@ def test_script_errors_are_pinned(text, line, column, message, token):
         "arity-with-comment-after",
         "range-after-valid-repeats",
         "wire-not-int-after-leading-zero",
+        "width-over-the-limit",
     ],
 )
 def test_repeated_circuit_lines_fail_where_they_first_go_wrong(
@@ -412,36 +426,46 @@ def test_circuit_parser_never_panics(text):
         assert err.line >= 1 and err.column >= 1
 
 
-_NUMBERS = st.sampled_from(["0", "1", "2", "7", "x", "\u00b2", "\u0661"])
+_NUMBERS = st.sampled_from(["0", "1", "2", "7", "3000000000", "x", "\u00b2", "\u0661"])
 _CIRCUIT_TEXTS = st.builds(
     lambda width, lines: f"qubits {width}\n" + "\n".join(lines),
     _NUMBERS,
     st.lists(
-        st.builds(
-            lambda gate, wires: " ".join([gate, *wires]),
-            st.sampled_from(["H", "CNOT", "Q", "measure"]),
-            st.lists(_NUMBERS, max_size=3),
+        st.one_of(
+            st.builds(
+                lambda gate, wires: " ".join([gate, *wires]),
+                st.sampled_from(["H", "T", "CNOT", "Q", "measure"]),
+                st.lists(_NUMBERS, max_size=3),
+            ),
+            st.sampled_from(["H 0", "T 0", "CNOT 0 1", "measure"]),
         ),
         max_size=4,
     ),
 )
-_SCRIPT_TEXTS = st.lists(
-    st.sampled_from(
-        [
-            "a = ax;", "b = ax;", "p = prep |1>;", "t = tensor a b;",
-            "g = gate H [0] a;", "g = gate CNOT [0,1] t;", "g = gate H [1] p;",
-            "g = gate H [\u00b2] a;", "g = gate X [\u0661] t;", "d = born g;",
-            "d = born a;", "m = measure d outcome=|0>;", "m = measure d outcome=|01>;",
-            "w = weaken a |0>;", "h = gate H [0] m;",
-        ]
-    ),
-    min_size=1,
-    max_size=6,
-).map(lambda bindings: "proof s { " + " ".join(bindings) + " }")
+# In an order that binds each premise before any binding that uses it.
+_BINDINGS = [
+    "a = ax;", "b = ax;", "p = prep |1>;", "t = tensor a b;",
+    "g = gate H [0] a;", "g = gate CNOT [0,1] t;", "g = gate H [1] p;",
+    "g = gate H [\u00b2] a;", "g = gate X [\u0661] t;", "d = born g;",
+    "d = born a;", "d = born t;", "m = measure d outcome=|0>;",
+    "m = measure d outcome=|01>;", "m = measure d outcome=|00>;",
+    "w = weaken a |0>;", "h = gate H [0] m;",
+]
+# As drawn, or put in that order, which reaches past the parser more often.
+_SCRIPT_TEXTS = st.builds(
+    lambda bindings, ordered: "proof s { "
+    + " ".join(sorted(bindings, key=_BINDINGS.index) if ordered else bindings)
+    + " }",
+    st.lists(st.sampled_from(_BINDINGS), min_size=1, max_size=6),
+    st.booleans(),
+)
+
+
+_ANY_TEXT = st.one_of(st.text(max_size=80), _CIRCUIT_TEXTS, _SCRIPT_TEXTS)
 
 
 @settings(max_examples=300)
-@given(st.one_of(st.text(max_size=80), _CIRCUIT_TEXTS, _SCRIPT_TEXTS))
+@given(_ANY_TEXT)
 def test_parsers_raise_only_their_own_errors(text):
     try:
         parse_circuit(text)
@@ -451,6 +475,31 @@ def test_parsers_raise_only_their_own_errors(text):
         elaborate(parse_proof(text))
     except (SourceError, ElaborationError):
         pass
+
+
+_COMMANDS = (
+    ("check", ".qmc"),
+    ("dist", ".qc"),
+    ("dist", ".qmc"),
+    ("run", ".qc", "--seed", "1"),
+    ("run", ".qmc", "--seed", "1"),
+    ("render", ".qmc"),
+    ("render", ".qmc", "--format", "latex"),
+    ("translate", ".qc", "--to", "proof"),
+    ("translate", ".qmc", "--to", "circuit"),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_ANY_TEXT)
+def test_every_command_ends_in_an_exit_code(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        for command, suffix, *flags in _COMMANDS:
+            path = Path(tmp) / f"input{suffix}"
+            path.write_text(text, encoding="utf-8")
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                code = main([command, str(path), *flags])
+            assert code in (0, 1, 2)
 
 
 def test_repeated_applications_share_one_object():
