@@ -17,7 +17,7 @@ terms already present and can destroy previously available conclusions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Sequence, Union
+from typing import Callable, Iterator, Mapping, Sequence, Union
 
 from .amplitude import ExactReal, REAL_ONE, REAL_ZERO
 from .gates import GateApplication, apply
@@ -483,6 +483,21 @@ class CheckReport:
         )
 
 
+def report(proof: ProofNode) -> CheckReport:
+    """The report on a tree every node of which `ProofNode.derive` made, in
+    one postorder pass that derives nothing again.
+
+    `derive` has already applied each node's rule, with its checks, to the
+    premises' conclusions, so each node is `ok`, or `assumed` if it is an
+    assumption leaf, and the report only records places, labels and
+    conclusion texts.  The pass trusts the stored conclusions: it is sound
+    only for trees made by `derive`, as `parser.elaborate` and
+    `translate.circuit_to_proof` make them.  A tree built any other way is
+    verified by `check`.
+    """
+    return _report(proof, None)
+
+
 def check(proof: ProofNode) -> CheckReport:
     """Recompute every conclusion from its premises and compare exactly.
 
@@ -492,6 +507,29 @@ def check(proof: ProofNode) -> CheckReport:
     awaits its concluding measurement; anywhere else it may only feed a
     measurement node.
     """
+    return _report(proof, _rederive)
+
+
+def _rederive(node: ProofNode, found: str) -> str:
+    """Why the node's stored conclusion (whose text is found) is not the one
+    its rule derives from the stored premise conclusions; "" when it is."""
+    try:
+        if node.is_assumption:
+            expected = node.rule.conclude(())
+        else:
+            expected = apply_rule(node.rule, [p.conclusion for p in node.premises])
+    except (RuleError, ValueError) as err:
+        return f"{type(err).__name__}: {err}"
+    if expected != node.conclusion:
+        return f"expected {sequent_text(expected)}, found {found}"
+    return ""
+
+
+def _report(
+    proof: ProofNode, judge: Callable[[ProofNode, str], str] | None
+) -> CheckReport:
+    """The report of one postorder walk; judge(node, conclusion text), when
+    given, returns why a node is invalid, or "" to accept it."""
     nodes: list[NodeReport] = []
     assumptions: list[tuple[tuple[int, ...], BasisState]] = []
     places: list[tuple] = []  # of the nodes entered and not yet left
@@ -499,27 +537,19 @@ def check(proof: ProofNode) -> CheckReport:
         if entering:
             places.append((places[-1], position) if places else ())
             continue
-        place = places.pop()
-        label = node.label
-        rule = node.rule.label()
         found = sequent_text(node.conclusion)
-        try:
-            if node.is_assumption:
-                expected = node.rule.conclude(())
-            else:
-                expected = apply_rule(node.rule, [p.conclusion for p in node.premises])
-        except (RuleError, ValueError) as err:
-            detail = f"{type(err).__name__}: {err}"
-            nodes.append(NodeReport(place, rule, "invalid", detail, found, label))
-            continue
-        if expected != node.conclusion:
-            detail = f"expected {sequent_text(expected)}, found {found}"
-            nodes.append(NodeReport(place, rule, "invalid", detail, found, label))
+        detail = judge(node, found) if judge else ""
+        if detail:
+            status = "invalid"
         elif node.is_assumption:
-            nodes.append(NodeReport(place, rule, "assumed", "", found, label))
-            assumptions.append((nodes[-1].path, node.rule.outcome))
+            status = "assumed"
         else:
-            nodes.append(NodeReport(place, rule, "ok", "", found, label))
+            status = "ok"
+        nodes.append(
+            NodeReport(places.pop(), node.rule.label(), status, detail, found, node.label)
+        )
+        if status == "assumed":
+            assumptions.append((nodes[-1].path, node.rule.outcome))
     return CheckReport(
         valid=all(n.ok for n in nodes),
         nodes=tuple(nodes),

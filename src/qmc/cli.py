@@ -118,7 +118,9 @@ def cmd_check(args: argparse.Namespace) -> int:
         proof = _elaborate_or_report(_read(args.path))
     except _CheckFailed:
         return 1
-    report = calculus.check(proof)
+    # Elaboration derived every node, so it was the check; only the report
+    # is left to assemble.
+    report = calculus.report(proof)
     _print_report(report)
     print("valid" if report.valid else "invalid")
     return 0 if report.valid else 1

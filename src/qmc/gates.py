@@ -90,6 +90,12 @@ class GateApplication:
 
     gate: Gate
     wires: tuple[int, ...]
+    # `_plan` for each register width the application has met.  A parse
+    # shares one application per distinct gate and wires, so the plan is
+    # built once, not once per node.
+    plans: dict[int, tuple[int, dict]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if len(self.wires) != self.gate.arity:
@@ -169,6 +175,31 @@ def apply(app: GateApplication, s: Superposition) -> Superposition:
             raise ValueError(
                 f"wire {w} out of range for width-{width} register"
             )
+    mask, table = app.plans.get(width) or _plan(app, width)
+    if app.gate.permutation:
+        out: dict[int, Packed] = {}
+        for basis, amp in s.packed.items():
+            wires = basis & mask
+            row, j = table[wires]
+            out[basis ^ wires | row] = _times_unit(amp, j, 0) if j else amp
+        return Superposition._of(width, out)
+    parts: list[tuple[Packed, int]] = []
+    emit = parts.append
+    for basis, amp in s.packed.items():
+        wires = basis & mask
+        rest = basis ^ wires
+        for row, j, e, entry in table[wires]:
+            part = _times_unit(amp, j, e) if entry is None else _mul(amp, entry)
+            emit((part, rest | row))
+    return combine(parts, width)
+
+
+def _plan(app: GateApplication, width: int) -> tuple[int, dict]:
+    """(mask, table) for the application on a register of the given width,
+    kept in `app.plans`.  mask selects the gate's wires in a basis index.
+    For a permutation gate, table sends the wires' bits of a column to the
+    row's bits and the unit's power j; otherwise it sends them to the
+    column's (row bits, j, e, entry) list."""
     gate = app.gate
     # Wire w is bit width-1-w of a basis index, and row bit j (from the
     # most significant) belongs to wires[j].  place[row] puts a row's bits
@@ -180,26 +211,14 @@ def apply(app: GateApplication, s: Superposition) -> Superposition:
         place = [p | b for p in place for b in (0, bit)]
     mask = place[-1]  # the last row has every wire's bit set
     if gate.permutation:
-        moves = {
+        table: dict = {
             place[col]: (place[row], j)
             for col, ((row, j, _, _),) in enumerate(gate.kernel)
         }
-        out: dict[int, Packed] = {}
-        for basis, amp in s.packed.items():
-            wires = basis & mask
-            row, j = moves[wires]
-            out[basis ^ wires | row] = _times_unit(amp, j, 0) if j else amp
-        return Superposition._of(width, out)
-    targets = {
-        place[col]: [(place[row], j, e, entry) for row, j, e, entry in column]
-        for col, column in enumerate(gate.kernel)
-    }
-    parts: list[tuple[Packed, int]] = []
-    emit = parts.append
-    for basis, amp in s.packed.items():
-        wires = basis & mask
-        rest = basis ^ wires
-        for row, j, e, entry in targets[wires]:
-            part = _times_unit(amp, j, e) if entry is None else _mul(amp, entry)
-            emit((part, rest | row))
-    return combine(parts, width)
+    else:
+        table = {
+            place[col]: [(place[row], j, e, entry) for row, j, e, entry in column]
+            for col, column in enumerate(gate.kernel)
+        }
+    app.plans[width] = (mask, table)
+    return mask, table

@@ -7,16 +7,24 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 from qmc.calculus import ProofNode
 from qmc.gates import GateApplication, apply, builtin
-from qmc.parser import elaborate, parse_proof
+from qmc.parser import elaborate, parse_proof, render_circuit, render_script
 from qmc.state import Superposition, ket
-from qmc.translate import Circuit
+from qmc.translate import Circuit, circuit_to_proof, random_circuit
 
 GOLDEN = Path(__file__).parent / "golden"
 
 GOLDEN_PROOFS = ("bell_pre.qmc", "bell_00.qmc", "bell_11.qmc", "hh.qmc", "hh_0.qmc")
+
+# An assumption leaf below a tensor, a CNOT and a measurement, so the
+# assumption's path is not the root's.
+PREP_LEAF_SCRIPT = (
+    "proof leaf { p = prep |10>; a = ax; t = tensor p a; "
+    "g = gate CNOT [0,2] t; d = born g; m = measure d outcome=|101>; }"
+)
 
 
 def load_golden(name: str) -> ProofNode:
@@ -42,6 +50,33 @@ def random_orbit_state(rng: random.Random, width: int, n_gates: int = 12) -> Sup
         gate = builtin(rng.choice(names))
         state = apply(GateApplication(gate, tuple(rng.sample(range(width), gate.arity))), state)
     return state
+
+
+def _random_script(seed: int, measured: bool, mode: str, pick: int) -> str:
+    circuit = random_circuit(random.Random(seed), measured=measured)
+    proofs = circuit_to_proof(circuit, mode, seed)
+    if measured:  # also the Born annotation, which `run` completes
+        proofs.append(proofs[0].premises[0])
+    return render_script(proofs[pick % len(proofs)])
+
+
+# Texts that parse and elaborate: the scripts of translated random circuits,
+# measured or not, in both translation modes, and the circuits themselves.
+# A measured circuit's script ends in a measurement or a Born annotation.
+VALID_SCRIPTS = st.builds(
+    _random_script,
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+    st.sampled_from(("enumerate", "sample")),
+    st.integers(0, 63),
+)
+VALID_CIRCUITS = st.builds(
+    lambda seed, measured: render_circuit(
+        random_circuit(random.Random(seed), measured=measured)
+    ),
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+)
 
 
 def replace_at(node: ProofNode, path: tuple[int, ...], fn) -> ProofNode:

@@ -5,6 +5,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from qmc.amplitude import Amplitude, CycloInt, ExactReal, REAL_ONE
 from qmc.calculus import (
@@ -32,14 +33,24 @@ from qmc.calculus import (
     check,
     distribution,
     enumerate_conclusions,
+    report,
     sample_outcome,
 )
 from qmc.gates import GateApplication, builtin
 from qmc.oracle import run_circuit
+from qmc.parser import elaborate, parse_proof
 from qmc.state import BasisState, Superposition, combine, ket
 from qmc.translate import Circuit, circuit_to_proof, final_state
 
-from conftest import bell_circuit, random_orbit_state, replace_at
+from conftest import (
+    GOLDEN,
+    GOLDEN_PROOFS,
+    PREP_LEAF_SCRIPT,
+    VALID_SCRIPTS,
+    bell_circuit,
+    random_orbit_state,
+    replace_at,
+)
 
 HALF = ExactReal(1, 0, 1)
 
@@ -248,6 +259,49 @@ def test_assumption_leaves_are_recorded():
     assert report.valid
     assert report.assumptions == (((), BasisState("10")),)
     assert report.nodes[0].status == "assumed"
+
+
+def test_a_hand_built_node_with_a_wrong_conclusion_is_invalid():
+    leaf = ProofNode.derive(Ax())
+    x = Unitary(GateApplication(builtin("X"), (0,)))
+    forged = ProofNode(x, (leaf,), leaf.conclusion)  # X would conclude |1>
+    result = check(forged)
+    assert not result.valid
+    assert [f.path for f in result.failures()] == [()]
+    assert result.failures()[0].detail == "expected |1> =>, found |0> =>"
+
+
+# ---------------------------------------------------------------------------
+# report: the one-pass report of a derived tree, equal to check's
+# ---------------------------------------------------------------------------
+
+def _assert_report_is_check(text: str):
+    """The one-pass report of the script, once shown equal to check's."""
+    proof = elaborate(parse_proof(text))
+    fast, full = report(proof), check(proof)
+    assert fast.valid and full.valid
+    assert fast.signature() == full.signature()
+    assert fast.assumptions == full.assumptions
+    assert [(n.label, n.path) for n in fast.nodes] == [
+        (n.label, n.path) for n in full.nodes
+    ]
+    return fast
+
+
+@pytest.mark.parametrize("name", GOLDEN_PROOFS)
+def test_report_equals_check_on_golden_scripts(name):
+    _assert_report_is_check((GOLDEN / name).read_text())
+
+
+def test_report_equals_check_with_an_assumption_leaf():
+    fast = _assert_report_is_check(PREP_LEAF_SCRIPT)
+    assert fast.assumptions == (((0, 0, 0, 0), BasisState("10")),)
+
+
+@settings(max_examples=60, deadline=None)
+@given(VALID_SCRIPTS)
+def test_report_equals_check_on_translated_scripts(text):
+    _assert_report_is_check(text)
 
 
 def test_proof_node_arity_is_validated():

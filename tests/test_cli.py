@@ -8,7 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from conftest import GOLDEN
+from qmc import calculus
+
+from conftest import GOLDEN, load_golden
 
 
 @pytest.fixture
@@ -28,6 +30,26 @@ def test_check_valid_golden(run_cli, workdir):
     assert out.rstrip().endswith("valid")
     assert "m: ok" in out
     assert err == ""
+
+
+@pytest.mark.parametrize("name", ["bell_00.qmc", "hh.qmc"])
+def test_check_derives_each_node_once(run_cli, monkeypatch, name):
+    derived = sum(
+        1
+        for node, _, entering in calculus.walk(load_golden(name))
+        if entering and not node.is_assumption
+    )
+    calls = []
+    apply_rule = calculus.apply_rule
+
+    def counted(rule, premises):
+        calls.append(rule)
+        return apply_rule(rule, premises)
+
+    monkeypatch.setattr(calculus, "apply_rule", counted)
+    code, _, _ = run_cli("check", str(GOLDEN / name))
+    assert code == 0
+    assert len(calls) == derived
 
 
 def test_check_weaken_is_a_check_failure(run_cli, tmp_path):

@@ -34,7 +34,14 @@ from qmc.gates import GateApplication, builtin
 from qmc.state import BasisState, ket
 from qmc.translate import circuit_to_proof
 
-from conftest import GOLDEN, GOLDEN_PROOFS, bell_circuit, load_golden
+from conftest import (
+    GOLDEN,
+    GOLDEN_PROOFS,
+    VALID_CIRCUITS,
+    VALID_SCRIPTS,
+    bell_circuit,
+    load_golden,
+)
 
 BELL_SCRIPT = (GOLDEN / "bell_00.qmc").read_text()
 
@@ -461,7 +468,11 @@ _SCRIPT_TEXTS = st.builds(
 )
 
 
-_ANY_TEXT = st.one_of(st.text(max_size=80), _CIRCUIT_TEXTS, _SCRIPT_TEXTS)
+# The last two reach past the parser every time, so every command gets to
+# elaborate, check, translate and render generated input.
+_ANY_TEXT = st.one_of(
+    st.text(max_size=80), _CIRCUIT_TEXTS, _SCRIPT_TEXTS, VALID_SCRIPTS, VALID_CIRCUITS
+)
 
 
 @settings(max_examples=300)
