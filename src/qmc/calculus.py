@@ -193,12 +193,15 @@ class Measured:
 Sequent = Union[Coherent, BornAnnotated, Measured]
 
 
-def sequent_text(seq: Sequent) -> str:
+def sequent_text(seq: Sequent, texts: dict | None = None) -> str:
+    """The sequent as ascii text; texts is the memo of a rendering pass that
+    prints many sequents (see `Superposition.render`)."""
+    state = seq.state.render(texts)
     if isinstance(seq, Coherent):
-        return f"{seq.state.render()} =>"
+        return f"{state} =>"
     if isinstance(seq, BornAnnotated):
-        return f"{seq.state.render()} => {seq.dist.render()}"
-    return f"{seq.state.render()} |-[{seq.prob.text()}] {seq.outcome}"
+        return f"{state} => {seq.dist.render()}"
+    return f"{state} |-[{seq.prob.text()}] {seq.outcome}"
 
 
 # ---------------------------------------------------------------------------
@@ -510,9 +513,10 @@ def check(proof: ProofNode) -> CheckReport:
     return _report(proof, _rederive)
 
 
-def _rederive(node: ProofNode, found: str) -> str:
+def _rederive(node: ProofNode, found: str, texts: dict) -> str:
     """Why the node's stored conclusion (whose text is found) is not the one
-    its rule derives from the stored premise conclusions; "" when it is."""
+    its rule derives from the stored premise conclusions; "" when it is.
+    texts is the report's rendering memo."""
     try:
         if node.is_assumption:
             expected = node.rule.conclude(())
@@ -521,24 +525,26 @@ def _rederive(node: ProofNode, found: str) -> str:
     except (RuleError, ValueError) as err:
         return f"{type(err).__name__}: {err}"
     if expected != node.conclusion:
-        return f"expected {sequent_text(expected)}, found {found}"
+        return f"expected {sequent_text(expected, texts)}, found {found}"
     return ""
 
 
 def _report(
-    proof: ProofNode, judge: Callable[[ProofNode, str], str] | None
+    proof: ProofNode, judge: Callable[[ProofNode, str, dict], str] | None
 ) -> CheckReport:
-    """The report of one postorder walk; judge(node, conclusion text), when
-    given, returns why a node is invalid, or "" to accept it."""
+    """The report of one postorder walk; judge(node, conclusion text, memo),
+    when given, returns why a node is invalid, or "" to accept it.  One
+    rendering memo serves the whole walk."""
     nodes: list[NodeReport] = []
     assumptions: list[tuple[tuple[int, ...], BasisState]] = []
     places: list[tuple] = []  # of the nodes entered and not yet left
+    texts: dict = {}
     for node, position, entering in walk(proof):
         if entering:
             places.append((places[-1], position) if places else ())
             continue
-        found = sequent_text(node.conclusion)
-        detail = judge(node, found) if judge else ""
+        found = sequent_text(node.conclusion, texts)
+        detail = judge(node, found, texts) if judge else ""
         if detail:
             status = "invalid"
         elif node.is_assumption:
@@ -585,7 +591,8 @@ def _splitmix64(seed: int) -> int:
 def sample_outcome(dist: Distribution, seed: int) -> tuple[BasisState, ExactReal]:
     """Draw one outcome, reproducibly across platforms.
 
-    One SplitMix64 output z from the raw 64-bit seed is read as the dyadic
+    The seed may be any integer; it is reduced modulo 2^64, so -1 and
+    2^64 - 1 draw alike.  One SplitMix64 output z from it is read as the dyadic
     u = z / 2^64 in [0, 1), and the CDF over lexicographically ordered
     outcomes is inverted exactly: the first outcome whose cumulative
     probability exceeds u is drawn, decided by an exact sign test.

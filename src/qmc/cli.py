@@ -3,6 +3,7 @@
 Exit codes: 0 success, 1 check or validation failure, 2 usage or parse error.
 Reports go to stdout, errors to stderr.  All commands are deterministic given
 the input bytes, flags, and seed; QMC_SEED provides a default for --seed.
+A seed may be any integer; sampling reduces it modulo 2^64.
 When the reader of stdout goes away first (`qmc dist big.qc | head -1`), the
 command stops quietly with exit 1: no message and no traceback.
 """
@@ -97,8 +98,9 @@ def _elaborate_or_report(text: str) -> calculus.ProofNode:
     try:
         return elaborate(script)
     except ElaborationError as err:
+        texts: dict = {}  # one rendering memo for every completed node
         for name, node in err.completed:
-            print(f"{name}: ok  {sequent_text(node.conclusion)}")
+            print(f"{name}: ok  {sequent_text(node.conclusion, texts)}")
         print(
             f"{err.binding.name}: invalid  "
             f"{type(err.cause).__name__}: {err.cause}"
@@ -190,6 +192,8 @@ def _script_name(stem: str) -> str:
 
 
 def cmd_translate(args: argparse.Namespace) -> int:
+    if args.enumerate and args.seed is not None:
+        raise _UsageError("--enumerate and --seed exclude each other")
     kind = _kind(args.path)
     text = _read(args.path)
     source = Path(args.path)
@@ -200,10 +204,10 @@ def cmd_translate(args: argparse.Namespace) -> int:
         if kind != ".qc":
             raise _UsageError("translating to a proof expects a .qc circuit")
         circuit = parse_circuit(text)
-        if circuit.measured and not args.enumerate and args.seed is None:
-            # Deterministic default: emit every measurement branch.
-            args.enumerate = True
-        mode = "enumerate" if args.enumerate or not circuit.measured else "sample"
+        # Deterministic default: emit every measurement branch; only an
+        # explicit --seed samples one.
+        sample = circuit.measured and args.seed is not None
+        mode = "sample" if sample else "enumerate"
         proofs = translate.circuit_to_proof(circuit, mode, _resolve_seed(args))
         for proof in proofs:
             conclusion = proof.conclusion

@@ -341,39 +341,39 @@ def elaborate(script: ProofScript) -> ProofNode:
 def render_proof(p: ProofNode, format: str = "ascii") -> str:
     """Render a proof tree for display, as an indented ascii tree or as
     inference-style prooftree markup."""
+    texts: dict = {}  # the pass's rendering memo, in its one format
     if format == "ascii":
         lines: list[str] = []
         depth = 0
         for node, _, entering in walk(p):
             if entering:
-                text = sequent_text(node.conclusion) + f"  [{node.rule.label()}]"
+                text = sequent_text(node.conclusion, texts) + f"  [{node.rule.label()}]"
                 lines.append("  " * depth + text)
             depth += 1 if entering else -1
     elif format == "latex":
         lines = [r"\begin{prooftree}"]
         for node, _, entering in walk(p):
             if not entering:
-                _latex(node, lines)
+                _latex(node, lines, texts)
         lines.append(r"\end{prooftree}")
     else:
         raise ValueError(f"unknown render format: {format}")
     return "\n".join(lines) + "\n"
 
 
-def _latex_sequent(seq: calculus.Sequent) -> str:
+def _latex_sequent(seq: calculus.Sequent, texts: dict) -> str:
+    state = seq.state.latex(texts)
     if isinstance(seq, calculus.Coherent):
-        return seq.state.latex() + r" \Rightarrow"
+        return state + r" \Rightarrow"
     if isinstance(seq, calculus.BornAnnotated):
-        return seq.state.latex() + r" \Rightarrow " + seq.dist.latex()
-    return (
-        seq.state.latex()
-        + r" \vdash_{%s} \ket{%s}" % (seq.prob.latex(), seq.outcome.bits)
-    )
+        return state + r" \Rightarrow " + seq.dist.latex()
+    return state + r" \vdash_{%s} \ket{%s}" % (seq.prob.latex(), seq.outcome.bits)
 
 
-def _latex(node: ProofNode, lines: list[str]) -> None:
-    """Append one node's lines, which follow those of its premises."""
-    conclusion = r"$%s$" % _latex_sequent(node.conclusion)
+def _latex(node: ProofNode, lines: list[str], texts: dict) -> None:
+    """Append one node's lines, which follow those of its premises; texts is
+    the pass's rendering memo."""
+    conclusion = r"$%s$" % _latex_sequent(node.conclusion, texts)
     if node.is_assumption:
         lines.append(r"\AxiomC{%s}" % conclusion)
         return

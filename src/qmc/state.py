@@ -138,25 +138,38 @@ class Superposition:
     def __hash__(self) -> int:
         return hash((self.width, tuple(self.packed.items())))
 
-    def render(self) -> str:
-        return self._join(lambda amp: f"({_coeff_text(amp)})", "|%s>")
+    def render(self, texts: dict | None = None) -> str:
+        return self._join(lambda amp: f"({_coeff_text(amp)})", "|%s>", texts)
 
-    def latex(self) -> str:
-        return self._join(_latex, r"\ket{%s}")
+    def latex(self, texts: dict | None = None) -> str:
+        return self._join(_latex, r"\ket{%s}", texts)
 
-    def _join(self, coeff: Callable[[Packed], str], ket: str) -> str:
+    def _join(self, coeff: Callable[[Packed], str], ket: str, texts: dict | None) -> str:
         """The terms as coefficient text before each ket; a unit amplitude
-        shows the bare ket.  Each distinct amplitude is formatted once."""
+        shows the bare ket.
+
+        texts is the memo of one rendering pass in one format: it maps each
+        packed amplitude to its coefficient text and each register width to
+        the ket texts of that width by index, so a pass formats each distinct
+        amplitude and ket once.  Without it the memo is this call's own.
+        """
         if not self.packed:
             return "0"
-        fmt = f"0{self.width}b"
-        texts = {PACKED_ONE: ""}
+        if texts is None:
+            texts = {}
+        width = self.width
+        kets = texts.get(width)
+        if kets is None:
+            kets = texts[width] = {}
         parts = []
         for b, amp in self.packed.items():
             text = texts.get(amp)
             if text is None:
-                text = texts[amp] = coeff(amp)
-            parts.append(text + ket % format(b, fmt))
+                text = texts[amp] = "" if amp == PACKED_ONE else coeff(amp)
+            ket_text = kets.get(b)
+            if ket_text is None:
+                ket_text = kets[b] = ket % format(b, f"0{width}b")
+            parts.append(text + ket_text)
         return " + ".join(parts)
 
     def __str__(self) -> str:

@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from qmc import calculus
+from qmc import calculus, state
+from qmc.amplitude import PACKED_ONE
 
 from conftest import GOLDEN, load_golden
 
@@ -50,6 +51,35 @@ def test_check_derives_each_node_once(run_cli, monkeypatch, name):
     code, _, _ = run_cli("check", str(GOLDEN / name))
     assert code == 0
     assert len(calls) == derived
+
+
+def test_each_pass_formats_each_distinct_amplitude_once(run_cli, monkeypatch):
+    # check's report and each render format are one pass: a coefficient that
+    # several nodes share (1/sqrt2 in five nodes of bell_00) is formatted once.
+    distinct = {
+        amp
+        for node, _, entering in calculus.walk(load_golden("bell_00.qmc"))
+        if entering
+        for amp in node.conclusion.state.packed.values()
+    } - {PACKED_ONE}
+    path = str(GOLDEN / "bell_00.qmc")
+    for formatter, argv in [
+        ("_coeff_text", ("check", path)),
+        ("_coeff_text", ("render", path, "--format", "ascii")),
+        ("_latex", ("render", path, "--format", "latex")),
+    ]:
+        calls = []
+        original = getattr(state, formatter)
+
+        def counted(amp, original=original):
+            calls.append(amp)
+            return original(amp)
+
+        monkeypatch.setattr(state, formatter, counted)
+        code, _, _ = run_cli(*argv)
+        monkeypatch.undo()
+        assert code == 0
+        assert sorted(calls) == sorted(distinct), argv
 
 
 def test_check_weaken_is_a_check_failure(run_cli, tmp_path):
@@ -218,6 +248,16 @@ def test_run_respects_qmc_seed_env(run_cli, workdir, monkeypatch):
     assert explicit == via_env
 
 
+def test_a_seed_is_any_integer_reduced_modulo_2_to_the_64(run_cli, workdir, monkeypatch):
+    bell = str(workdir / "bell.qc")
+    low = run_cli("run", bell, "--seed", "-1")
+    high = run_cli("run", bell, "--seed", str(2**64 - 1))
+    assert low[0] == 0
+    assert low == high
+    monkeypatch.setenv("QMC_SEED", "-1")
+    assert run_cli("run", bell) == high
+
+
 def test_run_bad_env_seed(run_cli, workdir, monkeypatch):
     monkeypatch.setenv("QMC_SEED", "pi")
     code, _, err = run_cli("run", str(workdir / "bell.qc"))
@@ -304,6 +344,21 @@ def test_translate_sampled_single_branch(run_cli, workdir):
     assert len(out.splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "flags", [("--enumerate", "--seed", "1"), ("--seed", "1", "--enumerate")]
+)
+def test_translate_enumerate_with_seed_is_a_usage_error(run_cli, workdir, tmp_path, flags):
+    outdir = tmp_path / "out"
+    outdir.mkdir()
+    code, out, err = run_cli(
+        "translate", str(workdir / "bell.qc"), "--to", "proof", *flags,
+        "--outdir", str(outdir),
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: --enumerate and --seed exclude each other\n"
+    assert not any(outdir.iterdir())
+
+
 def test_translate_unmeasured_circuit_gives_one_proof(run_cli, workdir):
     code, out, _ = run_cli("translate", str(workdir / "hh.qc"), "--to", "proof")
     assert code == 0
@@ -327,8 +382,8 @@ def test_translated_scripts_check_whatever_the_stem(run_cli, tmp_path, stem, cir
 
 
 def test_main_carries_no_state_between_calls(run_cli, workdir):
-    # main parses with one parser per process; translate without --seed sets
-    # args.enumerate, which must not reach the next call.
+    # main parses with one parser per process; nothing one call parses or
+    # decides may reach the next call.
     from qmc import cli
 
     bell = str(workdir / "bell.qc")

@@ -9,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qmc.amplitude import PACKED_ONE, _latex
 from qmc.cli import main
 from qmc.calculus import (
+    BornAnnotated,
     Coherent,
     Measure,
     Measured,
@@ -18,6 +20,7 @@ from qmc.calculus import (
     Unitary,
     check,
     sequent_text,
+    walk,
 )
 from qmc.parser import (
     ElaborationError,
@@ -31,7 +34,7 @@ from qmc.parser import (
     render_script,
 )
 from qmc.gates import GateApplication, builtin
-from qmc.state import BasisState, ket
+from qmc.state import BasisState, _coeff_text, ket
 from qmc.translate import circuit_to_proof
 
 from conftest import (
@@ -589,6 +592,60 @@ def test_latex_render_names_the_rules():
         assert label in text
     assert r"\frac{1}{\sqrt{2}}\ket{00} + \frac{1}{\sqrt{2}}\ket{11}" in text
     assert r"\vdash_{\frac{1}{2}} \ket{00}" in text
+
+
+def _term_by_term(state, coeff, ket):
+    """The reference rendering of a state: each term formatted on its own,
+    a unit amplitude as the bare ket."""
+    if not len(state):
+        return "0"
+    return " + ".join(
+        ("" if amp.packed == PACKED_ONE else coeff(amp.packed)) + ket % basis.bits
+        for basis, amp in state.terms()
+    )
+
+
+def _reference_sequent_text(seq):
+    state = _term_by_term(seq.state, lambda amp: f"({_coeff_text(amp)})", "|%s>")
+    if isinstance(seq, Coherent):
+        return f"{state} =>"
+    if isinstance(seq, BornAnnotated):
+        return f"{state} => {seq.dist.render()}"
+    return f"{state} |-[{seq.prob.text()}] {seq.outcome}"
+
+
+def _assert_a_shared_memo_renders_as_alone(text):
+    """Every conclusion renders the same through one memo per format, shared
+    by the whole tree as in a rendering pass, as on its own, and on its own
+    as the term-by-term reference."""
+    ascii_texts: dict = {}
+    latex_texts: dict = {}
+    for node, _, entering in walk(elaborate(parse_proof(text))):
+        if entering:
+            continue
+        seq = node.conclusion
+        alone = seq.state.render()
+        assert alone == _term_by_term(
+            seq.state, lambda amp: f"({_coeff_text(amp)})", "|%s>"
+        )
+        assert seq.state.render(ascii_texts) == alone
+        alone = seq.state.latex()
+        assert alone == _term_by_term(seq.state, _latex, r"\ket{%s}")
+        assert seq.state.latex(latex_texts) == alone
+        alone = sequent_text(seq)
+        assert alone == _reference_sequent_text(seq)
+        assert sequent_text(seq, ascii_texts) == alone
+
+
+@pytest.mark.parametrize("name", GOLDEN_PROOFS)
+def test_a_shared_memo_renders_golden_proofs_as_alone(name):
+    _assert_a_shared_memo_renders_as_alone((GOLDEN / name).read_text())
+
+
+@settings(max_examples=60, deadline=None)
+@given(VALID_SCRIPTS)
+def test_a_shared_memo_renders_translated_scripts_as_alone(text):
+    _assert_a_shared_memo_renders_as_alone(text)
 
 
 def test_unknown_render_format():
