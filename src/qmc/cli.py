@@ -308,10 +308,14 @@ def _selftest_golden() -> str | None:
 
 def _selftest_differential(n_circuits: int = 200) -> str | None:
     rng = random.Random(0xD1FF)
+    apps: dict = {}  # one GateApplication per distinct (gate, wires)
     for i in range(n_circuits):
-        circuit = random_circuit(rng)
+        circuit = random_circuit(rng, apps=apps)
         exact = final_state(circuit)
-        floats = oracle.run_circuit(circuit)
+        try:
+            floats = oracle.run_circuit(circuit)
+        except ArithmeticError as err:
+            return f"differential: circuit {i}: {err}"
         ok, deviation = oracle.compare(exact, floats, 1e-9)
         if not ok:
             return (
@@ -379,7 +383,9 @@ def _argparser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_render)
 
     p = sub.add_parser("selftest", help="run the built-in verification suites")
-    p.add_argument("--inject-fault", default=None, help=argparse.SUPPRESS)
+    p.add_argument(
+        "--inject-fault", default=None, choices=BUILTIN_NAMES, help=argparse.SUPPRESS
+    )
     p.set_defaults(func=cmd_selftest)
 
     return top

@@ -154,13 +154,24 @@ def random_circuit(
     max_width: int = 6,
     max_gates: int = 30,
     measured: bool = False,
+    apps: dict[tuple[str, tuple[int, ...]], GateApplication] | None = None,
 ) -> Circuit:
-    """A random circuit for differential sweeps; deterministic given the rng."""
+    """A random circuit for differential sweeps; deterministic given the rng.
+
+    A sweep may pass one `apps` dict for all its circuits, so that each
+    distinct (gate, wires) is one `GateApplication` with one set of plans, as
+    in a parse.  The draws from the rng are the same either way.
+    """
     width = rng.randint(1, max_width)
     names = _RANDOM_GATE_NAMES if width >= 2 else _RANDOM_GATE_NAMES[:-1]
+    if apps is None:
+        apps = {}
     ops = []
     for _ in range(rng.randint(0, max_gates)):
         gate = builtin(rng.choice(names))
-        wires = tuple(rng.sample(range(width), gate.arity))
-        ops.append(GateApplication(gate, wires))
+        key = (gate.name, tuple(rng.sample(range(width), gate.arity)))
+        app = apps.get(key)
+        if app is None:
+            app = apps[key] = GateApplication(gate, key[1])
+        ops.append(app)
     return Circuit(width, tuple(ops), measured)

@@ -1,14 +1,16 @@
 """CLI behavior: exit codes, report formats, determinism, file emission."""
 
 import os
+import re
 import shutil
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from qmc import calculus, state
+from qmc import calculus, oracle, state
 from qmc.amplitude import PACKED_ONE
 
 from conftest import GOLDEN, load_golden
@@ -479,6 +481,42 @@ def test_selftest_fault_injection_names_unitarity(run_cli):
     code, _, err = run_cli("selftest", "--inject-fault", "H")
     assert code == 1
     assert "unitarity" in err and "H" in err
+
+
+def test_selftest_fault_injection_rejects_an_unknown_gate(capsys):
+    from qmc.cli import main
+
+    # A name that matches no gate would inject nothing and pass.
+    with pytest.raises(SystemExit) as exit_info:
+        main(["selftest", "--inject-fault", "Q"])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid choice: 'Q'" in captured.err
+
+
+def test_selftest_reports_oracle_norm_drift_as_a_failure(run_cli, monkeypatch):
+    monkeypatch.setitem(
+        oracle._MATRICES, "T", np.array([[1, 0], [0, 2]], dtype=complex)
+    )
+    code, out, err = run_cli("selftest")
+    assert code == 1
+    assert "differential sweep: ok" not in out
+    assert len(err.splitlines()) == 1
+    assert re.fullmatch(
+        r"selftest failure: differential: circuit \d+: oracle norm drifted to \S+\n",
+        err,
+    )
+
+
+def test_selftest_sweep_catches_a_wrong_unitary_answer(run_cli, monkeypatch):
+    # S is unitary, so the oracle's norm check passes; only the comparison
+    # with the exact engine can tell that T was applied wrongly.
+    monkeypatch.setitem(oracle._MATRICES, "T", oracle._MATRICES["S"])
+    code, out, err = run_cli("selftest")
+    assert code == 1
+    assert "differential sweep: ok" not in out
+    assert err.startswith("selftest failure: differential: circuit ")
 
 
 # ---------------------------------------------------------------------------

@@ -36,18 +36,20 @@ def brickwork(n: int) -> Circuit:
     return Circuit(n, tuple(ops))
 
 
-def pinned_circuits() -> dict[str, Circuit]:
-    """The sweep circuits in selftest order, then the brickwork family."""
+def pinned_circuits(apps: dict | None = None) -> dict[str, Circuit]:
+    """The sweep circuits in selftest order, then the brickwork family.  With
+    `apps`, the sweep shares one application per (gate, wires), as selftest's
+    does."""
     rng = random.Random(0xD1FF)
-    circuits = {f"sweep/{i:03d}": random_circuit(rng) for i in range(200)}
+    circuits = {f"sweep/{i:03d}": random_circuit(rng, apps=apps) for i in range(200)}
     circuits.update({f"brickwork/{n}": brickwork(n) for n in range(4, 9)})
     return circuits
 
 
-def digest_lines() -> list[str]:
+def digest_lines(apps: dict | None = None) -> list[str]:
     return [
         f"{name} {hashlib.sha256(final_state(c).render().encode()).hexdigest()}"
-        for name, c in pinned_circuits().items()
+        for name, c in pinned_circuits(apps).items()
     ]
 
 
@@ -58,6 +60,30 @@ def test_final_states_match_the_pinned_digests():
     mismatched = [a.split()[0] for a, e in zip(actual, expected) if a != e]
     assert not mismatched
     assert actual == expected
+
+
+def test_the_shared_sweep_matches_the_pinned_digests():
+    # Plans built for one circuit are reused by later ones of other widths.
+    expected = DIGESTS.read_text(encoding="ascii").splitlines()
+    assert digest_lines({}) == expected
+
+
+def test_a_shared_apps_dict_draws_the_same_circuits():
+    plain, shared = random.Random(0xD1FF), random.Random(0xD1FF)
+    apps: dict = {}
+    first: dict = {}
+    for _ in range(200):
+        a = random_circuit(plain)
+        b = random_circuit(shared, apps=apps)
+        assert b.width == a.width
+        assert [(op.gate.name, op.wires) for op in b.ops] == [
+            (op.gate.name, op.wires) for op in a.ops
+        ]
+        for op in b.ops:
+            # A repeated (gate, wires) is the very same application.
+            assert first.setdefault((op.gate.name, op.wires), op) is op
+    assert plain.random() == shared.random()  # the same number of draws
+    assert apps == first
 
 
 def column_sum(app: GateApplication, s: Superposition) -> Superposition:
