@@ -130,12 +130,11 @@ def _positive(probs: dict[BasisState, ExactReal]) -> dict[BasisState, ExactReal]
 
 def distribution(s: Superposition) -> Distribution:
     """Born distribution of a normalized state: P(x) = |amplitude(x)|^2."""
-    weights = born_weights(s)
     n = norm_sq(s)
     if n != REAL_ONE:
         raise UnnormalizedState(f"state has norm squared {n.text()}, expected 1")
     # The weights are in order and their sum is the norm just checked.
-    return Distribution._of(weights)
+    return Distribution._of(born_weights(s))
 
 
 def _require_normalized(state: Superposition) -> None:
@@ -486,6 +485,15 @@ class CheckReport:
         )
 
 
+def verdict(node: ProofNode | None, detail: str = "") -> str:
+    """A node's status: `invalid` when detail says why its rule does not
+    derive it (node is None for a binding that derived no node), else
+    `assumed` for an assumption leaf and `ok` for any other node."""
+    if detail:
+        return "invalid"
+    return "assumed" if node.is_assumption else "ok"
+
+
 def report(proof: ProofNode) -> CheckReport:
     """The report on a tree every node of which `ProofNode.derive` made, in
     one postorder pass that derives nothing again.
@@ -518,10 +526,7 @@ def _rederive(node: ProofNode, found: str, texts: dict) -> str:
     its rule derives from the stored premise conclusions; "" when it is.
     texts is the report's rendering memo."""
     try:
-        if node.is_assumption:
-            expected = node.rule.conclude(())
-        else:
-            expected = apply_rule(node.rule, [p.conclusion for p in node.premises])
+        expected = ProofNode.derive(node.rule, node.premises).conclusion
     except (RuleError, ValueError) as err:
         return f"{type(err).__name__}: {err}"
     if expected != node.conclusion:
@@ -545,12 +550,7 @@ def _report(
             continue
         found = sequent_text(node.conclusion, texts)
         detail = judge(node, found, texts) if judge else ""
-        if detail:
-            status = "invalid"
-        elif node.is_assumption:
-            status = "assumed"
-        else:
-            status = "ok"
+        status = verdict(node, detail)
         nodes.append(
             NodeReport(places.pop(), node.rule.label(), status, detail, found, node.label)
         )

@@ -6,6 +6,11 @@ the input bytes, flags, and seed; QMC_SEED provides a default for --seed.
 A seed may be any integer; sampling reduces it modulo 2^64.
 When the reader of stdout goes away first (`qmc dist big.qc | head -1`), the
 command stops quietly with exit 1: no message and no traceback.
+
+Every command that reads a .qmc script elaborates it first.  When a binding's
+rule fails, the command prints `qmc check`'s report up to the failure: each
+earlier binding as `ok` or `assumed` with its conclusion, then the failed
+binding as `invalid` with the reason, then `invalid`, and exits 1.
 """
 
 from __future__ import annotations
@@ -17,17 +22,18 @@ import random
 import re
 import sys
 from pathlib import Path
+from typing import Iterable, Iterator
 
 from . import calculus, oracle, parser as frontend, translate
 from .calculus import (
     BornAnnotated,
-    CheckReport,
     Coherent,
     Measure,
     Measured,
     distribution,
     sample_outcome,
     sequent_text,
+    verdict,
 )
 from .gates import BUILTIN_NAMES, Gate, builtin, is_unitary
 from .parser import ElaborationError, SourceError, elaborate, parse_circuit, parse_proof
@@ -40,10 +46,6 @@ class _UsageError(Exception):
 
 
 class _ValidationError(Exception):
-    pass
-
-
-class _CheckFailed(Exception):
     pass
 
 
@@ -82,31 +84,22 @@ def _resolve_seed(args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_report(report: CheckReport) -> None:
-    for node in report.nodes:
-        name = node.label or (".".join(map(str, node.path)) or "root")
-        if node.status == "invalid":
-            print(f"{name}: invalid  {node.detail}")
-        else:
-            print(f"{name}: {node.status}  {node.conclusion}")
+def _print_verdicts(rows: Iterable[tuple[str, str, str]], valid: bool) -> None:
+    """One `name: status  text` line per row, then the overall verdict; the
+    text is a conclusion, or for an invalid row the reason."""
+    for name, status, text in rows:
+        print(f"{name}: {status}  {text}")
+    print("valid" if valid else "invalid")
 
 
-def _elaborate_or_report(text: str) -> calculus.ProofNode:
-    """Parse and elaborate; on a failed rule application print the per-binding
-    verdicts up to the failure and raise SystemExit-like via _CheckFailed."""
-    script = parse_proof(text)
-    try:
-        return elaborate(script)
-    except ElaborationError as err:
-        texts: dict = {}  # one rendering memo for every completed node
-        for name, node in err.completed:
-            print(f"{name}: ok  {sequent_text(node.conclusion, texts)}")
-        print(
-            f"{err.binding.name}: invalid  "
-            f"{type(err.cause).__name__}: {err.cause}"
-        )
-        print("invalid")
-        raise _CheckFailed() from err
+def _failure_rows(err: ElaborationError) -> Iterator[tuple[str, str, str]]:
+    """The verdicts of a script whose elaboration failed: each completed
+    binding, in script order, then the failed one."""
+    texts: dict = {}  # one rendering memo for every completed node
+    for name, node in err.completed:
+        yield name, verdict(node), sequent_text(node.conclusion, texts)
+    detail = f"{type(err.cause).__name__}: {err.cause}"
+    yield err.binding.name, verdict(None, detail), detail
 
 
 # ---------------------------------------------------------------------------
@@ -116,15 +109,11 @@ def _elaborate_or_report(text: str) -> calculus.ProofNode:
 def cmd_check(args: argparse.Namespace) -> int:
     if _kind(args.path) != ".qmc":
         raise _UsageError("check expects a .qmc proof script")
-    try:
-        proof = _elaborate_or_report(_read(args.path))
-    except _CheckFailed:
-        return 1
     # Elaboration derived every node, so it was the check; only the report
     # is left to assemble.
-    report = calculus.report(proof)
-    _print_report(report)
-    print("valid" if report.valid else "invalid")
+    report = calculus.report(elaborate(parse_proof(_read(args.path))))
+    rows = ((n.label, n.status, n.detail or n.conclusion) for n in report.nodes)
+    _print_verdicts(rows, report.valid)
     return 0 if report.valid else 1
 
 
@@ -134,8 +123,7 @@ def _distribution_of(path: str) -> calculus.Distribution:
     if kind == ".qc":
         circuit = parse_circuit(text)
         return distribution(final_state(circuit))
-    proof = _elaborate_or_report(text)
-    root = proof.conclusion
+    root = elaborate(parse_proof(text)).conclusion
     if isinstance(root, Coherent):
         return distribution(root.state)
     if isinstance(root, BornAnnotated):
@@ -146,11 +134,7 @@ def _distribution_of(path: str) -> calculus.Distribution:
 
 
 def cmd_dist(args: argparse.Namespace) -> int:
-    try:
-        dist = _distribution_of(args.path)
-    except _CheckFailed:
-        return 1
-    for basis, p in dist.items():
+    for basis, p in _distribution_of(args.path).items():
         print(f"{basis} {p.text()} {p.to_float()}")
     return 0
 
@@ -165,10 +149,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             raise _ValidationError("circuit has no terminal measure; nothing to run")
         (proof,) = translate.circuit_to_proof(circuit, "sample", seed)
     else:
-        try:
-            base = _elaborate_or_report(text)
-        except _CheckFailed:
-            return 1
+        base = elaborate(parse_proof(text))
         root = base.conclusion
         if not isinstance(root, BornAnnotated):
             raise _ValidationError(
@@ -224,11 +205,7 @@ def cmd_translate(args: argparse.Namespace) -> int:
     else:
         if kind != ".qmc":
             raise _UsageError("translating to a circuit expects a .qmc proof script")
-        try:
-            proof = _elaborate_or_report(text)
-        except _CheckFailed:
-            return 1
-        circuit = translate.proof_to_circuit(proof)
+        circuit = translate.proof_to_circuit(elaborate(parse_proof(text)))
         outputs.append((outdir / f"{stem}.qc", frontend.render_circuit(circuit)))
     for path, content in outputs:
         _write(path, content)
@@ -239,10 +216,7 @@ def cmd_translate(args: argparse.Namespace) -> int:
 def cmd_render(args: argparse.Namespace) -> int:
     if _kind(args.path) != ".qmc":
         raise _UsageError("render expects a .qmc proof script")
-    try:
-        proof = _elaborate_or_report(_read(args.path))
-    except _CheckFailed:
-        return 1
+    proof = elaborate(parse_proof(_read(args.path)))
     sys.stdout.write(frontend.render_proof(proof, args.format))
     return 0
 
@@ -394,7 +368,11 @@ def _argparser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _argparser().parse_args(argv)
     try:
-        code = args.func(args)
+        try:
+            code = args.func(args)
+        except ElaborationError as err:
+            _print_verdicts(_failure_rows(err), valid=False)
+            code = 1
         sys.stdout.flush()  # a closed pipe shows up here, inside the guard
         return code
     except BrokenPipeError:

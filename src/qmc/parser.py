@@ -90,6 +90,20 @@ def _number(text: str, line: int, column: int) -> int:
         ) from None
 
 
+_UNKNOWN_GATE = f"unknown gate name; expected one of {', '.join(BUILTIN_NAMES)}"
+
+
+def _gate_application(
+    name: str, wires: tuple[int, ...], line: int, column: int
+) -> GateApplication:
+    """The named builtin gate on the wires; a bad application (wrong arity,
+    a repeated wire) is an error at the gate name."""
+    try:
+        return GateApplication(builtin(name), wires)
+    except ValueError as err:
+        raise SourceError(line, column, str(err), name) from None
+
+
 def is_identifier(text: str) -> bool:
     """Whether the text can name a proof or a binding in a script."""
     return bool(_IDENT_RE.fullmatch(text)) and text not in _KEYWORDS
@@ -254,9 +268,7 @@ class _ScriptParser:
     def parse_gate(self) -> GateApplication:
         gate_tok = self.tokens[self.pos]
         if gate_tok[1] not in BUILTIN_NAMES:
-            raise self.fail(
-                f"unknown gate name; expected one of {', '.join(BUILTIN_NAMES)}"
-            )
+            raise self.fail(_UNKNOWN_GATE)
         self.pos += 1
         self.expect("[")
         wires = [self._wire()]
@@ -267,11 +279,7 @@ class _ScriptParser:
         key = (gate_tok[1], tuple(wires))
         app = self.apps.get(key)
         if app is None:
-            try:
-                app = GateApplication(builtin(gate_tok[1]), key[1])
-            except ValueError as err:
-                raise self.fail(str(err), gate_tok) from None
-            self.apps[key] = app
+            app = self.apps[key] = _gate_application(*key, gate_tok[2], gate_tok[3])
         return app
 
     def _wire(self) -> int:
@@ -299,14 +307,9 @@ class ElaborationError(Exception):
     """
 
     def __init__(
-        self,
-        binding: Binding,
-        index: int,
-        cause: Exception,
-        completed: list[tuple[str, ProofNode]],
+        self, binding: Binding, cause: Exception, completed: list[tuple[str, ProofNode]]
     ) -> None:
         self.binding = binding
-        self.index = index
         self.cause = cause
         self.completed = completed
         super().__init__(
@@ -323,12 +326,12 @@ def elaborate(script: ProofScript) -> ProofNode:
     """
     nodes: dict[str, ProofNode] = {}
     completed: list[tuple[str, ProofNode]] = []
-    for index, b in enumerate(script.bindings):
+    for b in script.bindings:
         premises = tuple(nodes[name] for name in b.premises)
         try:
             node = ProofNode.derive(b.rule, premises, b.name)
         except (RuleError, ValueError) as cause:
-            raise ElaborationError(b, index, cause, completed) from cause
+            raise ElaborationError(b, cause, completed) from cause
         nodes[b.name] = node
         completed.append((b.name, node))
     return nodes[script.bindings[-1].name]
@@ -504,12 +507,7 @@ def parse_circuit(text: str) -> Circuit:
             measured = True
             continue
         if head not in BUILTIN_NAMES:
-            raise SourceError(
-                lineno,
-                head_col,
-                f"unknown gate name; expected one of {', '.join(BUILTIN_NAMES)}",
-                head,
-            )
+            raise SourceError(lineno, head_col, _UNKNOWN_GATE, head)
         wires = []
         for text_w, col_w in fields[1:]:
             if not _INT_RE.fullmatch(text_w):
@@ -520,11 +518,7 @@ def parse_circuit(text: str) -> Circuit:
             except ValueError as err:
                 raise SourceError(lineno, col_w, str(err), text_w) from None
             wires.append(wire)
-        try:
-            app = GateApplication(builtin(head), tuple(wires))
-        except ValueError as err:
-            raise SourceError(lineno, head_col, str(err), head) from None
-        apps[words] = app
+        app = apps[words] = _gate_application(head, tuple(wires), lineno, head_col)
         ops.append(app)
     if width is None:
         raise SourceError(1, 1, "empty circuit description; expected 'qubits N'")

@@ -1,19 +1,25 @@
 """CLI behavior: exit codes, report formats, determinism, file emission."""
 
+import io
 import os
 import re
 import shutil
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from qmc import calculus, oracle, state
 from qmc.amplitude import PACKED_ONE
 
-from conftest import GOLDEN, load_golden
+from qmc.cli import main
+
+from conftest import GOLDEN, VALID_SCRIPTS, load_golden
 
 
 @pytest.fixture
@@ -91,6 +97,45 @@ def test_check_weaken_is_a_check_failure(run_cli, tmp_path):
     assert code == 1
     assert "NonMonotonicityViolation" in out
     assert "invalid" in out
+
+
+# Every command that elaborates a script, with its flags.
+_SCRIPT_COMMANDS = (
+    ("check",),
+    ("dist",),
+    ("run", "--seed", "1"),
+    ("render",),
+    ("render", "--format", "latex"),
+    ("translate", "--to", "circuit"),
+)
+
+
+def _stdout_lines(*argv: str) -> tuple[int, list[str]]:
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        code = main(list(argv))
+    return code, out.getvalue().splitlines()
+
+
+@settings(max_examples=40, deadline=None)
+@given(VALID_SCRIPTS)
+def test_a_failed_binding_reports_the_earlier_ones_as_check_does(text):
+    # A translated script binds in postorder, its root last, so `check` lists
+    # the bindings in script order; a weakening of the root fails after all.
+    lines = text.splitlines()
+    root = lines[-2].split()[0]
+    failing = "\n".join(lines[:-1] + [f"  w = weaken {root} |0>;", "}", ""])
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "ok.qmc").write_text(text, encoding="utf-8")
+        (Path(tmp) / "fail.qmc").write_text(failing, encoding="utf-8")
+        code, verdicts = _stdout_lines("check", str(Path(tmp) / "ok.qmc"))
+        assert code == 0 and verdicts[-1] == "valid"
+        for command, *flags in _SCRIPT_COMMANDS:
+            code, out = _stdout_lines(command, str(Path(tmp) / "fail.qmc"), *flags)
+            assert code == 1, command
+            assert out[:-2] == verdicts[:-1], command
+            assert out[-2].startswith("w: invalid  NonMonotonicityViolation: ")
+            assert out[-1] == "invalid"
 
 
 def test_check_parse_error_is_positioned(run_cli, tmp_path):

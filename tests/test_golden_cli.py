@@ -30,11 +30,15 @@ COMMANDS = (
 )
 
 # Inputs beyond the golden files: a rejected weakening, an assumption leaf,
+# the leaf below a rejected weakening (still `assumed` in the failure report),
 # and one malformed input per wire check in each format.
 EXTRA_INPUTS = {
     "weaken.qmc": "proof weak {\n  a = ax;\n  w = weaken a |0>;\n}\n",
     "prep_leaf.qmc": (
         "proof leaf {\n  p = prep |1>;\n  h = gate H [0] p;\n  d = born h;\n}\n"
+    ),
+    "prep_fail.qmc": (
+        "proof leaf {\n  p = prep |1>;\n  h = gate H [0] p;\n  w = weaken h |0>;\n}\n"
     ),
     "bad_arity.qmc": "proof bad {\n  a = ax;\n  g = gate CNOT [0] a;\n}\n",
     "bad_duplicate.qmc": (
