@@ -29,6 +29,8 @@ from __future__ import annotations
 import math
 
 _SQRT2 = math.sqrt(2.0)
+# Below 2^1021, p + q*sqrt2 stays inside the float range (2^1024).
+_FLOAT_BITS = 1021
 
 _POWER_NAMES = ("", "w", "w^2", "w^3")
 _POWER_LATEX = ("", r"\omega", r"\omega^2", r"\omega^3")
@@ -375,7 +377,25 @@ class ExactReal:
         return 1 if d < 0 else -1
 
     def to_float(self) -> float:
-        return (self.p + self.q * _SQRT2) / (1 << self.k)
+        """(p + q*sqrt2) / 2^k in floating point.
+
+        p, q and 2^k can each pass the float range while the value does not
+        (the weights of a 6000-gate H/T chain have 1100-bit p and q).  Past
+        `_FLOAT_BITS`, p and q shift down together and the shift moves into
+        the exponent, which `math.ldexp` applies.  The shift rounds to odd
+        (a dropped nonzero bit sets the lowest one), which keeps what a
+        float's rounding depends on, so they convert as they would unshifted,
+        scaled by 2^-shift.  Below it this is the float that dividing by 2^k
+        gives.
+        """
+        p, q, k = self.p, self.q, self.k
+        if p.bit_length() > _FLOAT_BITS or q.bit_length() > _FLOAT_BITS:
+            shift = max(p.bit_length(), q.bit_length()) - _FLOAT_BITS
+            dropped = (1 << shift) - 1
+            p = p >> shift | bool(p & dropped)
+            q = q >> shift | bool(q & dropped)
+            k -= shift
+        return math.ldexp(p + q * _SQRT2, -k)
 
     def text(self) -> str:
         if self.q == 0:

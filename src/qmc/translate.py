@@ -7,6 +7,16 @@ and one measurement per requested outcome.  The reverse direction reads the
 wire layout off the tensor structure and re-emits the gates in derivation
 order; proofs that prepare from earlier measurements describe sequential
 composition and are refused rather than guessed at.
+
+`final_state` (behind `qmc dist` of a circuit and the selftest sweep) runs
+the gates on the dict engine until the register has at least
+`dense.MIN_WIDTH` wires and a quarter of its basis states
+(2^n / 2^`dense.FILL_SHIFT`) carry an amplitude; from there `dense.run`
+takes them on int64 arrays while every coefficient stays below
+2^`dense.MAX_BITS`.  A gate that would pass that bound, or that has an
+entry of no w^j / sqrt2^e form, goes back to the dict engine, which
+finishes the circuit.  The proof path keeps one `Superposition` per node
+and stays on the dict engine.
 """
 
 from __future__ import annotations
@@ -14,6 +24,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from . import dense
 from .calculus import (
     Ax,
     BornRule,
@@ -57,9 +68,20 @@ class Circuit:
 
 
 def final_state(c: Circuit) -> Superposition:
-    """Exact state after running every gate on |0...0>."""
+    """Exact state after running every gate on |0...0>.
+
+    The gates run on the dict engine until the state suits `dense`, then on
+    its arrays, and from any gate that `dense.run` hands back, on the dict
+    engine again (see the module docstring).  The result is the same either
+    way."""
     state = ket("0" * c.width)
-    for op in c.ops:
+    ops = iter(c.ops)
+    for op in ops:
+        state = apply_gate(op, state)
+        if dense.suits(state):
+            state = dense.run(state, ops)
+            break
+    for op in ops:  # the gates that `dense.run` left, if any
         state = apply_gate(op, state)
     return state
 

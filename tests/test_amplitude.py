@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from qmc.amplitude import (
@@ -298,3 +298,43 @@ def test_exact_real_sign_matches_float(a):
     f = a.to_float()
     if abs(f) > 1e-9:
         assert a.sign() == (1 if f > 0 else -1)
+
+
+def _old_to_float(x: ExactReal) -> float:
+    """The formula `to_float` had before it shifted; it overflows once p, q
+    or 2^k passes the float range."""
+    return (x.p + x.q * math.sqrt(2.0)) / (1 << x.k)
+
+
+@st.composite
+def float_edge_ints(draw):
+    """Integers of a drawn bit length, far inside the float range or near
+    its edge at 2^1024.  Half are random below their top bit; the others
+    are ties for a float's rounding, or ties but for their lowest bits: the
+    top bit, perhaps the bit half a unit below a float's last place, and a
+    few low bits."""
+    bits = draw(st.one_of(st.integers(0, 70), st.integers(1019, 1026)))
+    if draw(st.booleans()):
+        rest = draw(st.integers(0, (1 << bits) - 1))
+    else:
+        rest = draw(st.booleans()) << max(bits - 53, 0) | draw(st.integers(0, 7))
+    magnitude = (1 << bits) | rest
+    return magnitude if draw(st.booleans()) else -magnitude
+
+
+# Each just above a tie for the float's rounding, by a bit that a plain
+# shift would drop.
+@example(p=(1 << 1023) | (1 << 970) | 1, q=0, k=1023)
+@example(p=3, q=-((1 << 1022) | (1 << 969) | 1), k=1000)
+@given(float_edge_ints(), float_edge_ints(), st.integers(0, 1100))
+def test_to_float_is_the_old_float_wherever_that_was_finite(p, q, k):
+    x = ExactReal(p, q, k)
+    try:
+        old = _old_to_float(x)
+    except OverflowError:
+        old = math.inf
+    if math.isfinite(old):
+        assert x.to_float() == old
+    elif (REAL_ONE - x).sign() >= 0 and (REAL_ONE + x).sign() >= 0:
+        # A value in [-1, 1], such as a probability, always converts.
+        assert math.isfinite(x.to_float())

@@ -1,5 +1,6 @@
 """CLI behavior: exit codes, report formats, determinism, file emission."""
 
+import decimal
 import io
 import os
 import re
@@ -260,6 +261,25 @@ def test_dist_on_a_born_terminated_script(run_cli, tmp_path):
     code, out, _ = run_cli("dist", str(path))
     assert code == 0
     assert out.splitlines() == ["|00> 1/2 0.5", "|11> 1/2 0.5"]
+
+
+def test_dist_of_a_long_chain_prints_floats_past_the_float_range(run_cli, tmp_path):
+    # Each weight's p and q pass 2^1024, which `float` cannot hold.
+    path = tmp_path / "chain.qc"
+    path.write_text("qubits 1\n" + "H 0\nT 0\n" * 3000 + "measure\n")
+    code, out, err = run_cli("dist", str(path))
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert [line.split()[0] for line in lines] == ["|0>", "|1>"]
+    with decimal.localcontext() as exact_digits:
+        exact_digits.prec = 400
+        for line in lines:
+            _, text, printed = line.split()
+            match = re.fullmatch(r"\((-?\d+)([+-]\d+)\*sqrt2\)/(\d+)", text)
+            p, q, denominator = map(int, match.groups())
+            assert max(abs(p), abs(q)).bit_length() > 1024
+            exact = (p + q * decimal.Decimal(2).sqrt()) / denominator
+            assert abs(decimal.Decimal(float(printed)) / exact - 1) < decimal.Decimal("1e-12")
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,200 @@
+"""The dense engine of `translate.final_state` against the dict engine.
+
+`dense.run` must give the packed superposition that `gates.apply` gives,
+term for term and in the same order, and agree with the float oracle.  The
+dict engine here is the plain loop of `gates.apply` over the gates.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from qmc import dense, oracle
+from qmc.amplitude import Amplitude, CycloInt
+from qmc.gates import BUILTIN_NAMES, GateApplication, apply, builtin
+from qmc.state import BasisState, Superposition, ket
+from qmc.translate import Circuit, final_state
+from test_engine_pins import custom_gates, pinned_circuits
+
+
+def dict_engine(state: Superposition, ops) -> Superposition:
+    for op in ops:
+        state = apply(op, state)
+    return state
+
+
+def random_ops(rng: random.Random, width: int, n_gates: int, names=BUILTIN_NAMES):
+    ops = []
+    for _ in range(n_gates):
+        gate = builtin(rng.choice(names))
+        ops.append(GateApplication(gate, tuple(rng.sample(range(width), gate.arity))))
+    return ops
+
+
+def no_fallback(op, state):
+    raise AssertionError(f"the dense engine handed {op.label()} back")
+
+
+# Widths from the dense minimum up to 12: from 14 qubits on, the oracle's
+# products run on BLAS threads and stall.
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    width=st.integers(dense.MIN_WIDTH, 12),
+    n_gates=st.integers(0, 24),
+)
+def test_dense_from_the_first_gate_equals_the_dict_engine(seed, width, n_gates):
+    rng = random.Random(seed)
+    # H on a random set of wires first, so that the support reaches up to
+    # the whole register.
+    filled = rng.sample(range(width), rng.randint(0, width))
+    ops = [GateApplication(builtin("H"), (w,)) for w in filled]
+    ops += random_ops(rng, width, n_gates)
+    expected = dict_engine(ket("0" * width), ops)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dense, "apply", no_fallback)
+        actual = dense.run(ket("0" * width), iter(ops))
+    assert list(actual.packed.items()) == list(expected.packed.items())
+    floats = oracle.run_circuit(Circuit(width, tuple(ops)))
+    assert oracle.compare(actual, floats, 1e-9)[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    width=st.integers(dense.MIN_WIDTH, 9),
+    gates=st.lists(
+        st.one_of(st.sampled_from(BUILTIN_NAMES).map(builtin), custom_gates()),
+        max_size=6,
+    ),
+    data=st.data(),
+)
+def test_any_state_and_gates_outside_the_built_in_set_equal_the_dict_engine(
+    seed, width, gates, data
+):
+    # Custom gates bring entries with no w^j / sqrt2^e form (handed back to
+    # the dict engine), mixed exponents e (lifted by sqrt2^d), zero rows and
+    # growth past one bit per gate.  The start state is any one with small
+    # numerators over mixed exponents, so it is lifted to the largest.
+    rng = random.Random(seed)
+    state = Superposition(
+        width,
+        {
+            BasisState.of(b, width): Amplitude(
+                CycloInt(*(rng.randint(-3, 3) for _ in range(4))), rng.randint(0, 4)
+            )
+            for b in rng.sample(range(1 << width), rng.randint(1, 1 << width))
+        },
+    )
+    assume(len(state))
+    ops = [
+        GateApplication(
+            gate, tuple(data.draw(st.permutations(range(width)))[: gate.arity])
+        )
+        for gate in gates
+    ]
+    rest = iter(ops)
+    actual = dict_engine(dense.run(state, rest), rest)
+    assert list(actual.packed.items()) == list(dict_engine(state, ops).packed.items())
+
+
+def test_past_the_int64_bound_the_dict_engine_finishes():
+    # H on every wire, then an H/T/S/CNOT chain on wires 0 and 1 whose
+    # coefficients grow past 62 bits: the dense engine takes the chain, hands
+    # the state back when a gate could overflow, and the dict engine ends it.
+    width = dense.MIN_WIDTH
+    h, t, s, cnot = (builtin(name) for name in ("H", "T", "S", "CNOT"))
+    block = [
+        GateApplication(h, (0,)),
+        GateApplication(t, (0,)),
+        GateApplication(cnot, (0, 1)),
+        GateApplication(h, (1,)),
+        GateApplication(s, (1,)),
+        GateApplication(t, (1,)),
+    ]
+    ops = [GateApplication(h, (w,)) for w in range(width)] + block * 200
+    handed_back = []
+
+    def fallback(op, state):
+        handed_back.append(op)
+        return apply(op, state)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dense, "apply", fallback)
+        actual = final_state(Circuit(width, tuple(ops)))
+    assert len(handed_back) == 1
+    expected = dict_engine(ket("0" * width), ops)
+    assert list(actual.packed.items()) == list(expected.packed.items())
+    largest = max(max(abs(a) for a in amp[:4]) for amp in actual.packed.values())
+    assert largest.bit_length() > dense.MAX_BITS
+
+
+@pytest.mark.parametrize(
+    "amps",
+    [
+        # A numerator past int64.
+        [(1 << 70, 1, 0, 0, 0)],
+        # Numerators that fit, but not once lifted from sqrt2^0 to sqrt2^4.
+        [(1 << 61, 0, 0, 0, 0), (1, 0, 0, 0, 4)],
+    ],
+)
+def test_a_state_past_the_bound_stays_packed(amps):
+    width = dense.MIN_WIDTH
+    state = Superposition(
+        width,
+        {
+            BasisState.of(b, width): Amplitude(CycloInt(*amp[:4]), amp[4])
+            for b, amp in zip(range(1 << width), amps * (1 << width))
+        },
+    )
+    ops = iter([GateApplication(builtin("H"), (0,))])
+    assert dense.run(state, ops) is state
+    assert next(ops, None) is not None  # the gate is left to the dict engine
+
+
+def test_narrow_or_sparse_circuits_never_go_dense(monkeypatch):
+    def refuse(state, ops):
+        raise AssertionError(f"a {state.width}-wire state went dense")
+
+    monkeypatch.setattr(dense, "run", refuse)
+    # The selftest sweep, 1 to 6 wires.
+    circuits = [c for name, c in pinned_circuits().items() if name.startswith("sweep/")]
+    rng = random.Random(7)
+    # Like the benchmark's deep chains: 1 to 3 wires, many gates.
+    circuits += [
+        Circuit(width, tuple(random_ops(rng, width, 400, ("H", "T", "S", "X", "Z"))))
+        for width in (1, 2, 3)
+    ]
+    # Like its sparse circuits: a GHZ state on 24 wires, then H on four more
+    # wires (support 32) and phases.
+    h, cnot = builtin("H"), builtin("CNOT")
+    ghz = [GateApplication(h, (0,))]
+    ghz += [GateApplication(cnot, (w - 1, w)) for w in range(1, 24)]
+    ghz += [GateApplication(h, (w,)) for w in (3, 9, 15, 21)]
+    ghz += random_ops(rng, 24, 40, ("T", "S", "X", "Z"))
+    circuits.append(Circuit(24, tuple(ghz)))
+    for c in circuits:
+        assert final_state(c) == dict_engine(ket("0" * c.width), c.ops)
+
+
+def test_a_full_register_goes_dense(monkeypatch):
+    runs = []
+    run = dense.run
+
+    def counted(state, ops):
+        runs.append(len(state))
+        return run(state, ops)
+
+    monkeypatch.setattr(dense, "run", counted)
+    width = dense.MIN_WIDTH
+    ops = [GateApplication(builtin("H"), (w,)) for w in range(width)]
+    ops += random_ops(random.Random(4), width, 20)
+    actual = final_state(Circuit(width, tuple(ops)))
+    # It switches once the Hadamards have filled 1 / 2^FILL_SHIFT of it.
+    assert runs == [1 << (width - dense.FILL_SHIFT)]
+    assert list(actual.packed.items()) == list(
+        dict_engine(ket("0" * width), ops).packed.items()
+    )

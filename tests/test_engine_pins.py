@@ -6,6 +6,8 @@ n = 4..8 (H on every wire, T on every wire, then a CNOT chain).  The
 digests in `tests/golden/expected/final_states.sha256` were taken from the
 string-keyed engine that preceded the packed one, so any change to the
 engine must reproduce its answers term for term and in the same order.
+`final_states_wide.sha256` pins brickwork n = 9..12 the same way, taken
+from the dict engine before `final_state` had a dense one; these go dense.
 
 A hypothesis property also compares `gates.apply` with the textbook column
 sum written here with `Amplitude` arithmetic and `BasisState` bits, on the
@@ -21,12 +23,14 @@ import random
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import GOLDEN, random_orbit_state
+from qmc import dense
 from qmc.amplitude import AMP_ZERO, INV_SQRT2, Amplitude, CycloInt
 from qmc.gates import BUILTIN_NAMES, Gate, GateApplication, apply, builtin
 from qmc.state import BasisState, Superposition
 from qmc.translate import Circuit, final_state, random_circuit
 
 DIGESTS = GOLDEN / "expected" / "final_states.sha256"
+WIDE_DIGESTS = GOLDEN / "expected" / "final_states_wide.sha256"
 
 
 def brickwork(n: int) -> Circuit:
@@ -46,11 +50,12 @@ def pinned_circuits(apps: dict | None = None) -> dict[str, Circuit]:
     return circuits
 
 
+def digest_line(name: str, c: Circuit) -> str:
+    return f"{name} {hashlib.sha256(final_state(c).render().encode()).hexdigest()}"
+
+
 def digest_lines(apps: dict | None = None) -> list[str]:
-    return [
-        f"{name} {hashlib.sha256(final_state(c).render().encode()).hexdigest()}"
-        for name, c in pinned_circuits(apps).items()
-    ]
+    return [digest_line(name, c) for name, c in pinned_circuits(apps).items()]
 
 
 def test_final_states_match_the_pinned_digests():
@@ -60,6 +65,20 @@ def test_final_states_match_the_pinned_digests():
     mismatched = [a.split()[0] for a, e in zip(actual, expected) if a != e]
     assert not mismatched
     assert actual == expected
+
+
+def test_wide_final_states_match_the_pinned_digests(monkeypatch):
+    runs = []
+    run = dense.run
+
+    def counted(state, ops):
+        runs.append(state.width)
+        return run(state, ops)
+
+    monkeypatch.setattr(dense, "run", counted)
+    actual = [digest_line(f"brickwork/{n}", brickwork(n)) for n in range(9, 13)]
+    assert actual == WIDE_DIGESTS.read_text(encoding="ascii").splitlines()
+    assert runs == [9, 10, 11, 12]  # each went dense
 
 
 def test_the_shared_sweep_matches_the_pinned_digests():
