@@ -17,7 +17,7 @@ terms already present and can destroy previously available conclusions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Mapping, Sequence, Union
+from typing import Iterator, Mapping, Sequence, Union
 
 from .amplitude import ExactReal, REAL_ONE, REAL_ZERO
 from .gates import GateApplication, apply
@@ -494,21 +494,6 @@ def verdict(node: ProofNode | None, detail: str = "") -> str:
     return "assumed" if node.is_assumption else "ok"
 
 
-def report(proof: ProofNode) -> CheckReport:
-    """The report on a tree every node of which `ProofNode.derive` made, in
-    one postorder pass that derives nothing again.
-
-    `derive` has already applied each node's rule, with its checks, to the
-    premises' conclusions, so each node is `ok`, or `assumed` if it is an
-    assumption leaf, and the report only records places, labels and
-    conclusion texts.  The pass trusts the stored conclusions: it is sound
-    only for trees made by `derive`, as `parser.elaborate` and
-    `translate.circuit_to_proof` make them.  A tree built any other way is
-    verified by `check`.
-    """
-    return _report(proof, None)
-
-
 def check(proof: ProofNode) -> CheckReport:
     """Recompute every conclusion from its premises and compare exactly.
 
@@ -518,38 +503,23 @@ def check(proof: ProofNode) -> CheckReport:
     awaits its concluding measurement; anywhere else it may only feed a
     measurement node.
     """
-    return _report(proof, _rederive)
-
-
-def _rederive(node: ProofNode, found: str, texts: dict) -> str:
-    """Why the node's stored conclusion (whose text is found) is not the one
-    its rule derives from the stored premise conclusions; "" when it is.
-    texts is the report's rendering memo."""
-    try:
-        expected = ProofNode.derive(node.rule, node.premises).conclusion
-    except (RuleError, ValueError) as err:
-        return f"{type(err).__name__}: {err}"
-    if expected != node.conclusion:
-        return f"expected {sequent_text(expected, texts)}, found {found}"
-    return ""
-
-
-def _report(
-    proof: ProofNode, judge: Callable[[ProofNode, str, dict], str] | None
-) -> CheckReport:
-    """The report of one postorder walk; judge(node, conclusion text, memo),
-    when given, returns why a node is invalid, or "" to accept it.  One
-    rendering memo serves the whole walk."""
     nodes: list[NodeReport] = []
     assumptions: list[tuple[tuple[int, ...], BasisState]] = []
     places: list[tuple] = []  # of the nodes entered and not yet left
-    texts: dict = {}
+    texts: dict = {}  # one rendering memo for the whole walk
     for node, position, entering in walk(proof):
         if entering:
             places.append((places[-1], position) if places else ())
             continue
         found = sequent_text(node.conclusion, texts)
-        detail = judge(node, found, texts) if judge else ""
+        try:
+            expected = ProofNode.derive(node.rule, node.premises).conclusion
+        except (RuleError, ValueError) as err:
+            detail = f"{type(err).__name__}: {err}"
+        else:
+            detail = ""
+            if expected != node.conclusion:
+                detail = f"expected {sequent_text(expected, texts)}, found {found}"
         status = verdict(node, detail)
         nodes.append(
             NodeReport(places.pop(), node.rule.label(), status, detail, found, node.label)

@@ -7,10 +7,12 @@ A seed may be any integer; sampling reduces it modulo 2^64.
 When the reader of stdout goes away first (`qmc dist big.qc | head -1`), the
 command stops quietly with exit 1: no message and no traceback.
 
-Every command that reads a .qmc script elaborates it first.  When a binding's
-rule fails, the command prints `qmc check`'s report up to the failure: each
-earlier binding as `ok` or `assumed` with its conclusion, then the failed
-binding as `invalid` with the reason, then `invalid`, and exits 1.
+Every command that reads a .qmc script elaborates it first.  `qmc check`
+prints one row per binding, in script order: `ok`, or `assumed` for an
+assumption leaf, with its conclusion; then `valid`.  When a binding's rule
+fails, any command prints the same rows up to the failure, then the failed
+binding as `invalid` with the reason, then `invalid`, and exits 1.  A
+binding that no later one consumes (the root aside) is a parse error.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import random
 import re
 import sys
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from . import calculus, oracle, parser as frontend, translate
 from .calculus import (
@@ -84,22 +86,22 @@ def _resolve_seed(args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_verdicts(rows: Iterable[tuple[str, str, str]], valid: bool) -> None:
-    """One `name: status  text` line per row, then the overall verdict; the
-    text is a conclusion, or for an invalid row the reason."""
-    for name, status, text in rows:
-        print(f"{name}: {status}  {text}")
-    print("valid" if valid else "invalid")
-
-
-def _failure_rows(err: ElaborationError) -> Iterator[tuple[str, str, str]]:
-    """The verdicts of a script whose elaboration failed: each completed
-    binding, in script order, then the failed one."""
-    texts: dict = {}  # one rendering memo for every completed node
-    for name, node in err.completed:
-        yield name, verdict(node), sequent_text(node.conclusion, texts)
-    detail = f"{type(err.cause).__name__}: {err.cause}"
-    yield err.binding.name, verdict(None, detail), detail
+def _print_report(
+    completed: Iterable[tuple[str, calculus.ProofNode]],
+    failure: ElaborationError | None = None,
+) -> None:
+    """`qmc check`'s report: one `name: status  text` line per elaborated
+    binding, in script order, with its conclusion; then, when elaboration
+    failed, the failed binding with the reason; then the overall verdict."""
+    texts: dict = {}  # one rendering memo for every node
+    for name, node in completed:
+        print(f"{name}: {verdict(node)}  {sequent_text(node.conclusion, texts)}")
+    if failure is None:
+        print("valid")
+        return
+    detail = f"{type(failure.cause).__name__}: {failure.cause}"
+    print(f"{failure.binding.name}: {verdict(None, detail)}  {detail}")
+    print("invalid")
 
 
 # ---------------------------------------------------------------------------
@@ -109,12 +111,10 @@ def _failure_rows(err: ElaborationError) -> Iterator[tuple[str, str, str]]:
 def cmd_check(args: argparse.Namespace) -> int:
     if _kind(args.path) != ".qmc":
         raise _UsageError("check expects a .qmc proof script")
-    # Elaboration derived every node, so it was the check; only the report
-    # is left to assemble.
-    report = calculus.report(elaborate(parse_proof(_read(args.path))))
-    rows = ((n.label, n.status, n.detail or n.conclusion) for n in report.nodes)
-    _print_verdicts(rows, report.valid)
-    return 0 if report.valid else 1
+    # Elaboration derived every node, so it was the check; linearity puts
+    # every binding in the root's tree, so its list is the whole report.
+    _print_report(frontend.elaborate_bindings(parse_proof(_read(args.path))))
+    return 0
 
 
 def _distribution_of(path: str) -> calculus.Distribution:
@@ -371,7 +371,7 @@ def main(argv: list[str] | None = None) -> int:
         try:
             code = args.func(args)
         except ElaborationError as err:
-            _print_verdicts(_failure_rows(err), valid=False)
+            _print_report(err.completed, err)
             code = 1
         sys.stdout.flush()  # a closed pipe shows up here, inside the guard
         return code

@@ -1,10 +1,12 @@
 """Front end for proof scripts (.qmc) and circuit descriptions (.qc).
 
 Proof scripts are straight-line bindings elaborated into proof trees.  Each
-binding may be consumed at most once as a premise: premises are physical
-resources, and consuming one twice would clone a quantum state.  `weaken` is
-deliberately part of the grammar so that its rejection is a checked error
-with a reason, not a syntax error.
+binding but the last, the root, is consumed exactly once as a premise:
+premises are physical resources, so consuming one twice would clone a
+quantum state, and the calculus refuses weakening, so none may be dropped.
+Every binding is therefore in the root's tree.  `weaken` is deliberately
+part of the grammar so that its rejection is a checked error with a reason,
+not a syntax error.
 
 Both formats are UTF-8 with `#` comments.  Every parse failure carries a
 1-based line and column into the original text.
@@ -224,6 +226,15 @@ class _ScriptParser:
             )
         if tokens[self.pos][0] != "EOF":
             raise self.fail("unexpected input after closing '}'")
+        # The root, bound last, is the one binding nothing can consume.
+        if len(consumed) < len(bindings) - 1:
+            unused = next(b for b in bindings if b.name not in consumed)
+            raise SourceError(
+                unused.line,
+                unused.col,
+                f"binding {unused.name!r} is never consumed",
+                unused.name,
+            )
         return ProofScript(name, tuple(bindings))
 
     def parse_rule(
@@ -291,7 +302,8 @@ class _ScriptParser:
 
 
 def parse_proof(text: str) -> ProofScript:
-    """Parse a proof script, validating binding order and linearity."""
+    """Parse a proof script, validating binding order and linearity: every
+    binding but the root is consumed exactly once."""
     return _ScriptParser(text).parse()
 
 
@@ -324,6 +336,12 @@ def elaborate(script: ProofScript) -> ProofNode:
     A standalone `prep |x>` becomes an assumption leaf: its conclusion is
     taken as the recorded outcome of a measurement not shown in this script.
     """
+    return elaborate_bindings(script)[-1][1]
+
+
+def elaborate_bindings(script: ProofScript) -> list[tuple[str, ProofNode]]:
+    """Each binding's name and node, in script order, as `elaborate` builds
+    them; the last node is the root, and every other one lies under it."""
     nodes: dict[str, ProofNode] = {}
     completed: list[tuple[str, ProofNode]] = []
     for b in script.bindings:
@@ -334,7 +352,7 @@ def elaborate(script: ProofScript) -> ProofNode:
             raise ElaborationError(b, cause, completed) from cause
         nodes[b.name] = node
         completed.append((b.name, node))
-    return nodes[script.bindings[-1].name]
+    return completed
 
 
 # ---------------------------------------------------------------------------

@@ -33,12 +33,13 @@ from qmc.calculus import (
     check,
     distribution,
     enumerate_conclusions,
-    report,
     sample_outcome,
+    sequent_text,
+    verdict,
 )
 from qmc.gates import GateApplication, builtin
 from qmc.oracle import run_circuit
-from qmc.parser import elaborate, parse_proof
+from qmc.parser import elaborate_bindings, parse_proof
 from qmc.state import BasisState, Superposition, combine, ket
 from qmc.translate import Circuit, circuit_to_proof, final_state
 
@@ -272,20 +273,22 @@ def test_a_hand_built_node_with_a_wrong_conclusion_is_invalid():
 
 
 # ---------------------------------------------------------------------------
-# report: the one-pass report of a derived tree, equal to check's
+# report: the elaboration's rows, which `qmc check` prints, equal check's
 # ---------------------------------------------------------------------------
 
 def _assert_report_is_check(text: str):
-    """The one-pass report of the script, once shown equal to check's."""
-    proof = elaborate(parse_proof(text))
-    fast, full = report(proof), check(proof)
-    assert fast.valid and full.valid
-    assert fast.signature() == full.signature()
-    assert fast.assumptions == full.assumptions
-    assert [(n.label, n.path) for n in fast.nodes] == [
-        (n.label, n.path) for n in full.nodes
+    """check's report on the script's root, once shown to have the
+    elaboration's rows: one per binding, in script order."""
+    completed = elaborate_bindings(parse_proof(text))
+    texts: dict = {}
+    rows = [
+        (name, verdict(node), sequent_text(node.conclusion, texts))
+        for name, node in completed
     ]
-    return fast
+    full = check(completed[-1][1])
+    assert full.valid
+    assert rows == [(n.label, n.status, n.conclusion) for n in full.nodes]
+    return full
 
 
 @pytest.mark.parametrize("name", GOLDEN_PROOFS)
@@ -294,8 +297,8 @@ def test_report_equals_check_on_golden_scripts(name):
 
 
 def test_report_equals_check_with_an_assumption_leaf():
-    fast = _assert_report_is_check(PREP_LEAF_SCRIPT)
-    assert fast.assumptions == (((0, 0, 0, 0), BasisState("10")),)
+    full = _assert_report_is_check(PREP_LEAF_SCRIPT)
+    assert full.assumptions == (((0, 0, 0, 0), BasisState("10")),)
 
 
 @settings(max_examples=60, deadline=None)

@@ -121,8 +121,8 @@ def _stdout_lines(*argv: str) -> tuple[int, list[str]]:
 @settings(max_examples=40, deadline=None)
 @given(VALID_SCRIPTS)
 def test_a_failed_binding_reports_the_earlier_ones_as_check_does(text):
-    # A translated script binds in postorder, its root last, so `check` lists
-    # the bindings in script order; a weakening of the root fails after all.
+    # `check` lists the bindings in script order, the root last, so a
+    # weakening of the root fails after all of them.
     lines = text.splitlines()
     root = lines[-2].split()[0]
     failing = "\n".join(lines[:-1] + [f"  w = weaken {root} |0>;", "}", ""])
@@ -137,6 +137,42 @@ def test_a_failed_binding_reports_the_earlier_ones_as_check_does(text):
             assert out[:-2] == verdicts[:-1], command
             assert out[-2].startswith("w: invalid  NonMonotonicityViolation: ")
             assert out[-1] == "invalid"
+
+
+def test_check_lists_bindings_in_script_order(run_cli, tmp_path):
+    # Postorder from the root would list h before b.
+    path = tmp_path / "order.qmc"
+    path.write_text("proof p { a = ax; b = ax; h = gate H [0] a; t = tensor h b; }\n")
+    code, out, err = run_cli("check", str(path))
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert [line.split(":")[0] for line in lines[:-1]] == ["a", "b", "h", "t"]
+    assert lines[-1] == "valid"
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ("proof p { a = ax; b = ax; h = gate H [0] b; }", "line 1, column 11: binding 'a'"),
+        # A measurement chain that a later assumption leaf cuts off from the root.
+        (
+            "proof p { a = prep |0>; b = gate H [0] a; c = born b; "
+            "d = measure c outcome=|1>; e = prep |1>; }",
+            "line 1, column 55: binding 'd'",
+        ),
+    ],
+    ids=["unused-axiom", "unused-measurement"],
+)
+def test_an_unconsumed_binding_exits_2_on_every_script_command(
+    run_cli, tmp_path, text, where
+):
+    path = tmp_path / "unused.qmc"
+    path.write_text(text + "\n")
+    for command, *flags in _SCRIPT_COMMANDS:
+        code, out, err = run_cli(command, str(path), *flags)
+        assert (code, out) == (2, ""), command
+        assert err.startswith(f"error: {where} is never consumed"), command
+        assert err.count("\n") == 1, command
 
 
 def test_check_parse_error_is_positioned(run_cli, tmp_path):

@@ -169,6 +169,13 @@ _HUGE_WIRE = "1" * 4301
             "identifier 'a' already consumed; premises are linear resources",
             "a",
         ),
+        (
+            "proof p { a = ax; b = ax; h = gate H [0] b; }",
+            1,
+            11,
+            "binding 'a' is never consumed",
+            "a",
+        ),
         ("proof p { a = prep 0; }", 1, 20, "expected a ket like |01>", "0"),
         (
             "proof p { a = ax; g = gate Q [0] a; }",
@@ -247,6 +254,7 @@ _HUGE_WIRE = "1" * 4301
         "premise-reserved",
         "unbound",
         "consumed-twice",
+        "never-consumed",
         "ket-expected",
         "unknown-gate",
         "missing-open-bracket",
