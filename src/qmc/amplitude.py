@@ -15,10 +15,11 @@ are, so the zero test and equality are tuple comparisons.  The module-level
 `_mul`, `_add`, `_canonical` and `_mod_sq` are the one implementation of the
 ring, `_times_unit` is `_mul` by a unit w^j / sqrt2^e done as a rotation of
 the coefficients, and `_real_add` is the sum of the reals that `_mod_sq`
-yields (`state.norm_sq` inlines both for speed).  They are module-private
-because the state engine calls them once per term.  `Amplitude` is the value
-the API and the renderers see: a thin wrapper around one packed tuple, whose
-operators call those functions.
+yields (`state.norm_sq` inlines both for speed), and `_sign` is the exact
+sign of such a real.  They are module-private because the state engine
+calls them once per term.  `Amplitude` is the value the API and the
+renderers see: a thin wrapper around one packed tuple, whose operators call
+those functions.
 
 Coefficients are Python ints, hence arbitrary precision: values grow, they
 never silently wrap.
@@ -139,6 +140,21 @@ def _real_add(x: tuple[int, int, int], y: tuple[int, int, int]) -> tuple[int, in
         pa, qa, ka, pb, qb, kb = pb, qb, kb, pa, qa, ka
     d = ka - kb
     return pa + (pb << d), qa + (qb << d), ka
+
+
+def _sign(p: int, q: int) -> int:
+    """Sign of p + q*sqrt2, decided exactly via p^2 vs 2q^2: the one sign
+    rule, for `ExactReal.sign` and for sums kept as plain integers."""
+    if p == 0 and q == 0:
+        return 0
+    if p >= 0 and q >= 0:
+        return 1
+    if p <= 0 and q <= 0:
+        return -1
+    d = p * p - 2 * q * q  # nonzero here: sqrt2 is irrational
+    if p > 0:
+        return 1 if d > 0 else -1
+    return 1 if d < 0 else -1
 
 
 def _to_complex(x: Packed) -> complex:
@@ -363,18 +379,8 @@ class ExactReal:
         return self.p == 0 and self.q == 0
 
     def sign(self) -> int:
-        """Sign of p + q*sqrt2, decided exactly via p^2 vs 2q^2."""
-        p, q = self.p, self.q
-        if p == 0 and q == 0:
-            return 0
-        if p >= 0 and q >= 0:
-            return 1
-        if p <= 0 and q <= 0:
-            return -1
-        d = p * p - 2 * q * q  # nonzero here: sqrt2 is irrational
-        if p > 0:
-            return 1 if d > 0 else -1
-        return 1 if d < 0 else -1
+        """Sign of p + q*sqrt2 (see `_sign`)."""
+        return _sign(self.p, self.q)
 
     def to_float(self) -> float:
         """(p + q*sqrt2) / 2^k in floating point.

@@ -17,11 +17,12 @@ terms already present and can destroy previously available conclusions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Sequence, Union
+from itertools import filterfalse, repeat
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
-from .amplitude import ExactReal, REAL_ONE, REAL_ZERO
+from .amplitude import ExactReal, REAL_ONE, REAL_ZERO, _mod_sq, _sign
 from .gates import GateApplication, apply
-from .state import BasisState, Superposition, born_weights, ket, norm_sq, support, tensor
+from .state import BasisState, Superposition, ket, norm_sq, tensor
 
 
 # ---------------------------------------------------------------------------
@@ -65,76 +66,146 @@ class WrongRootShape(Exception):
 # ---------------------------------------------------------------------------
 
 class Distribution:
-    """Exact Born distribution: positive probabilities summing to exactly 1."""
+    """Exact Born distribution: positive probabilities summing to exactly 1.
 
-    __slots__ = ("_probs",)
+    It is kept as a `Superposition` keeps its amplitudes: a register `width`
+    and `weights`, a dict from basis index to probability in ascending
+    order, read-only like the whole value.  Every outcome has the one width,
+    and the outcomes that `distribution` finds with the same |amplitude|^2
+    share one `ExactReal`.  `BasisState`s are built only where the API hands
+    them out: `items`, `outcomes`, and the draw of `sample_outcome`.
+    """
+
+    __slots__ = ("width", "weights")
 
     def __init__(self, probs: Mapping[BasisState, ExactReal]) -> None:
-        self._probs = _positive({basis: probs[basis] for basis in sorted(probs)})
+        widths = sorted({basis.width for basis in probs})
+        if len(widths) > 1:
+            raise ValueError(f"outcomes must have one width, got widths {widths}")
+        self.width = widths[0] if widths else 0
+        self.weights = _positive(
+            self.width, {basis.index: probs[basis] for basis in sorted(probs)}
+        )
         total = REAL_ZERO
-        for p in self._probs.values():
+        for p in self.weights.values():
             total = total + p
         if total != REAL_ONE:
             raise ValueError(f"probabilities sum to {total}, expected 1")
 
     @classmethod
-    def _of(cls, probs: dict[BasisState, ExactReal]) -> Distribution:
-        """The distribution of probabilities already in order whose sum the
-        caller has checked to be 1."""
+    def _of(cls, width: int, weights: dict[int, ExactReal]) -> Distribution:
+        """The distribution of weights by basis index, in ascending order,
+        whose signs and sum the caller has checked."""
         dist = object.__new__(cls)
-        dist._probs = _positive(probs)
+        dist.width = width
+        dist.weights = weights
         return dist
 
     def items(self) -> Iterator[tuple[BasisState, ExactReal]]:
-        return iter(self._probs.items())
+        width = self.width
+        return ((BasisState.of(b, width), p) for b, p in self.weights.items())
 
     def outcomes(self) -> list[BasisState]:
-        return list(self._probs)
+        width = self.width
+        return [BasisState.of(b, width) for b in self.weights]
 
     def __getitem__(self, basis: BasisState) -> ExactReal:
-        return self._probs[basis]
+        if basis not in self:
+            raise KeyError(basis)
+        return self.weights[basis.index]
 
     def __contains__(self, basis: BasisState) -> bool:
-        return basis in self._probs
+        return basis.width == self.width and basis.index in self.weights
 
     def __len__(self) -> int:
-        return len(self._probs)
+        return len(self.weights)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Distribution):
-            return self._probs == other._probs
+            return self.width == other.width and self.weights == other.weights
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(tuple(self._probs.items()))
+        return hash((self.width, tuple(self.weights.items())))
 
-    def render(self) -> str:
-        return " + ".join(f"({p.text()}){basis}" for basis, p in self._probs.items())
+    def render(self, texts: dict | None = None) -> str:
+        weights, kets = self.formatted(ExactReal.text, "|%s>", texts)
+        return " + ".join(map("(%s)%s".__mod__, zip(weights, kets)))
 
-    def latex(self) -> str:
-        return " + ".join(
-            p.latex() + r"\ket{%s}" % basis.bits for basis, p in self._probs.items()
-        )
+    def latex(self, texts: dict | None = None) -> str:
+        weights, kets = self.formatted(ExactReal.latex, r"\ket{%s}", texts)
+        return " + ".join(map(str.__add__, weights, kets))
+
+    def formatted(
+        self, weight: Callable[[ExactReal], str], ket: str, texts: dict | None = None
+    ) -> tuple[list[str], list[str]]:
+        """The weight texts and the ket texts of the outcomes, in order.
+
+        texts is the memo of one rendering pass in one format, shared with
+        `Superposition.render` or `latex`: the kets come from its width ->
+        index memo, and each weight's text is kept under its (p, q, k),
+        which no amplitude or width key equals.  So a pass formats each
+        distinct weight and ket once, and a weight that outcomes share is
+        looked up once per call.
+        """
+        if texts is None:
+            texts = {}
+        kets = texts.get(self.width)
+        if kets is None:
+            kets = texts[self.width] = {}
+        new = list(filterfalse(kets.__contains__, self.weights))
+        bits = map(format, new, repeat(f"0{self.width}b"))
+        kets.update(zip(new, map(ket.__mod__, bits)))
+        ids = list(map(id, self.weights.values()))
+        shared = dict(zip(ids, self.weights.values()))  # each weight once
+        for i, p in shared.items():
+            key = (p.p, p.q, p.k)
+            text = texts.get(key)
+            if text is None:
+                text = texts[key] = weight(p)
+            shared[i] = text
+        return list(map(shared.__getitem__, ids)), list(map(kets.__getitem__, self.weights))
 
     def __repr__(self) -> str:
         return f"Distribution({self.render()})"
 
 
-def _positive(probs: dict[BasisState, ExactReal]) -> dict[BasisState, ExactReal]:
-    """probs, once each is checked to be positive."""
-    for basis, p in probs.items():
+def _positive(
+    width: int, weights: dict[int, ExactReal], distinct: Iterable[ExactReal] | None = None
+) -> dict[int, ExactReal]:
+    """weights, once each is checked to be positive; distinct, when given,
+    holds each weight among them once, so each sign is tested once."""
+    for p in weights.values() if distinct is None else distinct:
         if p.sign() <= 0:
-            raise ValueError(f"probability of {basis} must be positive, got {p}")
-    return probs
+            b = next(b for b, q in weights.items() if q is p)
+            raise ValueError(
+                f"probability of {BasisState.of(b, width)} must be positive, got {p}"
+            )
+    return weights
 
 
 def distribution(s: Superposition) -> Distribution:
-    """Born distribution of a normalized state: P(x) = |amplitude(x)|^2."""
+    """Born distribution of a normalized state: P(x) = |amplitude(x)|^2.
+
+    The amplitudes with one `_mod_sq` triple share one `ExactReal`, whose
+    sign is tested once: a wide state has far fewer distinct weights than
+    terms (all 2^n outcomes of a brickwork circuit have one).
+    """
     n = norm_sq(s)
     if n != REAL_ONE:
         raise UnnormalizedState(f"state has norm squared {n.text()}, expected 1")
+    packed = s.packed
+    shared: dict[tuple[int, int, int], ExactReal] = {}
+    by_amp = {}
+    for amp in set(packed.values()):
+        key = _mod_sq(amp)
+        p = shared.get(key)
+        if p is None:
+            p = shared[key] = ExactReal(*key)
+        by_amp[amp] = p
+    weights = dict(zip(packed, map(by_amp.__getitem__, packed.values())))
     # The weights are in order and their sum is the norm just checked.
-    return Distribution._of(born_weights(s))
+    return Distribution._of(s.width, _positive(s.width, weights, shared.values()))
 
 
 def _require_normalized(state: Superposition) -> None:
@@ -166,7 +237,12 @@ class BornAnnotated:
 
     def __post_init__(self) -> None:
         _require_normalized(self.state)
-        if self.dist.outcomes() != support(self.state):
+        # Both dicts are in ascending order, so equal key sets are equal
+        # key sequences.
+        if (
+            self.dist.width != self.state.width
+            or self.dist.weights.keys() != self.state.packed.keys()
+        ):
             raise ValueError("distribution keys must equal the state's support")
 
 
@@ -199,7 +275,7 @@ def sequent_text(seq: Sequent, texts: dict | None = None) -> str:
     if isinstance(seq, Coherent):
         return f"{state} =>"
     if isinstance(seq, BornAnnotated):
-        return f"{state} => {seq.dist.render()}"
+        return f"{state} => {seq.dist.render(texts)}"
     return f"{state} |-[{seq.prob.text()}] {seq.outcome}"
 
 
@@ -565,12 +641,21 @@ def sample_outcome(dist: Distribution, seed: int) -> tuple[BasisState, ExactReal
     2^64 - 1 draw alike.  One SplitMix64 output z from it is read as the dyadic
     u = z / 2^64 in [0, 1), and the CDF over lexicographically ordered
     outcomes is inverted exactly: the first outcome whose cumulative
-    probability exceeds u is drawn, decided by an exact sign test.
+    probability exceeds u is drawn, decided by an exact sign test.  The
+    walk keeps the CDF as integers (p + q*sqrt2) over 2^k, with u over the
+    same 2^k, and raises k when a weight needs it.
     """
-    u = ExactReal(_splitmix64(seed & _MASK64), 0, 64)
-    acc = REAL_ZERO
-    for basis, p in dist.items():
-        acc = acc + p
-        if (acc - u).sign() > 0:
-            return basis, p
+    u, k = _splitmix64(seed & _MASK64), 64
+    acc_p = acc_q = 0
+    for b, weight in dist.weights.items():
+        p, q, wk = weight.p, weight.q, weight.k
+        if wk > k:
+            u <<= wk - k
+            acc_p <<= wk - k
+            acc_q <<= wk - k
+            k = wk
+        acc_p += p << (k - wk)
+        acc_q += q << (k - wk)
+        if _sign(acc_p - u, acc_q) > 0:
+            return BasisState.of(b, dist.width), weight
     raise AssertionError("probabilities sum to 1 and u < 1")

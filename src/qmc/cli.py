@@ -133,9 +133,24 @@ def _distribution_of(path: str) -> calculus.Distribution:
     )
 
 
+# An unbuffered stdout (`python -u`, PYTHONUNBUFFERED) drops what a pipe did
+# not take of a write when its reader goes away, and raises nothing; only the
+# next write fails.  So `dist` writes its lines in blocks of this many, not
+# all at once, and a reader that leaves early still ends the command.
+_LINES_PER_WRITE = 1024
+
+
+def _dist_weight(p: calculus.ExactReal) -> str:
+    return f"{p.text()} {p.to_float()}"
+
+
 def cmd_dist(args: argparse.Namespace) -> int:
-    for basis, p in _distribution_of(args.path).items():
-        print(f"{basis} {p.text()} {p.to_float()}")
+    # One `|bits> text float` line per outcome; each distinct weight is
+    # formatted once.
+    weights, kets = _distribution_of(args.path).formatted(_dist_weight, "|%s>")
+    lines = list(map("%s %s\n".__mod__, zip(kets, weights)))
+    for i in range(0, len(lines), _LINES_PER_WRITE):
+        sys.stdout.write("".join(lines[i : i + _LINES_PER_WRITE]))
     return 0
 
 

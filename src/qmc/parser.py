@@ -387,7 +387,7 @@ def _latex_sequent(seq: calculus.Sequent, texts: dict) -> str:
     if isinstance(seq, calculus.Coherent):
         return state + r" \Rightarrow"
     if isinstance(seq, calculus.BornAnnotated):
-        return state + r" \Rightarrow " + seq.dist.latex()
+        return state + r" \Rightarrow " + seq.dist.latex(texts)
     return state + r" \vdash_{%s} \ket{%s}" % (seq.prob.latex(), seq.outcome.bits)
 
 

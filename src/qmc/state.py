@@ -12,7 +12,9 @@ interference eliminates terms.  Gates that cannot make two terms meet
 
 `BasisState` and `Amplitude` are the values the API shows: `terms()`,
 `amplitude()` and the constructor take or give them, and the engine builds
-them only there.
+them only there.  A Born distribution (`calculus.Distribution`) keeps the
+same basis index keys, with one shared exact weight per distinct
+|amplitude|^2, and renders its kets from the same memo.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from .amplitude import (
     Packed,
     _add,
     _latex,
-    _mod_sq,
     _mul,
     _poly_text,
 )
@@ -250,14 +251,6 @@ def norm_sq(s: Superposition) -> ExactReal:
                 k_max = k
         s._norm = ExactReal(p_total, q_total, k_max)
     return s._norm
-
-
-def born_weights(s: Superposition) -> dict[BasisState, ExactReal]:
-    """|amplitude|^2 per basis state, in order."""
-    width = s.width
-    return {
-        BasisState.of(b, width): ExactReal(*_mod_sq(amp)) for b, amp in s.packed.items()
-    }
 
 
 def support(s: Superposition) -> list[BasisState]:

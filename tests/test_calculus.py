@@ -5,9 +5,9 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
-from qmc.amplitude import Amplitude, CycloInt, ExactReal, REAL_ONE
+from qmc.amplitude import Amplitude, CycloInt, ExactReal, REAL_ONE, REAL_ZERO, _mod_sq
 from qmc.calculus import (
     Ax,
     BornAnnotated,
@@ -37,7 +37,7 @@ from qmc.calculus import (
     sequent_text,
     verdict,
 )
-from qmc.gates import GateApplication, builtin
+from qmc.gates import GateApplication, apply, builtin
 from qmc.oracle import run_circuit
 from qmc.parser import elaborate_bindings, parse_proof
 from qmc.state import BasisState, Superposition, combine, ket
@@ -174,6 +174,68 @@ def test_distribution_type_rejects_bad_totals():
         Distribution({BasisState("0"): HALF})
     with pytest.raises(ValueError, match="positive"):
         Distribution({BasisState("0"): ExactReal(0), BasisState("1"): REAL_ONE})
+
+
+def test_distribution_type_rejects_mixed_widths():
+    with pytest.raises(ValueError, match="one width"):
+        Distribution({BasisState("0"): HALF, BasisState("00"): HALF})
+
+
+def test_distribution_keys_are_basis_indices_of_one_width():
+    dist = distribution(bell_state())
+    assert dist.width == 2
+    assert dist.weights == {0: HALF, 3: HALF}
+    assert dist.outcomes() == [BasisState("00"), BasisState("11")]
+    assert list(dist.items()) == [(BasisState("00"), HALF), (BasisState("11"), HALF)]
+    assert BasisState("11") in dist
+    # Index 1 is |01> at width 2, but |1> and |001> are other outcomes.
+    for other in (BasisState("01"), BasisState("1"), BasisState("011")):
+        assert other not in dist
+        with pytest.raises(KeyError):
+            dist[other]
+    built = Distribution({BasisState("11"): HALF, BasisState("00"): HALF})
+    assert built == dist and hash(built) == hash(dist)
+    assert built.weights == dist.weights and list(built.weights) == [0, 3]
+    assert built != distribution(ket("00")) != Distribution({BasisState("0"): REAL_ONE})
+
+
+def wide_state(width: int = 9) -> Superposition:
+    """H on every wire, then T on every wire: one weight for 2^width outcomes."""
+    state = ket("0" * width)
+    for name in ("H", "T"):
+        for w in range(width):
+            state = apply(GateApplication(builtin(name), (w,)), state)
+    return state
+
+
+def test_outcomes_with_one_born_weight_share_one_exact_real():
+    rng = random.Random(47)
+    states = [wide_state()] + [random_orbit_state(rng, rng.randint(1, 5), 20) for _ in range(25)]
+    for state in states:
+        dist = distribution(state)
+        assert list(dist.weights) == list(state.packed)
+        triples = [_mod_sq(amp) for amp in state.packed.values()]
+        assert list(dist.weights.values()) == [ExactReal(*t) for t in triples]
+        # One object per distinct triple, shared by the terms that have it.
+        by_triple = {}
+        for t, p in zip(triples, dist.weights.values()):
+            assert by_triple.setdefault(t, p) is p
+        assert len({id(p) for p in dist.weights.values()}) == len(by_triple)
+    assert len({id(p) for p in distribution(states[0]).weights.values()}) == 1
+
+
+def test_each_distinct_weight_is_sign_checked_once(monkeypatch):
+    calls = []
+    sign = ExactReal.sign
+
+    def counted(self):
+        calls.append(self)
+        return sign(self)
+
+    monkeypatch.setattr(ExactReal, "sign", counted)
+    dist = distribution(wide_state())
+    assert len(dist) == 512
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -410,3 +472,95 @@ def test_sampling_returns_probability_with_the_outcome():
     dist = distribution(bell_state())
     basis, p = sample_outcome(dist, 3)
     assert dist[basis] == p
+
+
+def _reference_draw(dist, seed):
+    """The CDF walk on `ExactReal` sums that `sample_outcome` replaced, kept
+    as its reference."""
+    u = ExactReal(_splitmix64(seed & (2**64 - 1)), 0, 64)
+    acc = REAL_ZERO
+    for basis, p in dist.items():
+        acc = acc + p
+        if (acc - u).sign() > 0:
+            return basis, p
+    raise AssertionError("probabilities sum to 1 and u < 1")
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rng_seed=st.integers(0, 2**32 - 1),
+    width=st.integers(1, 4),
+    chain=st.integers(0, 200),
+    n_gates=st.integers(0, 20),
+    seeds=st.lists(st.integers(-(2**70), 2**70), min_size=1, max_size=20),
+)
+def test_sampling_draws_as_the_exact_real_walk(rng_seed, width, chain, n_gates, seeds):
+    # An H T chain on wire 0 gives weights with sqrt2 parts over 2^k, k
+    # about chain / 2, so past the 2^64 of the draw from about 130 on;
+    # random gates mix them.
+    rng = random.Random(rng_seed)
+    state = ket("0" * width)
+    for name in "HT" * chain:
+        state = apply(GateApplication(builtin(name), (0,)), state)
+    names = ("X", "Z", "S", "T", "H", "CNOT") if width >= 2 else ("X", "Z", "S", "T", "H")
+    for _ in range(n_gates):
+        gate = builtin(rng.choice(names))
+        wires = tuple(rng.sample(range(width), gate.arity))
+        state = apply(GateApplication(gate, wires), state)
+    dist = distribution(state)
+    for seed in seeds:
+        assert sample_outcome(dist, seed) == _reference_draw(dist, seed)
+
+
+def _unsplitmix64(z: int) -> int:
+    """The seed whose SplitMix64 output is z: each step inverted."""
+    mask = 2**64 - 1
+
+    def unxorshift(x: int, s: int) -> int:
+        y = x
+        for _ in range(64 // s + 1):
+            y = x ^ (y >> s)
+        return y
+
+    z = unxorshift(z, 31)
+    z = z * pow(0x94D049BB133111EB, -1, 2**64) & mask
+    z = unxorshift(z, 27)
+    z = z * pow(0xBF58476D1CE4E5B9, -1, 2**64) & mask
+    z = unxorshift(z, 30)
+    return (z - 0x9E3779B97F4A7C15) & mask
+
+
+def test_a_draw_on_a_cdf_point_takes_the_next_outcome():
+    # u = 1/2 exactly equals P(|00>) of the Bell state, which does not
+    # exceed it, so |11> is drawn; one step below, |00> is.
+    dist = distribution(bell_state())
+    for z, drawn in ((2**63, "11"), (2**63 - 1, "00"), (0, "00"), (2**64 - 1, "11")):
+        seed = _unsplitmix64(z)
+        assert _splitmix64(seed) == z
+        assert sample_outcome(dist, seed) == (BasisState(drawn), HALF)
+        assert _reference_draw(dist, seed) == (BasisState(drawn), HALF)
+
+
+def test_a_born_sequent_formats_each_distinct_weight_once(monkeypatch):
+    calls = {"text": 0, "str": 0}
+    text, to_str = ExactReal.text, BasisState.__str__
+
+    def counted_text(self):
+        calls["text"] += 1
+        return text(self)
+
+    def counted_str(self):
+        calls["str"] += 1
+        return to_str(self)
+
+    state = wide_state()
+    seq = BornAnnotated(state, distribution(state))
+    expected = sequent_text(seq)
+    monkeypatch.setattr(ExactReal, "text", counted_text)
+    monkeypatch.setattr(BasisState, "__str__", counted_str)
+    texts: dict = {}
+    assert sequent_text(seq, texts) == expected
+    assert calls == {"text": 1, "str": 0}
+    assert sequent_text(seq, texts) == expected  # the pass's memo has it
+    assert calls == {"text": 1, "str": 0}
+    assert expected.endswith(" + (1/512)|111111111>")

@@ -8,6 +8,9 @@ string-keyed engine that preceded the packed one, so any change to the
 engine must reproduce its answers term for term and in the same order.
 `final_states_wide.sha256` pins brickwork n = 9..12 the same way, taken
 from the dict engine before `final_state` had a dense one; these go dense.
+`dist_wide.sha256` pins the whole stdout of `qmc dist` on the sweep and on
+brickwork n = 9..12, taken before `Distribution` kept its weights by basis
+index: states that go dense and whose outcomes share a weight.
 
 A hypothesis property also compares `gates.apply` with the textbook column
 sum written here with `Amplitude` arithmetic and `BasisState` bits, on the
@@ -17,7 +20,9 @@ no w^j / sqrt2^e form, and single-entry columns that may share a row.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import random
 
 from hypothesis import assume, given, settings, strategies as st
@@ -25,12 +30,15 @@ from hypothesis import assume, given, settings, strategies as st
 from conftest import GOLDEN, random_orbit_state
 from qmc import dense
 from qmc.amplitude import AMP_ZERO, INV_SQRT2, Amplitude, CycloInt
+from qmc.cli import main
 from qmc.gates import BUILTIN_NAMES, Gate, GateApplication, apply, builtin
+from qmc.parser import render_circuit
 from qmc.state import BasisState, Superposition
 from qmc.translate import Circuit, final_state, random_circuit
 
 DIGESTS = GOLDEN / "expected" / "final_states.sha256"
 WIDE_DIGESTS = GOLDEN / "expected" / "final_states_wide.sha256"
+DIST_DIGESTS = GOLDEN / "expected" / "dist_wide.sha256"
 
 
 def brickwork(n: int) -> Circuit:
@@ -79,6 +87,29 @@ def test_wide_final_states_match_the_pinned_digests(monkeypatch):
     actual = [digest_line(f"brickwork/{n}", brickwork(n)) for n in range(9, 13)]
     assert actual == WIDE_DIGESTS.read_text(encoding="ascii").splitlines()
     assert runs == [9, 10, 11, 12]  # each went dense
+
+
+def dist_digest_lines(directory) -> list[str]:
+    """`name sha256` of `qmc dist` stdout for the sweep circuits, then
+    brickwork n = 9..12, each written to a .qc file in directory."""
+    circuits = pinned_circuits()
+    circuits = {name: c for name, c in circuits.items() if name.startswith("sweep/")}
+    circuits.update({f"brickwork/{n}": brickwork(n) for n in range(9, 13)})
+    lines = []
+    for name, c in circuits.items():
+        path = directory / (name.replace("/", "_") + ".qc")
+        path.write_text(render_circuit(c), encoding="ascii")
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["dist", str(path)]) == 0
+        lines.append(f"{name} {hashlib.sha256(out.getvalue().encode()).hexdigest()}")
+    return lines
+
+
+def test_dist_stdout_matches_the_pinned_digests(tmp_path):
+    expected = DIST_DIGESTS.read_text(encoding="ascii").splitlines()
+    assert len(expected) == 204
+    assert dist_digest_lines(tmp_path) == expected
 
 
 def test_the_shared_sweep_matches_the_pinned_digests():

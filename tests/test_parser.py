@@ -645,6 +645,45 @@ def _assert_a_shared_memo_renders_as_alone(text):
         assert sequent_text(seq, ascii_texts) == alone
 
 
+def _assert_a_shared_memo_renders_distributions_as_alone(text):
+    """Every Born annotation renders through the pass's memo, filled by the
+    states before it as in a rendering pass, as term by term."""
+    ascii_texts: dict = {}
+    latex_texts: dict = {}
+    born = 0
+    for node, _, entering in walk(elaborate(parse_proof(text))):
+        if entering:
+            continue
+        seq = node.conclusion
+        seq.state.render(ascii_texts)
+        seq.state.latex(latex_texts)
+        if not isinstance(seq, BornAnnotated):
+            continue
+        born += 1
+        dist = seq.dist
+        alone = " + ".join(f"({p.text()}){basis}" for basis, p in dist.items())
+        assert dist.render() == alone
+        assert dist.render(ascii_texts) == alone
+        alone = " + ".join(p.latex() + r"\ket{%s}" % basis.bits for basis, p in dist.items())
+        assert dist.latex() == alone
+        assert dist.latex(latex_texts) == alone
+    return born
+
+
+def test_a_shared_memo_renders_golden_distributions_as_alone():
+    born = sum(
+        _assert_a_shared_memo_renders_distributions_as_alone((GOLDEN / name).read_text())
+        for name in GOLDEN_PROOFS
+    )
+    assert born >= 3
+
+
+@settings(max_examples=60, deadline=None)
+@given(VALID_SCRIPTS)
+def test_a_shared_memo_renders_translated_distributions_as_alone(text):
+    _assert_a_shared_memo_renders_distributions_as_alone(text)
+
+
 @pytest.mark.parametrize("name", GOLDEN_PROOFS)
 def test_a_shared_memo_renders_golden_proofs_as_alone(name):
     _assert_a_shared_memo_renders_as_alone((GOLDEN / name).read_text())
@@ -694,3 +733,25 @@ def test_sequent_text_forms():
     assert sequent_text(born.conclusion) == (
         "(1/sqrt2)|00> + (1/sqrt2)|11> => (1/2)|00> + (1/2)|11>"
     )
+
+
+def test_a_latex_pass_formats_each_distinct_born_weight_once(monkeypatch):
+    # A measured 9-wire circuit with one weight for its 512 outcomes: the
+    # Born node formats it once and the measured node its probability once.
+    from qmc.amplitude import ExactReal
+    from qmc.translate import Circuit
+
+    ops = [GateApplication(builtin(name), (w,)) for name in "HT" for w in range(9)]
+    (proof,) = circuit_to_proof(Circuit(9, tuple(ops), measured=True), "sample", 5)
+    expected = render_proof(proof, "latex")
+    calls = []
+    latex = ExactReal.latex
+
+    def counted(self):
+        calls.append(self)
+        return latex(self)
+
+    monkeypatch.setattr(ExactReal, "latex", counted)
+    assert render_proof(proof, "latex") == expected
+    assert len(calls) == 2
+    assert r"\frac{1}{512}\ket{111111111}" in expected
