@@ -133,11 +133,21 @@ def _distribution_of(path: str) -> calculus.Distribution:
     )
 
 
-# An unbuffered stdout (`python -u`, PYTHONUNBUFFERED) drops what a pipe did
-# not take of a write when its reader goes away, and raises nothing; only the
-# next write fails.  So `dist` writes its lines in blocks of this many, not
-# all at once, and a reader that leaves early still ends the command.
-_LINES_PER_WRITE = 1024
+# A buffered stdout writes all it is given or raises.  An unbuffered one
+# (`python -u`, PYTHONUNBUFFERED) drops what a pipe did not take of a write
+# when its reader goes away, and raises nothing; only the next write fails.
+# So `_emit` writes to it in pieces of PIPE_BUF characters (on Linux), which
+# a pipe takes whole or fails, since the output is ASCII.
+_WRITE_CHARS = 4096
+
+
+def _emit(text: str) -> None:
+    write = sys.stdout.write
+    if not getattr(sys.stdout, "write_through", False):
+        write(text)
+        return
+    for i in range(0, len(text), _WRITE_CHARS):
+        write(text[i : i + _WRITE_CHARS])
 
 
 def _dist_weight(p: calculus.ExactReal) -> str:
@@ -148,9 +158,7 @@ def cmd_dist(args: argparse.Namespace) -> int:
     # One `|bits> text float` line per outcome; each distinct weight is
     # formatted once.
     weights, kets = _distribution_of(args.path).formatted(_dist_weight, "|%s>")
-    lines = list(map("%s %s\n".__mod__, zip(kets, weights)))
-    for i in range(0, len(lines), _LINES_PER_WRITE):
-        sys.stdout.write("".join(lines[i : i + _LINES_PER_WRITE]))
+    _emit("".join(map("%s %s\n".__mod__, zip(kets, weights))))
     return 0
 
 
@@ -172,7 +180,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             )
         outcome, _ = sample_outcome(root.dist, seed)
         proof = calculus.ProofNode.derive(Measure(outcome), (base,))
-    sys.stdout.write(frontend.render_proof(proof, "ascii"))
+    _emit(frontend.render_proof(proof, "ascii"))
     conclusion = proof.conclusion
     assert isinstance(conclusion, Measured)
     print(f"outcome {conclusion.outcome} p={conclusion.prob.text()}")
@@ -232,7 +240,7 @@ def cmd_render(args: argparse.Namespace) -> int:
     if _kind(args.path) != ".qmc":
         raise _UsageError("render expects a .qmc proof script")
     proof = elaborate(parse_proof(_read(args.path)))
-    sys.stdout.write(frontend.render_proof(proof, args.format))
+    _emit(frontend.render_proof(proof, args.format))
     return 0
 
 

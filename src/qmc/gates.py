@@ -14,7 +14,9 @@ every nonzero entry of the column, the amplitude times the entry with the
 row's bits put in their place; a unit-scaled entry rotates the amplitude
 (`_times_unit`) instead of multiplying it.  Those results are merged with
 `combine`, which is where interference between computational paths takes
-effect.
+effect.  Over more than `state.MEMO_TERMS` terms that repeat amplitudes,
+each distinct amplitude is rotated or multiplied once per kernel entry,
+through a memo that lives for the call (see `state`).
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .amplitude import (
     _mul,
     _times_unit,
 )
-from .state import Superposition, combine
+from .state import MEMO_ENTRIES, MEMO_TERMS, Superposition, _memo, combine
 
 Matrix = tuple[tuple[Amplitude, ...], ...]
 
@@ -176,20 +178,45 @@ def apply(app: GateApplication, s: Superposition) -> Superposition:
                 f"wire {w} out of range for width-{width} register"
             )
     mask, table = app.plans.get(width) or _plan(app, width)
+    memo = _memo(s.packed.values()) if len(s.packed) > MEMO_TERMS else None
     if app.gate.permutation:
         out: dict[int, Packed] = {}
         for basis, amp in s.packed.items():
             wires = basis & mask
             row, j = table[wires]
-            out[basis ^ wires | row] = _times_unit(amp, j, 0) if j else amp
+            if j:
+                if memo is None:
+                    amp = _times_unit(amp, j, 0)
+                else:
+                    key = amp, j
+                    rotated = memo.get(key)
+                    if rotated is None:
+                        rotated = memo[key] = _times_unit(amp, j, 0)
+                        if len(memo) > MEMO_ENTRIES:
+                            memo = None
+                    amp = rotated
+            out[basis ^ wires | row] = amp
         return Superposition._of(width, out)
     parts: list[tuple[Packed, int]] = []
     emit = parts.append
     for basis, amp in s.packed.items():
         wires = basis & mask
         rest = basis ^ wires
-        for row, j, e, entry in table[wires]:
-            part = _times_unit(amp, j, e) if entry is None else _mul(amp, entry)
+        if memo is None:
+            for row, j, e, entry in table[wires]:
+                part = _times_unit(amp, j, e) if entry is None else _mul(amp, entry)
+                emit((part, rest | row))
+            continue
+        key = amp, wires
+        products = memo.get(key)
+        if products is None:
+            products = memo[key] = []
+            for row, j, e, entry in table[wires]:
+                part = _times_unit(amp, j, e) if entry is None else _mul(amp, entry)
+                products.append((part, row))
+            if len(memo) > MEMO_ENTRIES:
+                memo = None
+        for part, row in products:
             emit((part, rest | row))
     return combine(parts, width)
 

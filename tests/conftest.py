@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from qmc.calculus import ProofNode
 from qmc.gates import GateApplication, apply, builtin
 from qmc.parser import elaborate, parse_proof, render_circuit, render_script
-from qmc.state import Superposition, ket
+from qmc.state import MEMO_TERMS, Superposition, ket, tensor
 from qmc.translate import Circuit, circuit_to_proof, random_circuit
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -50,6 +50,50 @@ def random_orbit_state(rng: random.Random, width: int, n_gates: int = 12) -> Sup
         gate = builtin(rng.choice(names))
         state = apply(GateApplication(gate, tuple(rng.sample(range(width), gate.arity))), state)
     return state
+
+
+def wide_state(seed: int, kind: str) -> Superposition:
+    """A state of more than `state.MEMO_TERMS` terms, where `gates.apply`,
+    `state.combine` and `state.norm_sq` may keep their per-call memos.
+
+    "repetitive": H on each of 8 or 9 wires, then a few phase, CNOT and H
+    gates; 256-512 terms share a few amplitudes, so the memos serve the whole
+    call.  "distinct": four random 2-qubit chains of 100-400 gates each,
+    whose coefficients grow with depth, tensored together; hardly any
+    amplitude repeats, so the memos are not started.  "mixed": the
+    first half of the basis from a repetitive 8-wire state, the second half
+    from a distinct one, so the memos start and are dropped part way.
+    Either way, H on random wires follows until the support is wide enough.
+    """
+    rng = random.Random(seed)
+    h = builtin("H")
+    if kind == "mixed":
+        low, high = wide_state(seed, "repetitive"), wide_state(seed, "distinct")
+        half = 1 << (high.width - 1)
+        terms = {b: a for b, a in low.packed.items() if b < half}
+        terms.update((b, a) for b, a in high.packed.items() if b >= half)
+        state = Superposition._of(high.width, terms)
+    elif kind == "repetitive":
+        width = rng.choice((8, 9))
+        state = ket("0" * width)
+        for w in range(width):
+            state = apply(GateApplication(h, (w,)), state)
+        for _ in range(rng.randint(0, 6)):
+            gate = builtin(rng.choice(("T", "S", "Z", "CNOT", "H")))
+            state = apply(GateApplication(gate, tuple(rng.sample(range(width), gate.arity))), state)
+    else:
+        state = random_orbit_state(rng, 2, rng.randint(100, 400))
+        while state.width < 8:
+            state = tensor(state, random_orbit_state(rng, 2, rng.randint(100, 400)))
+    while len(state) <= MEMO_TERMS:
+        state = apply(GateApplication(h, (rng.randrange(state.width),)), state)
+    return state
+
+
+# States where the engine's per-call memos may be in use: see `wide_state`.
+WIDE_STATES = st.builds(
+    wide_state, st.integers(0, 2**32 - 1), st.sampled_from(("repetitive", "distinct", "mixed"))
+)
 
 
 def _random_script(seed: int, measured: bool, mode: str, pick: int) -> str:

@@ -675,3 +675,44 @@ def test_a_closed_pipe_ends_quietly_with_exit_1(tmp_path):
     _, err = proc.communicate(timeout=60)
     assert err == b""
     assert proc.returncode == 1
+
+
+@pytest.mark.parametrize("unbuffered", [True, False])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("render", "{script}"),
+        ("render", "{script}", "--format", "latex"),
+        ("run", "{circuit}", "--seed", "1"),
+        ("dist", "{circuit}"),
+    ],
+)
+def test_a_large_output_into_a_closed_pipe_ends_with_exit_1(
+    run_cli, tmp_path, command, unbuffered
+):
+    # Unbuffered, a write that a pipe takes only in part drops the rest and
+    # raises nothing; one ascii line of this proof is 221 KB, so only a
+    # writer that sends bounded pieces meets the closed pipe again.
+    circuit = tmp_path / "wide.qc"
+    circuit.write_text("qubits 12\n" + "".join(f"H {w}\n" for w in range(12)) + "measure\n")
+    code, out, _ = run_cli(
+        "translate", str(circuit), "--to", "proof", "--seed", "1", "--outdir", str(tmp_path)
+    )
+    assert code == 0
+    argv = [a.format(script=out.strip(), circuit=circuit) for a in command]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qmc", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    proc.stdout.read(1)
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert err == b""
+    assert proc.returncode == 1

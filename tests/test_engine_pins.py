@@ -11,23 +11,33 @@ from the dict engine before `final_state` had a dense one; these go dense.
 `dist_wide.sha256` pins the whole stdout of `qmc dist` on the sweep and on
 brickwork n = 9..12, taken before `Distribution` kept its weights by basis
 index: states that go dense and whose outcomes share a weight.
+`proofs_wide.sha256` pins the proof path on wide registers, which never goes
+dense: the stdout of `qmc check`, every node's sequent, for the
+`translate --to proof --seed 1` scripts of measured brickwork n = 8..10 and of
+a fixed random 10-wire circuit, taken before `gates.apply`, `state.combine`
+and `state.norm_sq` kept their per-call memos.  Brickwork states repeat a few
+amplitudes over 256-1024 terms; the random circuit's hardly repeat.
 
 A hypothesis property also compares `gates.apply` with the textbook column
 sum written here with `Amplitude` arithmetic and `BasisState` bits, on the
 built-in gates and on gates outside that set: non-unitary ones, entries with
-no w^j / sqrt2^e form, and single-entry columns that may share a row.
+no w^j / sqrt2^e form, and single-entry columns that may share a row.  Its
+states are small orbit states and, above the memo threshold, wide states
+that repeat a few amplitudes, hardly any, or first the one and then the
+other (`conftest.wide_state`).
 """
 
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import random
 
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import GOLDEN, random_orbit_state
+from conftest import GOLDEN, WIDE_STATES, random_orbit_state
 from qmc import dense
 from qmc.amplitude import AMP_ZERO, INV_SQRT2, Amplitude, CycloInt
 from qmc.cli import main
@@ -39,6 +49,7 @@ from qmc.translate import Circuit, final_state, random_circuit
 DIGESTS = GOLDEN / "expected" / "final_states.sha256"
 WIDE_DIGESTS = GOLDEN / "expected" / "final_states_wide.sha256"
 DIST_DIGESTS = GOLDEN / "expected" / "dist_wide.sha256"
+PROOF_DIGESTS = GOLDEN / "expected" / "proofs_wide.sha256"
 
 
 def brickwork(n: int) -> Circuit:
@@ -110,6 +121,50 @@ def test_dist_stdout_matches_the_pinned_digests(tmp_path):
     expected = DIST_DIGESTS.read_text(encoding="ascii").splitlines()
     assert len(expected) == 204
     assert dist_digest_lines(tmp_path) == expected
+
+
+def random_wide_circuit() -> Circuit:
+    """A fixed, measured random circuit of 300 H, T, S and CNOT gates on 10
+    wires, whose states hold many distinct amplitudes."""
+    rng = random.Random(0x5EED10)
+    ops = []
+    for _ in range(300):
+        gate = builtin(rng.choice(("H", "T", "S", "CNOT")))
+        ops.append(GateApplication(gate, tuple(rng.sample(range(10), gate.arity))))
+    return Circuit(10, tuple(ops), measured=True)
+
+
+def _stdout_of(argv: list[str]) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    return out.getvalue()
+
+
+def proof_digest_lines(directory) -> list[str]:
+    """`name sha256` of `qmc check` stdout on the `translate --to proof
+    --seed 1` script of measured brickwork n = 8..10 and of
+    `random_wide_circuit`."""
+    circuits = {
+        f"brickwork/{n}": dataclasses.replace(brickwork(n), measured=True)
+        for n in range(8, 11)
+    }
+    circuits["random/10"] = random_wide_circuit()
+    lines = []
+    for name, c in circuits.items():
+        path = directory / (name.replace("/", "_") + ".qc")
+        path.write_text(render_circuit(c), encoding="ascii")
+        argv = ["translate", str(path), "--to", "proof", "--seed", "1"]
+        (script,) = _stdout_of(argv + ["--outdir", str(directory)]).split()
+        report = _stdout_of(["check", script])
+        lines.append(f"{name} {hashlib.sha256(report.encode()).hexdigest()}")
+    return lines
+
+
+def test_proof_path_matches_the_pinned_digests(tmp_path):
+    expected = PROOF_DIGESTS.read_text(encoding="ascii").splitlines()
+    assert len(expected) == 4
+    assert proof_digest_lines(tmp_path) == expected
 
 
 def test_the_shared_sweep_matches_the_pinned_digests():
@@ -190,17 +245,25 @@ def custom_gates(draw) -> Gate:
     return Gate("U", arity, matrix)
 
 
-@settings(max_examples=300, deadline=None)
+ORBIT_STATES = st.builds(
+    lambda seed, width, n_gates: random_orbit_state(random.Random(seed), width, n_gates),
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 5),
+    st.integers(0, 14),
+)
+
+
+@settings(max_examples=600, deadline=None)
 @given(
-    seed=st.integers(0, 2**32 - 1),
-    width=st.integers(1, 5),
-    n_gates=st.integers(0, 14),
+    state=st.one_of(ORBIT_STATES, WIDE_STATES),
     gate=st.one_of(st.sampled_from(BUILTIN_NAMES).map(builtin), custom_gates()),
     data=st.data(),
 )
-def test_apply_equals_the_textbook_column_sum(seed, width, n_gates, gate, data):
+def test_apply_equals_the_textbook_column_sum(state, gate, data):
+    # Orbit states of 1-5 wires, and wide states on which `apply` and
+    # `combine` keep their memos, never start them, or drop them part way.
+    width = state.width
     assume(gate.arity <= width)
-    state = random_orbit_state(random.Random(seed), width, n_gates)
     wires = tuple(
         data.draw(st.permutations(range(width)).map(lambda p: p[: gate.arity]))
     )

@@ -4,12 +4,25 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmc.amplitude import AMP_ONE, AMP_ZERO, Amplitude, CycloInt, REAL_ONE, REAL_ZERO
+from qmc.amplitude import (
+    AMP_ONE,
+    AMP_ZERO,
+    PACKED_ZERO,
+    REAL_ONE,
+    REAL_ZERO,
+    Amplitude,
+    CycloInt,
+    ExactReal,
+    _add,
+    _mod_sq,
+    _real_add,
+)
 from qmc.gates import GateApplication, apply, builtin
 from qmc.state import (
+    MEMO_TERMS,
     BasisState,
     Superposition,
     combine,
@@ -19,7 +32,7 @@ from qmc.state import (
     tensor,
 )
 
-from conftest import random_orbit_state
+from conftest import WIDE_STATES, random_orbit_state
 
 HALF = Amplitude(CycloInt(1), 2)
 INV_SQRT2 = Amplitude(CycloInt(1), 1)
@@ -185,9 +198,47 @@ def test_combine_round_trips_canonical_states(s):
     assert combine(parts, s.width) == s
 
 
+def plain_combine(parts: list, width: int) -> Superposition:
+    """`combine` without its memo: each addition made, zeros dropped at the
+    end."""
+    sums: dict = {}
+    for amp, basis in parts:
+        sums[basis] = _add(sums[basis], amp) if basis in sums else amp
+    return Superposition._of(width, {b: a for b, a in sums.items() if a != PACKED_ZERO})
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(raw_amplitudes(), min_size=1, max_size=6), st.integers(0, 2**32 - 1))
+def test_combine_equals_a_plain_loop_on_large_repetitive_parts(pool, seed):
+    # More than MEMO_TERMS parts drawn from a few amplitudes and their
+    # negations, over 64 bases, so sums repeat and cancel on the way; bases
+    # 64..71 get one amplitude and its negation only, and must vanish.
+    rng = random.Random(seed)
+    amps = [a.packed for a in pool] + [(-a).packed for a in pool]
+    size = rng.randint(MEMO_TERMS + 1, 4 * MEMO_TERMS)
+    parts = [(rng.choice(amps), rng.randrange(64)) for _ in range(size)]
+    for basis in range(64, 72):
+        amp = rng.choice(pool)
+        parts.insert(rng.randrange(len(parts) + 1), (amp.packed, basis))
+        parts.insert(rng.randrange(len(parts) + 1), ((-amp).packed, basis))
+    actual = combine(parts, 7)
+    expected = plain_combine(parts, 7)
+    assert list(actual.packed.items()) == list(expected.packed.items())
+    assert not any(basis in actual.packed for basis in range(64, 72))
+
+
 # ---------------------------------------------------------------------------
 # norm_sq / support
 # ---------------------------------------------------------------------------
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(superpositions(), WIDE_STATES))
+def test_norm_sq_equals_the_sum_over_every_term(s):
+    total = (0, 0, 0)
+    for amp in s.packed.values():
+        total = _real_add(total, _mod_sq(amp))
+    assert norm_sq(s) == ExactReal(*total)
+
 
 def test_norm_sq_bell_is_one():
     assert norm_sq(bell()) == REAL_ONE
