@@ -405,6 +405,11 @@ class Measure(RuleApp):
         (prem,) = premises
         if not isinstance(prem, BornAnnotated):
             raise WrongPremiseShape("measurement needs one Born-annotated premise")
+        if self.outcome.width != prem.state.width:
+            raise RuleError(
+                f"outcome {self.outcome} has width {self.outcome.width} but the "
+                f"premise's state has width {prem.state.width}"
+            )
         if self.outcome not in prem.dist:
             raise OutcomeNotInSupport(
                 f"outcome {self.outcome} has amplitude 0; only support "

@@ -11,9 +11,13 @@ not a syntax error.
 Both formats are UTF-8 with `#` comments.  Every parse failure carries a
 1-based line and column into the original text.
 
-A script is scanned by one regular expression, one named alternative per
-token kind, into `(kind, text, line, column)` tuples, and the parser reads
-that list by index.  Each parse builds one `GateApplication` per distinct
+A script is read at regular-expression speed and never positions a token
+it need not: one `findall` over the whole text flags any character that no
+token can hold, and only a flagged text goes through the positioned scan,
+which raises its error.  Otherwise each line, cut at its first `#`, goes
+through one `findall` into plain token strings, which the parser reads by
+index; a binding's line and column, and an error's, are computed when
+needed.  Each parse builds one `GateApplication` per distinct
 gate and wires (in a circuit, per distinct gate line) and shares it between
 the bindings or operations that repeat it; a bad application fails where it
 first occurs.
@@ -22,7 +26,11 @@ first occurs.
 from __future__ import annotations
 
 import re
+import string
+from bisect import bisect_right
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import islice
 
 from . import calculus
 from .calculus import RULES, ProofNode, RuleApp, RuleError, sequent_text, walk
@@ -115,116 +123,162 @@ def is_identifier(text: str) -> bool:
 # Scanner
 # ---------------------------------------------------------------------------
 
-# One alternative per token kind, blank, comment and newline; BADKET is a
+# The token alternatives: identifiers and keywords, wire numbers,
+# punctuation and kets.  A token's first character tells its kind.
+_WORD_RE = re.compile(rf"{_IDENT_RE.pattern}|{_INT_RE.pattern}|[{{}}=;\[\],]|\|[01]+>")
+_IDENT_START = frozenset(string.ascii_letters + "_")
+
+# The positioned scan: a token, blanks, a newline or a comment; BADKET is a
 # `|` that does not start a well-formed ket, and BAD any other character.
 _TOKEN_RE = re.compile(
-    r"(?P<BLANK>[ \t\r]+)"
-    rf"|(?P<IDENT>{_IDENT_RE.pattern})"
-    r"|(?P<PUNCT>[{}=;\[\],])"
+    rf"(?P<TOKEN>{_WORD_RE.pattern})"
+    r"|(?P<BLANK>[ \t\r]+)"
     r"|(?P<NL>\n)"
-    rf"|(?P<INT>{_INT_RE.pattern})"
-    r"|(?P<KET>\|[01]+>)"
     r"|(?P<BADKET>\|[01]*)"
     r"|(?P<COMMENT>#[^\n]*)"
     r"|(?P<BAD>.)",
     re.DOTALL,
 )
 
-# (kind, text, line, column); kind is IDENT, INT, KET, PUNCT or EOF.
-_Token = tuple[str, str, int, int]
+# Matches comments and kets as "" and, as itself, each character outside
+# them that the positioned scan rejects: one that no token, blank or
+# newline can hold, or a `|` that starts no well-formed ket.  Every match
+# starts at a character outside the tokens' alphabet, so the engine skips
+# the runs of plain characters between them at C speed; a `#` goes on to
+# take its comment, a `|` its ket, and any other character captures itself.
+_REJECT_RE = re.compile(
+    r"[^A-Za-z0-9_{}=;\[\],\t\r\n ](?:(?<=#)[^\n]*|(?<=\|)[01]+>|(?<=(.)))",
+    re.DOTALL,
+)
 
 
-def _scan(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    append = tokens.append
+def _rejects(text: str) -> bool:
+    """Whether the positioned scan of the text raises."""
+    return any(_REJECT_RE.findall(text))
+
+
+def _scan(text: str) -> Iterator[tuple[str, int, int]]:
+    """Each token's text, line and column, then the end of input's (text
+    ""); a character no token can hold raises its positioned error."""
     line, start = 1, 0  # start: the offset where the current line begins
     m = None
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        if kind == "BLANK" or kind == "COMMENT":
-            continue
-        if kind == "NL":
+        if kind == "TOKEN":
+            yield m[0], line, m.start() - start + 1
+        elif kind == "NL":
             line += 1
             start = m.end()
-            continue
-        col = m.start() - start + 1
-        if kind == "BADKET":
+        elif kind == "BADKET":
             i, j = m.span()
             bad = text[i : j + 1]  # with the character that stopped the digits
+            col = i - start + 1
             if j == len(text) and j > i + 1:
                 raise SourceError(line, col, "unterminated ket", bad)
             raise SourceError(line, col, "ket digits must be 0 or 1", bad)
-        if kind == "BAD":
-            raise SourceError(line, col, "unexpected character", m[0])
-        append((kind, m[0], line, col))
+        elif kind == "BAD":
+            raise SourceError(line, m.start() - start + 1, "unexpected character", m[0])
     # End of input; a final comment leaves the column at its '#'.
     if m is not None and m.lastgroup == "COMMENT":
         end = m.start()
     else:
         end = len(text)
-    append(("EOF", "", line, end - start + 1))
-    return tokens
+    yield "", line, end - start + 1
 
 
 class _ScriptParser:
-    """Reads the scanned tokens by index.
+    """Reads a script's tokens, plain strings, by index.
 
-    Punctuation and keywords are matched by text alone: no other kind of
-    token can carry that text, and the EOF token's text is empty, so no
-    match ever moves past it.
+    The tokens end in an empty one for the end of input.  Punctuation and
+    keywords are matched by text alone: no other kind of token can carry
+    that text, and the end's is empty, so no match ever moves past it.
+    Positions are computed only for what keeps them, a binding or an error.
     """
 
     def __init__(self, text: str) -> None:
-        self.tokens = _scan(text)
+        if _rejects(text):
+            list(_scan(text))  # raises the first character's error
+        self.text = text
+        self.lines = text.split("\n")
+        self.tokens: list[str] = []
+        self.starts: list[int] = []  # the index of each line's first token
+        # The token columns of each line asked about a token past its first.
+        self.columns: dict[int, list[int]] = {}
+        tokens, starts, findall = self.tokens, self.starts, _WORD_RE.findall
+        for code in self.lines:
+            starts.append(len(tokens))
+            if "#" in code:  # a comment: no token holds a '#'
+                code = code[: code.index("#")]
+            tokens += findall(code)
+        tokens.append("")
         self.pos = 0
         # One GateApplication per distinct (gate, wires) in this script.
         self.apps: dict[tuple[str, tuple[int, ...]], GateApplication] = {}
 
-    def fail(self, message: str, tok: _Token | None = None) -> SourceError:
-        _, text, line, col = tok or self.tokens[self.pos]
+    def line(self, i: int) -> int:
+        """The 1-based line of token i."""
+        return bisect_right(self.starts, i)
+
+    def column(self, i: int, line: int) -> int:
+        """The 1-based column of token i, which is not the end of input."""
+        k = i - self.starts[line - 1]
+        code = self.lines[line - 1]
+        if k == 0:
+            return _WORD_RE.search(code).start() + 1
+        columns = self.columns.get(line)
+        if columns is None:
+            columns = self.columns[line] = [m.start() + 1 for m in _WORD_RE.finditer(code)]
+        return columns[k]
+
+    def position(self, i: int) -> tuple[str, int, int]:
+        """Token i's text, line and column, from the positioned scan."""
+        return next(islice(_scan(self.text), i, None))
+
+    def fail(self, message: str, i: int | None = None) -> SourceError:
+        """The error at token i, by default the next one."""
+        text, line, col = self.position(self.pos if i is None else i)
         return SourceError(line, col, message, text)
 
-    def expect(self, text: str) -> _Token:
-        """The next token, which must be the given punctuation or keyword."""
-        tok = self.tokens[self.pos]
-        if tok[1] != text:
+    def expect(self, text: str) -> None:
+        """Consume the next token, which must be the given punctuation or
+        keyword."""
+        if self.tokens[self.pos] != text:
             raise self.fail(f"expected {text!r}")
         self.pos += 1
-        return tok
 
-    def expect_ident(self, what: str) -> _Token:
+    def expect_ident(self, what: str) -> str:
         tok = self.tokens[self.pos]
-        if tok[0] != "IDENT":
+        if tok[:1] not in _IDENT_START:
             raise self.fail(f"expected {what}")
-        if tok[1] in _KEYWORDS:
-            raise self.fail(f"{tok[1]!r} is a reserved word", tok)
+        if tok in _KEYWORDS:
+            raise self.fail(f"{tok!r} is a reserved word")
         self.pos += 1
         return tok
 
     def parse(self) -> ProofScript:
         self.expect("proof")
-        name = self.expect_ident("a proof name")[1]
+        name = self.expect_ident("a proof name")
         self.expect("{")
         bindings: list[Binding] = []
         bound: set[str] = set()
         consumed: set[str] = set()
         tokens = self.tokens
-        while tokens[self.pos][1] != "}":
-            name_tok = self.expect_ident("a binding name")
-            _, bind, line, col = name_tok
+        while tokens[self.pos] != "}":
+            i = self.pos
+            bind = self.expect_ident("a binding name")
             if bind in bound:
-                raise self.fail(f"identifier {bind!r} is bound twice", name_tok)
+                raise self.fail(f"identifier {bind!r} is bound twice", i)
             self.expect("=")
             rule, premises = self.parse_rule(bound, consumed)
             self.expect(";")
             bound.add(bind)
-            bindings.append(Binding(bind, rule, premises, line, col))
-        close = self.expect("}")
+            line = self.line(i)
+            bindings.append(Binding(bind, rule, premises, line, self.column(i, line)))
+        close = self.pos
+        self.expect("}")
         if not bindings:
-            raise SourceError(
-                close[2], close[3], "a proof needs at least one binding", "}"
-            )
-        if tokens[self.pos][0] != "EOF":
+            raise self.fail("a proof needs at least one binding", close)
+        if tokens[self.pos]:
             raise self.fail("unexpected input after closing '}'")
         # The root, bound last, is the one binding nothing can consume.
         if len(consumed) < len(bindings) - 1:
@@ -243,10 +297,10 @@ class _ScriptParser:
         """A rule keyword and its operands, read as the rule's form says."""
         tokens = self.tokens
         tok = tokens[self.pos]
-        if tok[1] not in _FORMS:
+        if tok not in _FORMS:
             raise self.fail("expected a rule expression")
         self.pos += 1
-        rule, form = _FORMS[tok[1]]
+        rule, form = _FORMS[tok]
         fields: list[object] = []
         premises: list[str] = []
         for word, kind in form:
@@ -254,51 +308,59 @@ class _ScriptParser:
                 self.expect(word)
                 self.expect("=")
             if kind == "premise":
-                tok = self.expect_ident("a premise identifier")
-                premise = tok[1]
+                i = self.pos
+                premise = self.expect_ident("a premise identifier")
                 if premise not in bound:
-                    raise self.fail(f"unbound identifier {premise!r}", tok)
+                    raise self.fail(f"unbound identifier {premise!r}", i)
                 if premise in consumed:
                     raise self.fail(
                         f"identifier {premise!r} already consumed; premises are "
                         "linear resources",
-                        tok,
+                        i,
                     )
                 consumed.add(premise)
                 premises.append(premise)
             elif kind == "ket":
                 tok = tokens[self.pos]
-                if tok[0] != "KET":
+                if tok[:1] != "|":
                     raise self.fail("expected a ket like |01>")
                 self.pos += 1
-                fields.append(BasisState(tok[1][1:-1]))
+                fields.append(BasisState(tok[1:-1]))
             else:
                 fields.append(self.parse_gate())
         return rule(*fields), tuple(premises)
 
     def parse_gate(self) -> GateApplication:
-        gate_tok = self.tokens[self.pos]
-        if gate_tok[1] not in BUILTIN_NAMES:
+        i = self.pos
+        gate = self.tokens[i]
+        if gate not in BUILTIN_NAMES:
             raise self.fail(_UNKNOWN_GATE)
         self.pos += 1
         self.expect("[")
         wires = [self._wire()]
-        while self.tokens[self.pos][1] == ",":
+        while self.tokens[self.pos] == ",":
             self.pos += 1
             wires.append(self._wire())
         self.expect("]")
-        key = (gate_tok[1], tuple(wires))
+        key = (gate, tuple(wires))
         app = self.apps.get(key)
         if app is None:
-            app = self.apps[key] = _gate_application(*key, gate_tok[2], gate_tok[3])
+            try:
+                app = self.apps[key] = GateApplication(builtin(gate), key[1])
+            except ValueError as err:  # wrong arity, a repeated wire
+                raise self.fail(str(err), i) from None
         return app
 
     def _wire(self) -> int:
         tok = self.tokens[self.pos]
-        if tok[0] != "INT":
+        if not tok[:1].isdigit():
             raise self.fail("expected a wire index")
+        try:
+            wire = int(tok)
+        except ValueError:  # too long for int(): `_number` raises the error
+            return _number(*self.position(self.pos))
         self.pos += 1
-        return _number(tok[1], tok[2], tok[3])
+        return wire
 
 
 def parse_proof(text: str) -> ProofScript:

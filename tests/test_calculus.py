@@ -22,6 +22,7 @@ from qmc.calculus import (
     Prep,
     PrepOutcomeMismatch,
     ProofNode,
+    RuleError,
     Tensor,
     Unitary,
     UnnormalizedState,
@@ -88,6 +89,17 @@ def test_weaken_is_always_rejected():
 def test_measuring_outside_the_support_fails():
     with pytest.raises(OutcomeNotInSupport):
         apply_rule(Measure(BasisState("01")), [bell_annotated()])
+
+
+def test_measuring_an_outcome_of_another_width_names_both_widths():
+    for outcome in ("1", "101"):
+        with pytest.raises(RuleError) as err:
+            apply_rule(Measure(BasisState(outcome)), [bell_annotated()])
+        assert type(err.value) is RuleError
+        assert str(err.value) == (
+            f"outcome |{outcome}> has width {len(outcome)} but the premise's "
+            "state has width 2"
+        )
 
 
 def test_prep_moves_a_measured_outcome_back_to_the_antecedent():

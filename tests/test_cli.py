@@ -234,6 +234,33 @@ def test_width_over_the_limit_exits_2_with_one_line(run_cli, tmp_path):
     )
 
 
+_TWO_WIRE_BORN = "proof w { a = ax; b = ax; t = tensor a b; h = gate H [0] t; e = born h; "
+
+
+@pytest.mark.parametrize(
+    "measure, verdict",
+    [
+        (
+            "f = measure e outcome=|1>; }",
+            "f: invalid  RuleError: outcome |1> has width 1 but the premise's "
+            "state has width 2",
+        ),
+        (
+            "f = measure e outcome=|01>; }",
+            "f: invalid  OutcomeNotInSupport: outcome |01> has amplitude 0; "
+            "only support components are measurable conclusions",
+        ),
+    ],
+    ids=["other-width", "zero-amplitude"],
+)
+def test_check_names_why_a_measurement_fails(run_cli, tmp_path, measure, verdict):
+    path = tmp_path / "w.qmc"
+    path.write_text(_TWO_WIRE_BORN + measure + "\n")
+    code, out, err = run_cli("check", str(path))
+    assert (code, err) == (1, "")
+    assert out.splitlines()[-2:] == [verdict, "invalid"]
+
+
 def test_check_rejects_circuit_files(run_cli, workdir):
     code, _, err = run_cli("check", str(workdir / "bell.qc"))
     assert code == 2

@@ -1,6 +1,8 @@
 """Front-end tests: grammar, positioned errors, linearity, rendering."""
 
+import hashlib
 import io
+import random
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -32,10 +34,13 @@ from qmc.parser import (
     render_circuit,
     render_proof,
     render_script,
+    _rejects,
+    _scan,
+    _ScriptParser,
 )
 from qmc.gates import GateApplication, builtin
 from qmc.state import BasisState, _coeff_text, ket
-from qmc.translate import circuit_to_proof
+from qmc.translate import circuit_to_proof, random_circuit
 
 from conftest import (
     GOLDEN,
@@ -138,6 +143,7 @@ def test_unterminated_ket():
 
 _GATES = "I, X, Z, S, T, H, CNOT"
 _HUGE_WIRE = "1" * 4301
+_N = 10**5
 
 
 @pytest.mark.parametrize(
@@ -232,6 +238,12 @@ _HUGE_WIRE = "1" * 4301
             "expected a binding name",
             "",
         ),
+        # Long inputs, none of which may take time superlinear in its length.
+        (" " * _N + "$", 1, _N + 1, "unexpected character", "$"),
+        ("|" + "0" * _N, 1, 1, "unterminated ket", "|" + "0" * _N),
+        ("#" + "c" * _N + "\n$", 2, 1, "unexpected character", "$"),
+        ("a " * _N, 1, 1, "expected 'proof'", "a"),
+        ("proof p { " + "a " * _N, 1, 13, "expected '='", "a"),
     ],
     ids=[
         "no-proof-keyword",
@@ -273,6 +285,11 @@ _HUGE_WIRE = "1" * 4301
         "unexpected-character",
         "eof-after-comment",
         "eof-after-newline",
+        "long-blanks-then-dollar",
+        "long-bar-then-zeros",
+        "long-comment",
+        "long-identifiers",
+        "long-bindings",
     ],
 )
 def test_script_errors_are_pinned(text, line, column, message, token):
@@ -326,6 +343,58 @@ def test_repeated_circuit_lines_fail_where_they_first_go_wrong(
         parse_circuit(text)
     got = (err.value.line, err.value.column, err.value.message, err.value.token)
     assert got == (line, column, message, token)
+
+
+# Layouts whose binding positions the scanner must get right: two bindings
+# on a line, a binding over three lines, tabs and a line starting with '\r',
+# CRLF line ends, comments between tokens, a binding after a ket.
+_LAYOUT_SCRIPTS = (
+    "proof p { a = ax; h = gate H [0] a; }",
+    "proof p {\n  a\n  =\n  ax; b = ax; t = tensor\n  a\n  b;\n}\n",
+    "proof\tp\t{\n\ta\t=\tax;\n\th = gate\tH\t[0]\ta;\n\r d = born h; }\n",
+    "proof p {\r\n  a = ax;\r\n  h = gate H [0] a;\r\n  d = born h;\r\n"
+    "  m = measure d outcome=|0>;\r\n}\r\n",
+    "# head\nproof p { # open\n a # name\n = # eq\n ax # rule\n ; # end\n"
+    "b = ax; t = tensor a # first\n b; #\n} # done",
+    "proof p { a = ax; d = born a; m = measure d outcome=|0>;\r\t k = gate H [0] m; }",
+)
+
+
+def _rendered_scripts():
+    for seed in range(40):
+        for measured in (False, True):
+            for mode in ("enumerate", "sample"):
+                circuit = random_circuit(random.Random(seed), measured=measured)
+                for proof in circuit_to_proof(circuit, mode, seed)[:2]:
+                    yield render_script(proof, f"r{seed}")
+
+
+_PARSE_SOURCES = {
+    "golden": lambda: [path.read_text() for path in sorted(GOLDEN.glob("*.qmc"))],
+    "rendered": lambda: list(_rendered_scripts()),
+    "layout": lambda: list(_LAYOUT_SCRIPTS),
+}
+
+
+# Taken from the parser that built (kind, text, line, column) tuples for
+# every token, before the scanner skipped positions on well-formed input.
+@pytest.mark.parametrize(
+    "source, digest",
+    [
+        ("golden", "1441b6f2be95daa8387c70da3b7b38b8df53e49c5144ef955a540305ba198217"),
+        ("rendered", "93710930aac8ff3646f3575b46ceea726f1224a05149ec90df47a195b62e6761"),
+        ("layout", "85898499b9a8c081d631b6820fa9bdce910afb042cbf96118e1518527188a964"),
+    ],
+)
+def test_every_binding_parses_as_pinned(source, digest):
+    rows = []
+    for text in _PARSE_SOURCES[source]():
+        script = parse_proof(text)
+        rows.append(
+            [script.name]
+            + [(b.name, b.rule.label(), b.premises, b.line, b.col) for b in script.bindings]
+        )
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
 
 
 @settings(max_examples=300)
@@ -522,6 +591,58 @@ def test_every_command_ends_in_an_exit_code(text):
             with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
                 code = main([command, str(path), *flags])
             assert code in (0, 1, 2)
+
+
+def _insert(text: str, pieces: list[tuple[int, str]]) -> str:
+    for at, piece in pieces:
+        at %= len(text) + 1
+        text = text[:at] + piece + text[at:]
+    return text
+
+
+# Valid scripts with blanks, comments and newlines put in anywhere, which
+# may also split a token; and short texts over the scripts' own characters.
+_SCANNED_TEXTS = st.one_of(
+    _ANY_TEXT,
+    st.builds(
+        _insert,
+        VALID_SCRIPTS,
+        st.lists(
+            st.tuples(
+                st.integers(0, 10**6),
+                st.sampled_from([" ", "\t", "\r", "\n", "\r\n", "# c\n", "#", "# |0> x\n"]),
+            ),
+            max_size=6,
+        ),
+    ),
+    st.text(alphabet="ab01 \t\r\n#|>{}=;[],$", max_size=60),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_SCANNED_TEXTS)
+def test_the_fast_scan_agrees_with_the_positioned_scan(text):
+    try:
+        positioned = list(_scan(text))
+    except SourceError:
+        assert _rejects(text)
+        return
+    assert not _rejects(text)
+    parser = _ScriptParser(text)
+    fast = [(token, parser.line(i)) for i, token in enumerate(parser.tokens)]
+    assert fast == [(token, line) for token, line, _ in positioned]
+    columns = [parser.column(i, line) for i, (_, line) in enumerate(fast[:-1])]
+    assert columns == [column for _, _, column in positioned[:-1]]
+
+
+def test_many_bindings_on_one_line_keep_their_columns():
+    parts = ["proof p {", "g0 = ax;"]
+    parts += [f"g{k} = gate H [0] g{k - 1};" for k in range(1, 20000)]
+    starts = [1]  # each part's column, the parts joined by single blanks
+    for part in parts[:-1]:
+        starts.append(starts[-1] + len(part) + 1)
+    script = parse_proof(" ".join(parts) + " }")
+    assert [(b.line, b.col) for b in script.bindings] == [(1, c) for c in starts[1:]]
 
 
 def test_repeated_applications_share_one_object():
