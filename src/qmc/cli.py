@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 check or validation failure, 2 usage or parse error.
 Reports go to stdout, errors to stderr.  All commands are deterministic given
-the input bytes, flags, and seed; QMC_SEED provides a default for --seed.
+the input bytes, flags, and seed; QMC_SEED provides `run`'s default seed.
 A seed may be any integer; sampling reduces it modulo 2^64.
 When the reader of stdout goes away first (`qmc dist big.qc | head -1`), the
 command stops quietly with exit 1: no message and no traceback.
@@ -72,18 +72,6 @@ def _kind(path: str) -> str:
     if suffix in (".qmc", ".qc"):
         return suffix
     raise _UsageError(f"unrecognized input extension {suffix!r}; expected .qmc or .qc")
-
-
-def _resolve_seed(args: argparse.Namespace) -> int:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    env = os.environ.get("QMC_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise _UsageError(f"QMC_SEED must be an integer, got {env!r}") from None
-    return 0
 
 
 def _print_report(
@@ -163,7 +151,13 @@ def cmd_dist(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    seed = _resolve_seed(args)
+    seed = args.seed
+    if seed is None:  # `run` is the one command that reads QMC_SEED
+        env = os.environ.get("QMC_SEED", "0")
+        try:
+            seed = int(env)
+        except ValueError:
+            raise _UsageError(f"QMC_SEED must be an integer, got {env!r}") from None
     kind = _kind(args.path)
     text = _read(args.path)
     if kind == ".qc":
@@ -209,10 +203,11 @@ def cmd_translate(args: argparse.Namespace) -> int:
             raise _UsageError("translating to a proof expects a .qc circuit")
         circuit = parse_circuit(text)
         # Deterministic default: emit every measurement branch; only an
-        # explicit --seed samples one.
-        sample = circuit.measured and args.seed is not None
-        mode = "sample" if sample else "enumerate"
-        proofs = translate.circuit_to_proof(circuit, mode, _resolve_seed(args))
+        # explicit --seed samples one, and QMC_SEED is never read.
+        if circuit.measured and args.seed is not None:
+            proofs = translate.circuit_to_proof(circuit, "sample", args.seed)
+        else:
+            proofs = translate.circuit_to_proof(circuit)
         for proof in proofs:
             conclusion = proof.conclusion
             if isinstance(conclusion, Measured):

@@ -17,10 +17,13 @@ token can hold, and only a flagged text goes through the positioned scan,
 which raises its error.  Otherwise each line, cut at its first `#`, goes
 through one `findall` into plain token strings, which the parser reads by
 index; a binding's line and column, and an error's, are computed when
-needed.  Each parse builds one `GateApplication` per distinct
-gate and wires (in a circuit, per distinct gate line) and shares it between
-the bindings or operations that repeat it; a bad application fails where it
-first occurs.
+needed.  A `Binding` and the `ProofScript` that holds them are plain named
+tuples, the cheapest record to build once per binding.  Each parse builds
+one `GateApplication` per distinct gate and wires (in a circuit, per
+distinct gate line) and shares it between the bindings or operations that
+repeat it; a bad application fails where it first occurs.  An error quotes
+a token of more than 15 characters by its first 12 and `...`, so its
+message stays one short line whatever the input.
 """
 
 from __future__ import annotations
@@ -29,8 +32,8 @@ import re
 import string
 from bisect import bisect_right
 from collections.abc import Iterator
-from dataclasses import dataclass
 from itertools import islice
+from typing import NamedTuple
 
 from . import calculus
 from .calculus import RULES, ProofNode, RuleApp, RuleError, sequent_text, walk
@@ -39,10 +42,17 @@ from .state import BasisState
 from .translate import Circuit
 
 
+def _clip(text: str) -> str:
+    """A token as an error quotes it: one longer than 15 characters shows
+    its first 12 and `...`, so every message stays one short line."""
+    return text if len(text) <= 15 else text[:12] + "..."
+
+
 class SourceError(Exception):
     """A parse failure at a specific position in the input text."""
 
     def __init__(self, line: int, column: int, message: str, token: str = "") -> None:
+        token = _clip(token)
         self.line = line
         self.column = column
         self.message = message
@@ -57,8 +67,7 @@ class SourceError(Exception):
 # Proof scripts
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Binding:
+class Binding(NamedTuple):
     """`name = keyword operands;`: a rule and the names of its premises."""
 
     name: str
@@ -68,8 +77,7 @@ class Binding:
     col: int
 
 
-@dataclass(frozen=True)
-class ProofScript:
+class ProofScript(NamedTuple):
     name: str
     bindings: tuple[Binding, ...]
 
@@ -95,9 +103,7 @@ def _number(text: str, line: int, column: int) -> int:
     try:
         return int(text)
     except ValueError:
-        raise SourceError(
-            line, column, f"number too long ({len(text)} digits)", text[:12] + "..."
-        ) from None
+        raise SourceError(line, column, f"number too long ({len(text)} digits)", text) from None
 
 
 _UNKNOWN_GATE = f"unknown gate name; expected one of {', '.join(BUILTIN_NAMES)}"
@@ -267,7 +273,7 @@ class _ScriptParser:
             i = self.pos
             bind = self.expect_ident("a binding name")
             if bind in bound:
-                raise self.fail(f"identifier {bind!r} is bound twice", i)
+                raise self.fail(f"identifier {_clip(bind)!r} is bound twice", i)
             self.expect("=")
             rule, premises = self.parse_rule(bound, consumed)
             self.expect(";")
@@ -286,7 +292,7 @@ class _ScriptParser:
             raise SourceError(
                 unused.line,
                 unused.col,
-                f"binding {unused.name!r} is never consumed",
+                f"binding {_clip(unused.name)!r} is never consumed",
                 unused.name,
             )
         return ProofScript(name, tuple(bindings))
@@ -311,10 +317,10 @@ class _ScriptParser:
                 i = self.pos
                 premise = self.expect_ident("a premise identifier")
                 if premise not in bound:
-                    raise self.fail(f"unbound identifier {premise!r}", i)
+                    raise self.fail(f"unbound identifier {_clip(premise)!r}", i)
                 if premise in consumed:
                     raise self.fail(
-                        f"identifier {premise!r} already consumed; premises are "
+                        f"identifier {_clip(premise)!r} already consumed; premises are "
                         "linear resources",
                         i,
                     )

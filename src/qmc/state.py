@@ -12,14 +12,14 @@ interference eliminates terms.  Gates that cannot make two terms meet
 
 A wide state repeats a few amplitudes over its whole support (a 10-wire
 register after a Hadamard layer: 1024 terms, at most 24 distinct amplitudes).
-So `combine`, `norm_sq` and `gates.apply` each keep a memo for one call,
-from each distinct input to its result, when the call has more than
-`MEMO_TERMS` terms and its first `MEMO_ENTRIES` + 1 amplitudes hold at most
-`MEMO_ENTRIES` // 2 distinct values, and drop it once it holds more than
-`MEMO_ENTRIES` entries.  Packed tuples are canonical and the memoized
-functions pure, so the memo is exact; every term still goes through
-`combine`'s merge and adds into `norm_sq`'s sum, and nothing is cached across
-calls.
+So `combine` and `gates.apply` each keep a memo for one call, from each
+distinct input to its result, when the call has more than `MEMO_TERMS` terms
+and its first `MEMO_ENTRIES` + 1 amplitudes hold at most `MEMO_ENTRIES` // 2
+distinct values, and drop it once it holds more than `MEMO_ENTRIES` entries.
+Packed tuples are canonical and the memoized functions pure, so the memo is
+exact; every term still goes through `combine`'s merge, and nothing is
+cached across calls.  `norm_sq` keeps none: its |amplitude|^2 costs little
+more than the lookup would.
 
 `BasisState` and `Amplitude` are the values the API shows: `terms()`,
 `amplitude()` and the constructor take or give them, and the engine builds
@@ -44,7 +44,6 @@ from .amplitude import (
     Packed,
     _add,
     _latex,
-    _mod_sq,
     _mul,
     _poly_text,
 )
@@ -57,7 +56,11 @@ from .amplitude import (
 # MEMO_TERMS terms, 1.6x; dropped past MEMO_ENTRIES entries, 1.08x; also not
 # started when the first MEMO_ENTRIES + 1 amplitudes are all distinct,
 # 1.03-1.06x; started only when they hold at most MEMO_ENTRIES // 2, 0.95x.
-# Used on every call, a memo made 3-qubit chains 1.34x slower.
+# Used on every call, a memo made 3-qubit chains 1.34x slower.  On the
+# benchmark's `wide` circuits, against a memo in `norm_sq` too, `translate`
+# read 1.04x without that one (within the spread of the runs, so it is
+# gone), 1.06x without the permutation memo of `gates.apply` instead (beyond
+# it), 1.10x without both, and 1.18x without any memo but `combine`'s.
 MEMO_ENTRIES = 64
 MEMO_TERMS = 2 * MEMO_ENTRIES
 
@@ -277,12 +280,7 @@ def combine(parts: list[tuple[Packed, int]], width: int) -> Superposition:
 
 
 def norm_sq(s: Superposition) -> ExactReal:
-    """Sum of |amplitude|^2, computed once per superposition.
-
-    Every term adds into the sum; over more than `MEMO_TERMS` terms that
-    repeat amplitudes, each distinct amplitude's |amplitude|^2 is computed
-    once (see the module docstring).
-    """
+    """Sum of |amplitude|^2, computed once per superposition."""
     if s._norm is None:
         # |num|^2 = p + q*sqrt2 as in `amplitude._mod_sq`, over 2^k; the
         # running sums p_total, q_total stand over 2^k_max.  This inlines
@@ -290,19 +288,9 @@ def norm_sq(s: Superposition) -> ExactReal:
         # its norm: calling them per term took about 700 us against 300 us
         # for a 1024-term norm (Python 3.11, 2-CPU Intel Xeon).
         p_total = q_total = k_max = 0
-        memo = _memo(s.packed.values()) if len(s.packed) > MEMO_TERMS else None
-        for amp in s.packed.values():
-            if memo is None:
-                a0, a1, a2, a3, k = amp
-                p = a0 * a0 + a1 * a1 + a2 * a2 + a3 * a3
-                q = a0 * a1 + a1 * a2 + a2 * a3 - a3 * a0
-            else:
-                pqk = memo.get(amp)
-                if pqk is None:
-                    pqk = memo[amp] = _mod_sq(amp)
-                    if len(memo) > MEMO_ENTRIES:
-                        memo = None
-                p, q, k = pqk
+        for a0, a1, a2, a3, k in s.packed.values():
+            p = a0 * a0 + a1 * a1 + a2 * a2 + a3 * a3
+            q = a0 * a1 + a1 * a2 + a2 * a3 - a3 * a0
             if k == k_max:
                 p_total += p
                 q_total += q

@@ -53,8 +53,8 @@ def random_orbit_state(rng: random.Random, width: int, n_gates: int = 12) -> Sup
 
 
 def wide_state(seed: int, kind: str) -> Superposition:
-    """A state of more than `state.MEMO_TERMS` terms, where `gates.apply`,
-    `state.combine` and `state.norm_sq` may keep their per-call memos.
+    """A state of more than `state.MEMO_TERMS` terms, where `gates.apply`
+    and `state.combine` may keep their per-call memos.
 
     "repetitive": H on each of 8 or 9 wires, then a few phase, CNOT and H
     gates; 256-512 terms share a few amplitudes, so the memos serve the whole

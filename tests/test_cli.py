@@ -221,6 +221,45 @@ def test_oversized_numbers_exit_2_with_one_line(run_cli, tmp_path, command, name
     assert err == f"error: {where}: number too long (4301 digits) (at '111111111111...')\n"
 
 
+_N = 10**5
+
+
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("rule.qmc", "proof p { a = " + "r" * _N + "; }\n"),
+        ("gate.qmc", "proof p { a = ax; g = gate " + "Q" * _N + " [0] a; }\n"),
+        ("ket.qmc", "proof p { a = prep |" + "0" * _N + "\n"),
+        ("premise.qmc", "proof p { a = ax; g = gate H [0] " + "b" * _N + "; }\n"),
+        ("gate.qc", "qubits 1\n" + "Q" * _N + " 0\n"),
+        ("wire.qc", "qubits 1\nH " + "w" * _N + "\n"),
+        ("header.qc", "h" * _N + " 1\nH 0\n"),
+    ],
+    ids=["qmc-rule", "qmc-gate", "qmc-ket", "qmc-premise", "qc-gate", "qc-wire", "qc-header"],
+)
+def test_a_long_token_exits_2_with_one_short_line(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    command = "check" if name.endswith(".qmc") else "dist"
+    proc = subprocess.run(
+        [sys.executable, "-m", "qmc", command, str(path)],
+        capture_output=True,
+        env=_subprocess_env(),
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert proc.stderr.startswith(b"error: line ")
+    assert proc.stderr.count(b"\n") == 1 and proc.stderr.endswith(b"\n")
+    assert len(proc.stderr) < 300
+
+
+def _subprocess_env() -> dict[str, str]:
+    """The environment for `python -m qmc` in a child process, with this
+    checkout's source first on its path."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+
 def test_width_over_the_limit_exits_2_with_one_line(run_cli, tmp_path):
     # Without the limit this header exhausts memory building |0...0>.
     path = tmp_path / "huge.qc"
@@ -489,6 +528,24 @@ def test_translate_enumerate_with_seed_is_a_usage_error(run_cli, workdir, tmp_pa
     assert not any(outdir.iterdir())
 
 
+@pytest.mark.parametrize("name", ["bell.qc", "hh.qc"])
+@pytest.mark.parametrize("flags", [(), ("--enumerate",), ("--seed", "1")])
+def test_translate_to_proof_never_reads_qmc_seed(run_cli, workdir, monkeypatch, name, flags):
+    # QMC_SEED is run's default seed; translate samples only on --seed.
+    written = {}
+    for seed in (None, "pi"):
+        if seed is not None:
+            monkeypatch.setenv("QMC_SEED", seed)
+        outdir = workdir / f"out-{seed}"
+        outdir.mkdir()
+        code, _, err = run_cli(
+            "translate", str(workdir / name), "--to", "proof", *flags, "--outdir", str(outdir)
+        )
+        assert (code, err) == (0, "")
+        written[seed] = {path.name: path.read_text() for path in outdir.iterdir()}
+    assert written["pi"] == written[None]
+
+
 def test_translate_unmeasured_circuit_gives_one_proof(run_cli, workdir):
     code, out, _ = run_cli("translate", str(workdir / "hh.qc"), "--to", "proof")
     assert code == 0
@@ -689,13 +746,11 @@ def test_a_closed_pipe_ends_quietly_with_exit_1(tmp_path):
     # the reader gone cannot be avoided.
     path = tmp_path / "wide.qc"
     path.write_text("qubits 12\n" + "".join(f"H {w}\n" for w in range(12)) + "measure\n")
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.Popen(
         [sys.executable, "-m", "qmc", "dist", str(path)],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        env=env,
+        env=_subprocess_env(),
     )
     proc.stdout.read(1)
     proc.stdout.close()
@@ -727,8 +782,7 @@ def test_a_large_output_into_a_closed_pipe_ends_with_exit_1(
     )
     assert code == 0
     argv = [a.format(script=out.strip(), circuit=circuit) for a in command]
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    env = _subprocess_env()
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"

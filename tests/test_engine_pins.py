@@ -14,9 +14,10 @@ index: states that go dense and whose outcomes share a weight.
 `proofs_wide.sha256` pins the proof path on wide registers, which never goes
 dense: the stdout of `qmc check`, every node's sequent, for the
 `translate --to proof --seed 1` scripts of measured brickwork n = 8..10 and of
-a fixed random 10-wire circuit, taken before `gates.apply`, `state.combine`
-and `state.norm_sq` kept their per-call memos.  Brickwork states repeat a few
-amplitudes over 256-1024 terms; the random circuit's hardly repeat.
+a fixed random 10-wire circuit, taken before the engine kept per-call memos
+(see `state`), so they hold with or without one in each step.  Brickwork
+states repeat a few amplitudes over 256-1024 terms; the random circuit's
+hardly repeat.
 
 A hypothesis property also compares `gates.apply` with the textbook column
 sum written here with `Amplitude` arithmetic and `BasisState` bits, on the

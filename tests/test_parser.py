@@ -240,10 +240,18 @@ _N = 10**5
         ),
         # Long inputs, none of which may take time superlinear in its length.
         (" " * _N + "$", 1, _N + 1, "unexpected character", "$"),
-        ("|" + "0" * _N, 1, 1, "unterminated ket", "|" + "0" * _N),
+        ("|" + "0" * _N, 1, 1, "unterminated ket", "|00000000000..."),
         ("#" + "c" * _N + "\n$", 2, 1, "unexpected character", "$"),
         ("a " * _N, 1, 1, "expected 'proof'", "a"),
         ("proof p { " + "a " * _N, 1, 13, "expected '='", "a"),
+        # A long token is quoted by its first 12 characters, so every error
+        # stays one short line.
+        ("proof p { a = " + "r" * _N + "; }", 1, 15, "expected a rule expression",
+         "rrrrrrrrrrrr..."),
+        ("proof p { a = ax; g = gate " + "Q" * _N + " [0] a; }", 1, 28,
+         f"unknown gate name; expected one of {_GATES}", "QQQQQQQQQQQQ..."),
+        ("proof p { a = ax; g = gate H [0] " + "b" * _N + "; }", 1, 34,
+         "unbound identifier 'bbbbbbbbbbbb...'", "bbbbbbbbbbbb..."),
     ],
     ids=[
         "no-proof-keyword",
@@ -290,6 +298,9 @@ _N = 10**5
         "long-comment",
         "long-identifiers",
         "long-bindings",
+        "long-unknown-rule",
+        "long-unknown-gate",
+        "long-unbound-premise",
     ],
 )
 def test_script_errors_are_pinned(text, line, column, message, token):
@@ -326,6 +337,10 @@ def test_script_errors_are_pinned(text, line, column, message, token):
             "qubit count must be at most 65536",
             "65537",
         ),
+        ("qubits 1\n" + "Q" * _N + " 0\n", 2, 1, f"unknown gate name; expected one of {_GATES}",
+         "QQQQQQQQQQQQ..."),
+        ("qubits 1\nH " + "w" * _N + "\n", 2, 3, "expected a wire index", "wwwwwwwwwwww..."),
+        ("h" * _N + " 1\nH 0\n", 1, 1, "expected a 'qubits N' header", "hhhhhhhhhhhh..."),
     ],
     ids=[
         "duplicate-wires",
@@ -334,6 +349,9 @@ def test_script_errors_are_pinned(text, line, column, message, token):
         "range-after-valid-repeats",
         "wire-not-int-after-leading-zero",
         "width-over-the-limit",
+        "long-gate-name",
+        "long-wire",
+        "long-header",
     ],
 )
 def test_repeated_circuit_lines_fail_where_they_first_go_wrong(
