@@ -27,11 +27,9 @@ from .calculus import (
     UnnormalizedState,
     Weaken,
     WrongPremiseShape,
-    WrongRootShape,
     apply_rule,
     check,
     distribution,
-    enumerate_conclusions,
     sample_outcome,
     sequent_text,
 )
@@ -92,7 +90,6 @@ __all__ = [
     "UnsupportedTranslation",
     "Weaken",
     "WrongPremiseShape",
-    "WrongRootShape",
     "apply",
     "apply_rule",
     "builtin",
@@ -102,7 +99,6 @@ __all__ = [
     "compare",
     "distribution",
     "elaborate",
-    "enumerate_conclusions",
     "final_state",
     "is_unitary",
     "ket",

@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 from .amplitude import ExactReal, REAL_ONE, REAL_ZERO, _mod_sq, _sign
 from .gates import GateApplication, apply
-from .state import BasisState, Superposition, ket, norm_sq, tensor
+from .state import BasisState, Superposition, _clip, ket, norm_sq, tensor
 
 
 # ---------------------------------------------------------------------------
@@ -54,10 +54,6 @@ class NonMonotonicityViolation(RuleError):
 
 
 class UnnormalizedState(RuleError):
-    pass
-
-
-class WrongRootShape(Exception):
     pass
 
 
@@ -407,12 +403,12 @@ class Measure(RuleApp):
             raise WrongPremiseShape("measurement needs one Born-annotated premise")
         if self.outcome.width != prem.state.width:
             raise RuleError(
-                f"outcome {self.outcome} has width {self.outcome.width} but the "
+                f"outcome {_clip(str(self.outcome))} has width {self.outcome.width} but the "
                 f"premise's state has width {prem.state.width}"
             )
         if self.outcome not in prem.dist:
             raise OutcomeNotInSupport(
-                f"outcome {self.outcome} has amplitude 0; only support "
+                f"outcome {_clip(str(self.outcome))} has amplitude 0; only support "
                 "components are measurable conclusions"
             )
         return Measured(prem.state, self.outcome, prem.dist[self.outcome])
@@ -612,17 +608,6 @@ def check(proof: ProofNode) -> CheckReport:
         nodes=tuple(nodes),
         assumptions=tuple(assumptions),
     )
-
-
-def enumerate_conclusions(proof: ProofNode) -> list[tuple[BasisState, ExactReal]]:
-    """All measurement completions of a Born-annotated root, with exact
-    probabilities, in lexicographic outcome order."""
-    root = proof.conclusion
-    if not isinstance(root, BornAnnotated):
-        raise WrongRootShape(
-            "only a proof ending in a Born-annotated sequent enumerates outcomes"
-        )
-    return list(root.dist.items())
 
 
 # ---------------------------------------------------------------------------

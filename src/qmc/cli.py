@@ -39,7 +39,7 @@ from .calculus import (
 )
 from .gates import BUILTIN_NAMES, Gate, builtin, is_unitary
 from .parser import ElaborationError, SourceError, elaborate, parse_circuit, parse_proof
-from .state import ket, support
+from .state import _clip, ket, support
 from .translate import Circuit, UnsupportedTranslation, final_state, random_circuit
 
 
@@ -157,7 +157,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         try:
             seed = int(env)
         except ValueError:
-            raise _UsageError(f"QMC_SEED must be an integer, got {env!r}") from None
+            raise _UsageError(f"QMC_SEED must be an integer, got {_clip(env)!r}") from None
     kind = _kind(args.path)
     text = _read(args.path)
     if kind == ".qc":

@@ -34,7 +34,7 @@ from .amplitude import (
     _mul,
     _times_unit,
 )
-from .state import MEMO_ENTRIES, MEMO_TERMS, Superposition, _memo, combine
+from .state import MEMO_ENTRIES, MEMO_TERMS, Superposition, _clip, _memo, combine
 
 Matrix = tuple[tuple[Amplitude, ...], ...]
 
@@ -174,9 +174,7 @@ def apply(app: GateApplication, s: Superposition) -> Superposition:
     # The only range check a script's `gate H [3]` on a 1-qubit premise meets.
     for w in app.wires:
         if w >= width:
-            raise ValueError(
-                f"wire {w} out of range for width-{width} register"
-            )
+            raise ValueError(f"wire {_clip(str(w))} out of range for width-{width} register")
     mask, table = app.plans.get(width) or _plan(app, width)
     memo = _memo(s.packed.values()) if len(s.packed) > MEMO_TERMS else None
     if app.gate.permutation:

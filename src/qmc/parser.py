@@ -11,19 +11,20 @@ not a syntax error.
 Both formats are UTF-8 with `#` comments.  Every parse failure carries a
 1-based line and column into the original text.
 
-A script is read at regular-expression speed and never positions a token
-it need not: one `findall` over the whole text flags any character that no
-token can hold, and only a flagged text goes through the positioned scan,
-which raises its error.  Otherwise each line, cut at its first `#`, goes
-through one `findall` into plain token strings, which the parser reads by
-index; a binding's line and column, and an error's, are computed when
-needed.  A `Binding` and the `ProofScript` that holds them are plain named
-tuples, the cheapest record to build once per binding.  Each parse builds
-one `GateApplication` per distinct gate and wires (in a circuit, per
-distinct gate line) and shares it between the bindings or operations that
-repeat it; a bad application fails where it first occurs.  An error quotes
-a token of more than 15 characters by its first 12 and `...`, so its
-message stays one short line whatever the input.
+A script has one lexical grammar, `_WORD_RE`, and is read at
+regular-expression speed: each line, cut at its first `#`, goes through one
+`findall` into plain token strings, which the parser reads by index.  The
+text is lexically valid exactly when its tokens, joined, equal its cut lines
+with the blanks removed; only a text that fails that test is searched, line
+by line, for the first character that no token or blank holds, which raises
+its error.  A binding's line and column, and an error's, are computed from
+the tokens when needed.  A `Binding` and the `ProofScript` that holds them
+are plain named tuples, the cheapest record to build once per binding.
+Each parse builds one `GateApplication` per distinct gate and wires (in a
+circuit, per distinct gate line) and shares it between the bindings or
+operations that repeat it; a bad application fails where it first occurs.
+An error quotes a token of more than 15 characters by its first 12 and
+`...`, so its message stays one short line whatever the input.
 """
 
 from __future__ import annotations
@@ -31,21 +32,13 @@ from __future__ import annotations
 import re
 import string
 from bisect import bisect_right
-from collections.abc import Iterator
-from itertools import islice
 from typing import NamedTuple
 
 from . import calculus
 from .calculus import RULES, ProofNode, RuleApp, RuleError, sequent_text, walk
 from .gates import BUILTIN_NAMES, GateApplication, builtin
-from .state import BasisState
+from .state import BasisState, _clip
 from .translate import Circuit
-
-
-def _clip(text: str) -> str:
-    """A token as an error quotes it: one longer than 15 characters shows
-    its first 12 and `...`, so every message stays one short line."""
-    return text if len(text) <= 15 else text[:12] + "..."
 
 
 class SourceError(Exception):
@@ -130,66 +123,13 @@ def is_identifier(text: str) -> bool:
 # ---------------------------------------------------------------------------
 
 # The token alternatives: identifiers and keywords, wire numbers,
-# punctuation and kets.  A token's first character tells its kind.
+# punctuation and kets.  A token's first character tells its kind.  This is
+# the script's one lexical grammar: it reads the tokens, decides whether a
+# text is rejected, and positions a token or an error.
 _WORD_RE = re.compile(rf"{_IDENT_RE.pattern}|{_INT_RE.pattern}|[{{}}=;\[\],]|\|[01]+>")
 _IDENT_START = frozenset(string.ascii_letters + "_")
-
-# The positioned scan: a token, blanks, a newline or a comment; BADKET is a
-# `|` that does not start a well-formed ket, and BAD any other character.
-_TOKEN_RE = re.compile(
-    rf"(?P<TOKEN>{_WORD_RE.pattern})"
-    r"|(?P<BLANK>[ \t\r]+)"
-    r"|(?P<NL>\n)"
-    r"|(?P<BADKET>\|[01]*)"
-    r"|(?P<COMMENT>#[^\n]*)"
-    r"|(?P<BAD>.)",
-    re.DOTALL,
-)
-
-# Matches comments and kets as "" and, as itself, each character outside
-# them that the positioned scan rejects: one that no token, blank or
-# newline can hold, or a `|` that starts no well-formed ket.  Every match
-# starts at a character outside the tokens' alphabet, so the engine skips
-# the runs of plain characters between them at C speed; a `#` goes on to
-# take its comment, a `|` its ket, and any other character captures itself.
-_REJECT_RE = re.compile(
-    r"[^A-Za-z0-9_{}=;\[\],\t\r\n ](?:(?<=#)[^\n]*|(?<=\|)[01]+>|(?<=(.)))",
-    re.DOTALL,
-)
-
-
-def _rejects(text: str) -> bool:
-    """Whether the positioned scan of the text raises."""
-    return any(_REJECT_RE.findall(text))
-
-
-def _scan(text: str) -> Iterator[tuple[str, int, int]]:
-    """Each token's text, line and column, then the end of input's (text
-    ""); a character no token can hold raises its positioned error."""
-    line, start = 1, 0  # start: the offset where the current line begins
-    m = None
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "TOKEN":
-            yield m[0], line, m.start() - start + 1
-        elif kind == "NL":
-            line += 1
-            start = m.end()
-        elif kind == "BADKET":
-            i, j = m.span()
-            bad = text[i : j + 1]  # with the character that stopped the digits
-            col = i - start + 1
-            if j == len(text) and j > i + 1:
-                raise SourceError(line, col, "unterminated ket", bad)
-            raise SourceError(line, col, "ket digits must be 0 or 1", bad)
-        elif kind == "BAD":
-            raise SourceError(line, m.start() - start + 1, "unexpected character", m[0])
-    # End of input; a final comment leaves the column at its '#'.
-    if m is not None and m.lastgroup == "COMMENT":
-        end = m.start()
-    else:
-        end = len(text)
-    yield "", line, end - start + 1
+_BLANKS = " \t\r"
+_NO_BLANKS = str.maketrans("", "", _BLANKS)
 
 
 class _ScriptParser:
@@ -202,33 +142,65 @@ class _ScriptParser:
     """
 
     def __init__(self, text: str) -> None:
-        if _rejects(text):
-            list(_scan(text))  # raises the first character's error
-        self.text = text
         self.lines = text.split("\n")
         self.tokens: list[str] = []
         self.starts: list[int] = []  # the index of each line's first token
         # The token columns of each line asked about a token past its first.
         self.columns: dict[int, list[int]] = {}
+        codes: list[str] = []  # each line cut at its first '#'
         tokens, starts, findall = self.tokens, self.starts, _WORD_RE.findall
         for code in self.lines:
             starts.append(len(tokens))
             if "#" in code:  # a comment: no token holds a '#'
                 code = code[: code.index("#")]
+            codes.append(code)
             tokens += findall(code)
+        # Valid exactly when the tokens hold every character but blanks.
+        if "".join(tokens) != "".join(codes).translate(_NO_BLANKS):
+            raise self.reject(codes)
         tokens.append("")
         self.pos = 0
         # One GateApplication per distinct (gate, wires) in this script.
         self.apps: dict[tuple[str, tuple[int, ...]], GateApplication] = {}
+
+    def reject(self, codes: list[str]) -> SourceError:
+        """The error at the first character of the cut lines that no token
+        or blank holds, looked for in the first line that has one."""
+        tokens, starts = self.tokens, self.starts + [len(self.tokens)]
+        n = next(
+            n
+            for n, code in enumerate(codes)
+            if "".join(tokens[starts[n] : starts[n + 1]]) != code.translate(_NO_BLANKS)
+        )
+        code, at = codes[n], 0
+        for m in _WORD_RE.finditer(code):
+            if code[at : m.start()].strip(_BLANKS):
+                break
+            at = m.end()
+        c = len(code) - len(code[at:].lstrip(_BLANKS))  # that character's offset
+        line = self.lines[n]
+        if line[c] != "|":
+            return SourceError(n + 1, c + 1, "unexpected character", line[c])
+        # A '|' that starts no ket is quoted with its digits and the
+        # character that stopped them, a newline at the end of a line.
+        if n + 1 < len(self.lines):
+            line += "\n"
+        end = len(line) - len(line[c + 1 :].lstrip("01"))
+        if end == len(line) and end > c + 1:  # digits up to the end of input
+            return SourceError(n + 1, c + 1, "unterminated ket", line[c:])
+        return SourceError(n + 1, c + 1, "ket digits must be 0 or 1", line[c : end + 1])
 
     def line(self, i: int) -> int:
         """The 1-based line of token i."""
         return bisect_right(self.starts, i)
 
     def column(self, i: int, line: int) -> int:
-        """The 1-based column of token i, which is not the end of input."""
-        k = i - self.starts[line - 1]
+        """The 1-based column of token i; the end of input's is one past the
+        last line's code."""
         code = self.lines[line - 1]
+        if not self.tokens[i]:
+            return len(code.split("#", 1)[0]) + 1
+        k = i - self.starts[line - 1]
         if k == 0:
             return _WORD_RE.search(code).start() + 1
         columns = self.columns.get(line)
@@ -237,8 +209,9 @@ class _ScriptParser:
         return columns[k]
 
     def position(self, i: int) -> tuple[str, int, int]:
-        """Token i's text, line and column, from the positioned scan."""
-        return next(islice(_scan(self.text), i, None))
+        """Token i's text, line and column."""
+        line = self.line(i)
+        return self.tokens[i], line, self.column(i, line)
 
     def fail(self, message: str, i: int | None = None) -> SourceError:
         """The error at token i, by default the next one."""

@@ -74,6 +74,13 @@ def _memo(amps: Iterable[Packed]) -> dict | None:
     return None if len(set(islice(amps, MEMO_ENTRIES + 1))) > MEMO_ENTRIES // 2 else {}
 
 
+def _clip(text: str) -> str:
+    """An input text as an error message quotes it: one longer than 15
+    characters shows its first 12 and `...`, so every message stays one
+    short line whatever the input."""
+    return text if len(text) <= 15 else text[:12] + "..."
+
+
 @dataclass(frozen=True, order=True)
 class BasisState:
     """An n-bit computational basis state; wire 0 is the leftmost bit."""

@@ -37,7 +37,7 @@ from .calculus import (
     walk,
 )
 from .gates import GateApplication, apply as apply_gate, builtin
-from .state import Superposition, ket
+from .state import Superposition, _clip, ket
 
 
 class UnsupportedTranslation(Exception):
@@ -64,7 +64,7 @@ class Circuit:
     def check_wire(wire: int, width: int) -> None:
         """The range check shared with the circuit parser."""
         if wire >= width:
-            raise ValueError(f"wire {wire} out of range for {width}-qubit circuit")
+            raise ValueError(f"wire {_clip(str(wire))} out of range for {width}-qubit circuit")
 
 
 def final_state(c: Circuit) -> Superposition:

@@ -28,12 +28,10 @@ from qmc.calculus import (
     UnnormalizedState,
     Weaken,
     WrongPremiseShape,
-    WrongRootShape,
     _splitmix64,
     apply_rule,
     check,
     distribution,
-    enumerate_conclusions,
     sample_outcome,
     sequent_text,
     verdict,
@@ -387,29 +385,19 @@ def test_proof_node_arity_is_validated():
 
 
 # ---------------------------------------------------------------------------
-# enumerate_conclusions
+# Distribution.items: every measurement completion, in lexicographic order
 # ---------------------------------------------------------------------------
 
 def test_enumerate_bell_outcomes():
-    state = bell_state()
-    born = ProofNode(
-        BornRule(),
-        (ProofNode(Ax(), (), Coherent(ket("0"))),),  # premise shape unused here
-        BornAnnotated(state, distribution(state)),
-    )
-    assert enumerate_conclusions(born) == [
+    assert list(distribution(bell_state()).items()) == [
         (BasisState("00"), HALF),
         (BasisState("11"), HALF),
     ]
 
 
 def test_enumerate_point_distribution():
-    born = ProofNode(
-        BornRule(),
-        (ProofNode(Ax(), (), apply_rule(Ax(), [])),),
-        apply_rule(BornRule(), [Coherent(ket("0"))]),
-    )
-    assert enumerate_conclusions(born) == [(BasisState("0"), REAL_ONE)]
+    born = apply_rule(BornRule(), [Coherent(ket("0"))])
+    assert list(born.dist.items()) == [(BasisState("0"), REAL_ONE)]
 
 
 def test_enumerate_ghz_matches_the_float_oracle():
@@ -423,22 +411,10 @@ def test_enumerate_ghz_matches_the_float_oracle():
         measured=True,
     )
     oracle_probs = np.abs(run_circuit(Circuit(3, ghz.ops)).vec) ** 2
-    state = final_state(Circuit(3, ghz.ops))
-    born = ProofNode(
-        BornRule(),
-        (ProofNode(Ax(), (), apply_rule(Ax(), [])),),
-        BornAnnotated(state, distribution(state)),
-    )
-    outcomes = enumerate_conclusions(born)
+    outcomes = list(distribution(final_state(Circuit(3, ghz.ops))).items())
     assert [(b.bits, p) for b, p in outcomes] == [("000", HALF), ("111", HALF)]
     for basis, p in outcomes:
         assert abs(p.to_float() - oracle_probs[int(basis.bits, 2)]) < 1e-12
-
-
-def test_enumerate_needs_a_born_annotated_root():
-    leaf = ProofNode(Ax(), (), apply_rule(Ax(), []))
-    with pytest.raises(WrongRootShape):
-        enumerate_conclusions(leaf)
 
 
 # ---------------------------------------------------------------------------

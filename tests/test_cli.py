@@ -253,6 +253,45 @@ def test_a_long_token_exits_2_with_one_short_line(tmp_path, name, text):
     assert len(proc.stderr) < 300
 
 
+_MEASURED = "proof p { a = ax; h = gate H [0] a; d = born h; m = measure d outcome="
+
+
+@pytest.mark.parametrize(
+    "command, name, text, seed, code",
+    [
+        ("dist", "wire.qc", "qubits 1\nH " + "9" * 4000 + "\n", None, 2),
+        ("run", "bell.qc", "qubits 1\nH 0\nmeasure\n", "5" * 5000, 2),
+        ("check", "wire.qmc", "proof p { a = ax; g = gate H [" + "9" * 4000 + "] a; }\n", None, 1),
+        ("check", "outcome.qmc", _MEASURED + "|" + "0" * _N + ">; }\n", None, 1),
+    ],
+    ids=["qc-wire-range", "qmc-seed", "qmc-wire-range", "qmc-outcome-width"],
+)
+def test_a_long_input_quoted_in_a_message_stays_short(tmp_path, command, name, text, seed, code):
+    # A valid number or ket that a message quotes is cut as a token is.
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    env = _subprocess_env()
+    env.pop("QMC_SEED", None)
+    if seed is not None:
+        env["QMC_SEED"] = seed
+    proc = subprocess.run(
+        [sys.executable, "-m", "qmc", command, str(path)],
+        capture_output=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == code
+    if code == 2:
+        assert proc.stdout == b""
+        assert proc.stderr.startswith(b"error: ")
+        assert proc.stderr.count(b"\n") == 1 and proc.stderr.endswith(b"\n")
+        assert len(proc.stderr) < 300
+    else:
+        assert proc.stderr == b""
+        assert b"invalid" in proc.stdout
+        assert max(map(len, proc.stdout.splitlines())) < 300
+
+
 def _subprocess_env() -> dict[str, str]:
     """The environment for `python -m qmc` in a child process, with this
     checkout's source first on its path."""

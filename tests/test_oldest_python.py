@@ -87,7 +87,7 @@ def test_module_patterns_compile_under_the_oldest_python():
         pytest.skip(f"{OLDEST} does not start: {probe.stderr.strip()[:200]}")
     assert probe.stdout.strip() == "(3, 10)"
     patterns = _module_patterns()
-    assert "parser._TOKEN_RE" in {name for name, _, _ in patterns}
+    assert "parser._WORD_RE" in {name for name, _, _ in patterns}
     result = subprocess.run(
         [exe, "-I", "-c", _COMPILE_ALL],
         input=json.dumps(patterns),

@@ -3,6 +3,7 @@
 import hashlib
 import io
 import random
+import re
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -34,8 +35,7 @@ from qmc.parser import (
     render_circuit,
     render_proof,
     render_script,
-    _rejects,
-    _scan,
+    _WORD_RE,
     _ScriptParser,
 )
 from qmc.gates import GateApplication, builtin
@@ -144,6 +144,10 @@ def test_unterminated_ket():
 _GATES = "I, X, Z, S, T, H, CNOT"
 _HUGE_WIRE = "1" * 4301
 _N = 10**5
+# 10^4 valid bindings, one a line, before whatever ends the script.
+_BINDINGS = "proof p {\n  g0 = ax;\n" + "".join(
+    f"  g{k} = gate H [0] g{k - 1};\n" for k in range(1, 10**4)
+)
 
 
 @pytest.mark.parametrize(
@@ -252,6 +256,9 @@ _N = 10**5
          f"unknown gate name; expected one of {_GATES}", "QQQQQQQQQQQQ..."),
         ("proof p { a = ax; g = gate H [0] " + "b" * _N + "; }", 1, 34,
          "unbound identifier 'bbbbbbbbbbbb...'", "bbbbbbbbbbbb..."),
+        # A lexical error after many valid lines is found on its own line.
+        (_BINDINGS + "$", 10**4 + 2, 1, "unexpected character", "$"),
+        (_BINDINGS + "|01", 10**4 + 2, 1, "unterminated ket", "|01"),
     ],
     ids=[
         "no-proof-keyword",
@@ -301,6 +308,8 @@ _N = 10**5
         "long-unknown-rule",
         "long-unknown-gate",
         "long-unbound-premise",
+        "many-bindings-then-dollar",
+        "many-bindings-then-unterminated-ket",
     ],
 )
 def test_script_errors_are_pinned(text, line, column, message, token):
@@ -637,20 +646,67 @@ _SCANNED_TEXTS = st.one_of(
 )
 
 
+# The reference: a positioned scan that walks the whole text, a token,
+# blanks, a newline or a comment at a time; BADKET is a `|` that does not
+# start a well-formed ket, and BAD any other character.
+_TOKEN_RE = re.compile(
+    rf"(?P<TOKEN>{_WORD_RE.pattern})"
+    r"|(?P<BLANK>[ \t\r]+)"
+    r"|(?P<NL>\n)"
+    r"|(?P<BADKET>\|[01]*)"
+    r"|(?P<COMMENT>#[^\n]*)"
+    r"|(?P<BAD>.)",
+    re.DOTALL,
+)
+
+
+def _scan(text: str) -> list[tuple[str, int, int]]:
+    """Each token's text, line and column, then the end of input's (text
+    ""); a character no token can hold raises its positioned error."""
+    scanned = []
+    line, start = 1, 0  # start: the offset where the current line begins
+    m = None
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "TOKEN":
+            scanned.append((m[0], line, m.start() - start + 1))
+        elif kind == "NL":
+            line += 1
+            start = m.end()
+        elif kind == "BADKET":
+            i, j = m.span()
+            bad = text[i : j + 1]  # with the character that stopped the digits
+            col = i - start + 1
+            if j == len(text) and j > i + 1:
+                raise SourceError(line, col, "unterminated ket", bad)
+            raise SourceError(line, col, "ket digits must be 0 or 1", bad)
+        elif kind == "BAD":
+            raise SourceError(line, m.start() - start + 1, "unexpected character", m[0])
+    # End of input; a final comment leaves the column at its '#'.
+    if m is not None and m.lastgroup == "COMMENT":
+        end = m.start()
+    else:
+        end = len(text)
+    scanned.append(("", line, end - start + 1))
+    return scanned
+
+
+def _error(err: SourceError) -> tuple[int, int, str, str]:
+    return err.line, err.column, err.message, err.token
+
+
 @settings(max_examples=400, deadline=None)
 @given(_SCANNED_TEXTS)
 def test_the_fast_scan_agrees_with_the_positioned_scan(text):
     try:
-        positioned = list(_scan(text))
-    except SourceError:
-        assert _rejects(text)
+        positioned = _scan(text)
+    except SourceError as expected:
+        with pytest.raises(SourceError) as err:
+            _ScriptParser(text)
+        assert _error(err.value) == _error(expected)
         return
-    assert not _rejects(text)
     parser = _ScriptParser(text)
-    fast = [(token, parser.line(i)) for i, token in enumerate(parser.tokens)]
-    assert fast == [(token, line) for token, line, _ in positioned]
-    columns = [parser.column(i, line) for i, (_, line) in enumerate(fast[:-1])]
-    assert columns == [column for _, _, column in positioned[:-1]]
+    assert [parser.position(i) for i in range(len(parser.tokens))] == positioned
 
 
 def test_many_bindings_on_one_line_keep_their_columns():

@@ -14,7 +14,6 @@ from qmc.calculus import (
     ProofNode,
     apply_rule,
     check,
-    enumerate_conclusions,
 )
 from qmc.gates import GateApplication, builtin
 from qmc.oracle import compare, run_circuit
@@ -97,7 +96,7 @@ def test_enumerated_probabilities_sum_to_one_and_match_the_root():
         proofs = circuit_to_proof(circuit, "enumerate")
         born = proofs[0].premises[0]
         assert isinstance(born.conclusion, BornAnnotated)
-        listed = enumerate_conclusions(born)
+        listed = list(born.conclusion.dist.items())
         total = ExactReal(0)
         by_proof = []
         for proof in proofs:
