@@ -65,11 +65,12 @@ class Distribution:
     """Exact Born distribution: positive probabilities summing to exactly 1.
 
     It is kept as a `Superposition` keeps its amplitudes: a register `width`
-    and `weights`, a dict from basis index to probability in ascending
-    order, read-only like the whole value.  Every outcome has the one width,
-    and the outcomes that `distribution` finds with the same |amplitude|^2
-    share one `ExactReal`.  `BasisState`s are built only where the API hands
-    them out: `items`, `outcomes`, and the draw of `sample_outcome`.
+    and `weights`, a dict from basis index to packed probability in
+    ascending order, read-only like the whole value.  A packed probability
+    is the (p, q, k) of `ExactReal`, in its canonical form, so equal weights
+    are equal triples.  `BasisState`s and `ExactReal`s are built only where
+    the API hands them out: `items`, `outcomes`, `__getitem__`, the draw of
+    `sample_outcome`, and the one text per distinct weight.
     """
 
     __slots__ = ("width", "weights")
@@ -79,19 +80,20 @@ class Distribution:
         if len(widths) > 1:
             raise ValueError(f"outcomes must have one width, got widths {widths}")
         self.width = widths[0] if widths else 0
-        self.weights = _positive(
-            self.width, {basis.index: probs[basis] for basis in sorted(probs)}
-        )
+        self.weights = {
+            basis.index: (p.p, p.q, p.k) for basis, p in sorted(probs.items())
+        }
+        _require_positive(self.width, self.weights, self.weights.values())
         total = REAL_ZERO
-        for p in self.weights.values():
+        for p in probs.values():
             total = total + p
         if total != REAL_ONE:
             raise ValueError(f"probabilities sum to {total}, expected 1")
 
     @classmethod
-    def _of(cls, width: int, weights: dict[int, ExactReal]) -> Distribution:
-        """The distribution of weights by basis index, in ascending order,
-        whose signs and sum the caller has checked."""
+    def _of(cls, width: int, weights: dict[int, tuple[int, int, int]]) -> Distribution:
+        """The distribution of canonical triples by basis index, in
+        ascending order, whose signs and sum the caller has checked."""
         dist = object.__new__(cls)
         dist.width = width
         dist.weights = weights
@@ -99,7 +101,7 @@ class Distribution:
 
     def items(self) -> Iterator[tuple[BasisState, ExactReal]]:
         width = self.width
-        return ((BasisState.of(b, width), p) for b, p in self.weights.items())
+        return ((BasisState.of(b, width), ExactReal(*t)) for b, t in self.weights.items())
 
     def outcomes(self) -> list[BasisState]:
         width = self.width
@@ -108,7 +110,7 @@ class Distribution:
     def __getitem__(self, basis: BasisState) -> ExactReal:
         if basis not in self:
             raise KeyError(basis)
-        return self.weights[basis.index]
+        return ExactReal(*self.weights[basis.index])
 
     def __contains__(self, basis: BasisState) -> bool:
         return basis.width == self.width and basis.index in self.weights
@@ -141,8 +143,7 @@ class Distribution:
         `Superposition.render` or `latex`: the kets come from its width ->
         index memo, and each weight's text is kept under its (p, q, k),
         which no amplitude or width key equals.  So a pass formats each
-        distinct weight and ket once, and a weight that outcomes share is
-        looked up once per call.
+        distinct weight and ket once.
         """
         if texts is None:
             texts = {}
@@ -152,56 +153,48 @@ class Distribution:
         new = list(filterfalse(kets.__contains__, self.weights))
         bits = map(format, new, repeat(f"0{self.width}b"))
         kets.update(zip(new, map(ket.__mod__, bits)))
-        ids = list(map(id, self.weights.values()))
-        shared = dict(zip(ids, self.weights.values()))  # each weight once
-        for i, p in shared.items():
-            key = (p.p, p.q, p.k)
-            text = texts.get(key)
-            if text is None:
-                text = texts[key] = weight(p)
-            shared[i] = text
-        return list(map(shared.__getitem__, ids)), list(map(kets.__getitem__, self.weights))
+        weights = self.weights.values()
+        for t in set(weights).difference(texts):
+            texts[t] = weight(ExactReal(*t))
+        return list(map(texts.__getitem__, weights)), list(map(kets.__getitem__, self.weights))
 
     def __repr__(self) -> str:
         return f"Distribution({self.render()})"
 
 
-def _positive(
-    width: int, weights: dict[int, ExactReal], distinct: Iterable[ExactReal] | None = None
-) -> dict[int, ExactReal]:
-    """weights, once each is checked to be positive; distinct, when given,
-    holds each weight among them once, so each sign is tested once."""
-    for p in weights.values() if distinct is None else distinct:
-        if p.sign() <= 0:
-            b = next(b for b, q in weights.items() if q is p)
+def _require_positive(
+    width: int, weights: dict[int, tuple[int, int, int]], distinct: Iterable[tuple]
+) -> None:
+    """Check that each of distinct, the weights or each of them once, is
+    positive; the error names the first outcome of the weight."""
+    for t in distinct:
+        if _sign(t[0], t[1]) <= 0:
+            b = next(b for b, u in weights.items() if u == t)
             raise ValueError(
-                f"probability of {BasisState.of(b, width)} must be positive, got {p}"
+                f"probability of {BasisState.of(b, width)} must be positive, "
+                f"got {ExactReal(*t)}"
             )
-    return weights
 
 
 def distribution(s: Superposition) -> Distribution:
     """Born distribution of a normalized state: P(x) = |amplitude(x)|^2.
 
-    The amplitudes with one `_mod_sq` triple share one `ExactReal`, whose
-    sign is tested once: a wide state has far fewer distinct weights than
-    terms (all 2^n outcomes of a brickwork circuit have one).
+    Each distinct amplitude's `_mod_sq` is computed once and each distinct
+    weight's sign tested once: a wide state has far fewer distinct weights
+    than terms (all 2^n outcomes of a brickwork circuit have one).  The
+    triple of a canonical amplitude is canonical: num not divisible by
+    sqrt2 makes num * conj(num) not divisible by 2, so p and q are not
+    both even unless k = 0.
     """
     n = norm_sq(s)
     if n != REAL_ONE:
         raise UnnormalizedState(f"state has norm squared {n.text()}, expected 1")
     packed = s.packed
-    shared: dict[tuple[int, int, int], ExactReal] = {}
-    by_amp = {}
-    for amp in set(packed.values()):
-        key = _mod_sq(amp)
-        p = shared.get(key)
-        if p is None:
-            p = shared[key] = ExactReal(*key)
-        by_amp[amp] = p
+    by_amp = {amp: _mod_sq(amp) for amp in set(packed.values())}
     weights = dict(zip(packed, map(by_amp.__getitem__, packed.values())))
+    _require_positive(s.width, weights, set(by_amp.values()))
     # The weights are in order and their sum is the norm just checked.
-    return Distribution._of(s.width, _positive(s.width, weights, shared.values()))
+    return Distribution._of(s.width, weights)
 
 
 def _require_normalized(state: Superposition) -> None:
@@ -637,8 +630,7 @@ def sample_outcome(dist: Distribution, seed: int) -> tuple[BasisState, ExactReal
     """
     u, k = _splitmix64(seed & _MASK64), 64
     acc_p = acc_q = 0
-    for b, weight in dist.weights.items():
-        p, q, wk = weight.p, weight.q, weight.k
+    for b, (p, q, wk) in dist.weights.items():
         if wk > k:
             u <<= wk - k
             acc_p <<= wk - k
@@ -647,5 +639,5 @@ def sample_outcome(dist: Distribution, seed: int) -> tuple[BasisState, ExactReal
         acc_p += p << (k - wk)
         acc_q += q << (k - wk)
         if _sign(acc_p - u, acc_q) > 0:
-            return BasisState.of(b, dist.width), weight
+            return BasisState.of(b, dist.width), ExactReal(p, q, wk)
     raise AssertionError("probabilities sum to 1 and u < 1")

@@ -5,7 +5,8 @@ Reports go to stdout, errors to stderr.  All commands are deterministic given
 the input bytes, flags, and seed; QMC_SEED provides `run`'s default seed.
 A seed may be any integer; sampling reduces it modulo 2^64.
 When the reader of stdout goes away first (`qmc dist big.qc | head -1`), the
-command stops quietly with exit 1: no message and no traceback.
+command stops quietly with exit 1: no message and no traceback.  A command
+that runs out of memory prints `error: out of memory` and exits 1.
 
 Every command that reads a .qmc script elaborates it first.  `qmc check`
 prints one row per binding, in script order: `ok`, or `assumed` for an
@@ -40,7 +41,7 @@ from .calculus import (
 from .gates import BUILTIN_NAMES, Gate, builtin, is_unitary
 from .parser import ElaborationError, SourceError, elaborate, parse_circuit, parse_proof
 from .state import _clip, ket, support
-from .translate import Circuit, UnsupportedTranslation, final_state, random_circuit
+from .translate import UnsupportedTranslation, final_state, random_circuit
 
 
 class _UsageError(Exception):
@@ -262,15 +263,7 @@ def _selftest_unitarity(inject_fault: str | None) -> str | None:
 
 
 def _selftest_golden() -> str | None:
-    bell = Circuit(
-        2,
-        (
-            translate.GateApplication(builtin("H"), (0,)),
-            translate.GateApplication(builtin("CNOT"), (0, 1)),
-        ),
-        measured=True,
-    )
-    proofs = translate.circuit_to_proof(bell, "enumerate")
+    proofs = translate.circuit_to_proof(parse_circuit("qubits 2\nH 0\nCNOT 0 1\nmeasure\n"))
     if len(proofs) != 2:
         return f"golden: Bell enumerates {len(proofs)} branches, expected 2"
     for proof in proofs:
@@ -281,14 +274,7 @@ def _selftest_golden() -> str | None:
         assert isinstance(conclusion, Measured)
         if conclusion.prob != calculus.ExactReal(1, 0, 1):
             return f"golden: Bell outcome probability {conclusion.prob}, expected 1/2"
-    hh = Circuit(
-        1,
-        (
-            translate.GateApplication(builtin("H"), (0,)),
-            translate.GateApplication(builtin("H"), (0,)),
-        ),
-    )
-    (proof,) = translate.circuit_to_proof(hh)
+    (proof,) = translate.circuit_to_proof(parse_circuit("qubits 1\nH 0\nH 0\n"))
     if not calculus.check(proof).valid:
         return "golden: double-Hadamard proof failed check"
     conclusion = proof.conclusion
@@ -404,6 +390,11 @@ def main(argv: list[str] | None = None) -> int:
     except (_ValidationError, UnsupportedTranslation) as err:
         kind = "" if isinstance(err, _ValidationError) else "UnsupportedTranslation: "
         print(f"error: {kind}{err}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        # The last resort for a state too wide for this process; the
+        # failed allocation was the large one, so the message still fits.
+        print("error: out of memory", file=sys.stderr)
         return 1
 
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 import re
 import string
 from bisect import bisect_right
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from . import calculus
 from .calculus import RULES, ProofNode, RuleApp, RuleError, sequent_text, walk
@@ -103,14 +103,15 @@ _UNKNOWN_GATE = f"unknown gate name; expected one of {', '.join(BUILTIN_NAMES)}"
 
 
 def _gate_application(
-    name: str, wires: tuple[int, ...], line: int, column: int
+    name: str, wires: tuple[int, ...], where: Callable[[], tuple[int, int]]
 ) -> GateApplication:
     """The named builtin gate on the wires; a bad application (wrong arity,
-    a repeated wire) is an error at the gate name."""
+    a repeated wire) is an error at the gate name, whose line and column
+    `where` gives, so that only an error pays for its position."""
     try:
         return GateApplication(builtin(name), wires)
     except ValueError as err:
-        raise SourceError(line, column, str(err), name) from None
+        raise SourceError(*where(), str(err), name) from None
 
 
 def is_identifier(text: str) -> bool:
@@ -324,10 +325,9 @@ class _ScriptParser:
         key = (gate, tuple(wires))
         app = self.apps.get(key)
         if app is None:
-            try:
-                app = self.apps[key] = GateApplication(builtin(gate), key[1])
-            except ValueError as err:  # wrong arity, a repeated wire
-                raise self.fail(str(err), i) from None
+            app = self.apps[key] = _gate_application(
+                gate, key[1], lambda: self.position(i)[1:]
+            )
         return app
 
     def _wire(self) -> int:
@@ -577,7 +577,7 @@ def parse_circuit(text: str) -> Circuit:
             except ValueError as err:
                 raise SourceError(lineno, col_w, str(err), text_w) from None
             wires.append(wire)
-        app = apps[words] = _gate_application(head, tuple(wires), lineno, head_col)
+        app = apps[words] = _gate_application(head, tuple(wires), lambda: (lineno, head_col))
         ops.append(app)
     if width is None:
         raise SourceError(1, 1, "empty circuit description; expected 'qubits N'")

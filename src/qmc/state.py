@@ -24,8 +24,8 @@ more than the lookup would.
 `BasisState` and `Amplitude` are the values the API shows: `terms()`,
 `amplitude()` and the constructor take or give them, and the engine builds
 them only there.  A Born distribution (`calculus.Distribution`) keeps the
-same basis index keys, with one shared exact weight per distinct
-|amplitude|^2, and renders its kets from the same memo.
+same basis index keys, with each |amplitude|^2 as a packed (p, q, k)
+triple, and renders its kets from the same memo.
 """
 
 from __future__ import annotations

@@ -16,6 +16,7 @@ from qmc.amplitude import (
     OMEGA,
     REAL_ONE,
     REAL_ZERO,
+    _mod_sq,
     _mul,
     _times_unit,
 )
@@ -149,6 +150,15 @@ def test_mod_sq_matches_float(x):
 @given(amplitudes())
 def test_mod_sq_invariant_under_conj(x):
     assert x.mod_sq() == x.conj().mod_sq()
+
+
+@given(amplitudes())
+def test_mod_sq_of_a_canonical_amplitude_is_canonical(x):
+    # num not divisible by sqrt2 makes num * conj(num) not divisible by 2,
+    # so a Born weight is kept as the raw triple (see `calculus.Distribution`).
+    t = _mod_sq(x.packed)
+    exact = ExactReal(*t)
+    assert t == (exact.p, exact.q, exact.k)
 
 
 @given(amplitudes())

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qmc import calculus
 from qmc.amplitude import Amplitude, CycloInt, ExactReal, REAL_ONE, REAL_ZERO, _mod_sq
 from qmc.calculus import (
     Ax,
@@ -50,6 +51,7 @@ from conftest import (
     bell_circuit,
     random_orbit_state,
     replace_at,
+    wide_state as memo_state,
 )
 
 HALF = ExactReal(1, 0, 1)
@@ -110,6 +112,11 @@ def test_prep_outcome_must_match():
     measured = apply_rule(Measure(BasisState("11")), [bell_annotated()])
     with pytest.raises(PrepOutcomeMismatch):
         apply_rule(Prep(BasisState("00")), [measured])
+
+
+def test_prep_needs_a_measured_premise():
+    with pytest.raises(WrongPremiseShape, match="prep needs a measured premise"):
+        apply_rule(Prep(BasisState("00")), [Coherent(bell_state())])
 
 
 def test_remeasuring_a_prepared_state_is_certain():
@@ -194,7 +201,8 @@ def test_distribution_type_rejects_mixed_widths():
 def test_distribution_keys_are_basis_indices_of_one_width():
     dist = distribution(bell_state())
     assert dist.width == 2
-    assert dist.weights == {0: HALF, 3: HALF}
+    assert dist.weights == {0: (1, 0, 1), 3: (1, 0, 1)}
+    assert dist[BasisState("00")] == dist[BasisState("11")] == HALF
     assert dist.outcomes() == [BasisState("00"), BasisState("11")]
     assert list(dist.items()) == [(BasisState("00"), HALF), (BasisState("11"), HALF)]
     assert BasisState("11") in dist
@@ -218,34 +226,53 @@ def wide_state(width: int = 9) -> Superposition:
     return state
 
 
-def test_outcomes_with_one_born_weight_share_one_exact_real():
-    rng = random.Random(47)
-    states = [wide_state()] + [random_orbit_state(rng, rng.randint(1, 5), 20) for _ in range(25)]
-    for state in states:
-        dist = distribution(state)
-        assert list(dist.weights) == list(state.packed)
-        triples = [_mod_sq(amp) for amp in state.packed.values()]
-        assert list(dist.weights.values()) == [ExactReal(*t) for t in triples]
-        # One object per distinct triple, shared by the terms that have it.
-        by_triple = {}
-        for t, p in zip(triples, dist.weights.values()):
-            assert by_triple.setdefault(t, p) is p
-        assert len({id(p) for p in dist.weights.values()}) == len(by_triple)
-    assert len({id(p) for p in distribution(states[0]).weights.values()}) == 1
+BORN_STATES = st.one_of(
+    st.builds(
+        lambda seed, width, n_gates: random_orbit_state(random.Random(seed), width, n_gates),
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 5),
+        st.integers(0, 20),
+    ),
+    # Over MEMO_TERMS terms, few amplitudes or big coefficients.
+    st.builds(memo_state, st.integers(0, 2**32 - 1), st.sampled_from(("repetitive", "distinct"))),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(BORN_STATES)
+def test_born_weights_are_canonical_mod_sq_triples(state):
+    dist = distribution(state)
+    assert list(dist.weights) == list(state.packed)
+    for t, amp in zip(dist.weights.values(), state.packed.values()):
+        exact = ExactReal(*t)
+        assert t == (exact.p, exact.q, exact.k) == _mod_sq(amp)
+    # So equal weights are equal triples, as the constructor keeps them.
+    assert Distribution(dict(dist.items())) == dist
 
 
 def test_each_distinct_weight_is_sign_checked_once(monkeypatch):
-    calls = []
-    sign = ExactReal.sign
+    calls: dict[str, list] = {"mod_sq": [], "sign": []}
 
-    def counted(self):
-        calls.append(self)
-        return sign(self)
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name].append(args)
+            return fn(*args)
 
-    monkeypatch.setattr(ExactReal, "sign", counted)
-    dist = distribution(wide_state())
+        return wrapper
+
+    def no_exact_real(*args):
+        raise AssertionError("distribution built an ExactReal")
+
+    monkeypatch.setattr(calculus, "_mod_sq", counted("mod_sq", calculus._mod_sq))
+    monkeypatch.setattr(calculus, "_sign", counted("sign", calculus._sign))
+    monkeypatch.setattr(calculus, "ExactReal", no_exact_real)
+    state = wide_state()
+    dist = distribution(state)
     assert len(dist) == 512
-    assert len(calls) == 1
+    # One |amplitude|^2 per distinct amplitude (w^j / sqrt2^9 for 8 j),
+    # one sign for their one weight.
+    assert len(calls["mod_sq"]) == len(set(state.packed.values())) == 8
+    assert len(calls["sign"]) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +290,14 @@ def test_coherent_requires_normalized_nonempty_state():
 def test_measured_probability_must_match_the_born_weight():
     with pytest.raises(ValueError):
         Measured(bell_state(), BasisState("00"), REAL_ONE)
+
+
+def test_measured_outcome_has_the_state_width_and_a_positive_probability():
+    with pytest.raises(ValueError, match="width differs"):
+        Measured(bell_state(), BasisState("0"), HALF)
+    for prob in (REAL_ZERO, -HALF):
+        with pytest.raises(ValueError, match="must be positive"):
+            Measured(bell_state(), BasisState("01"), prob)
 
 
 def test_born_annotated_keys_must_cover_the_support():

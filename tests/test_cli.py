@@ -339,6 +339,88 @@ def test_check_names_why_a_measurement_fails(run_cli, tmp_path, measure, verdict
     assert out.splitlines()[-2:] == [verdict, "invalid"]
 
 
+_MEASURED_ZERO = "a = ax; d = born a; m = measure d outcome=|0>; "
+
+
+@pytest.mark.parametrize(
+    "body, verdict",
+    [
+        (
+            "a = ax; m = measure a outcome=|0>; }",
+            "m: invalid  WrongPremiseShape: measurement needs one Born-annotated premise",
+        ),
+        (
+            _MEASURED_ZERO + "g = gate H [0] m; }",
+            "g: invalid  WrongPremiseShape: a gate rule needs one coherent premise",
+        ),
+        (
+            _MEASURED_ZERO + "b = born m; }",
+            "b: invalid  WrongPremiseShape: the Born rule needs one coherent premise",
+        ),
+    ],
+    ids=["measure-a-coherent-premise", "gate-a-measured-premise", "born-a-measured-premise"],
+)
+def test_check_names_a_premise_of_the_wrong_shape(run_cli, tmp_path, body, verdict):
+    path = tmp_path / "p.qmc"
+    path.write_text("proof p { " + body + "\n")
+    code, out, err = run_cli("check", str(path))
+    assert (code, err) == (1, "")
+    assert out.splitlines()[-2:] == [verdict, "invalid"]
+
+
+def test_a_script_of_invalid_utf8_exits_2_with_one_line(run_cli, tmp_path):
+    path = tmp_path / "bad.qmc"
+    path.write_bytes(b"proof p { a = ax; }\n# \xff\n")
+    code, out, err = run_cli("check", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path} is not valid UTF-8: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
+def _all_h_40() -> tuple[str, str]:
+    """A 40-qubit circuit of H on every wire, measured, and a script of the
+    same circuit: support 2^40, far past any memory."""
+    circuit = "qubits 40\n" + "".join(f"H {w}\n" for w in range(40)) + "measure\n"
+    lines = [f"  a{w} = ax;" for w in range(40)]
+    last = "a0"
+    for w in range(1, 40):
+        lines.append(f"  t{w} = tensor {last} a{w};")
+        last = f"t{w}"
+    for w in range(40):
+        lines.append(f"  h{w} = gate H [{w}] {last};")
+        last = f"h{w}"
+    script = "proof h40 {\n" + "\n".join(lines) + f"\n  d = born {last};\n}}\n"
+    return circuit, script
+
+
+# The child's address space: room for the interpreter and numpy, not for a
+# state of some 2^21 terms.
+_CHILD_MEMORY = 300 << 20
+
+
+def _cap_child_memory() -> None:
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (_CHILD_MEMORY, _CHILD_MEMORY))
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs preexec_fn")
+@pytest.mark.parametrize("command, name", [("dist", "h40.qc"), ("check", "h40.qmc")])
+def test_running_out_of_memory_is_one_error_line(tmp_path, command, name):
+    circuit, script = _all_h_40()
+    path = tmp_path / name
+    path.write_text(circuit if name.endswith(".qc") else script, encoding="utf-8")
+    env = {**_subprocess_env(), "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "qmc", command, str(path)],
+        capture_output=True,
+        env=env,
+        preexec_fn=_cap_child_memory,
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, b"", b"error: out of memory\n")
+
+
 def test_check_rejects_circuit_files(run_cli, workdir):
     code, _, err = run_cli("check", str(workdir / "bell.qc"))
     assert code == 2

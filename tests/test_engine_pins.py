@@ -215,12 +215,16 @@ def unit(j: int) -> Amplitude:
 
 
 # Entries of gates outside the built-in set: zero, w^j (so also +-1),
-# +-1/sqrt2, and (1 + w)/sqrt2 and 2, which have no w^j / sqrt2^e form.
+# +-1/sqrt2, 1/2 and w/sqrt2^3 (so a gate may mix exponents 0 to 3, and the
+# dense engine lifts by sqrt2^d with d >= 2), and (1 + w)/sqrt2 and 2, which
+# have no w^j / sqrt2^e form.
 ENTRIES = (
     AMP_ZERO,
     *(unit(j) for j in range(8)),
     INV_SQRT2,
     -INV_SQRT2,
+    Amplitude(CycloInt(1), 2),
+    Amplitude(CycloInt(0, 1), 3),
     Amplitude(CycloInt(1, 1), 1),
     Amplitude(CycloInt(2)),
 )

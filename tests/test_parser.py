@@ -15,11 +15,14 @@ from hypothesis import strategies as st
 from qmc.amplitude import PACKED_ONE, _latex
 from qmc.cli import main
 from qmc.calculus import (
+    Ax,
     BornAnnotated,
     Coherent,
     Measure,
     Measured,
     NonMonotonicityViolation,
+    Prep,
+    ProofNode,
     Unitary,
     check,
     sequent_text,
@@ -917,6 +920,21 @@ def test_render_script_keeps_binding_names():
     rendered = render_script(proof, "hh")
     assert "h1 = gate H [0] a;" in rendered
     assert "h2 = gate H [0] h1;" in rendered
+
+
+def test_render_script_skips_a_generated_name_a_label_took():
+    leaf = ProofNode.derive(Ax(), (), "s1")
+    root = ProofNode.derive(Unitary(GateApplication(builtin("H"), (0,))), (leaf,))
+    rendered = render_script(root, "p")
+    assert rendered == "proof p {\n  s1 = ax;\n  s2 = gate H [0] s1;\n}\n"
+    assert elaborate(parse_proof(rendered)).conclusion == root.conclusion
+
+
+def test_render_script_refuses_a_prep_with_a_premise():
+    measured = circuit_to_proof(bell_circuit(), "enumerate")[0]
+    prep = ProofNode.derive(Prep(measured.conclusion.outcome), (measured,))
+    with pytest.raises(ValueError, match="a preparation step with a premise has no script form"):
+        render_script(prep)
 
 
 def test_sequent_text_forms():

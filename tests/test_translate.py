@@ -3,19 +3,25 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qmc.amplitude import ExactReal, REAL_ONE
 from qmc.calculus import (
     Ax,
     BornAnnotated,
+    BornRule,
     Coherent,
+    Measure,
     Measured,
     Prep,
     ProofNode,
+    Tensor,
+    Unitary,
+    Weaken,
     apply_rule,
     check,
 )
-from qmc.gates import GateApplication, builtin
+from qmc.gates import BUILTIN_NAMES, GateApplication, builtin
 from qmc.oracle import compare, run_circuit
 from qmc.parser import parse_proof, elaborate
 from qmc.state import BasisState, ket
@@ -23,6 +29,7 @@ from qmc.translate import (
     Circuit,
     UnsupportedTranslation,
     circuit_to_proof,
+    final_state,
     proof_to_circuit,
     random_circuit,
 )
@@ -131,6 +138,75 @@ def test_pending_measurement_extracts_as_measured():
 def test_single_axiom_extracts_to_an_empty_circuit():
     proof = ProofNode(Ax(), (), apply_rule(Ax(), []))
     assert proof_to_circuit(proof) == Circuit(1, ())
+
+
+@st.composite
+def tensor_trees(draw, max_leaves: int = 5) -> ProofNode:
+    """A tensor tree of `ax` leaves, with gates on any subtree: gates on a
+    right-hand factor act on wires that the assembled register offsets."""
+
+    def build(leaves: int) -> ProofNode:
+        if leaves == 1:
+            node = ProofNode.derive(Ax())
+        else:
+            left = draw(st.integers(1, leaves - 1))
+            node = ProofNode.derive(Tensor(), (build(left), build(leaves - left)))
+        names = [n for n in BUILTIN_NAMES if builtin(n).arity <= leaves]
+        for _ in range(draw(st.integers(0, 3))):
+            gate = builtin(draw(st.sampled_from(names)))
+            wires = tuple(draw(st.permutations(range(leaves)))[: gate.arity])
+            node = ProofNode.derive(Unitary(GateApplication(gate, wires)), (node,))
+        return node
+
+    return build(draw(st.integers(1, max_leaves)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(tensor_trees(), st.booleans())
+def test_an_extracted_circuit_prepares_the_root_state(root, measured):
+    state = root.conclusion.state
+    if measured:
+        root = ProofNode.derive(BornRule(), (root,))
+    circuit = proof_to_circuit(root)
+    assert (circuit.width, circuit.measured) == (state.width, measured)
+    assert final_state(circuit) == state
+
+
+def _refusals():
+    """One proof for each way a proof has no circuit form, with the start
+    of its message."""
+    ax = ProofNode.derive(Ax())
+    born = ProofNode.derive(BornRule(), (ax,))
+    measured = ProofNode.derive(Measure(BasisState("0")), (born,))
+    h = GateApplication(builtin("H"), (0,))
+    # Hand-built nodes: their rules would refuse these premises.
+    rows = [
+        (
+            ProofNode(Measure(BasisState("0")), (ax,), measured.conclusion),
+            "a measurement must conclude from a Born annotation",
+        ),
+        (
+            ProofNode.derive(Prep(BasisState("0")), (measured,)),
+            "proofs that prepare from an earlier measurement describe sequential",
+        ),
+        (
+            ProofNode(Weaken(BasisState("0")), (ax,), ax.conclusion),
+            "rule weaken has no circuit form",
+        ),
+        (
+            ProofNode(Unitary(h), (measured,), ax.conclusion),
+            "rule measure |0> has no circuit form",
+        ),
+    ]
+    ids = ["measure-without-born", "prep-after-measure", "weaken", "measure-below-the-root"]
+    return [pytest.param(*row, id=i) for row, i in zip(rows, ids)]
+
+
+@pytest.mark.parametrize("proof, message", _refusals())
+def test_proofs_without_a_circuit_form_are_refused(proof, message):
+    with pytest.raises(UnsupportedTranslation) as err:
+        proof_to_circuit(proof)
+    assert str(err.value).startswith(message)
 
 
 def test_prep_proofs_are_refused():
