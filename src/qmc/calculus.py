@@ -6,7 +6,10 @@ measurement talk is counterfactual.  A Born-annotated sequent pairs the state
 with its exact outcome distribution, the penultimate step before measuring.
 A measured sequent commits to one outcome with its exact probability; the
 turnstile form is terminal except for preparation, which turns the recorded
-outcome into a fresh coherent antecedent.
+outcome into a fresh coherent antecedent.  The state alone determines the
+distribution, and the state and outcome the probability, so each sequent
+computes its annotation and none can be built with a wrong one;
+`distribution` is the one way to build a `Distribution`.
 
 Weakening is rejected on both sides.  On the right this is structural: no
 sequent variant can hold a second succedent formula.  On the left it is a
@@ -18,9 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import filterfalse, repeat
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
+from typing import Callable, Iterator, Sequence, Union
 
-from .amplitude import ExactReal, REAL_ONE, REAL_ZERO, _mod_sq, _sign
+from .amplitude import ExactReal, REAL_ONE, _mod_sq, _sign
 from .gates import GateApplication, apply
 from .state import BasisState, Superposition, _clip, ket, norm_sq, tensor
 
@@ -70,30 +73,16 @@ class Distribution:
     is the (p, q, k) of `ExactReal`, in its canonical form, so equal weights
     are equal triples.  `BasisState`s and `ExactReal`s are built only where
     the API hands them out: `items`, `outcomes`, `__getitem__`, the draw of
-    `sample_outcome`, and the one text per distinct weight.
+    `sample_outcome`, and the one text per distinct weight.  There is no
+    public constructor: `distribution` derives the one value a state has.
     """
 
     __slots__ = ("width", "weights")
 
-    def __init__(self, probs: Mapping[BasisState, ExactReal]) -> None:
-        widths = sorted({basis.width for basis in probs})
-        if len(widths) > 1:
-            raise ValueError(f"outcomes must have one width, got widths {widths}")
-        self.width = widths[0] if widths else 0
-        self.weights = {
-            basis.index: (p.p, p.q, p.k) for basis, p in sorted(probs.items())
-        }
-        _require_positive(self.width, self.weights, self.weights.values())
-        total = REAL_ZERO
-        for p in probs.values():
-            total = total + p
-        if total != REAL_ONE:
-            raise ValueError(f"probabilities sum to {total}, expected 1")
-
     @classmethod
     def _of(cls, width: int, weights: dict[int, tuple[int, int, int]]) -> Distribution:
         """The distribution of canonical triples by basis index, in
-        ascending order, whose signs and sum the caller has checked."""
+        ascending order, that `distribution` has checked."""
         dist = object.__new__(cls)
         dist.width = width
         dist.weights = weights
@@ -162,20 +151,6 @@ class Distribution:
         return f"Distribution({self.render()})"
 
 
-def _require_positive(
-    width: int, weights: dict[int, tuple[int, int, int]], distinct: Iterable[tuple]
-) -> None:
-    """Check that each of distinct, the weights or each of them once, is
-    positive; the error names the first outcome of the weight."""
-    for t in distinct:
-        if _sign(t[0], t[1]) <= 0:
-            b = next(b for b, u in weights.items() if u == t)
-            raise ValueError(
-                f"probability of {BasisState.of(b, width)} must be positive, "
-                f"got {ExactReal(*t)}"
-            )
-
-
 def distribution(s: Superposition) -> Distribution:
     """Born distribution of a normalized state: P(x) = |amplitude(x)|^2.
 
@@ -184,27 +159,27 @@ def distribution(s: Superposition) -> Distribution:
     than terms (all 2^n outcomes of a brickwork circuit have one).  The
     triple of a canonical amplitude is canonical: num not divisible by
     sqrt2 makes num * conj(num) not divisible by 2, so p and q are not
-    both even unless k = 0.
+    both even unless k = 0.  The weights sum to the norm, checked first.
     """
-    n = norm_sq(s)
-    if n != REAL_ONE:
-        raise UnnormalizedState(f"state has norm squared {n.text()}, expected 1")
+    _require_normalized(s)
     packed = s.packed
     by_amp = {amp: _mod_sq(amp) for amp in set(packed.values())}
     weights = dict(zip(packed, map(by_amp.__getitem__, packed.values())))
-    _require_positive(s.width, weights, set(by_amp.values()))
-    # The weights are in order and their sum is the norm just checked.
+    for t in set(by_amp.values()):
+        if _sign(t[0], t[1]) <= 0:
+            b = next(b for b, u in weights.items() if u == t)
+            raise ValueError(
+                f"probability of {BasisState.of(b, s.width)} must be positive, "
+                f"got {ExactReal(*t)}"
+            )
     return Distribution._of(s.width, weights)
 
 
 def _require_normalized(state: Superposition) -> None:
-    if len(state) == 0:
-        raise UnnormalizedState("sequent antecedent must have nonempty support")
+    """The one normalization check; an empty state has norm squared 0."""
     n = norm_sq(state)
     if n != REAL_ONE:
-        raise UnnormalizedState(
-            f"sequent antecedent has norm squared {n.text()}, expected 1"
-        )
+        raise UnnormalizedState(f"state has norm squared {n.text()}, expected 1")
 
 
 @dataclass(frozen=True)
@@ -219,39 +194,33 @@ class Coherent:
 
 @dataclass(frozen=True)
 class BornAnnotated:
-    """Sigma => P(Sigma) : the state annotated with its Born distribution."""
+    """Sigma => P(Sigma) : the state annotated with its Born distribution,
+    which the state alone determines, so it is derived, never given."""
 
     state: Superposition
-    dist: Distribution
+    dist: Distribution = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
-        _require_normalized(self.state)
-        # Both dicts are in ascending order, so equal key sets are equal
-        # key sequences.
-        if (
-            self.dist.width != self.state.width
-            or self.dist.weights.keys() != self.state.packed.keys()
-        ):
-            raise ValueError("distribution keys must equal the state's support")
+        object.__setattr__(self, "dist", distribution(self.state))
 
 
 @dataclass(frozen=True)
 class Measured:
-    """Sigma |-_p |x> : the state has been measured as outcome x."""
+    """Sigma |-_p |x> : the state has been measured as outcome x, whose Born
+    weight is the derived probability p."""
 
     state: Superposition
     outcome: BasisState
-    prob: ExactReal
+    prob: ExactReal = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.outcome.width != self.state.width:
             raise ValueError("measured outcome width differs from state width")
-        if self.prob.sign() <= 0:
-            raise ValueError("measured probability must be positive")
-        if self.state.amplitude(self.outcome).mod_sq() != self.prob:
+        if self.outcome not in self.state:
             raise ValueError(
-                "measured probability must equal the outcome's Born weight"
+                f"measured outcome {_clip(str(self.outcome))} is outside the state's support"
             )
+        object.__setattr__(self, "prob", self.state.amplitude(self.outcome).mod_sq())
 
 
 Sequent = Union[Coherent, BornAnnotated, Measured]
@@ -376,7 +345,7 @@ class BornRule(RuleApp):
         (prem,) = premises
         if not isinstance(prem, Coherent):
             raise WrongPremiseShape("the Born rule needs one coherent premise")
-        return BornAnnotated(prem.state, distribution(prem.state))
+        return BornAnnotated(prem.state)
 
 
 @dataclass(frozen=True)
@@ -404,7 +373,7 @@ class Measure(RuleApp):
                 f"outcome {_clip(str(self.outcome))} has amplitude 0; only support "
                 "components are measurable conclusions"
             )
-        return Measured(prem.state, self.outcome, prem.dist[self.outcome])
+        return Measured(prem.state, self.outcome)
 
 
 @dataclass(frozen=True)

@@ -151,14 +151,20 @@ def cmd_dist(args: argparse.Namespace) -> int:
     return 0
 
 
+def _seed(text: str, source: str) -> int:
+    """The seed that `--seed` or QMC_SEED (the source) gives as text; an
+    error quotes the text clipped, so its message stays one short line."""
+    try:
+        return int(text)
+    except ValueError:
+        raise _UsageError(f"{source} must be an integer, got {_clip(text)!r}") from None
+
+
 def cmd_run(args: argparse.Namespace) -> int:
-    seed = args.seed
-    if seed is None:  # `run` is the one command that reads QMC_SEED
-        env = os.environ.get("QMC_SEED", "0")
-        try:
-            seed = int(env)
-        except ValueError:
-            raise _UsageError(f"QMC_SEED must be an integer, got {_clip(env)!r}") from None
+    if args.seed is not None:
+        seed = _seed(args.seed, "--seed")
+    else:  # `run` is the one command that reads QMC_SEED
+        seed = _seed(os.environ.get("QMC_SEED", "0"), "QMC_SEED")
     kind = _kind(args.path)
     text = _read(args.path)
     if kind == ".qc":
@@ -191,7 +197,8 @@ def _script_name(stem: str) -> str:
 
 
 def cmd_translate(args: argparse.Namespace) -> int:
-    if args.enumerate and args.seed is not None:
+    seed = None if args.seed is None else _seed(args.seed, "--seed")
+    if args.enumerate and seed is not None:
         raise _UsageError("--enumerate and --seed exclude each other")
     kind = _kind(args.path)
     text = _read(args.path)
@@ -205,8 +212,8 @@ def cmd_translate(args: argparse.Namespace) -> int:
         circuit = parse_circuit(text)
         # Deterministic default: emit every measurement branch; only an
         # explicit --seed samples one, and QMC_SEED is never read.
-        if circuit.measured and args.seed is not None:
-            proofs = translate.circuit_to_proof(circuit, "sample", args.seed)
+        if circuit.measured and seed is not None:
+            proofs = translate.circuit_to_proof(circuit, "sample", seed)
         else:
             proofs = translate.circuit_to_proof(circuit)
         for proof in proofs:
@@ -344,14 +351,14 @@ def _argparser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="sample one measurement outcome")
     p.add_argument("path")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("translate", help="translate between circuits and proofs")
     p.add_argument("path")
     p.add_argument("--to", required=True, choices=("proof", "circuit"))
     p.add_argument("--enumerate", action="store_true")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed")
     p.add_argument("--outdir", default=None)
     p.set_defaults(func=cmd_translate)
 

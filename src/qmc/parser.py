@@ -523,7 +523,9 @@ def parse_circuit(text: str) -> Circuit:
     # `str.split` and `_FIELD_RE` cut at the same (Unicode) whitespace.
     apps: dict[tuple[str, ...], GateApplication] = {}
     measured = False
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    # Only "\n" ends a line, as in a script, so a comment runs to it; any
+    # other line break `str.splitlines` knows, "\r" too, is a blank.
+    for lineno, raw in enumerate(text.split("\n"), 1):
         code = raw.split("#", 1)[0]
         words = tuple(code.split())
         if not words:

@@ -238,6 +238,47 @@ def test_amplitude_text():
     assert Amplitude(CycloInt(1, -1, 0, 2)).text() == "(1 - w + 2*w^3)"
 
 
+def test_zero_numerator_text():
+    assert AMP_ZERO.text() == "(0)"
+    assert AMP_ZERO.latex() == "0"
+
+
+# ---------------------------------------------------------------------------
+# value semantics: equality with ints and values, hashing, repr and str
+# ---------------------------------------------------------------------------
+
+def test_cyclo_int_value_semantics():
+    assert CycloInt(3) == 3 and CycloInt(3, 1) != 3
+    assert CycloInt(1, -1, 0, 2) == CycloInt(1, -1, 0, 2) != CycloInt(1, -1, 0, 3)
+    assert CycloInt(0, 1) != "w"
+    assert hash(CycloInt(1, 2)) == hash(CycloInt(1, 2, 0, 0))
+    assert repr(CycloInt(1, -1, 0, 2)) == "CycloInt(1, -1, 0, 2)"
+
+
+def test_amplitude_value_semantics():
+    assert AMP_ONE == 1 and AMP_ZERO == 0 and INV_SQRT2 != 1
+    # Canonical form: 2/sqrt2^2 is 1, so it equals 1 and hashes as 1.
+    two_halves = Amplitude(CycloInt(2), 2)
+    assert two_halves == AMP_ONE and hash(two_halves) == hash(AMP_ONE)
+    assert AMP_ONE != "1"
+    assert AMP_ONE - AMP_ONE == AMP_ZERO
+    assert OMEGA - AMP_ONE == Amplitude(CycloInt(-1, 1))
+    assert repr(INV_SQRT2) == "Amplitude((1)/sqrt2^1)"
+    assert str(OMEGA3) == "(w^3)"
+    assert INV_SQRT2.latex() == r"\frac{1}{\sqrt{2}}"
+    assert Amplitude(CycloInt(1, 1), 2).latex() == r"\frac{(1 + \omega)}{\sqrt{2}^{2}}"
+
+
+def test_exact_real_value_semantics():
+    with pytest.raises(ValueError, match="nonnegative"):
+        ExactReal(1, 0, -1)
+    assert REAL_ONE == 1 and ExactReal(4, 0, 2) == 1 and ExactReal(1, 0, 1) != 1
+    assert REAL_ONE != 1.0
+    assert hash(ExactReal(2, 2, 1)) == hash(ExactReal(1, 1)) != hash(ExactReal(1, 1, 1))
+    assert REAL_ZERO.is_zero() and ExactReal(0, 0, 5).is_zero()
+    assert not ExactReal(0, 1).is_zero() and not ExactReal(1, -1).is_zero()
+
+
 # ---------------------------------------------------------------------------
 # ExactReal
 # ---------------------------------------------------------------------------

@@ -8,7 +8,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qmc import calculus
-from qmc.amplitude import Amplitude, CycloInt, ExactReal, REAL_ONE, REAL_ZERO, _mod_sq
+from qmc.amplitude import (
+    PACKED_ONE,
+    PACKED_ZERO,
+    REAL_ONE,
+    REAL_ZERO,
+    Amplitude,
+    CycloInt,
+    ExactReal,
+    _mod_sq,
+)
 from qmc.calculus import (
     Ax,
     BornAnnotated,
@@ -62,8 +71,7 @@ def bell_state():
 
 
 def bell_annotated() -> BornAnnotated:
-    state = bell_state()
-    return BornAnnotated(state, distribution(state))
+    return BornAnnotated(bell_state())
 
 
 # ---------------------------------------------------------------------------
@@ -76,7 +84,8 @@ def test_ax_concludes_ket_zero():
 
 def test_measure_picks_a_support_outcome():
     conclusion = apply_rule(Measure(BasisState("00")), [bell_annotated()])
-    assert conclusion == Measured(bell_state(), BasisState("00"), HALF)
+    assert conclusion == Measured(bell_state(), BasisState("00"))
+    assert conclusion.prob == HALF
 
 
 def test_weaken_is_always_rejected():
@@ -187,15 +196,20 @@ def test_distribution_sums_to_exactly_one():
 
 
 def test_distribution_type_rejects_bad_totals():
-    with pytest.raises(ValueError, match="sum"):
+    # No mapping builds one; `distribution` checks the norm (the sum of the
+    # weights) and the sign of each weight.
+    with pytest.raises(TypeError):
         Distribution({BasisState("0"): HALF})
-    with pytest.raises(ValueError, match="positive"):
-        Distribution({BasisState("0"): ExactReal(0), BasisState("1"): REAL_ONE})
+    # A zero term breaks `Superposition`'s invariant but not the norm.
+    zero_term = Superposition._of(1, {0: PACKED_ONE, 1: PACKED_ZERO})
+    with pytest.raises(ValueError, match="probability of [|]1> must be positive, got 0"):
+        distribution(zero_term)
 
 
 def test_distribution_type_rejects_mixed_widths():
-    with pytest.raises(ValueError, match="one width"):
+    with pytest.raises(TypeError):
         Distribution({BasisState("0"): HALF, BasisState("00"): HALF})
+    assert distribution(bell_state()).width == 2
 
 
 def test_distribution_keys_are_basis_indices_of_one_width():
@@ -211,10 +225,10 @@ def test_distribution_keys_are_basis_indices_of_one_width():
         assert other not in dist
         with pytest.raises(KeyError):
             dist[other]
-    built = Distribution({BasisState("11"): HALF, BasisState("00"): HALF})
-    assert built == dist and hash(built) == hash(dist)
-    assert built.weights == dist.weights and list(built.weights) == [0, 3]
-    assert built != distribution(ket("00")) != Distribution({BasisState("0"): REAL_ONE})
+    again = distribution(bell_state())
+    assert again == dist and hash(again) == hash(dist)
+    assert again != distribution(ket("00")) != distribution(ket("0"))
+    assert (dist == object()) is False
 
 
 def wide_state(width: int = 9) -> Superposition:
@@ -246,8 +260,6 @@ def test_born_weights_are_canonical_mod_sq_triples(state):
     for t, amp in zip(dist.weights.values(), state.packed.values()):
         exact = ExactReal(*t)
         assert t == (exact.p, exact.q, exact.k) == _mod_sq(amp)
-    # So equal weights are equal triples, as the constructor keeps them.
-    assert Distribution(dict(dist.items())) == dist
 
 
 def test_each_distinct_weight_is_sign_checked_once(monkeypatch):
@@ -288,22 +300,29 @@ def test_coherent_requires_normalized_nonempty_state():
 
 
 def test_measured_probability_must_match_the_born_weight():
-    with pytest.raises(ValueError):
+    # The probability is derived, so none can be given.
+    with pytest.raises(TypeError):
         Measured(bell_state(), BasisState("00"), REAL_ONE)
+    assert Measured(bell_state(), BasisState("00")).prob == HALF
 
 
 def test_measured_outcome_has_the_state_width_and_a_positive_probability():
     with pytest.raises(ValueError, match="width differs"):
-        Measured(bell_state(), BasisState("0"), HALF)
-    for prob in (REAL_ZERO, -HALF):
-        with pytest.raises(ValueError, match="must be positive"):
-            Measured(bell_state(), BasisState("01"), prob)
+        Measured(bell_state(), BasisState("0"))
+    # An outcome outside the support would have probability 0.
+    with pytest.raises(ValueError, match="outside the state's support"):
+        Measured(bell_state(), BasisState("01"))
 
 
 def test_born_annotated_keys_must_cover_the_support():
     state = bell_state()
-    with pytest.raises(ValueError):
-        BornAnnotated(state, Distribution({BasisState("00"): REAL_ONE}))
+    with pytest.raises(TypeError):
+        BornAnnotated(state, Distribution._of(2, {0: (1, 0, 0)}))
+    born = BornAnnotated(state)
+    assert born.dist == distribution(state)
+    assert born.dist.outcomes() == [basis for basis, _ in state.terms()]
+    with pytest.raises(UnnormalizedState):
+        BornAnnotated(Superposition(1, {BasisState("0"): Amplitude(CycloInt(1), 2)}))
 
 
 # ---------------------------------------------------------------------------
@@ -412,6 +431,17 @@ def test_report_equals_check_with_an_assumption_leaf():
 @given(VALID_SCRIPTS)
 def test_report_equals_check_on_translated_scripts(text):
     _assert_report_is_check(text)
+
+
+@settings(max_examples=60, deadline=None)
+@given(VALID_SCRIPTS)
+def test_annotations_of_valid_scripts_are_derived(text):
+    for _, node in elaborate_bindings(parse_proof(text)):
+        seq = node.conclusion
+        if isinstance(seq, BornAnnotated):
+            assert seq.dist == distribution(seq.state)
+        elif isinstance(seq, Measured):
+            assert seq.prob == seq.state.amplitude(seq.outcome).mod_sq()
 
 
 def test_proof_node_arity_is_validated():
@@ -577,7 +607,7 @@ def test_a_born_sequent_formats_each_distinct_weight_once(monkeypatch):
         return to_str(self)
 
     state = wide_state()
-    seq = BornAnnotated(state, distribution(state))
+    seq = BornAnnotated(state)
     expected = sequent_text(seq)
     monkeypatch.setattr(ExactReal, "text", counted_text)
     monkeypatch.setattr(BasisState, "__str__", counted_str)

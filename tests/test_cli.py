@@ -555,6 +555,26 @@ def test_run_bad_env_seed(run_cli, workdir, monkeypatch):
     assert "QMC_SEED" in err
 
 
+@pytest.mark.parametrize("command", [["run"], ["translate", "--to", "proof"]], ids=["run", "translate"])
+@pytest.mark.parametrize(
+    "seed, quoted",
+    # Past int()'s default conversion limit, 5000 digits read as no integer.
+    [("pi", "'pi'"), ("9" * 5000, "'999999999999...'")],
+    ids=["word", "5000-digits"],
+)
+def test_a_bad_seed_flag_is_one_short_usage_error(run_cli, workdir, command, seed, quoted):
+    outdir = workdir / "out"
+    outdir.mkdir()
+    name, *flags = command
+    if name == "translate":
+        flags += ["--outdir", str(outdir)]
+    code, out, err = run_cli(name, str(workdir / "bell.qc"), *flags, "--seed", seed)
+    assert (code, out) == (2, "")
+    assert err == f"error: --seed must be an integer, got {quoted}\n"
+    assert len(err.encode()) < 300
+    assert not any(outdir.iterdir())
+
+
 def test_run_needs_a_measured_input(run_cli, workdir):
     code, _, err = run_cli("run", str(workdir / "hh.qmc"))
     assert code == 1

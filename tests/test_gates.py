@@ -146,3 +146,10 @@ def test_apply_agrees_with_float_oracle_across_placements():
         circuit = random_circuit(rng, max_width=6, max_gates=12)
         ok, deviation = compare(final_state(circuit), run_circuit(circuit), 1e-9)
         assert ok, f"deviation {deviation} on {circuit}"
+
+
+def test_gate_application_rejects_a_negative_wire():
+    with pytest.raises(ValueError, match="nonnegative"):
+        GateApplication(builtin("H"), (-1,))
+    with pytest.raises(ValueError, match="nonnegative"):
+        GateApplication(builtin("CNOT"), (0, -2))

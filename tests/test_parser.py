@@ -534,6 +534,30 @@ def test_circuit_comments_are_ignored():
     assert circuit.width == 1 and len(circuit.ops) == 1
 
 
+# Every line break `str.splitlines` knows besides "\n" and "\r\n".
+_OTHER_BREAKS = ["\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("sep", _OTHER_BREAKS, ids=ascii)
+def test_a_circuit_comment_runs_to_the_newline(sep):
+    circuit = parse_circuit(f"qubits 2\n# note{sep}X 1\nH 0\nmeasure\n")
+    assert circuit == parse_circuit("qubits 2\nH 0\nmeasure\n")
+    # Outside a comment it is a blank, not a line end.
+    with pytest.raises(SourceError) as err:
+        parse_circuit(f"qubits 2\nH 0{sep}X 1\n")
+    assert (err.value.line, err.value.column) == (2, 5)
+    assert err.value.message == "expected a wire index"
+
+
+def test_a_circuit_reads_crlf_as_lf_and_a_lone_cr_as_a_blank():
+    lf = "qubits 2\nH 0 # note\nCNOT 0 1\nmeasure\n"
+    assert parse_circuit(lf.replace("\n", "\r\n")) == parse_circuit(lf) == bell_circuit()
+    with pytest.raises(SourceError) as err:
+        parse_circuit(lf.replace("\n", "\r"))
+    assert (err.value.line, err.value.column) == (1, 1)
+    assert err.value.message == "expected 'qubits N' with a single count"
+
+
 @settings(max_examples=300)
 @given(st.text(max_size=80))
 def test_circuit_parser_never_panics(text):

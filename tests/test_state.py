@@ -312,3 +312,18 @@ def test_basis_state_of_equals_the_checked_constructor(data):
     state = BasisState.of(index, width)
     assert state == BasisState(format(index, f"0{width}b"))
     assert (state.index, state.width) == (index, width)
+
+
+def test_superposition_value_semantics():
+    with pytest.raises(ValueError, match="at least 1"):
+        Superposition(0, {})
+    bell = Superposition(2, {BasisState("00"): INV_SQRT2, BasisState("11"): INV_SQRT2})
+    # Another width's basis state has amplitude 0 in it, even with a
+    # matching index.
+    assert bell.amplitude(BasisState("0")) == AMP_ZERO
+    assert bell.amplitude(BasisState("000")) == AMP_ZERO
+    assert bell.amplitude(BasisState("11")) == INV_SQRT2
+    same = Superposition(2, {BasisState("11"): INV_SQRT2, BasisState("00"): INV_SQRT2})
+    assert same == bell and hash(same) == hash(bell)
+    assert bell != ket("00") and bell != "bell"
+    assert str(bell) == bell.render() == "(1/sqrt2)|00> + (1/sqrt2)|11>"
