@@ -17,12 +17,14 @@ from qmc.cli import main
 from qmc.calculus import (
     Ax,
     BornAnnotated,
+    BornRule,
     Coherent,
     Measure,
     Measured,
     NonMonotonicityViolation,
     Prep,
     ProofNode,
+    Tensor,
     Unitary,
     check,
     sequent_text,
@@ -957,8 +959,48 @@ def test_render_script_skips_a_generated_name_a_label_took():
 def test_render_script_refuses_a_prep_with_a_premise():
     measured = circuit_to_proof(bell_circuit(), "enumerate")[0]
     prep = ProofNode.derive(Prep(measured.conclusion.outcome), (measured,))
-    with pytest.raises(ValueError, match="a preparation step with a premise has no script form"):
+    with pytest.raises(ValueError) as err:
         render_script(prep)
+    assert str(err.value) == (
+        "a preparation step with a premise has no script form; the "
+        "grammar's prep is an assumption leaf"
+    )
+
+
+def _colliding_labels_tree() -> ProofNode:
+    """A tree whose labels repeat, are keywords, or take the generated name
+    `s<k>` of a later node, so that every rule of the naming is used."""
+    h = Unitary(GateApplication(builtin("H"), (0,)))
+    a = ProofNode.derive(Ax(), (), "s1")
+    b = ProofNode.derive(Ax(), (), "s1")
+    t = ProofNode.derive(Tensor(), (a, b), "s2")
+    g = ProofNode.derive(h, (t,), "ax")
+    d = ProofNode.derive(BornRule(), (g,))
+    return ProofNode.derive(Measure(BasisState("00")), (d,), "s0")
+
+
+def _render_script_sources():
+    for name in GOLDEN_PROOFS:
+        yield render_script(load_golden(name), name.removesuffix(".qmc"))
+    for seed in range(200):
+        for measured in (False, True):
+            for mode in ("enumerate", "sample"):
+                circuit = random_circuit(random.Random(seed), measured=measured)
+                for proof in circuit_to_proof(circuit, mode, seed):
+                    yield render_script(proof, f"c{seed}")
+    yield render_script(_colliding_labels_tree(), "collide")
+
+
+# Taken from the renderer that walked the tree twice, once to name the
+# bindings and once to write them: the golden scripts, then 1351 proofs of
+# translated random circuits, then the tree of colliding labels.
+def test_render_script_output_is_pinned():
+    digest = hashlib.sha256()
+    for text in _render_script_sources():
+        digest.update(text.encode())
+    assert digest.hexdigest() == (
+        "9b0d9930aef1970628c1b99ef015b1f52d8cdefbb1d0be1bdba987bb2b0dc3ab"
+    )
 
 
 def test_sequent_text_forms():
