@@ -79,6 +79,9 @@ class Distribution:
 
     __slots__ = ("width", "weights")
 
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        raise TypeError("a Distribution is derived from its state: use distribution(state)")
+
     @classmethod
     def _of(cls, width: int, weights: dict[int, tuple[int, int, int]]) -> Distribution:
         """The distribution of canonical triples by basis index, in
@@ -424,12 +427,9 @@ class ProofNode:
         premises: tuple[ProofNode, ...] = (),
         label: str | None = None,
     ) -> ProofNode:
-        """The node concluding what the rule derives from the premises; a
-        premise-free preparation is an assumption leaf."""
-        if rule.assumable and not premises:
-            return cls(rule, (), rule.conclude(()), label)
-        conclusion = apply_rule(rule, [p.conclusion for p in premises])
-        return cls(rule, premises, conclusion, label)
+        """The node concluding what the rule derives from the premises (see
+        `apply_rule`)."""
+        return cls(rule, premises, apply_rule(rule, [p.conclusion for p in premises]), label)
 
 
 def walk(root: ProofNode) -> Iterator[tuple[ProofNode, int, bool]]:
@@ -456,13 +456,14 @@ def walk(root: ProofNode) -> Iterator[tuple[ProofNode, int, bool]]:
 
 
 def apply_rule(rule: RuleApp, premises: Sequence[Sequent]) -> Sequent:
-    """Compute the conclusion a rule derives from the given premise sequents."""
+    """Compute the conclusion a rule derives from the given premise sequents;
+    an assumable rule with none concludes as an assumption leaf."""
     if isinstance(rule, Weaken):
         raise NonMonotonicityViolation(
             "weakening is rejected: an added state would interfere with the "
             "superposition already present, so prior conclusions need not survive"
         )
-    if len(premises) != rule.arity:
+    if len(premises) != rule.arity and (premises or not rule.assumable):
         raise WrongPremiseShape(
             f"rule {rule.label()} takes {rule.arity} premises, got {len(premises)}"
         )
@@ -552,7 +553,7 @@ def check(proof: ProofNode) -> CheckReport:
             continue
         found = sequent_text(node.conclusion, texts)
         try:
-            expected = ProofNode.derive(node.rule, node.premises).conclusion
+            expected = apply_rule(node.rule, [p.conclusion for p in node.premises])
         except (RuleError, ValueError) as err:
             detail = f"{type(err).__name__}: {err}"
         else:

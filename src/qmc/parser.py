@@ -453,47 +453,44 @@ def render_script(p: ProofNode, name: str = "main") -> str:
     gaps.  Preparation nodes with a premise have no script form, because the
     grammar's `prep` is an assumption leaf.
     """
-    order = [node for node, _, entering in walk(p) if not entering]
     names: dict[int, str] = {}
-    used: set[str] = set()
-    for i, node in enumerate(order):
-        label = node.label
-        if label and label not in used and is_identifier(label):
-            chosen = label
-        else:
-            k = i
+    used: set[str] = set()  # one name per node left so far
+    lines = [f"proof {name} {{"]
+    for node, _, entering in walk(p):
+        if entering:
+            continue
+        chosen = node.label
+        if not (chosen and chosen not in used and is_identifier(chosen)):
+            k = len(used)
             while f"s{k}" in used:
                 k += 1
             chosen = f"s{k}"
         names[id(node)] = chosen
         used.add(chosen)
-
-    lines = [f"proof {name} {{"]
-    for node in order:
-        lines.append(f"  {names[id(node)]} = {_script_expr(node, names)};")
+        expr = _script_expr(node.rule, [names[id(q)] for q in node.premises])
+        lines.append(f"  {chosen} = {expr};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
-def _script_expr(node: ProofNode, names: dict[int, str]) -> str:
-    rule = node.rule
-    if len(node.premises) != rule.form.count("premise"):
-        raise ValueError(
-            "a preparation step with a premise has no script form; the "
-            "grammar's prep is an assumption leaf"
-        )
-    premises = iter(names[id(prem)] for prem in node.premises)
+def _script_expr(rule: RuleApp, premise_names: list[str]) -> str:
+    """The rule's keyword and operands, as its form in `_FORMS` says."""
+    premises = iter(premise_names)
     values = iter(vars(rule).values())  # the rule's fields, in order
     parts = [rule.keyword]
-    for slot in rule.form:
-        word, eq, kind = slot.rpartition("=")
+    for word, kind in _FORMS[rule.keyword][1]:
         if kind == "premise":
             text = next(premises)
         elif kind == "ket":
             text = str(next(values))
         else:
             text = next(values).label()
-        parts.append(word + eq + text)
+        parts.append(f"{word}={text}" if word else text)
+    if next(premises, None) is not None:
+        raise ValueError(
+            "a preparation step with a premise has no script form; the "
+            "grammar's prep is an assumption leaf"
+        )
     return " ".join(parts)
 
 

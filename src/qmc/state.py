@@ -5,10 +5,11 @@ its canonical packed amplitude (see `amplitude`).  Wire 0 is the most
 significant bit, so ascending integer order is lexicographic order by
 bitstring, and iteration always follows it; renderings and reports are
 deterministic.  Only nonzero amplitudes are stored: the public constructor
-drops zeros, and `combine`, the only place where terms of like basis states
-meet, drops a sum that comes out exactly zero.  That is where destructive
-interference eliminates terms.  Gates that cannot make two terms meet
-(permutations and phases, see `gates`) build their result without it.
+drops zeros, and the sums that merge terms of like basis states drop any that
+comes out exactly zero, which is where destructive interference eliminates
+terms: `combine` in the dict engine, and on wide registers the row sums of
+`dense._apply`, whose zero columns `dense._to_packed` drops.  Gates that
+cannot make two terms meet (permutations and phases, see `gates`) need no sum.
 
 A wide state repeats a few amplitudes over its whole support (a 10-wire
 register after a Hadamard layer: 1024 terms, at most 24 distinct amplitudes).
@@ -258,11 +259,11 @@ def tensor(s1: Superposition, s2: Superposition) -> Superposition:
 def combine(parts: list[tuple[Packed, int]], width: int) -> Superposition:
     """Sum packed amplitudes of like basis indices; exact zero sums are removed.
 
-    This is the single place where interference happens: two equal,
-    oppositely signed contributions to the same basis state cancel and the
-    term disappears from the support.  Over more than `MEMO_TERMS` parts
-    that repeat amplitudes, each distinct pair of addends is added once (see
-    the module docstring).
+    The dict engine's interference happens here (the dense engine's in
+    `dense._apply`): two equal, oppositely signed contributions to the same
+    basis state cancel and the term disappears from the support.  Over more
+    than `MEMO_TERMS` parts that repeat amplitudes, each distinct pair of
+    addends is added once (see the module docstring).
     """
     sums: dict[int, Packed] = {}
     memo = _memo(map(itemgetter(0), parts)) if len(parts) > MEMO_TERMS else None

@@ -117,6 +117,13 @@ def test_prep_moves_a_measured_outcome_back_to_the_antecedent():
     assert prepared == Coherent(ket("11"))
 
 
+def test_a_premise_free_prep_concludes_as_an_assumption_leaf():
+    for bits in ("0", "10", "011"):
+        assert apply_rule(Prep(BasisState(bits)), []) == Coherent(ket(bits))
+    with pytest.raises(WrongPremiseShape, match="takes 2 premises, got 0"):
+        apply_rule(Tensor(), [])
+
+
 def test_prep_outcome_must_match():
     measured = apply_rule(Measure(BasisState("11")), [bell_annotated()])
     with pytest.raises(PrepOutcomeMismatch):
@@ -204,6 +211,15 @@ def test_distribution_type_rejects_bad_totals():
     zero_term = Superposition._of(1, {0: PACKED_ONE, 1: PACKED_ZERO})
     with pytest.raises(ValueError, match="probability of [|]1> must be positive, got 0"):
         distribution(zero_term)
+
+
+@pytest.mark.parametrize("args", [(), (1, {})])
+def test_distribution_has_no_public_constructor(args):
+    # Without arguments the class would otherwise build a value with no
+    # width and no weights, which every use fails on.
+    with pytest.raises(TypeError, match=r"use distribution\(state\)"):
+        Distribution(*args)
+    assert distribution(bell_state()) == Distribution._of(2, {0: (1, 0, 1), 3: (1, 0, 1)})
 
 
 def test_distribution_type_rejects_mixed_widths():
@@ -425,6 +441,15 @@ def test_report_equals_check_on_golden_scripts(name):
 def test_report_equals_check_with_an_assumption_leaf():
     full = _assert_report_is_check(PREP_LEAF_SCRIPT)
     assert full.assumptions == (((0, 0, 0, 0), BasisState("10")),)
+    # As check reported them when it re-derived each node by building another.
+    assert [(n.path, n.rule, n.status, n.detail, n.conclusion, n.label) for n in full.nodes] == [
+        ((0, 0, 0, 0), "prep |10>", "assumed", "", "|10> =>", "p"),
+        ((0, 0, 0, 1), "ax", "ok", "", "|0> =>", "a"),
+        ((0, 0, 0), "tensor", "ok", "", "|100> =>", "t"),
+        ((0, 0), "CNOT [0,2]", "ok", "", "|101> =>", "g"),
+        ((0,), "born", "ok", "", "|101> => (1)|101>", "d"),
+        ((), "measure |101>", "ok", "", "|101> |-[1] |101>", "m"),
+    ]
 
 
 @settings(max_examples=60, deadline=None)

@@ -20,7 +20,9 @@ from qmc.amplitude import PACKED_ONE
 
 from qmc.cli import main
 
-from conftest import GOLDEN, VALID_SCRIPTS, load_golden
+from qmc.parser import elaborate, parse_proof
+
+from conftest import GOLDEN, PREP_LEAF_SCRIPT, VALID_SCRIPTS, load_golden
 
 
 @pytest.fixture
@@ -42,13 +44,21 @@ def test_check_valid_golden(run_cli, workdir):
     assert err == ""
 
 
-@pytest.mark.parametrize("name", ["bell_00.qmc", "hh.qmc"])
-def test_check_derives_each_node_once(run_cli, monkeypatch, name):
-    derived = sum(
-        1
-        for node, _, entering in calculus.walk(load_golden(name))
-        if entering and not node.is_assumption
-    )
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        pytest.param(name, text, id=name)
+        for name, text in [
+            ("bell_00.qmc", (GOLDEN / "bell_00.qmc").read_text()),
+            ("hh.qmc", (GOLDEN / "hh.qmc").read_text()),
+            ("prep_leaf.qmc", PREP_LEAF_SCRIPT),
+        ]
+    ],
+)
+def test_check_derives_each_node_once(run_cli, monkeypatch, tmp_path, name, text):
+    # An assumption leaf, too, is concluded by apply_rule.
+    (tmp_path / name).write_text(text)
+    derived = sum(1 for _, _, entering in calculus.walk(elaborate(parse_proof(text))) if entering)
     calls = []
     apply_rule = calculus.apply_rule
 
@@ -57,7 +67,7 @@ def test_check_derives_each_node_once(run_cli, monkeypatch, name):
         return apply_rule(rule, premises)
 
     monkeypatch.setattr(calculus, "apply_rule", counted)
-    code, _, _ = run_cli("check", str(GOLDEN / name))
+    code, _, _ = run_cli("check", str(tmp_path / name))
     assert code == 0
     assert len(calls) == derived
 

@@ -1,5 +1,6 @@
 """Front-end tests: grammar, positioned errors, linearity, rendering."""
 
+import dataclasses
 import hashlib
 import io
 import random
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from qmc.amplitude import PACKED_ONE, _latex
 from qmc.cli import main
 from qmc.calculus import (
+    RULES,
     Ax,
     BornAnnotated,
     BornRule,
@@ -40,8 +42,10 @@ from qmc.parser import (
     render_circuit,
     render_proof,
     render_script,
+    _FORMS,
     _WORD_RE,
     _ScriptParser,
+    _script_expr,
 )
 from qmc.gates import GateApplication, builtin
 from qmc.state import BasisState, _coeff_text, ket
@@ -965,6 +969,32 @@ def test_render_script_refuses_a_prep_with_a_premise():
         "a preparation step with a premise has no script form; the "
         "grammar's prep is an assumption leaf"
     )
+
+
+# A sample value for each kind of field a rule's form can write.
+_SAMPLE_FIELDS = {
+    "ket": ("BasisState", BasisState("01")),
+    "gate": ("GateApplication", GateApplication(builtin("CNOT"), (1, 0))),
+}
+
+
+@pytest.mark.parametrize("rule", RULES, ids=lambda rule: rule.keyword)
+def test_each_rule_form_matches_its_fields_and_round_trips(rule):
+    # The writer reads a rule's fields positionally, by its form's
+    # non-premise slots, so the two must list the same fields in order.
+    form = _FORMS[rule.keyword][1]
+    slots = [(word, kind) for word, kind in form if kind != "premise"]
+    fields = dataclasses.fields(rule)
+    assert len(slots) == len(fields)
+    for (word, kind), f in zip(slots, fields):
+        assert f.type == _SAMPLE_FIELDS[kind][0]
+        assert word in ("", f.name)
+    sample = rule(*(_SAMPLE_FIELDS[kind][1] for _, kind in slots))
+    names = [f"p{i}" for i, (_, kind) in enumerate(form) if kind == "premise"]
+    leaves = "".join(f"{n} = ax; " for n in names)
+    text = f"proof t {{ {leaves}r = {_script_expr(sample, names)}; }}"
+    root = parse_proof(text).bindings[-1]
+    assert (root.name, root.rule, root.premises) == ("r", sample, tuple(names))
 
 
 def _colliding_labels_tree() -> ProofNode:
