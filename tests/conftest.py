@@ -42,6 +42,15 @@ def bell_circuit(measured: bool = True) -> Circuit:
     )
 
 
+def brickwork(n: int, measured: bool = False) -> Circuit:
+    """H on every wire, T on every wire, then a CNOT chain: support 2^n, so
+    from n = `dense.MIN_WIDTH` on, `final_state` goes dense."""
+    ops = [GateApplication(builtin("H"), (w,)) for w in range(n)]
+    ops += [GateApplication(builtin("T"), (w,)) for w in range(n)]
+    ops += [GateApplication(builtin("CNOT"), (w, w + 1)) for w in range(n - 1)]
+    return Circuit(n, tuple(ops), measured)
+
+
 def random_orbit_state(rng: random.Random, width: int, n_gates: int = 12) -> Superposition:
     """A normalized state: random gates applied to |0...0>."""
     names = ("X", "Z", "S", "T", "H", "CNOT") if width >= 2 else ("X", "Z", "S", "T", "H")

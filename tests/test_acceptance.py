@@ -23,7 +23,7 @@ from qmc.calculus import (
 )
 from qmc.gates import GateApplication, builtin
 from qmc.oracle import compare, run_circuit
-from qmc.parser import elaborate, parse_proof, render_script
+from qmc.parser import elaborate, parse_circuit, parse_proof, render_script
 from qmc.state import BasisState, Superposition, norm_sq, support
 from qmc.translate import Circuit, circuit_to_proof, final_state, proof_to_circuit, random_circuit
 
@@ -50,8 +50,6 @@ def test_bell_distribution_is_exactly_half_half(run_cli):
 
 
 def parse_bell_ops():
-    from qmc.parser import parse_circuit
-
     return parse_circuit((GOLDEN / "bell.qc").read_text()).ops
 
 
@@ -144,6 +142,23 @@ def test_non_monotonicity_rejection_and_support_shrinkage(run_cli, tmp_path):
     twice = final_state(Circuit(1, (h, h)))
     assert len(support(twice)) == 1 < 2 == len(support(once))
     _pass("Non-monotonicity: 50/50 weaken scripts rejected; support shrinks 2 -> 1")
+
+
+def test_grover_finds_the_marked_state_with_probability_exactly_one(run_cli):
+    # One iteration on 2 qubits: the marked |11> is certain only because the
+    # other three amplitudes cancel exactly in the last Hadamard layer.
+    grover = parse_circuit((GOLDEN / "grover2.qc").read_text())
+    assert (grover.width, len(grover.ops), grover.measured) == (2, 16, True)
+    assert [op.gate.name for op in grover.ops[-2:]] == ["H", "H"]
+    before = final_state(dataclasses.replace(grover, ops=grover.ops[:-2]))
+    after = final_state(grover)
+    assert len(support(before)) == 4
+    assert support(after) == [BasisState("11")]
+    assert distribution(after)[BasisState("11")] == ExactReal(1, 0, 0)
+    assert compare(after, run_circuit(grover), 1e-9)[0]  # the float oracle agrees
+    code, out, _ = run_cli("dist", str(GOLDEN / "grover2.qc"))
+    assert (code, out) == (0, "|11> 1 1.0\n")
+    _pass("Grover: P(|11>) = 1 exactly; support falls 4 -> 1 across the last H layer")
 
 
 def test_differential_oracle_equivalence_200_circuits():

@@ -315,6 +315,18 @@ def test_coherent_requires_normalized_nonempty_state():
         Coherent(Superposition(1, {BasisState("0"): half}))
 
 
+def test_a_non_unitary_gate_fails_its_rule_on_the_norm_check():
+    # X with its first row zeroed, as the selftest corrupts a gate, sends
+    # |1> to the empty state.  Only the conclusion's norm check stands
+    # between such a gate and a derived sequent.
+    from qmc.cli import _corrupted
+
+    rule = Unitary(GateApplication(_corrupted(builtin("X")), (0,)))
+    with pytest.raises(UnnormalizedState) as err:
+        apply_rule(rule, [Coherent(ket("1"))])
+    assert str(err.value) == "state has norm squared 0, expected 1"
+
+
 def test_measured_probability_must_match_the_born_weight():
     # The probability is derived, so none can be given.
     with pytest.raises(TypeError):

@@ -31,14 +31,13 @@ other (`conftest.wide_state`).
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import hashlib
 import io
 import random
 
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import GOLDEN, WIDE_STATES, random_orbit_state
+from conftest import GOLDEN, WIDE_STATES, brickwork, random_orbit_state
 from qmc import dense
 from qmc.amplitude import AMP_ZERO, INV_SQRT2, Amplitude, CycloInt
 from qmc.cli import main
@@ -51,13 +50,6 @@ DIGESTS = GOLDEN / "expected" / "final_states.sha256"
 WIDE_DIGESTS = GOLDEN / "expected" / "final_states_wide.sha256"
 DIST_DIGESTS = GOLDEN / "expected" / "dist_wide.sha256"
 PROOF_DIGESTS = GOLDEN / "expected" / "proofs_wide.sha256"
-
-
-def brickwork(n: int) -> Circuit:
-    ops = [GateApplication(builtin("H"), (w,)) for w in range(n)]
-    ops += [GateApplication(builtin("T"), (w,)) for w in range(n)]
-    ops += [GateApplication(builtin("CNOT"), (w, w + 1)) for w in range(n - 1)]
-    return Circuit(n, tuple(ops))
 
 
 def pinned_circuits(apps: dict | None = None) -> dict[str, Circuit]:
@@ -146,10 +138,7 @@ def proof_digest_lines(directory) -> list[str]:
     """`name sha256` of `qmc check` stdout on the `translate --to proof
     --seed 1` script of measured brickwork n = 8..10 and of
     `random_wide_circuit`."""
-    circuits = {
-        f"brickwork/{n}": dataclasses.replace(brickwork(n), measured=True)
-        for n in range(8, 11)
-    }
+    circuits = {f"brickwork/{n}": brickwork(n, measured=True) for n in range(8, 11)}
     circuits["random/10"] = random_wide_circuit()
     lines = []
     for name, c in circuits.items():

@@ -1,6 +1,10 @@
 """Circuit-to-proof compilation and proof-to-circuit extraction."""
 
+import contextlib
+import io
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,7 +27,8 @@ from qmc.calculus import (
 )
 from qmc.gates import BUILTIN_NAMES, GateApplication, builtin
 from qmc.oracle import compare, run_circuit
-from qmc.parser import parse_proof, elaborate
+from qmc.cli import main
+from qmc.parser import elaborate, parse_proof, render_circuit, render_script
 from qmc.state import BasisState, ket
 from qmc.translate import (
     Circuit,
@@ -34,7 +39,7 @@ from qmc.translate import (
     random_circuit,
 )
 
-from conftest import bell_circuit, load_golden
+from conftest import bell_circuit, brickwork, load_golden
 
 
 def hh_circuit() -> Circuit:
@@ -228,3 +233,55 @@ def test_circuit_wire_validation():
         Circuit(1, (GateApplication(builtin("CNOT"), (0, 1)),))
     with pytest.raises(ValueError, match="at least one"):
         Circuit(0, ())
+
+
+# ---------------------------------------------------------------------------
+# translate --to proof
+# ---------------------------------------------------------------------------
+
+def _written(c: Circuit, flags: tuple[str, ...]) -> list[tuple[str, str]]:
+    """(file name, text) of each script `qmc translate c.qc --to proof`
+    writes, in the order it lists them."""
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "c.qc"
+        path.write_text(render_circuit(c), encoding="ascii")
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["translate", str(path), "--to", "proof", *flags]) == 0
+        written = [Path(line) for line in out.getvalue().splitlines()]
+        return [(p.name, p.read_text(encoding="utf-8")) for p in written]
+
+
+def _rendered(c: Circuit, flags: tuple[str, ...]) -> list[tuple[str, str]]:
+    """The same, from `render_script` over the trees of `circuit_to_proof`."""
+    if c.measured and flags[:1] == ("--seed",):
+        proofs = circuit_to_proof(c, "sample", int(flags[1]))
+    else:
+        proofs = circuit_to_proof(c)
+    pairs = []
+    for proof in proofs:
+        name = f"c_{proof.conclusion.outcome.bits}" if c.measured else "c"
+        pairs.append((f"{name}.qmc", render_script(proof, name)))
+    return pairs
+
+
+_TRANSLATE_FLAGS = ((), ("--enumerate",), ("--seed", "1"), ("--seed", "7"))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans(), st.sampled_from(_TRANSLATE_FLAGS))
+def test_translated_scripts_are_the_rendered_proof_trees(seed, measured, flags):
+    # Enumerating writes one script per outcome, so its registers stay small.
+    width = 6 if flags[:1] == ("--seed",) else 4
+    c = random_circuit(random.Random(seed), max_width=width, measured=measured)
+    assert _written(c, flags) == _rendered(c, flags)
+
+
+@pytest.mark.parametrize("n", [8, 9, 10])
+@pytest.mark.parametrize(
+    "measured, flags", [(True, ("--seed", "1")), (True, ("--seed", "7")), (False, ())]
+)
+def test_translated_wide_scripts_are_the_rendered_proof_trees(n, measured, flags):
+    # Registers whose final state `final_state` computes on `dense`.
+    c = brickwork(n, measured)
+    assert _written(c, flags) == _rendered(c, flags)
