@@ -196,6 +196,13 @@ def _script_name(stem: str) -> str:
     return cleaned
 
 
+def _require_dir(outdir: Path) -> None:
+    """Checked after parsing and before any computing, so a bad --outdir
+    costs nothing."""
+    if not outdir.is_dir():
+        raise _UsageError(f"cannot write {outdir}: not a directory")
+
+
 def cmd_translate(args: argparse.Namespace) -> int:
     seed = None if args.seed is None else _seed(args.seed, "--seed")
     if args.enumerate and seed is not None:
@@ -205,34 +212,33 @@ def cmd_translate(args: argparse.Namespace) -> int:
     source = Path(args.path)
     outdir = Path(args.outdir) if args.outdir else source.parent
     stem = source.stem
-    outputs: list[tuple[Path, str]] = []
+    outputs: Iterable[tuple[Path, str]]
     if args.to == "proof":
         if kind != ".qc":
             raise _UsageError("translating to a proof expects a .qc circuit")
         circuit = parse_circuit(text)
-        # Deterministic default: emit every measurement branch; only an
-        # explicit --seed samples one, and QMC_SEED is never read.
-        if circuit.measured and seed is not None:
-            proofs = translate.circuit_to_proof(circuit, "sample", seed)
+        _require_dir(outdir)
+        # Only the outcomes need a state.  Deterministic default: emit every
+        # measurement branch; only an explicit --seed samples one, and
+        # QMC_SEED is never read.
+        if circuit.measured:
+            dist = distribution(final_state(circuit))
+            outcomes = dist.outcomes() if seed is None else [sample_outcome(dist, seed)[0]]
+            branches = {f"{stem}_{outcome.bits}": outcome for outcome in outcomes}
         else:
-            proofs = translate.circuit_to_proof(circuit)
-        for proof in proofs:
-            conclusion = proof.conclusion
-            if isinstance(conclusion, Measured):
-                name = f"{stem}_{conclusion.outcome.bits}"
-            else:
-                name = stem
-            outputs.append(
-                (
-                    outdir / f"{name}.qmc",
-                    frontend.render_script(proof, _script_name(name)),
-                )
-            )
+            branches = {stem: None}
+        script = frontend.script_writer(circuit)
+        outputs = (
+            (outdir / f"{name}.qmc", script(_script_name(name), outcome))
+            for name, outcome in branches.items()
+        )
     else:
         if kind != ".qmc":
             raise _UsageError("translating to a circuit expects a .qmc proof script")
-        circuit = translate.proof_to_circuit(elaborate(parse_proof(text)))
-        outputs.append((outdir / f"{stem}.qc", frontend.render_circuit(circuit)))
+        proof = parse_proof(text)
+        _require_dir(outdir)
+        circuit = translate.proof_to_circuit(elaborate(proof))
+        outputs = [(outdir / f"{stem}.qc", frontend.render_circuit(circuit))]
     for path, content in outputs:
         _write(path, content)
         print(path)

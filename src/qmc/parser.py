@@ -35,7 +35,19 @@ from bisect import bisect_right
 from typing import Callable, NamedTuple
 
 from . import calculus
-from .calculus import RULES, ProofNode, RuleApp, RuleError, sequent_text, walk
+from .calculus import (
+    RULES,
+    Ax,
+    BornRule,
+    Measure,
+    ProofNode,
+    RuleApp,
+    RuleError,
+    Tensor,
+    Unitary,
+    sequent_text,
+    walk,
+)
 from .gates import BUILTIN_NAMES, GateApplication, builtin
 from .state import BasisState, _clip
 from .translate import Circuit
@@ -471,6 +483,41 @@ def render_script(p: ProofNode, name: str = "main") -> str:
         lines.append(f"  {chosen} = {expr};")
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def script_writer(c: Circuit) -> Callable[[str, BasisState | None], str]:
+    """The writer of the scripts that translate c, straight from the circuit.
+
+    `script_writer(c)(name, outcome)` is the text that `render_script` gives
+    the proof of `circuit_to_proof(c)` that measures outcome (None when c is
+    unmeasured), under that proof name.  The proof's shape depends on the
+    circuit alone: one axiom per wire, left-associated tensors, one gate step
+    per gate, then `born` and `measure`.  So each binding is written from its
+    rule and premise names, with the name `s<postorder index>` that an
+    unlabeled tree gets, and no state is computed.  The bindings up to the
+    Born annotation are written once; each outcome adds its header and its
+    measurement.
+    """
+    ax = _script_expr(Ax(), [])
+    lines = [f"  s0 = {ax};\n"]
+    for k in range(2, 2 * c.width, 2):  # the tensor s<k> takes s<k-2> and s<k-1>
+        lines.append(f"  s{k - 1} = {ax};\n")
+        lines.append(f"  s{k} = {_script_expr(Tensor(), [f's{k - 2}', f's{k - 1}'])};\n")
+    k = 2 * c.width - 2  # the register's last step so far
+    for op in c.ops:
+        lines.append(f"  s{k + 1} = {_script_expr(Unitary(op), [f's{k}'])};\n")
+        k += 1
+    if c.measured:
+        lines.append(f"  s{k + 1} = {_script_expr(BornRule(), [f's{k}'])};\n")
+    body = "".join(lines)
+
+    def write(name: str, outcome: BasisState | None) -> str:
+        if outcome is None:
+            return f"proof {name} {{\n{body}}}\n"
+        measure = _script_expr(Measure(outcome), [f"s{k + 1}"])
+        return f"proof {name} {{\n{body}  s{k + 2} = {measure};\n}}\n"
+
+    return write
 
 
 def _script_expr(rule: RuleApp, premise_names: list[str]) -> str:

@@ -15,8 +15,11 @@ the gates on the dict engine until the register has at least
 takes them on int64 arrays while every coefficient stays below
 2^`dense.MAX_BITS`.  A gate that would pass that bound, or that has an
 entry of no w^j / sqrt2^e form, goes back to the dict engine, which
-finishes the circuit.  The proof path keeps one `Superposition` per node
-and stays on the dict engine.
+finishes the circuit.  `circuit_to_proof` keeps one `Superposition` per
+node and stays on the dict engine.  `qmc translate --to proof` builds no
+tree: a circuit's proof has a fixed shape, so `parser.script_writer` writes
+its scripts from the circuit, and only a measured circuit's outcomes need a
+state, its `final_state`.
 """
 
 from __future__ import annotations

@@ -15,11 +15,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from qmc import calculus, oracle, state
+from qmc import calculus, cli, oracle, state, translate
 from qmc.amplitude import PACKED_ONE
 
 from qmc.cli import main
-from qmc.parser import elaborate, parse_proof
+from qmc.parser import elaborate, parse_circuit, parse_proof
 
 from conftest import GOLDEN, PREP_LEAF_SCRIPT, VALID_SCRIPTS, load_golden
 
@@ -421,6 +421,46 @@ def test_running_out_of_memory_is_one_error_line(tmp_path, command, name):
     assert (proc.returncode, proc.stdout, proc.stderr) == (1, b"", b"error: out of memory\n")
 
 
+def _script_tree(script) -> calculus.ProofNode:
+    """A script's proof tree with no conclusions: its rules and premises
+    alone, all that `proof_to_circuit` reads."""
+    nodes: dict = {}
+    for b in script.bindings:
+        premises = tuple(nodes.pop(name) for name in b.premises)
+        nodes[b.name] = calculus.ProofNode(b.rule, premises, None)
+    (root,) = nodes.values()
+    return root
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs preexec_fn")
+def test_an_unmeasured_circuit_translates_without_its_state(run_cli, tmp_path):
+    # The 40-qubit state would hold 2^40 terms; the script is written from
+    # the circuit alone.  Reading it back through `translate --to circuit`
+    # would check every state, so at 40 qubits it is read back by its rules,
+    # and through the command on the same circuit at 8 qubits.
+    for n in (40, 8):
+        circuit = f"qubits {n}\n" + "".join(f"H {w}\n" for w in range(n))
+        directory = tmp_path / str(n)
+        directory.mkdir()
+        source = directory / f"h{n}.qc"
+        source.write_text(circuit, encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-m", "qmc", "translate", str(source), "--to", "proof"],
+            capture_output=True,
+            env={**_subprocess_env(), "OPENBLAS_NUM_THREADS": "1"},
+            preexec_fn=_cap_child_memory,
+            timeout=120,
+        )
+        script = directory / f"h{n}.qmc"
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"{script}\n".encode(), b"")
+        tree = _script_tree(parse_proof(script.read_text(encoding="utf-8")))
+        assert translate.proof_to_circuit(tree) == parse_circuit(circuit)
+    source.unlink()
+    code, out, err = run_cli("translate", str(script), "--to", "circuit")
+    assert (code, out, err) == (0, f"{source}\n", "")
+    assert source.read_text(encoding="utf-8") == circuit
+
+
 def test_check_rejects_circuit_files(run_cli, workdir):
     code, _, err = run_cli("check", str(workdir / "bell.qc"))
     assert code == 2
@@ -774,6 +814,45 @@ def test_translate_into_a_missing_outdir_is_a_usage_error(
     assert not (tmp_path / "missing").exists()
 
 
+@pytest.mark.parametrize(
+    "name, args, computes",
+    [
+        ("bell.qc", ["--to", "proof"], "final_state"),
+        ("bell.qc", ["--to", "proof", "--seed", "1"], "final_state"),
+        ("bell_00.qmc", ["--to", "circuit"], "elaborate"),
+    ],
+)
+def test_translate_checks_the_outdir_before_computing(
+    run_cli, workdir, tmp_path, monkeypatch, name, args, computes
+):
+    def computed(*_):
+        raise AssertionError(f"{computes} was called")
+
+    monkeypatch.setattr(cli, computes, computed)
+    monkeypatch.setattr(translate, "final_state", computed)
+    outdir = tmp_path / "missing"
+    code, out, err = run_cli("translate", str(workdir / name), *args, "--outdir", str(outdir))
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot write {outdir}: not a directory\n"
+
+
+@pytest.mark.parametrize(
+    "name, text, args",
+    [
+        ("bad.qc", "qubits 2\nH 5\n", ["--to", "proof"]),
+        ("bad.qmc", "proof p { a = ax; g = gate H [0]; }\n", ["--to", "circuit"]),
+    ],
+)
+def test_a_parse_error_comes_before_a_bad_outdir(run_cli, tmp_path, name, text, args):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(
+        "translate", str(path), *args, "--outdir", str(tmp_path / "missing")
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: line ")
+
+
 # ---------------------------------------------------------------------------
 # render
 # ---------------------------------------------------------------------------
@@ -874,7 +953,7 @@ def test_a_ten_thousand_gate_chain_passes_every_command(run_cli, tmp_path):
     assert code == 0 and out.endswith("outcome |0> p=1\n")
     assert run_cli("dist", chain) == (0, "|0> 1 1.0\n", "")
 
-    from qmc.parser import elaborate, parse_proof
+    from qmc.parser import elaborate, parse_circuit, parse_proof
 
     root = elaborate(parse_proof(Path(script).read_text()))
     assert hash(root) == hash(root)
