@@ -953,7 +953,7 @@ def test_a_ten_thousand_gate_chain_passes_every_command(run_cli, tmp_path):
     assert code == 0 and out.endswith("outcome |0> p=1\n")
     assert run_cli("dist", chain) == (0, "|0> 1 1.0\n", "")
 
-    from qmc.parser import elaborate, parse_circuit, parse_proof
+    from qmc.parser import elaborate, parse_proof
 
     root = elaborate(parse_proof(Path(script).read_text()))
     assert hash(root) == hash(root)
