@@ -9,8 +9,9 @@ from pathlib import Path
 import pytest
 from hypothesis import strategies as st
 
+from qmc.amplitude import AMP_ZERO
 from qmc.calculus import ProofNode
-from qmc.gates import GateApplication, apply, builtin
+from qmc.gates import Gate, GateApplication, apply, builtin
 from qmc.parser import elaborate, parse_proof, render_circuit, render_script
 from qmc.state import MEMO_TERMS, Superposition, ket, tensor
 from qmc.translate import Circuit, circuit_to_proof, random_circuit
@@ -40,6 +41,14 @@ def bell_circuit(measured: bool = True) -> Circuit:
         ),
         measured,
     )
+
+
+def corrupted(gate: Gate) -> Gate:
+    """`gate` with its first row zeroed: a non-unitary `Gate` of the same
+    name and arity, for tests that a broken gate is caught."""
+    rows = [list(row) for row in gate.matrix]
+    rows[0] = [AMP_ZERO for _ in rows[0]]
+    return Gate(gate.name, gate.arity, tuple(tuple(row) for row in rows))
 
 
 def brickwork(n: int, measured: bool = False) -> Circuit:

@@ -10,6 +10,8 @@ import dataclasses
 import random
 import time
 
+import pytest
+
 from qmc.amplitude import AMP_ONE, ExactReal, REAL_ONE
 from qmc.calculus import (
     BornAnnotated,
@@ -159,6 +161,41 @@ def test_grover_finds_the_marked_state_with_probability_exactly_one(run_cli):
     code, out, _ = run_cli("dist", str(GOLDEN / "grover2.qc"))
     assert (code, out) == (0, "|11> 1 1.0\n")
     _pass("Grover: P(|11>) = 1 exactly; support falls 4 -> 1 across the last H layer")
+
+
+@pytest.mark.parametrize(
+    "name, answer, dist",
+    [
+        # Bernstein-Vazirani reads the secret 101 off the input register.
+        ("bv3.qc", "101", "|1010> 1/2 0.5\n|1011> 1/2 0.5\n"),
+        # Deutsch-Jozsa: a constant function gives 000 for certain, a
+        # balanced one never; x0 xor x1 xor x2 gives 111.
+        ("dj3_const.qc", "000", "|0000> 1/2 0.5\n|0001> 1/2 0.5\n"),
+        ("dj3_bal.qc", "111", "|1110> 1/2 0.5\n|1111> 1/2 0.5\n"),
+    ],
+)
+def test_oracle_algorithms_read_their_answer_with_probability_exactly_one(
+    run_cli, name, answer, dist
+):
+    # The |-> ancilla (wire 3) stays uniform; the input register is certain
+    # only because the other 14 amplitudes cancel in the last Hadamard layer.
+    circuit = parse_circuit((GOLDEN / name).read_text())
+    assert (circuit.width, circuit.measured) == (4, True)
+    last = [(op.gate.name, op.wires) for op in circuit.ops[-3:]]
+    assert last == [("H", (0,)), ("H", (1,)), ("H", (2,))]
+    before = final_state(dataclasses.replace(circuit, ops=circuit.ops[:-3]))
+    after = final_state(circuit)
+    assert len(support(before)) == 16
+    assert len(support(after)) == 2
+    marginal: dict[str, ExactReal] = {}
+    for outcome, weight in distribution(after).items():
+        inputs = outcome.bits[:3]
+        marginal[inputs] = marginal[inputs] + weight if inputs in marginal else weight
+    assert marginal == {answer: ExactReal(1)}  # every other input reads 0
+    assert compare(after, run_circuit(circuit), 1e-9)[0]  # the float oracle agrees
+    code, out, _ = run_cli("dist", str(GOLDEN / name))
+    assert (code, out) == (0, dist)
+    _pass(f"{name}: P(input register = {answer}) = 1 exactly; support 16 -> 2")
 
 
 def test_differential_oracle_equivalence_200_circuits():

@@ -58,6 +58,7 @@ from conftest import (
     PREP_LEAF_SCRIPT,
     VALID_SCRIPTS,
     bell_circuit,
+    corrupted,
     random_orbit_state,
     replace_at,
     wide_state as memo_state,
@@ -319,9 +320,7 @@ def test_a_non_unitary_gate_fails_its_rule_on_the_norm_check():
     # X with its first row zeroed, as the selftest corrupts a gate, sends
     # |1> to the empty state.  Only the conclusion's norm check stands
     # between such a gate and a derived sequent.
-    from qmc.cli import _corrupted
-
-    rule = Unitary(GateApplication(_corrupted(builtin("X")), (0,)))
+    rule = Unitary(GateApplication(corrupted(builtin("X")), (0,)))
     with pytest.raises(UnnormalizedState) as err:
         apply_rule(rule, [Coherent(ket("1"))])
     assert str(err.value) == "state has norm squared 0, expected 1"

@@ -21,7 +21,7 @@ from qmc.amplitude import PACKED_ONE
 from qmc.cli import main
 from qmc.parser import elaborate, parse_circuit, parse_proof
 
-from conftest import GOLDEN, PREP_LEAF_SCRIPT, VALID_SCRIPTS, load_golden
+from conftest import GOLDEN, PREP_LEAF_SCRIPT, VALID_SCRIPTS, corrupted, load_golden
 
 
 @pytest.fixture
@@ -882,22 +882,25 @@ def test_selftest_passes(run_cli):
     assert "selftest passed" in out
 
 
-def test_selftest_fault_injection_names_unitarity(run_cli):
-    code, _, err = run_cli("selftest", "--inject-fault", "H")
-    assert code == 1
-    assert "unitarity" in err and "H" in err
+def test_selftest_fault_injection_names_unitarity(run_cli, monkeypatch):
+    builtin = cli.builtin
+
+    def faulty(name):
+        return corrupted(builtin(name)) if name == "H" else builtin(name)
+
+    monkeypatch.setattr(cli, "builtin", faulty)
+    assert run_cli("selftest") == (1, "", "selftest failure: unitarity: H is not unitary\n")
 
 
-def test_selftest_fault_injection_rejects_an_unknown_gate(capsys):
-    from qmc.cli import main
-
-    # A name that matches no gate would inject nothing and pass.
-    with pytest.raises(SystemExit) as exit_info:
-        main(["selftest", "--inject-fault", "Q"])
-    assert exit_info.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "invalid choice: 'Q'" in captured.err
+def test_selftest_reports_a_golden_proof_failure(run_cli, monkeypatch):
+    # Against |1>, the double Hadamard's |0> reads as not cancelling.
+    ket = cli.ket
+    monkeypatch.setattr(cli, "ket", lambda bits: ket("1"))
+    assert run_cli("selftest") == (
+        1,
+        "unitarity: ok\n",
+        "selftest failure: golden: double Hadamard did not cancel back to |0>\n",
+    )
 
 
 def test_selftest_reports_oracle_norm_drift_as_a_failure(run_cli, monkeypatch):
