@@ -122,11 +122,10 @@ class Superposition:
     """Association from basis states to nonzero canonical amplitudes.
 
     `packed` maps basis indices to packed amplitudes in ascending order; it
-    is read-only, like the whole value, so the norm is computed once and
-    cached.
+    is read-only, like the whole value.
     """
 
-    __slots__ = ("width", "packed", "_norm")
+    __slots__ = ("width", "packed")
 
     def __init__(self, width: int, terms: Mapping[BasisState, Amplitude]) -> None:
         packed: dict[int, Packed] = {}
@@ -158,7 +157,6 @@ class Superposition:
             raise ValueError(f"basis index {bad} does not fit width {width}")
         self.width = width
         self.packed = sums if keys == given else {b: sums[b] for b in keys}
-        self._norm: ExactReal | None = None
 
     def terms(self) -> Iterator[tuple[BasisState, Amplitude]]:
         width = self.width
@@ -288,29 +286,27 @@ def combine(parts: list[tuple[Packed, int]], width: int) -> Superposition:
 
 
 def norm_sq(s: Superposition) -> ExactReal:
-    """Sum of |amplitude|^2, computed once per superposition."""
-    if s._norm is None:
-        # |num|^2 = p + q*sqrt2 as in `amplitude._mod_sq`, over 2^k; the
-        # running sums p_total, q_total stand over 2^k_max.  This inlines
-        # `_mod_sq` and `_real_add` because every `Coherent` sequent checks
-        # its norm: calling them per term took about 700 us against 300 us
-        # for a 1024-term norm (Python 3.11, 2-CPU Intel Xeon).
-        p_total = q_total = k_max = 0
-        for a0, a1, a2, a3, k in s.packed.values():
-            p = a0 * a0 + a1 * a1 + a2 * a2 + a3 * a3
-            q = a0 * a1 + a1 * a2 + a2 * a3 - a3 * a0
-            if k == k_max:
-                p_total += p
-                q_total += q
-            elif k < k_max:
-                p_total += p << (k_max - k)
-                q_total += q << (k_max - k)
-            else:
-                p_total = (p_total << (k - k_max)) + p
-                q_total = (q_total << (k - k_max)) + q
-                k_max = k
-        s._norm = ExactReal(p_total, q_total, k_max)
-    return s._norm
+    """Sum of |amplitude|^2, one pass over the packed amplitudes per call."""
+    # |num|^2 = p + q*sqrt2 as in `amplitude._mod_sq`, over 2^k; the running
+    # sums p_total, q_total stand over 2^k_max.  This inlines `_mod_sq` and
+    # `_real_add` because every `Coherent` sequent checks its norm: calling
+    # them per term took about 700 us against 300 us for a 1024-term norm
+    # (Python 3.11, 2-CPU Intel Xeon).
+    p_total = q_total = k_max = 0
+    for a0, a1, a2, a3, k in s.packed.values():
+        p = a0 * a0 + a1 * a1 + a2 * a2 + a3 * a3
+        q = a0 * a1 + a1 * a2 + a2 * a3 - a3 * a0
+        if k == k_max:
+            p_total += p
+            q_total += q
+        elif k < k_max:
+            p_total += p << (k_max - k)
+            q_total += q << (k_max - k)
+        else:
+            p_total = (p_total << (k - k_max)) + p
+            q_total = (q_total << (k - k_max)) + q
+            k_max = k
+    return ExactReal(p_total, q_total, k_max)
 
 
 def support(s: Superposition) -> list[BasisState]:

@@ -893,7 +893,8 @@ def test_selftest_fault_injection_names_unitarity(run_cli, monkeypatch):
 
 
 def test_selftest_reports_a_golden_proof_failure(run_cli, monkeypatch):
-    # Against |1>, the double Hadamard's |0> reads as not cancelling.
+    # With `ket` handing back |1>, the double Hadamard's |0> reads as not
+    # cancelling.
     ket = cli.ket
     monkeypatch.setattr(cli, "ket", lambda bits: ket("1"))
     assert run_cli("selftest") == (
