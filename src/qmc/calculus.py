@@ -194,6 +194,16 @@ class Coherent:
     def __post_init__(self) -> None:
         _require_normalized(self.state)
 
+    @classmethod
+    def _of(cls, state: Superposition) -> Coherent:
+        """The sequent of a state normalized by construction: the
+        conclusion of a unitary gate or a tensor of coherent premises,
+        whose norm is 1 because a unitary keeps the norm and a tensor
+        multiplies its factors'.  The one constructor without the check."""
+        seq = object.__new__(cls)
+        object.__setattr__(seq, "state", state)
+        return seq
+
 
 @dataclass(frozen=True)
 class BornAnnotated:
@@ -317,7 +327,7 @@ class Tensor(RuleApp):
         left, right = premises
         if not isinstance(left, Coherent) or not isinstance(right, Coherent):
             raise WrongPremiseShape("tensor needs two coherent premises")
-        return Coherent(tensor(left.state, right.state))
+        return Coherent._of(tensor(left.state, right.state))
 
 
 @dataclass(frozen=True)
@@ -336,7 +346,9 @@ class Unitary(RuleApp):
         (prem,) = premises
         if not isinstance(prem, Coherent):
             raise WrongPremiseShape("a gate rule needs one coherent premise")
-        return Coherent(apply(self.app, prem.state))
+        state = apply(self.app, prem.state)
+        # A non-unitary custom gate may break the norm, so it is checked.
+        return Coherent._of(state) if self.app.gate.unitary else Coherent(state)
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,7 @@ from pathlib import Path
 from typing import Iterable
 
 from . import calculus, oracle, parser as frontend, translate
+from .amplitude import REAL_ONE
 from .calculus import (
     BornAnnotated,
     Coherent,
@@ -38,9 +39,9 @@ from .calculus import (
     sequent_text,
     verdict,
 )
-from .gates import BUILTIN_NAMES, builtin, is_unitary
+from .gates import BUILTIN_NAMES, builtin
 from .parser import ElaborationError, SourceError, elaborate, parse_circuit, parse_proof
-from .state import _clip, ket
+from .state import _clip, ket, norm_sq
 from .translate import UnsupportedTranslation, final_state, random_circuit
 
 
@@ -261,7 +262,7 @@ _SWEEP_CIRCUITS = 200  # random circuits in the differential sweep
 
 def _selftest_unitarity() -> str | None:
     for name in BUILTIN_NAMES:
-        if not is_unitary(builtin(name)):
+        if not builtin(name).unitary:
             return f"unitarity: {name} is not unitary"
     return None
 
@@ -294,6 +295,13 @@ def _selftest_differential() -> str | None:
     for i in range(_SWEEP_CIRCUITS):
         circuit = random_circuit(rng, apps=apps)
         exact = final_state(circuit)
+        # Gate conclusions skip the norm check, so the sweep keeps it.
+        norm = norm_sq(exact)
+        if norm != REAL_ONE:
+            return (
+                f"differential: circuit {i}: exact state has norm squared "
+                f"{norm.text()}, expected 1"
+            )
         try:
             floats = oracle.run_circuit(circuit)
         except ArithmeticError as err:

@@ -4,7 +4,8 @@ Gates are small matrices of exact amplitudes.  Application to a register
 never materializes the 2^n x 2^n embedding.  Each gate precomputes a kernel
 once: its nonzero entries per column, each written as w^j / sqrt2^e when it
 has that form (every built-in entry does) and kept as a packed amplitude
-otherwise, and whether the gate is a permutation.
+otherwise, whether the gate is a permutation, and whether it is unitary,
+exactly (`is_unitary`).
 
 `apply` reads the selected wires' bits off each basis index.  A permutation
 gate (X, Z, S, T, CNOT, I) has one unit entry w^j per column in distinct
@@ -52,6 +53,10 @@ class Gate:
         init=False, repr=False, compare=False
     )
     permutation: bool = field(init=False, repr=False, compare=False)
+    # Computed once: whether U-dagger U = I exactly (`is_unitary`).  A
+    # unitary gate keeps a normalized state normalized, so its rule's
+    # conclusion needs no norm check (see `calculus.Unitary`).
+    unitary: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         size = 1 << self.arity
@@ -72,6 +77,7 @@ class Gate:
         }
         object.__setattr__(self, "kernel", kernel)
         object.__setattr__(self, "permutation", len(rows) == size)
+        object.__setattr__(self, "unitary", is_unitary(self))
 
 
 def _unit_form(x: Packed) -> tuple[int, int, Packed | None]:
@@ -81,6 +87,19 @@ def _unit_form(x: Packed) -> tuple[int, int, Packed | None]:
         i = nonzero[0]
         return i if x[i] > 0 else i + 4, x[4], None
     return 0, 0, x
+
+
+def is_unitary(g: Gate) -> bool:
+    """True iff U-dagger times U is exactly the identity."""
+    dim = 1 << g.arity
+    for i in range(dim):
+        for j in range(dim):
+            acc = AMP_ZERO
+            for k in range(dim):
+                acc = acc + g.matrix[k][i].conj() * g.matrix[k][j]
+            if acc != (AMP_ONE if i == j else AMP_ZERO):
+                return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -147,19 +166,6 @@ def builtin(name: str) -> Gate:
         return _BUILTINS[name]
     except KeyError:
         raise ValueError(f"unknown gate name: {name}") from None
-
-
-def is_unitary(g: Gate) -> bool:
-    """True iff U-dagger times U is exactly the identity."""
-    dim = 1 << g.arity
-    for i in range(dim):
-        for j in range(dim):
-            acc = AMP_ZERO
-            for k in range(dim):
-                acc = acc + g.matrix[k][i].conj() * g.matrix[k][j]
-            if acc != (AMP_ONE if i == j else AMP_ZERO):
-                return False
-    return True
 
 
 def apply(app: GateApplication, s: Superposition) -> Superposition:

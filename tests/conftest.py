@@ -51,6 +51,15 @@ def corrupted(gate: Gate) -> Gate:
     return Gate(gate.name, gate.arity, tuple(tuple(row) for row in rows))
 
 
+def matmul(a: tuple, b: tuple) -> tuple:
+    """The exact product a . b of two square matrices of `Amplitude`s."""
+    n = len(a)
+    return tuple(
+        tuple(sum((a[i][k] * b[k][j] for k in range(n)), AMP_ZERO) for j in range(n))
+        for i in range(n)
+    )
+
+
 def brickwork(n: int, measured: bool = False) -> Circuit:
     """H on every wire, T on every wire, then a CNOT chain: support 2^n, so
     from n = `dense.MIN_WIDTH` on, `final_state` goes dense."""

@@ -46,10 +46,10 @@ from qmc.calculus import (
     sequent_text,
     verdict,
 )
-from qmc.gates import GateApplication, apply, builtin
+from qmc.gates import BUILTIN_NAMES, Gate, GateApplication, apply, builtin
 from qmc.oracle import run_circuit
 from qmc.parser import elaborate_bindings, parse_proof
-from qmc.state import BasisState, Superposition, combine, ket
+from qmc.state import BasisState, Superposition, combine, ket, norm_sq
 from qmc.translate import Circuit, circuit_to_proof, final_state
 
 from conftest import (
@@ -59,6 +59,7 @@ from conftest import (
     VALID_SCRIPTS,
     bell_circuit,
     corrupted,
+    matmul,
     random_orbit_state,
     replace_at,
     wide_state as memo_state,
@@ -324,6 +325,20 @@ def test_a_non_unitary_gate_fails_its_rule_on_the_norm_check():
     with pytest.raises(UnnormalizedState) as err:
         apply_rule(rule, [Coherent(ket("1"))])
     assert str(err.value) == "state has norm squared 0, expected 1"
+
+
+def test_a_custom_unitary_gate_concludes_with_norm_exactly_one():
+    # H.T is unitary but no built-in, so its conclusion skips the norm check
+    # on the gate's flag alone.
+    h, t = builtin("H"), builtin("T")
+    ht = Gate("HT", 1, matmul(h.matrix, t.matrix))
+    assert ht.unitary and ht not in map(builtin, BUILTIN_NAMES)
+    plus = Coherent(apply(GateApplication(h, (0,)), ket("0")))
+    conclusion = apply_rule(Unitary(GateApplication(ht, (0,))), [plus])
+    assert isinstance(conclusion, Coherent)
+    assert norm_sq(conclusion.state) == REAL_ONE
+    t_then_h = apply(GateApplication(h, (0,)), apply(GateApplication(t, (0,)), plus.state))
+    assert conclusion.state == t_then_h
 
 
 def test_measured_probability_must_match_the_born_weight():

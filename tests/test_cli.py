@@ -904,6 +904,29 @@ def test_selftest_reports_a_golden_proof_failure(run_cli, monkeypatch):
     )
 
 
+def test_selftest_sweep_catches_a_gate_that_breaks_the_norm(run_cli, monkeypatch):
+    # A gate's conclusion skips the norm check, so the sweep's exact norm of
+    # each final state is the runtime guard left against such a bug; it
+    # speaks before the comparison with the oracle would.
+    apply_gate = translate.apply_gate
+
+    def dropping(app, s):
+        out = apply_gate(app, s)
+        if len(out.packed) < 2:
+            return out
+        packed = dict(out.packed)
+        packed.popitem()
+        return state.Superposition._of(out.width, packed)
+
+    monkeypatch.setattr(translate, "apply_gate", dropping)
+    assert run_cli("selftest") == (
+        1,
+        "unitarity: ok\ngolden proofs: ok\n",
+        "selftest failure: differential: circuit 2: exact state has norm squared 1/4, "
+        "expected 1\n",
+    )
+
+
 def test_selftest_reports_oracle_norm_drift_as_a_failure(run_cli, monkeypatch):
     monkeypatch.setitem(
         oracle._MATRICES, "T", np.array([[1, 0], [0, 2]], dtype=complex)

@@ -13,10 +13,11 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from qmc import dense, oracle
-from qmc.amplitude import Amplitude, CycloInt
+from qmc.amplitude import REAL_ONE, Amplitude, CycloInt
 from qmc.gates import BUILTIN_NAMES, GateApplication, apply, builtin
-from qmc.state import BasisState, Superposition, ket
+from qmc.state import BasisState, Superposition, ket, norm_sq
 from qmc.translate import Circuit, final_state
+from conftest import brickwork
 from test_engine_pins import custom_gates, pinned_circuits
 
 
@@ -198,3 +199,28 @@ def test_a_full_register_goes_dense(monkeypatch):
     assert list(actual.packed.items()) == list(
         dict_engine(ket("0" * width), ops).packed.items()
     )
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    width=st.integers(8, 10),
+    n_gates=st.integers(0, 24),
+)
+def test_a_final_state_that_went_dense_has_norm_exactly_one(seed, width, n_gates):
+    # No rule checks a gate's conclusion, so the norm of the dense engine's
+    # answer is held here.
+    ops = brickwork(width).ops + tuple(random_ops(random.Random(seed), width, n_gates))
+    runs = []
+    run = dense.run
+
+    def counted(state, rest):
+        runs.append(state.width)
+        return run(state, rest)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dense, "run", counted)
+        actual = final_state(Circuit(width, ops))
+    assert runs == [width]  # `dense.suits` was reached
+    assert norm_sq(actual) == REAL_ONE
+    assert actual == dict_engine(ket("0" * width), ops)

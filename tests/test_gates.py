@@ -10,7 +10,7 @@ from qmc.oracle import compare, run_circuit
 from qmc.state import BasisState, Superposition, ket, norm_sq
 from qmc.translate import final_state, random_circuit
 
-from conftest import random_orbit_state
+from conftest import corrupted, matmul, random_orbit_state
 
 
 def test_builtin_hadamard_matrix():
@@ -39,6 +39,7 @@ def test_unknown_gate_name():
 def test_all_builtins_are_unitary():
     for name in BUILTIN_NAMES:
         assert is_unitary(builtin(name)), name
+        assert builtin(name).unitary, name
 
 
 def test_permutation_flags():
@@ -51,6 +52,63 @@ def test_permutation_flags():
 def test_zero_row_matrix_is_not_unitary():
     broken = Gate("BAD", 1, ((AMP_ZERO, AMP_ZERO), (AMP_ZERO, AMP_ONE)))
     assert not is_unitary(broken)
+    assert not broken.unitary
+    for name in BUILTIN_NAMES:
+        assert not corrupted(builtin(name)).unitary, name
+
+
+_ONE_QUBIT = [name for name in BUILTIN_NAMES if builtin(name).arity == 1]
+
+
+def _kron(a: tuple, b: tuple) -> tuple:
+    return tuple(
+        tuple(x * y for x in row_a for y in row_b) for row_a in a for row_b in b
+    )
+
+
+def _product(rng: random.Random, arity: int) -> tuple:
+    """The exact matrix of 1-6 random built-in gates in sequence on `arity`
+    qubits: 1-qubit gates, and for two qubits also CNOT."""
+    def factor():
+        if arity == 2 and rng.random() < 0.3:
+            return builtin("CNOT").matrix
+        matrices = [builtin(rng.choice(_ONE_QUBIT)).matrix for _ in range(arity)]
+        return matrices[0] if arity == 1 else _kron(*matrices)
+
+    m = factor()
+    for _ in range(rng.randrange(6)):
+        m = matmul(factor(), m)
+    return m
+
+
+def _doubled(gate: Gate, rng: random.Random) -> Gate:
+    """`gate` with one nonzero entry doubled, so that its column's norm is
+    no longer 1."""
+    rows = [list(row) for row in gate.matrix]
+    row, col = rng.choice(
+        [(r, c) for r, xs in enumerate(rows) for c, x in enumerate(xs) if not x.is_zero()]
+    )
+    rows[row][col] = rows[row][col] * Amplitude(CycloInt(2))
+    return Gate(gate.name, gate.arity, tuple(map(tuple, rows)))
+
+
+def test_the_unitary_flag_is_the_exact_test_on_custom_gates():
+    rng = random.Random(41)
+    for arity in (1, 2):
+        for _ in range(25):
+            gate = Gate("U", arity, _product(rng, arity))
+            assert gate.unitary and is_unitary(gate)
+            for bad in (corrupted(gate), _doubled(gate, rng)):
+                assert not bad.unitary and not is_unitary(bad)
+
+
+def test_the_unitary_flag_is_in_neither_equality_nor_repr():
+    h = builtin("H")
+    flagged = Gate(h.name, h.arity, h.matrix)
+    object.__setattr__(flagged, "unitary", False)
+    assert flagged == h and hash(flagged) == hash(h)
+    assert repr(flagged) == repr(h)
+    assert "unitary" not in repr(h)
 
 
 # ---------------------------------------------------------------------------

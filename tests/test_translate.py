@@ -24,12 +24,13 @@ from qmc.calculus import (
     Weaken,
     apply_rule,
     check,
+    walk,
 )
 from qmc.gates import BUILTIN_NAMES, GateApplication, builtin
 from qmc.oracle import compare, run_circuit
 from qmc.cli import main
 from qmc.parser import elaborate, parse_proof, render_circuit, render_script
-from qmc.state import BasisState, ket
+from qmc.state import BasisState, ket, norm_sq
 from qmc.translate import (
     Circuit,
     UnsupportedTranslation,
@@ -175,6 +176,30 @@ def test_an_extracted_circuit_prepares_the_root_state(root, measured):
     circuit = proof_to_circuit(root)
     assert (circuit.width, circuit.measured) == (state.width, measured)
     assert final_state(circuit) == state
+
+
+def _norms_are_exactly_one(root: ProofNode) -> None:
+    for node, _, entering in walk(root):
+        if entering:
+            assert norm_sq(node.conclusion.state) == REAL_ONE, node.rule.label()
+
+
+# Gate and tensor conclusions skip the norm check (`Coherent._of`): these
+# properties hold the guard against an engine that breaks the norm.
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1), st.booleans(), st.sampled_from(("enumerate", "sample"))
+)
+def test_every_conclusion_of_a_translated_circuit_has_norm_exactly_one(seed, measured, mode):
+    c = random_circuit(random.Random(seed), measured=measured)
+    for proof in circuit_to_proof(c, mode, seed):
+        _norms_are_exactly_one(proof)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tensor_trees())
+def test_every_conclusion_of_a_tensor_tree_has_norm_exactly_one(root):
+    _norms_are_exactly_one(root)
 
 
 def _refusals():
