@@ -15,12 +15,12 @@ are, so the zero test and equality are tuple comparisons.  The module-level
 `_mul`, `_add`, `_canonical` and `_mod_sq` are the one implementation of the
 ring, `_times_unit` is `_mul` by a unit w^j / sqrt2^e done as a rotation of
 the coefficients, and `_real_add` is the sum of the reals that `_mod_sq`
-yields (`state.norm_sq`, the norm of each checked sequent and each
-distribution, inlines both for speed), and `_sign` is the exact
-sign of such a real.  They are module-private because the state engine
-calls them once per term.  `Amplitude` is the value the API and the
-renderers see: a thin wrapper around one packed tuple, whose operators call
-those functions.
+yields: `ExactReal` adds with it and `calculus.sample_outcome` walks its CDF
+with it, while `state.norm_sq`, the norm of each checked sequent and each
+distribution, inlines both for speed.  `_sign` is the exact sign of such a
+real.  They are module-private because the state engine calls them once per
+term.  `Amplitude` is the value the API and the renderers see: a thin wrapper
+around one packed tuple, whose operators call those functions.
 
 Coefficients are Python ints, hence arbitrary precision: values grow, they
 never silently wrap.

@@ -20,10 +20,10 @@ terms already present and can destroy previously available conclusions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import filterfalse, repeat
+from itertools import accumulate, filterfalse, repeat
 from typing import Callable, Iterator, Sequence, Union
 
-from .amplitude import ExactReal, REAL_ONE, _mod_sq, _sign
+from .amplitude import ExactReal, REAL_ONE, _mod_sq, _real_add, _sign
 from .gates import GateApplication, apply
 from .state import BasisState, Superposition, _clip, ket, norm_sq, tensor
 
@@ -258,18 +258,21 @@ class RuleApp:
     """One application of a proof rule.
 
     The subclasses below are the rule table: each is the one place that
-    states its rule's premise count, labels, script keyword and form, and the
-    conclusion it derives.  `form` lists the script operands after the
-    keyword: `premise` is a premise binding, `ket` and `gate` give the rule's
-    field (a basis state, a gate with its wires), and `word=kind` is an
-    operand written `word=...`.
+    states its rule's premise count and the sequent kind of its premises,
+    labels, script keyword and form, and the conclusion it derives.  A
+    premise of another kind fails with the message `needs`, or on the Born
+    normal form when it is Born-annotated.  `form` lists the script operands
+    after the keyword: `premise` is a premise binding, `ket` and `gate` give
+    the rule's field (a basis state, a gate with its wires), and `word=kind`
+    is an operand written `word=...`.
     """
 
     arity = 1
     keyword: str
     form: tuple[str, ...] = ("premise",)
     latex_name: str
-    takes_born = False  # only measurement may consume a Born annotation
+    premise: type = Coherent
+    needs: str
     assumable = False  # may stand without premises as an assumption leaf
 
     def label(self) -> str:
@@ -279,7 +282,7 @@ class RuleApp:
         return self.latex_name
 
     def conclude(self, premises: Sequence[Sequent]) -> Sequent:
-        """The conclusion from premises of the right count and normal form."""
+        """The conclusion from premises of the right count and kind."""
         raise NotImplementedError
 
 
@@ -300,6 +303,8 @@ class Prep(RuleApp):
     keyword = "prep"
     form = ("ket",)
     latex_name = "Prep"
+    premise = Measured
+    needs = "prep needs a measured premise"
     assumable = True
 
     def label(self) -> str:
@@ -307,8 +312,6 @@ class Prep(RuleApp):
 
     def conclude(self, premises: Sequence[Sequent]) -> Sequent:
         for prem in premises:  # none for an assumption leaf
-            if not isinstance(prem, Measured):
-                raise WrongPremiseShape("prep needs a measured premise")
             if prem.outcome != self.outcome:
                 raise PrepOutcomeMismatch(
                     f"prep of {self.outcome} but the premise measured {prem.outcome}"
@@ -322,11 +325,10 @@ class Tensor(RuleApp):
     keyword = "tensor"
     form = ("premise", "premise")
     latex_name = r"\otimes"
+    needs = "tensor needs two coherent premises"
 
     def conclude(self, premises: Sequence[Sequent]) -> Sequent:
         left, right = premises
-        if not isinstance(left, Coherent) or not isinstance(right, Coherent):
-            raise WrongPremiseShape("tensor needs two coherent premises")
         return Coherent._of(tensor(left.state, right.state))
 
 
@@ -335,6 +337,7 @@ class Unitary(RuleApp):
     app: GateApplication
     keyword = "gate"
     form = ("gate", "premise")
+    needs = "a gate rule needs one coherent premise"
 
     def label(self) -> str:
         return self.app.label()
@@ -344,8 +347,6 @@ class Unitary(RuleApp):
 
     def conclude(self, premises: Sequence[Sequent]) -> Sequent:
         (prem,) = premises
-        if not isinstance(prem, Coherent):
-            raise WrongPremiseShape("a gate rule needs one coherent premise")
         state = apply(self.app, prem.state)
         # A non-unitary custom gate may break the norm, so it is checked.
         return Coherent._of(state) if self.app.gate.unitary else Coherent(state)
@@ -355,11 +356,10 @@ class Unitary(RuleApp):
 class BornRule(RuleApp):
     keyword = "born"
     latex_name = "BR"
+    needs = "the Born rule needs one coherent premise"
 
     def conclude(self, premises: Sequence[Sequent]) -> Sequent:
         (prem,) = premises
-        if not isinstance(prem, Coherent):
-            raise WrongPremiseShape("the Born rule needs one coherent premise")
         return BornAnnotated(prem.state)
 
 
@@ -369,15 +369,14 @@ class Measure(RuleApp):
     keyword = "measure"
     form = ("premise", "outcome=ket")
     latex_name = "M"
-    takes_born = True
+    premise = BornAnnotated
+    needs = "measurement needs one Born-annotated premise"
 
     def label(self) -> str:
         return f"measure {self.outcome}"
 
     def conclude(self, premises: Sequence[Sequent]) -> Sequent:
         (prem,) = premises
-        if not isinstance(prem, BornAnnotated):
-            raise WrongPremiseShape("measurement needs one Born-annotated premise")
         if self.outcome.width != prem.state.width:
             raise RuleError(
                 f"outcome {_clip(str(self.outcome))} has width {self.outcome.width} but the "
@@ -479,11 +478,13 @@ def apply_rule(rule: RuleApp, premises: Sequence[Sequent]) -> Sequent:
         raise WrongPremiseShape(
             f"rule {rule.label()} takes {rule.arity} premises, got {len(premises)}"
         )
-    if not rule.takes_born and any(isinstance(p, BornAnnotated) for p in premises):
-        raise BRNormalFormViolation(
-            "a Born-annotated sequent may only feed a measurement; "
-            "the distribution is introduced at the penultimate step"
-        )
+    if not all(isinstance(p, rule.premise) for p in premises):
+        if any(isinstance(p, BornAnnotated) for p in premises):
+            raise BRNormalFormViolation(
+                "a Born-annotated sequent may only feed a measurement; "
+                "the distribution is introduced at the penultimate step"
+            )
+        raise WrongPremiseShape(rule.needs)
     return rule.conclude(premises)
 
 
@@ -607,19 +608,13 @@ def sample_outcome(dist: Distribution, seed: int) -> tuple[BasisState, ExactReal
     u = z / 2^64 in [0, 1), and the CDF over lexicographically ordered
     outcomes is inverted exactly: the first outcome whose cumulative
     probability exceeds u is drawn, decided by an exact sign test.  The
-    walk keeps the CDF as integers (p + q*sqrt2) over 2^k, with u over the
-    same 2^k, and raises k when a weight needs it.
+    walk adds the packed weights to -u with `_real_add`, so each running
+    sum, CDF minus u, is integers (p + q*sqrt2) over 2^k.
     """
-    u, k = _splitmix64(seed & _MASK64), 64
-    acc_p = acc_q = 0
-    for b, (p, q, wk) in dist.weights.items():
-        if wk > k:
-            u <<= wk - k
-            acc_p <<= wk - k
-            acc_q <<= wk - k
-            k = wk
-        acc_p += p << (k - wk)
-        acc_q += q << (k - wk)
-        if _sign(acc_p - u, acc_q) > 0:
-            return BasisState.of(b, dist.width), ExactReal(p, q, wk)
+    z = _splitmix64(seed & _MASK64)
+    sums = accumulate(dist.weights.values(), _real_add, initial=(-z, 0, 64))
+    next(sums)  # -u itself, before any weight
+    for (b, weight), (p, q, _) in zip(dist.weights.items(), sums):
+        if _sign(p, q) > 0:
+            return BasisState.of(b, dist.width), ExactReal(*weight)
     raise AssertionError("probabilities sum to 1 and u < 1")

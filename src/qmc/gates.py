@@ -177,10 +177,6 @@ def apply(app: GateApplication, s: Superposition) -> Superposition:
     cancellation between them happens there.
     """
     width = s.width
-    # The only range check a script's `gate H [3]` on a 1-qubit premise meets.
-    for w in app.wires:
-        if w >= width:
-            raise ValueError(f"wire {_clip(str(w))} out of range for width-{width} register")
     mask, table = app.plans.get(width) or _plan(app, width)
     memo = _memo(s.packed.values()) if len(s.packed) > MEMO_TERMS else None
     if app.gate.permutation:
@@ -231,6 +227,11 @@ def _plan(app: GateApplication, width: int) -> tuple[int, dict]:
     For a permutation gate, table sends the wires' bits of a column to the
     row's bits and the unit's power j; otherwise it sends them to the
     column's (row bits, j, e, entry) list."""
+    # The only range check a script's `gate H [3]` on a 1-qubit premise
+    # meets; a width gets a plan only once its wires fit, so is checked once.
+    for w in app.wires:
+        if w >= width:
+            raise ValueError(f"wire {_clip(str(w))} out of range for width-{width} register")
     gate = app.gate
     # Wire w is bit width-1-w of a basis index, and row bit j (from the
     # most significant) belongs to wires[j].  place[row] puts a row's bits

@@ -162,6 +162,81 @@ def test_born_annotation_feeds_only_measurement():
         apply_rule(BornRule(), [bell_annotated()])
 
 
+_BORN_ONLY_FEEDS_MEASURE = (
+    "a Born-annotated sequent may only feed a measurement; "
+    "the distribution is introduced at the penultimate step"
+)
+
+# Every rule but weakening, the sequent kind each premise must be, and the
+# message for a premise of another kind that is not Born-annotated.
+_PREMISE_KINDS = [
+    (Prep(BasisState("00")), Measured, "prep needs a measured premise"),
+    (Tensor(), Coherent, "tensor needs two coherent premises"),
+    (
+        Unitary(GateApplication(builtin("H"), (0,))),
+        Coherent,
+        "a gate rule needs one coherent premise",
+    ),
+    (BornRule(), Coherent, "the Born rule needs one coherent premise"),
+    (Measure(BasisState("00")), BornAnnotated, "measurement needs one Born-annotated premise"),
+]
+
+
+def _bell_of_each_kind() -> dict[type, object]:
+    return {
+        Coherent: Coherent(bell_state()),
+        BornAnnotated: bell_annotated(),
+        Measured: Measured(bell_state(), BasisState("00")),
+    }
+
+
+def test_the_rules_cover_every_premise_kind():
+    assert {type(rule) for rule, _, _ in _PREMISE_KINDS} == set(calculus.RULES) - {Ax, Weaken}
+
+
+@pytest.mark.parametrize("kind", [Coherent, BornAnnotated, Measured], ids=lambda k: k.__name__)
+@pytest.mark.parametrize(
+    "rule, premise, needs", _PREMISE_KINDS, ids=[rule.keyword for rule, _, _ in _PREMISE_KINDS]
+)
+def test_each_rule_takes_its_premise_kind_and_names_any_other(rule, premise, needs, kind):
+    premises = [_bell_of_each_kind()[kind]] * rule.arity
+    if kind is premise:
+        apply_rule(rule, premises)
+        return
+    with pytest.raises(WrongPremiseShape) as err:
+        apply_rule(rule, premises)
+    if kind is BornAnnotated:
+        assert type(err.value) is BRNormalFormViolation
+        assert str(err.value) == _BORN_ONLY_FEEDS_MEASURE
+    else:
+        assert type(err.value) is WrongPremiseShape
+        assert str(err.value) == needs
+
+
+@pytest.mark.parametrize(
+    "left, right",
+    [
+        (Coherent, BornAnnotated),
+        (BornAnnotated, Coherent),
+        (Measured, BornAnnotated),
+        (BornAnnotated, Measured),
+        (Coherent, Measured),
+        (Measured, Coherent),
+    ],
+    ids=lambda kind: kind.__name__,
+)
+def test_a_mixed_tensor_fails_on_the_born_normal_form_first(left, right):
+    kinds = _bell_of_each_kind()
+    with pytest.raises(WrongPremiseShape) as err:
+        apply_rule(Tensor(), [kinds[left], kinds[right]])
+    if BornAnnotated in (left, right):
+        assert type(err.value) is BRNormalFormViolation
+        assert str(err.value) == _BORN_ONLY_FEEDS_MEASURE
+    else:
+        assert type(err.value) is WrongPremiseShape
+        assert str(err.value) == "tensor needs two coherent premises"
+
+
 # ---------------------------------------------------------------------------
 # distribution
 # ---------------------------------------------------------------------------

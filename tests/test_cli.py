@@ -815,6 +815,24 @@ def test_translate_into_a_missing_outdir_is_a_usage_error(
 
 
 @pytest.mark.parametrize(
+    "name, args, output",
+    [
+        ("bell.qc", ["--to", "proof"], "bell_00.qmc"),
+        ("bell_00.qmc", ["--to", "circuit"], "bell_00.qc"),
+    ],
+)
+def test_an_output_path_that_cannot_be_written_is_a_usage_error(
+    run_cli, workdir, tmp_path, name, args, output
+):
+    outdir = tmp_path / "out"
+    (outdir / output).mkdir(parents=True)
+    code, out, err = run_cli("translate", str(workdir / name), *args, "--outdir", str(outdir))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {outdir / output}: ")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
     "name, args, computes",
     [
         ("bell.qc", ["--to", "proof"], "final_state"),
@@ -901,6 +919,64 @@ def test_selftest_reports_a_golden_proof_failure(run_cli, monkeypatch):
         1,
         "unitarity: ok\n",
         "selftest failure: golden: double Hadamard did not cancel back to |0>\n",
+    )
+
+
+_FAILED_CHECK = calculus.CheckReport(
+    valid=False,
+    nodes=(calculus.NodeReport((), "measure |00>", "invalid", "forged"),),
+    assumptions=(),
+)
+
+
+def _bell_gives(text, count):
+    """A fault for `translate.circuit_to_proof`: the measured circuit, which
+    in the golden suite is Bell's, gets the first `count` proofs of the
+    circuit `text` instead of its own."""
+    def fault(real):
+        def translated(circuit, *args):
+            if circuit.measured:
+                return real(parse_circuit(text), *args)[:count]
+            return real(circuit, *args)
+        return translated
+    return translate, "circuit_to_proof", fault
+
+
+def _check_fails(picks):
+    """A fault for `calculus.check`: a failing report for each proof that
+    `picks` selects."""
+    def fault(real):
+        return lambda proof: _FAILED_CHECK if picks(proof) else real(proof)
+    return calculus, "check", fault
+
+
+@pytest.mark.parametrize(
+    "patch, failure",
+    [
+        (
+            _bell_gives("qubits 2\nH 0\nCNOT 0 1\nmeasure\n", 1),
+            "Bell enumerates 1 branches, expected 2",
+        ),
+        (_check_fails(lambda proof: True), "Bell proof failed check: forged"),
+        (
+            # Two of the four equally likely branches of H on both wires.
+            _bell_gives("qubits 2\nH 0\nH 1\nmeasure\n", 2),
+            "Bell outcome probability 1/4, expected 1/2",
+        ),
+        (
+            _check_fails(lambda proof: isinstance(proof.conclusion, calculus.Coherent)),
+            "double-Hadamard proof failed check",
+        ),
+    ],
+    ids=["bell-one-branch", "bell-invalid", "bell-probability", "hh-invalid"],
+)
+def test_selftest_names_each_golden_proof_failure(run_cli, monkeypatch, patch, failure):
+    module, name, fault = patch
+    monkeypatch.setattr(module, name, fault(getattr(module, name)))
+    assert run_cli("selftest") == (
+        1,
+        "unitarity: ok\n",
+        f"selftest failure: golden: {failure}\n",
     )
 
 
