@@ -6,7 +6,8 @@ the input bytes, flags, and seed; QMC_SEED provides `run`'s default seed.
 A seed may be any integer; sampling reduces it modulo 2^64.
 When the reader of stdout goes away first (`qmc dist big.qc | head -1`), the
 command stops quietly with exit 1: no message and no traceback.  A command
-that runs out of memory prints `error: out of memory` and exits 1.
+that runs out of memory prints `error: out of memory` and exits 1.  Rows are
+written as they are made, so those written before it stay written.
 
 Every command that reads a .qmc script elaborates it first.  `qmc check`
 prints one row per binding, in script order: `ok`, or `assumed` for an
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import os
 import random
 import re
@@ -80,18 +82,20 @@ def _print_report(
     completed: Iterable[tuple[str, calculus.ProofNode]],
     failure: ElaborationError | None = None,
 ) -> None:
-    """`qmc check`'s report: one `name: status  text` line per elaborated
+    """`qmc check`'s report: one `name: status  text` row per elaborated
     binding, in script order, with its conclusion; then, when elaboration
     failed, the failed binding with the reason; then the overall verdict."""
     texts: dict = {}  # one rendering memo for every node
-    for name, node in completed:
-        print(f"{name}: {verdict(node)}  {sequent_text(node.conclusion, texts)}")
+    rows = (
+        f"{name}: {verdict(node)}  {sequent_text(node.conclusion, texts)}\n"
+        for name, node in completed
+    )
     if failure is None:
-        print("valid")
+        _emit(itertools.chain(rows, ["valid\n"]))
         return
     detail = f"{type(failure.cause).__name__}: {failure.cause}"
-    print(f"{failure.binding.name}: {verdict(None, detail)}  {detail}")
-    print("invalid")
+    failed = f"{failure.binding.name}: {verdict(None, detail)}  {detail}\n"
+    _emit(itertools.chain(rows, [failed, "invalid\n"]))
 
 
 # ---------------------------------------------------------------------------
@@ -123,21 +127,27 @@ def _distribution_of(path: str) -> calculus.Distribution:
     )
 
 
-# A buffered stdout writes all it is given or raises.  An unbuffered one
-# (`python -u`, PYTHONUNBUFFERED) drops what a pipe did not take of a write
-# when its reader goes away, and raises nothing; only the next write fails.
-# So `_emit` writes to it in pieces of PIPE_BUF characters (on Linux), which
-# a pipe takes whole or fails, since the output is ASCII.
+# Every command writes its rows through `_emit` as they are made, so none
+# holds a whole proof's text.  A buffered stdout writes all it is given or
+# raises.  An unbuffered one (`python -u`, PYTHONUNBUFFERED) drops what a
+# pipe did not take of a write when its reader goes away, and raises
+# nothing; only the next write fails.  So `_emit` writes to it in pieces of
+# PIPE_BUF characters (on Linux), which a pipe takes whole or fails, since
+# the output is ASCII.
 _WRITE_CHARS = 4096
 
 
-def _emit(text: str) -> None:
+def _emit(pieces: Iterable[str]) -> None:
     write = sys.stdout.write
     if not getattr(sys.stdout, "write_through", False):
-        write(text)
+        for piece in pieces:
+            write(piece)
+            del piece  # not kept while the next piece is made
         return
-    for i in range(0, len(text), _WRITE_CHARS):
-        write(text[i : i + _WRITE_CHARS])
+    for piece in pieces:
+        for i in range(0, len(piece), _WRITE_CHARS):
+            write(piece[i : i + _WRITE_CHARS])
+        del piece
 
 
 def _dist_weight(p: calculus.ExactReal) -> str:
@@ -146,9 +156,10 @@ def _dist_weight(p: calculus.ExactReal) -> str:
 
 def cmd_dist(args: argparse.Namespace) -> int:
     # One `|bits> text float` line per outcome; each distinct weight is
-    # formatted once.
+    # formatted once.  The lines are short, so they go out as one piece:
+    # unbuffered, each piece would be a system call.
     weights, kets = _distribution_of(args.path).formatted(_dist_weight, "|%s>")
-    _emit("".join(map("%s %s\n".__mod__, zip(kets, weights))))
+    _emit(["".join(map("%s %s\n".__mod__, zip(kets, weights)))])
     return 0
 
 
@@ -182,7 +193,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             )
         outcome, _ = sample_outcome(root.dist, seed)
         proof = calculus.ProofNode.derive(Measure(outcome), (base,))
-    _emit(frontend.render_proof(proof, "ascii"))
+    _emit(frontend.proof_rows(proof, "ascii"))
     conclusion = proof.conclusion
     assert isinstance(conclusion, Measured)
     print(f"outcome {conclusion.outcome} p={conclusion.prob.text()}")
@@ -250,7 +261,7 @@ def cmd_render(args: argparse.Namespace) -> int:
     if _kind(args.path) != ".qmc":
         raise _UsageError("render expects a .qmc proof script")
     proof = elaborate(parse_proof(_read(args.path)))
-    _emit(frontend.render_proof(proof, args.format))
+    _emit(frontend.proof_rows(proof, args.format))
     return 0
 
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 import re
 import string
 from bisect import bisect_right
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from . import calculus
 from .calculus import (
@@ -412,27 +412,36 @@ def elaborate_bindings(script: ProofScript) -> list[tuple[str, ProofNode]]:
 # Rendering
 # ---------------------------------------------------------------------------
 
-def render_proof(p: ProofNode, format: str = "ascii") -> str:
-    """Render a proof tree for display, as an indented ascii tree or as
-    inference-style prooftree markup."""
+def proof_rows(p: ProofNode, format: str = "ascii") -> Iterator[str]:
+    """A proof tree's display rows, each with its newline: an indented ascii
+    tree, root first, or inference-style prooftree markup, a row per line.
+    Each row is yielded as soon as it is made, so a caller that writes each
+    one never holds the whole text."""
     texts: dict = {}  # the pass's rendering memo, in its one format
     if format == "ascii":
-        lines: list[str] = []
         depth = 0
         for node, _, entering in walk(p):
-            if entering:
-                text = sequent_text(node.conclusion, texts) + f"  [{node.rule.label()}]"
-                lines.append("  " * depth + text)
-            depth += 1 if entering else -1
+            if entering:  # no local keeps a row's text over the yield
+                yield (
+                    f"{'  ' * depth}{sequent_text(node.conclusion, texts)}"
+                    f"  [{node.rule.label()}]\n"
+                )
+                depth += 1
+            else:
+                depth -= 1
     elif format == "latex":
-        lines = [r"\begin{prooftree}"]
+        yield "\\begin{prooftree}\n"
         for node, _, entering in walk(p):
             if not entering:
-                _latex(node, lines, texts)
-        lines.append(r"\end{prooftree}")
+                yield from _latex(node, texts)
+        yield "\\end{prooftree}\n"
     else:
         raise ValueError(f"unknown render format: {format}")
-    return "\n".join(lines) + "\n"
+
+
+def render_proof(p: ProofNode, format: str = "ascii") -> str:
+    """Render a proof tree for display: its `proof_rows`, joined."""
+    return "".join(proof_rows(p, format))
 
 
 def _latex_sequent(seq: calculus.Sequent, texts: dict) -> str:
@@ -444,18 +453,18 @@ def _latex_sequent(seq: calculus.Sequent, texts: dict) -> str:
     return state + r" \vdash_{%s} \ket{%s}" % (seq.prob.latex(), seq.outcome.bits)
 
 
-def _latex(node: ProofNode, lines: list[str], texts: dict) -> None:
-    """Append one node's lines, which follow those of its premises; texts is
-    the pass's rendering memo."""
-    conclusion = r"$%s$" % _latex_sequent(node.conclusion, texts)
+def _latex(node: ProofNode, texts: dict) -> Iterator[str]:
+    """One node's lines, which follow those of its premises; texts is the
+    pass's rendering memo.  No local keeps the conclusion's text over a
+    yield."""
     if node.is_assumption:
-        lines.append(r"\AxiomC{%s}" % conclusion)
+        yield "\\AxiomC{$%s$}\n" % _latex_sequent(node.conclusion, texts)
         return
     if not node.premises:
-        lines.append(r"\AxiomC{}")
-    lines.append(r"\RightLabel{$%s$}" % node.rule.latex())
-    inference = r"\BinaryInfC" if len(node.premises) == 2 else r"\UnaryInfC"
-    lines.append(inference + "{%s}" % conclusion)
+        yield "\\AxiomC{}\n"
+    yield "\\RightLabel{$%s$}\n" % node.rule.latex()
+    inference = "\\BinaryInfC" if len(node.premises) == 2 else "\\UnaryInfC"
+    yield "%s{$%s$}\n" % (inference, _latex_sequent(node.conclusion, texts))
 
 
 def render_script(p: ProofNode, name: str = "main") -> str:

@@ -1,6 +1,7 @@
 """CLI behavior: exit codes, report formats, determinism, file emission."""
 
 import decimal
+import hashlib
 import io
 import os
 import re
@@ -15,13 +16,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from qmc import calculus, cli, oracle, state, translate
+from qmc import calculus, cli, oracle, parser, state, translate
 from qmc.amplitude import PACKED_ONE
 
 from qmc.cli import main
 from qmc.parser import elaborate, parse_circuit, parse_proof
 
-from conftest import GOLDEN, PREP_LEAF_SCRIPT, VALID_SCRIPTS, corrupted, load_golden
+from conftest import (
+    GOLDEN, GOLDEN_PROOFS, PREP_LEAF_SCRIPT, VALID_SCRIPTS, corrupted, load_golden,
+)
 
 
 @pytest.fixture
@@ -419,6 +422,78 @@ def test_running_out_of_memory_is_one_error_line(tmp_path, command, name):
         timeout=120,
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (1, b"", b"error: out of memory\n")
+
+
+def _bw16() -> str:
+    """16 wires: H on every wire twice, then T, then H, then a CNOT chain,
+    measured.  Its proof holds rows of up to 2^16 terms: 50-72 MB of text."""
+    ops = [f"{gate} {w}" for gate in ("H", "H", "T", "H") for w in range(16)]
+    ops += [f"CNOT {w} {w + 1}" for w in range(15)]
+    return "qubits 16\n" + "\n".join(ops) + "\nmeasure\n"
+
+
+# sha256 of each command's stdout on bw16 and its `--seed 1` script, taken
+# without the cap from the renderer that joined a whole proof's text before
+# writing any of it; under the cap, that renderer ran out of memory on the
+# first three.
+_BW16_STDOUT = {
+    ("run", "{circuit}", "--seed", "1"): (
+        "5dcbb03476c5a869545fece91fbcbd4283d8bc842b95bb92073519c52d5bc0e7"
+    ),
+    ("render", "{script}"): "56857fd077aef7ddab2903d8e31dfbd120d25e3535c72d3840e3f0684934b2d3",
+    ("render", "{script}", "--format", "latex"): (
+        "53db994d56cac28b77c62fe593e3ef0386b0b34f82d7240dac460bc143cc0ab6"
+    ),
+    ("check", "{script}"): "eb12c555da7d45f17588c693f75e5d09206be265e75b4cbef71192a6e9f0966d",
+}
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs preexec_fn")
+def test_a_wide_proof_prints_under_the_memory_cap(run_cli, tmp_path):
+    # Each row goes out as it is made, so a command holds the tree and one
+    # row, never the whole proof's text.
+    circuit = tmp_path / "bw16.qc"
+    circuit.write_text(_bw16(), encoding="utf-8")
+    code, out, _ = run_cli("translate", str(circuit), "--to", "proof", "--seed", "1")
+    assert code == 0
+    env = {**_subprocess_env(), "OPENBLAS_NUM_THREADS": "1"}
+    stdout = tmp_path / "stdout"
+    for command, digest in _BW16_STDOUT.items():
+        argv = [a.format(script=out.strip(), circuit=circuit) for a in command]
+        with stdout.open("wb") as sink:
+            proc = subprocess.run(
+                [sys.executable, "-m", "qmc", *argv],
+                stdout=sink,
+                stderr=subprocess.PIPE,
+                env=env,
+                preexec_fn=_cap_child_memory,
+                timeout=120,
+            )
+        assert (command, proc.returncode, proc.stderr) == (command, 0, b"")
+        assert hashlib.sha256(stdout.read_bytes()).hexdigest() == digest, command
+
+
+@pytest.mark.parametrize("command", ["render", "run --seed 1"])
+def test_rows_written_before_running_out_of_memory_stay_written(
+    run_cli, monkeypatch, workdir, command
+):
+    verb, *flags = command.split()
+    path = str(workdir / ("bell.qc" if verb == "run" else "bell_00.qmc"))
+    code, rows, _ = run_cli(verb, path, *flags)
+    assert code == 0
+    sequent_text = parser.sequent_text
+    made = []
+
+    def third_runs_out(seq, texts):
+        made.append(seq)
+        if len(made) == 3:
+            raise MemoryError
+        return sequent_text(seq, texts)
+
+    monkeypatch.setattr(parser, "sequent_text", third_runs_out)
+    code, out, err = run_cli(verb, path, *flags)
+    assert (code, err) == (1, "error: out of memory\n")
+    assert out == "".join(rows.splitlines(keepends=True)[:2])
 
 
 def _script_tree(script) -> calculus.ProofNode:
@@ -1090,6 +1165,7 @@ def test_a_closed_pipe_ends_quietly_with_exit_1(tmp_path):
         ("render", "{script}", "--format", "latex"),
         ("run", "{circuit}", "--seed", "1"),
         ("dist", "{circuit}"),
+        ("check", "{script}"),
     ],
 )
 def test_a_large_output_into_a_closed_pipe_ends_with_exit_1(
@@ -1120,3 +1196,88 @@ def test_a_large_output_into_a_closed_pipe_ends_with_exit_1(
     _, err = proc.communicate(timeout=60)
     assert err == b""
     assert proc.returncode == 1
+
+
+class _Recorder:
+    """A stdout that keeps each write apart, buffered or `write_through`."""
+
+    def __init__(self, write_through: bool) -> None:
+        self.write_through = write_through
+        self.pieces: list[str] = []
+
+    def write(self, text: str) -> int:
+        self.pieces.append(text)
+        return len(text)
+
+    def flush(self) -> None:
+        pass
+
+
+def _golden_stdout(name: str, command: str) -> tuple[int, str]:
+    """The exit code and stdout that the golden transcript of `name` holds
+    for `qmc <command>`."""
+    data = (GOLDEN / "expected" / f"{name}.txt").read_bytes()
+    head = re.search(
+        rb"\$ qmc %s\nexit (\d+)\n--- stdout \((\d+) bytes\)\n" % re.escape(command.encode()),
+        data,
+    )
+    return int(head[1]), data[head.end() : head.end() + int(head[2])].decode()
+
+
+_PROOF_COMMANDS = ("check", "render", "render --format latex")
+
+
+@pytest.mark.parametrize("write_through", [True, False], ids=["write_through", "buffered"])
+@pytest.mark.parametrize(
+    "name, command",
+    [("bell.qc", "run --seed 1")]
+    + [
+        (name, command)
+        for name in (*GOLDEN_PROOFS, "prep_fail.qmc")
+        for command in _PROOF_COMMANDS
+    ],
+)
+def test_each_row_is_written_as_it_is_made(monkeypatch, tmp_path, name, command, write_through):
+    # Buffered, each write is at most one row, so no command joins a whole
+    # proof's text, a failure report's included; write_through, each write
+    # fits `_WRITE_CHARS`.  Either way the writes make the golden stdout.
+    from test_golden_cli import golden_inputs
+
+    path = tmp_path / name
+    path.write_text(golden_inputs()[name], encoding="utf-8")
+    verb, *flags = command.split()
+    stdout = _Recorder(write_through)
+    monkeypatch.setattr(sys, "stdout", stdout)
+    code = main([verb, str(path), *flags])
+    monkeypatch.undo()
+    expected = _golden_stdout(name, " ".join([verb, name, *flags]))
+    assert (code, "".join(stdout.pieces)) == expected
+    for piece in stdout.pieces:
+        if write_through:
+            assert len(piece) <= cli._WRITE_CHARS
+        else:
+            assert "\n" not in piece[:-1], piece
+
+
+@pytest.mark.parametrize("command", _PROOF_COMMANDS)
+def test_a_row_longer_than_a_pipe_write_goes_out_in_slices(
+    monkeypatch, run_cli, tmp_path, command
+):
+    # A row of a 9-wire state is longer than `_WRITE_CHARS`, so
+    # write_through slices it, and the slices join to the buffered rows.
+    circuit = tmp_path / "h9.qc"
+    circuit.write_text("qubits 9\n" + "".join(f"H {w}\n" for w in range(9)) + "measure\n")
+    code, out, _ = run_cli("translate", str(circuit), "--to", "proof", "--seed", "1")
+    assert code == 0
+    verb, *flags = command.split()
+    outputs = []
+    for write_through in (True, False):
+        stdout = _Recorder(write_through)
+        monkeypatch.setattr(sys, "stdout", stdout)
+        code = main([verb, out.strip(), *flags])
+        monkeypatch.undo()
+        assert code == 0
+        outputs.append(stdout.pieces)
+    sliced, rows = outputs
+    assert max(map(len, rows)) > cli._WRITE_CHARS >= max(map(len, sliced))
+    assert "".join(sliced) == "".join(rows)
