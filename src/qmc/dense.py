@@ -1,6 +1,6 @@
 """Dense exact engine for `translate.final_state` on wide, nearly full registers.
 
-The dict engine (`gates.apply` on packed superpositions) pays one Python
+The dict engine (`gates.apply_packed` on packed dicts) pays one Python
 dict operation per term per gate.  Once a register of at least `MIN_WIDTH`
 wires has at least 2^n / 2^`FILL_SHIFT` nonzero amplitudes, `final_state`
 hands the remaining gates to `run`, which keeps the same exact values in
@@ -48,13 +48,16 @@ from .state import Superposition
 # only on a full register.
 MIN_WIDTH = 8
 FILL_SHIFT = 2
-# A sum or difference of two coefficients below 2^62 fits int64.
+# A sum or difference of two coefficients below 2^62 fits int64.  The gates'
+# row sums grow no coefficient past the bound, but `_to_packed`'s division by
+# sqrt2 adds two of them once more, so a bound of 63 could wrap there.
 MAX_BITS = 62
 
 
-def suits(s: Superposition) -> bool:
-    """Whether `final_state` should hand the rest of a circuit to `run`."""
-    return s.width >= MIN_WIDTH and len(s.packed) << FILL_SHIFT >= 1 << s.width
+def suits(width: int, terms: int) -> bool:
+    """Whether `final_state` should hand the rest of a circuit to `run`, once
+    its width-wire state holds the given number of terms."""
+    return width >= MIN_WIDTH and terms << FILL_SHIFT >= 1 << width
 
 
 def run(s: Superposition, ops: Iterator[GateApplication]) -> Superposition:

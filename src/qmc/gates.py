@@ -7,17 +7,25 @@ has that form (every built-in entry does) and kept as a packed amplitude
 otherwise, whether the gate is a permutation, and whether it is unitary,
 exactly (`is_unitary`).
 
-`apply` reads the selected wires' bits off each basis index.  A permutation
-gate (X, Z, S, T, CNOT, I) has one unit entry w^j per column in distinct
-rows, so it sends each term to its own basis index, rotated by w^j; no two
-terms meet, and the result is built directly.  Any other gate emits, for
-every nonzero entry of the column, the amplitude times the entry with the
-row's bits put in their place; a unit-scaled entry rotates the amplitude
-(`_times_unit`) instead of multiplying it.  Those results are merged with
-`combine`, which is where interference between computational paths takes
-effect.  Over more than `state.MEMO_TERMS` terms that repeat amplitudes,
-each distinct amplitude is rotated or multiplied once per kernel entry,
-through a memo that lives for the call (see `state`).
+`apply_packed` is the dict engine's kernel: it takes and gives packed
+dicts whose keys come in any order, and reads the selected wires' bits off
+each basis index.  A permutation gate (X, Z, S, T, CNOT, I) has one unit
+entry w^j per column in distinct rows, so it sends each term to its own
+basis index, rotated by w^j; no two terms meet, and the result is built
+directly.  Any other gate emits, for every nonzero entry of the column, the
+amplitude times the entry with the row's bits put in their place; a
+unit-scaled entry rotates the amplitude (`_times_unit`) instead of
+multiplying it.  Those results are merged by `state.merge`, which is where
+interference between computational paths takes effect.  Over more than
+`state.MEMO_TERMS` terms that repeat amplitudes, each distinct amplitude is
+rotated or multiplied once per kernel entry, through a memo that lives for
+the call (see `state`).
+
+`apply`, the proof path's entry, wraps the kernel for one `Superposition`,
+which it sorts: a permutation gate's dict as the kernel gives it, any other
+gate's products through `state.combine`, which wraps the same merge.
+`translate.final_state` runs a circuit's gates on the kernel and sorts one
+state per circuit.
 """
 
 from __future__ import annotations
@@ -35,7 +43,7 @@ from .amplitude import (
     _mul,
     _times_unit,
 )
-from .state import MEMO_ENTRIES, MEMO_TERMS, Superposition, _clip, _memo, combine
+from .state import MEMO_ENTRIES, MEMO_TERMS, Superposition, _clip, _memo, combine, merge
 
 Matrix = tuple[tuple[Amplitude, ...], ...]
 
@@ -177,29 +185,51 @@ def apply(app: GateApplication, s: Superposition) -> Superposition:
     cancellation between them happens there.
     """
     width = s.width
-    mask, table = app.plans.get(width) or _plan(app, width)
-    memo = _memo(s.packed.values()) if len(s.packed) > MEMO_TERMS else None
     if app.gate.permutation:
-        out: dict[int, Packed] = {}
-        for basis, amp in s.packed.items():
-            wires = basis & mask
-            row, j = table[wires]
-            if j:
-                if memo is None:
-                    amp = _times_unit(amp, j, 0)
-                else:
-                    key = amp, j
-                    rotated = memo.get(key)
-                    if rotated is None:
-                        rotated = memo[key] = _times_unit(amp, j, 0)
-                        if len(memo) > MEMO_ENTRIES:
-                            memo = None
-                    amp = rotated
-            out[basis ^ wires | row] = amp
-        return Superposition._of(width, out)
+        return Superposition._of(width, apply_packed(app, width, s.packed))
+    return combine(_products(app, width, s.packed), width)
+
+
+def apply_packed(
+    app: GateApplication, width: int, packed: dict[int, Packed]
+) -> dict[int, Packed]:
+    """The kernel of `apply`: the gate on a packed dict of the given width,
+    whose keys may come in any order, as a new dict whose keys come in no
+    set order.  Any gate but a permutation is merged by `state.merge`.
+    """
+    if not app.gate.permutation:
+        return merge(_products(app, width, packed))
+    mask, table = app.plans.get(width) or _plan(app, width)
+    memo = _memo(packed.values()) if len(packed) > MEMO_TERMS else None
+    out: dict[int, Packed] = {}
+    for basis, amp in packed.items():
+        wires = basis & mask
+        row, j = table[wires]
+        if j:
+            if memo is None:
+                amp = _times_unit(amp, j, 0)
+            else:
+                key = amp, j
+                rotated = memo.get(key)
+                if rotated is None:
+                    rotated = memo[key] = _times_unit(amp, j, 0)
+                    if len(memo) > MEMO_ENTRIES:
+                        memo = None
+                amp = rotated
+        out[basis ^ wires | row] = amp
+    return out
+
+
+def _products(
+    app: GateApplication, width: int, packed: dict[int, Packed]
+) -> list[tuple[Packed, int]]:
+    """Each term's products with its column's entries of a gate that is not
+    a permutation, as (amplitude, basis index) parts still to be merged."""
+    mask, table = app.plans.get(width) or _plan(app, width)
+    memo = _memo(packed.values()) if len(packed) > MEMO_TERMS else None
     parts: list[tuple[Packed, int]] = []
     emit = parts.append
-    for basis, amp in s.packed.items():
+    for basis, amp in packed.items():
         wires = basis & mask
         rest = basis ^ wires
         if memo is None:
@@ -218,7 +248,7 @@ def apply(app: GateApplication, s: Superposition) -> Superposition:
                 memo = None
         for part, row in products:
             emit((part, rest | row))
-    return combine(parts, width)
+    return parts
 
 
 def _plan(app: GateApplication, width: int) -> tuple[int, dict]:

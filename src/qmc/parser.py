@@ -505,7 +505,9 @@ def script_writer(c: Circuit) -> Callable[[str, BasisState | None], str]:
     rule and premise names, with the name `s<postorder index>` that an
     unlabeled tree gets, and no state is computed.  The bindings up to the
     Born annotation are written once; each outcome adds its header and its
-    measurement.
+    measurement.  A gate step's text around its premise name is formatted
+    once per distinct application, which a parse shares between the gate
+    lines that repeat it.
     """
     ax = _script_expr(Ax(), [])
     lines = [f"  s0 = {ax};\n"]
@@ -513,8 +515,16 @@ def script_writer(c: Circuit) -> Callable[[str, BasisState | None], str]:
         lines.append(f"  s{k - 1} = {ax};\n")
         lines.append(f"  s{k} = {_script_expr(Tensor(), [f's{k - 2}', f's{k - 1}'])};\n")
     k = 2 * c.width - 2  # the register's last step so far
+    # By application: its text before and after its premise's name, found by
+    # writing a newline for the name, the last operand of the gate form.
+    steps: dict[int, tuple[str, str]] = {}
     for op in c.ops:
-        lines.append(f"  s{k + 1} = {_script_expr(Unitary(op), [f's{k}'])};\n")
+        text = steps.get(id(op))
+        if text is None:
+            before, _, after = _script_expr(Unitary(op), ["\n"]).rpartition("\n")
+            text = steps[id(op)] = before, after
+        before, after = text
+        lines.append(f"  s{k + 1} = {before}s{k}{after};\n")
         k += 1
     if c.measured:
         lines.append(f"  s{k + 1} = {_script_expr(BornRule(), [f's{k}'])};\n")

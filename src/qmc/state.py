@@ -7,20 +7,25 @@ bitstring, and iteration always follows it; renderings and reports are
 deterministic.  Only nonzero amplitudes are stored: the public constructor
 drops zeros, and the sums that merge terms of like basis states drop any that
 comes out exactly zero, which is where destructive interference eliminates
-terms: `combine` in the dict engine, and on wide registers the row sums of
+terms: `merge` in the dict engine, and on wide registers the row sums of
 `dense._apply`, whose zero columns `dense._to_packed` drops.  Gates that
 cannot make two terms meet (permutations and phases, see `gates`) need no sum.
+`merge` gives a dict in no set order, for `gates.apply_packed`, on which
+`translate.final_state` runs a circuit's gates and sorts one state per
+circuit; `combine` wraps the one merge and sorts its result, for the proof
+path's `gates.apply`.
 
 A wide state repeats a few amplitudes over its whole support (a 10-wire
 register after a Hadamard layer: 1024 terms, at most 24 distinct amplitudes).
-So `combine` and `gates.apply` each keep a memo for one call, from each
+So `merge` and `gates.apply_packed` each keep a memo for one call, from each
 distinct input to its result, when the call has more than `MEMO_TERMS` terms
-and its first `MEMO_ENTRIES` + 1 amplitudes hold at most `MEMO_ENTRIES` // 2
-distinct values, and drop it once it holds more than `MEMO_ENTRIES` entries.
-Packed tuples are canonical and the memoized functions pure, so the memo is
-exact; every term still goes through `combine`'s merge, and nothing is
-cached across calls.  `norm_sq` keeps none: its |amplitude|^2 costs little
-more than the lookup would.
+and its first `MEMO_ENTRIES` + 1 amplitudes, in the order the call meets
+them, hold at most `MEMO_ENTRIES` // 2 distinct values, and drop it once it
+holds more than `MEMO_ENTRIES` entries.  Packed tuples are canonical and the
+memoized functions pure, so the memo is exact whatever that order; every
+term still goes through `merge`, and nothing is cached across calls.
+`norm_sq` keeps none: its |amplitude|^2 costs little more than the lookup
+would.
 
 `BasisState` and `Amplitude` are the values the API shows: `terms()`,
 `amplitude()` and the constructor take or give them, and the engine builds
@@ -257,6 +262,14 @@ def tensor(s1: Superposition, s2: Superposition) -> Superposition:
 def combine(parts: list[tuple[Packed, int]], width: int) -> Superposition:
     """Sum packed amplitudes of like basis indices; exact zero sums are removed.
 
+    The superposition of `merge`'s sums, in ascending order of basis index.
+    """
+    return Superposition._of(width, merge(parts))
+
+
+def merge(parts: list[tuple[Packed, int]]) -> dict[int, Packed]:
+    """The nonzero sums of `combine`, by basis index in no set order.
+
     The dict engine's interference happens here (the dense engine's in
     `dense._apply`): two equal, oppositely signed contributions to the same
     basis state cancel and the term disappears from the support.  Over more
@@ -282,7 +295,7 @@ def combine(parts: list[tuple[Packed, int]], width: int) -> Superposition:
             sums[basis] = amp
         elif prev is not None:
             del sums[basis]
-    return Superposition._of(width, sums)
+    return sums
 
 
 def norm_sq(s: Superposition) -> ExactReal:

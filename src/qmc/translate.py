@@ -9,14 +9,17 @@ order; proofs that prepare from earlier measurements describe sequential
 composition and are refused rather than guessed at.
 
 `final_state` (behind `qmc dist` of a circuit and the selftest sweep) runs
-the gates on the dict engine until the register has at least
-`dense.MIN_WIDTH` wires and a quarter of its basis states
-(2^n / 2^`dense.FILL_SHIFT`) carry an amplitude; from there `dense.run`
-takes them on int64 arrays while every coefficient stays below
-2^`dense.MAX_BITS`.  A gate that would pass that bound, or that has an
-entry of no w^j / sqrt2^e form, goes back to the dict engine, which
-finishes the circuit.  `circuit_to_proof` keeps one `Superposition` per
-node and stays on the dict engine.  `qmc translate --to proof` builds no
+the gates on the dict engine's kernel, `gates.apply_packed`, one packed dict
+after another, until the register has at least `dense.MIN_WIDTH` wires and
+a quarter of its basis states (2^n / 2^`dense.FILL_SHIFT`) carry an
+amplitude; from there `dense.run` takes them on int64 arrays while every
+coefficient stays below 2^`dense.MAX_BITS`.  A gate that would pass that
+bound, or that has an entry of no w^j / sqrt2^e form, goes back to the dict
+engine, which finishes the circuit.  So `final_state` sorts one state per
+circuit, at the end (and one more where it hands a state to `dense.run`),
+not one per gate.  `circuit_to_proof` keeps one sorted `Superposition` per
+node, each built by `gates.apply`, since every node's state is printed and
+hashed in order.  `qmc translate --to proof` builds no
 tree: a circuit's proof has a fixed shape, so `parser.script_writer` writes
 its scripts from the circuit, and only a measured circuit's outcomes need a
 state, its `final_state`.
@@ -39,8 +42,9 @@ from .calculus import (
     sample_outcome,
     walk,
 )
-from .gates import GateApplication, apply as apply_gate, builtin
-from .state import Superposition, _clip, ket
+from .amplitude import PACKED_ONE
+from .gates import GateApplication, apply_packed, builtin
+from .state import Superposition, _clip
 
 
 class UnsupportedTranslation(Exception):
@@ -73,20 +77,21 @@ class Circuit:
 def final_state(c: Circuit) -> Superposition:
     """Exact state after running every gate on |0...0>.
 
-    The gates run on the dict engine until the state suits `dense`, then on
-    its arrays, and from any gate that `dense.run` hands back, on the dict
-    engine again (see the module docstring).  The result is the same either
-    way."""
-    state = ket("0" * c.width)
+    The gates run on the dict engine's kernel, one packed dict after
+    another, until the state suits `dense`, then on its arrays, and from any
+    gate that `dense.run` hands back, on the kernel again (see the module
+    docstring).  The result is the same either way."""
+    width = c.width
+    packed = {0: PACKED_ONE}
     ops = iter(c.ops)
     for op in ops:
-        state = apply_gate(op, state)
-        if dense.suits(state):
-            state = dense.run(state, ops)
+        packed = apply_packed(op, width, packed)
+        if dense.suits(width, len(packed)):
+            packed = dense.run(Superposition._of(width, packed), ops).packed
             break
     for op in ops:  # the gates that `dense.run` left, if any
-        state = apply_gate(op, state)
-    return state
+        packed = apply_packed(op, width, packed)
+    return Superposition._of(width, packed)
 
 
 def circuit_to_proof(

@@ -1058,18 +1058,18 @@ def test_selftest_names_each_golden_proof_failure(run_cli, monkeypatch, patch, f
 def test_selftest_sweep_catches_a_gate_that_breaks_the_norm(run_cli, monkeypatch):
     # A gate's conclusion skips the norm check, so the sweep's exact norm of
     # each final state is the runtime guard left against such a bug; it
-    # speaks before the comparison with the oracle would.
-    apply_gate = translate.apply_gate
+    # speaks before the comparison with the oracle would.  The fault drops
+    # the largest basis index of each gate result with two or more terms, at
+    # the kernel that `final_state` runs every gate through.
+    apply_packed = translate.apply_packed
 
-    def dropping(app, s):
-        out = apply_gate(app, s)
-        if len(out.packed) < 2:
-            return out
-        packed = dict(out.packed)
-        packed.popitem()
-        return state.Superposition._of(out.width, packed)
+    def dropping(app, width, packed):
+        out = apply_packed(app, width, packed)
+        if len(out) >= 2:
+            del out[max(out)]
+        return out
 
-    monkeypatch.setattr(translate, "apply_gate", dropping)
+    monkeypatch.setattr(translate, "apply_packed", dropping)
     assert run_cli("selftest") == (
         1,
         "unitarity: ok\ngolden proofs: ok\n",

@@ -133,6 +133,27 @@ def test_past_the_int64_bound_the_dict_engine_finishes():
     assert largest.bit_length() > dense.MAX_BITS
 
 
+# Coefficients from 2^61 to 2^63, of either sign.  Every term holds
+# (c, 0, c, 0) = c(1 + i), so H on wire 0 sums two equal terms to
+# 2c(1 + i) / sqrt2 = 2c w, a normal form that `_to_packed` reaches as
+# (2c + 2c) w / 2: past int64 once |c| >= 2^61.  A bound of 62 bits refuses
+# that H for |c| >= 2^61 (62 bits plus the Hadamard's one), so the dict
+# engine applies it exactly; 63 would let it through, and the sum would wrap.
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize(
+    "c", [2**61 - 1, 2**61, 2**61 + 1, 2**62 - 1, 2**62, 2**62 + 1, 2**63 - 1]
+)
+@pytest.mark.parametrize("names", [("H",), ("H", "T", "H"), ("T", "H", "S", "H")])
+def test_coefficients_at_the_int64_edge_equal_the_dict_engine(sign, c, names):
+    width = dense.MIN_WIDTH
+    amp = Amplitude(CycloInt(sign * c, 0, sign * c, 0))
+    state = Superposition(width, {BasisState.of(b, width): amp for b in range(1 << width)})
+    ops = [GateApplication(builtin(name), (0,)) for name in names]
+    rest = iter(ops)
+    actual = dict_engine(dense.run(state, rest), rest)
+    assert list(actual.packed.items()) == list(dict_engine(state, ops).packed.items())
+
+
 @pytest.mark.parametrize(
     "amps",
     [

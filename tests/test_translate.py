@@ -26,7 +26,7 @@ from qmc.calculus import (
     check,
     walk,
 )
-from qmc.gates import BUILTIN_NAMES, GateApplication, builtin
+from qmc.gates import BUILTIN_NAMES, GateApplication, apply, builtin
 from qmc.oracle import compare, run_circuit
 from qmc.cli import main
 from qmc.parser import elaborate, parse_proof, render_circuit, render_script
@@ -41,6 +41,7 @@ from qmc.translate import (
 )
 
 from conftest import bell_circuit, brickwork, load_golden
+from test_engine_pins import custom_gates
 
 
 def hh_circuit() -> Circuit:
@@ -176,6 +177,74 @@ def test_an_extracted_circuit_prepares_the_root_state(root, measured):
     circuit = proof_to_circuit(root)
     assert (circuit.width, circuit.measured) == (state.width, measured)
     assert final_state(circuit) == state
+
+
+def _chain(
+    rng: random.Random, wires: tuple[int, ...], n_gates: int
+) -> list[GateApplication]:
+    """n_gates random H, T, S and CNOT gates on the given wires."""
+    names = ("H", "T", "S", "CNOT") if len(wires) > 1 else ("H", "T", "S")
+    ops = []
+    for _ in range(n_gates):
+        gate = builtin(rng.choice(names))
+        ops.append(GateApplication(gate, tuple(rng.sample(wires, gate.arity))))
+    return ops
+
+
+@st.composite
+def kernel_circuits(draw) -> Circuit:
+    """Circuits whose `final_state` meets every path of the kernel.
+
+    Narrow ones, 1 to 12 wires: H on all but at most four wires, so that
+    from 8 wires on the state may fill enough of the register to go dense,
+    then random built-in gates and gates outside the built-in set, some with
+    entries of no w^j / sqrt2^e form (the `_mul` path, which `dense.run`
+    hands back).  From 11 wires on, up to 512 terms stay on the kernel
+    before the switch.  Sparse ones, 24 to 48 wires: a GHZ prefix, up to
+    four 2-qubit chains on disjoint wires, a few H, then permutation gates.
+    Deep chains give products of up to 256 distinct amplitudes over up to
+    512 terms, in whatever order the kernel's dicts hold them, so the
+    per-call memos start, are not started, or are dropped part way.
+    """
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        width = draw(st.integers(1, 12))
+        filled = rng.sample(range(width), max(0, width - draw(st.integers(0, 4))))
+        ops = [GateApplication(builtin("H"), (w,)) for w in filled]
+        ops += _chain(rng, tuple(range(width)), rng.randint(0, 30))
+        for gate in draw(st.lists(custom_gates(), max_size=3)):
+            if gate.arity <= width:
+                wires = tuple(rng.sample(range(width), gate.arity))
+                ops.insert(rng.randint(0, len(ops)), GateApplication(gate, wires))
+        return Circuit(width, tuple(ops))
+    width = draw(st.integers(24, 48))
+    ghz = rng.randint(2, width)
+    ops = [GateApplication(builtin("H"), (0,))]
+    ops += [GateApplication(builtin("CNOT"), (w - 1, w)) for w in range(1, ghz)]
+    # Each chain multiplies the support by up to 4 and each H by 2: at most
+    # 2 * 2^8 terms.
+    chains = draw(st.integers(0, 4))
+    wires = rng.sample(range(width), 2 * chains + 8)
+    for i in range(chains):
+        ops += _chain(rng, tuple(wires[2 * i : 2 * i + 2]), rng.randint(0, 80))
+    for w in wires[2 * chains :][: rng.randint(0, 8 - 2 * chains)]:
+        ops.append(GateApplication(builtin("H"), (w,)))
+    for _ in range(rng.randint(0, 30)):
+        gate = builtin(rng.choice(("X", "Z", "S", "T", "CNOT")))
+        ops.append(GateApplication(gate, tuple(rng.sample(range(width), gate.arity))))
+    return Circuit(width, tuple(ops))
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernel_circuits())
+def test_final_state_equals_the_fold_of_apply(c):
+    # `final_state` runs its gates on packed dicts in no set order and sorts
+    # once; `gates.apply` sorts after every gate.  The ring is exact, so the
+    # two agree term for term and in order.
+    state = ket("0" * c.width)
+    for op in c.ops:
+        state = apply(op, state)
+    assert list(final_state(c).packed.items()) == list(state.packed.items())
 
 
 def _norms_are_exactly_one(root: ProofNode) -> None:
