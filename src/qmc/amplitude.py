@@ -22,6 +22,12 @@ real.  They are module-private because the state engine calls them once per
 term.  `Amplitude` is the value the API and the renderers see: a thin wrapper
 around one packed tuple, whose operators call those functions.
 
+`_poly` is the one coefficient formatter.  It writes a packed amplitude's
+numerator in one pass over its coefficients and counts its nonzero terms on
+the way, which decides the parentheses before a denominator:
+`Amplitude.text`, `_latex` (the LaTeX renderers') and `state._coeff_text`
+(the ascii renderers') are each a few lines around it.
+
 Coefficients are Python ints, hence arbitrary precision: values grow, they
 never silently wrap.
 """
@@ -165,38 +171,31 @@ def _to_complex(x: Packed) -> complex:
     return complex(re, im) / _SQRT2**k
 
 
-def _poly(coeffs: tuple[int, ...], powers: tuple[str, str, str, str], mul: str) -> str:
-    parts: list[tuple[str, str]] = []
-    for coef, power in zip(coeffs, powers):
-        if coef == 0:
-            continue
-        if not power:
-            body = str(abs(coef))
-        elif abs(coef) == 1:
-            body = power
-        else:
-            body = f"{abs(coef)}{mul}{power}"
-        parts.append(("-" if coef < 0 else "+", body))
-    if not parts:
-        return "0"
-    sign, body = parts[0]
-    out = ("-" if sign == "-" else "") + body
-    for sign, body in parts[1:]:
-        out += f" {sign} {body}"
-    return out
-
-
-def _poly_text(x: Packed) -> str:
-    """The numerator of a packed amplitude, as in `1 - w + 2*w^3`."""
-    return _poly(x[:4], _POWER_NAMES, "*")
+def _poly(x: Packed, powers: tuple[str, str, str, str], mul: str) -> tuple[str, int]:
+    """The numerator of a packed amplitude, as in `1 - w + 2*w^3`, with its
+    number of nonzero terms, in one pass over the coefficients; powers names
+    w^0 to w^3 and mul stands between a coefficient and its power."""
+    a0, a1, a2, a3, _ = x
+    text = str(a0) if a0 else ""
+    terms = 1 if a0 else 0
+    for coef, power in ((a1, powers[1]), (a2, powers[2]), (a3, powers[3])):
+        if coef:
+            if coef < 0:
+                sign = " - " if terms else "-"
+                coef = -coef
+            else:
+                sign = " + " if terms else ""
+            text += sign + power if coef == 1 else f"{sign}{coef}{mul}{power}"
+            terms += 1
+    return text or "0", terms
 
 
 def _latex(x: Packed) -> str:
-    body = _poly(x[:4], _POWER_LATEX, "")
+    body, terms = _poly(x, _POWER_LATEX, "")
     k = x[4]
     if k == 0:
         return body
-    if " " in body:
+    if terms > 1:
         body = f"({body})"
     denom = r"\sqrt{2}" if k == 1 else r"\sqrt{2}^{%d}" % k
     return r"\frac{%s}{%s}" % (body, denom)
@@ -315,7 +314,7 @@ class Amplitude:
         return _to_complex(self.packed)
 
     def text(self) -> str:
-        body = f"({_poly_text(self.packed)})"
+        body = f"({_poly(self.packed, _POWER_NAMES, '*')[0]})"
         if self.sqrt2_exp == 0:
             return body
         return f"{body}/sqrt2^{self.sqrt2_exp}"

@@ -11,6 +11,12 @@ distribution, and the state and outcome the probability, so each sequent
 computes its annotation and none can be built with a wrong one;
 `distribution` is the one way to build a `Distribution`.
 
+`apply_rule` is the one derivation: it tests a rule's premise count and
+kinds, then concludes.  `ProofNode.derive` concludes through it and builds
+the node without repeating the count test that the public `ProofNode(...)`
+makes.  `sequent_text` writes a sequent's state through `Superposition.render`,
+whose coefficients come from the one formatter, `amplitude._poly`.
+
 Weakening is rejected on both sides.  On the right this is structural: no
 sequent variant can hold a second succedent formula.  On the left it is a
 checked error, because a state added to a superposition interferes with the
@@ -340,7 +346,7 @@ class Unitary(RuleApp):
     needs = "a gate rule needs one coherent premise"
 
     def label(self) -> str:
-        return self.app.label()
+        return self.app.text
 
     def latex(self) -> str:
         return r"\mathbf{%s}" % self.app.gate.name
@@ -439,8 +445,16 @@ class ProofNode:
         label: str | None = None,
     ) -> ProofNode:
         """The node concluding what the rule derives from the premises (see
-        `apply_rule`)."""
-        return cls(rule, premises, apply_rule(rule, [p.conclusion for p in premises]), label)
+        `apply_rule`).
+
+        `apply_rule` has made the premise-count test of `__post_init__`, so
+        the node is built without repeating it: the one constructor without
+        the check, as `Coherent._of` is for a sequent.
+        """
+        conclusion = apply_rule(rule, [p.conclusion for p in premises])
+        node = object.__new__(cls)
+        node.__dict__.update(rule=rule, premises=premises, conclusion=conclusion, label=label)
+        return node
 
 
 def walk(root: ProofNode) -> Iterator[tuple[ProofNode, int, bool]]:
@@ -478,13 +492,15 @@ def apply_rule(rule: RuleApp, premises: Sequence[Sequent]) -> Sequent:
         raise WrongPremiseShape(
             f"rule {rule.label()} takes {rule.arity} premises, got {len(premises)}"
         )
-    if not all(isinstance(p, rule.premise) for p in premises):
-        if any(isinstance(p, BornAnnotated) for p in premises):
-            raise BRNormalFormViolation(
-                "a Born-annotated sequent may only feed a measurement; "
-                "the distribution is introduced at the penultimate step"
-            )
-        raise WrongPremiseShape(rule.needs)
+    kind = rule.premise
+    for p in premises:
+        if not isinstance(p, kind):
+            if any(isinstance(p, BornAnnotated) for p in premises):
+                raise BRNormalFormViolation(
+                    "a Born-annotated sequent may only feed a measurement; "
+                    "the distribution is introduced at the penultimate step"
+                )
+            raise WrongPremiseShape(rule.needs)
     return rule.conclude(premises)
 
 

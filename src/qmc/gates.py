@@ -125,6 +125,9 @@ class GateApplication:
     plans: dict[int, tuple[int, dict]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+    # `label()`, made once per application rather than once per rendered
+    # node or written gate step.
+    text: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.wires) != self.gate.arity:
@@ -136,9 +139,12 @@ class GateApplication:
             raise ValueError("duplicate wires")
         if any(w < 0 for w in self.wires):
             raise ValueError("wire indices must be nonnegative")
+        object.__setattr__(
+            self, "text", f"{self.gate.name} [{','.join(map(str, self.wires))}]"
+        )
 
     def label(self) -> str:
-        return f"{self.gate.name} [{','.join(str(w) for w in self.wires)}]"
+        return self.text
 
 
 _ONE = AMP_ONE

@@ -214,8 +214,8 @@ class _ScriptParser:
         if not self.tokens[i]:
             return len(code.split("#", 1)[0]) + 1
         k = i - self.starts[line - 1]
-        if k == 0:
-            return _WORD_RE.search(code).start() + 1
+        if k == 0:  # only blanks come before a line's first token
+            return len(code) - len(code.lstrip(_BLANKS)) + 1
         columns = self.columns.get(line)
         if columns is None:
             columns = self.columns[line] = [m.start() + 1 for m in _WORD_RE.finditer(code)]
@@ -398,7 +398,7 @@ def elaborate_bindings(script: ProofScript) -> list[tuple[str, ProofNode]]:
     nodes: dict[str, ProofNode] = {}
     completed: list[tuple[str, ProofNode]] = []
     for b in script.bindings:
-        premises = tuple(nodes[name] for name in b.premises)
+        premises = tuple(map(nodes.__getitem__, b.premises))
         try:
             node = ProofNode.derive(b.rule, premises, b.name)
         except (RuleError, ValueError) as cause:

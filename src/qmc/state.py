@@ -27,6 +27,10 @@ term still goes through `merge`, and nothing is cached across calls.
 `norm_sq` keeps none: its |amplitude|^2 costs little more than the lookup
 would.
 
+`render` and `latex` write each distinct amplitude once per rendering
+pass (see `_join`), through `_coeff_text` and `amplitude._latex`, which share
+the one coefficient formatter, `amplitude._poly`.
+
 `BasisState` and `Amplitude` are the values the API shows: `terms()`,
 `amplitude()` and the constructor take or give them, and the engine builds
 them only there.  A Born distribution (`calculus.Distribution`) keeps the
@@ -45,13 +49,14 @@ from .amplitude import (
     AMP_ZERO,
     PACKED_ONE,
     PACKED_ZERO,
+    _POWER_NAMES,
     Amplitude,
     ExactReal,
     Packed,
     _add,
     _latex,
     _mul,
-    _poly_text,
+    _poly,
 )
 
 # The bound of the per-call memos (see the module docstring): wide 8- to
@@ -190,7 +195,7 @@ class Superposition:
         return hash((self.width, tuple(self.packed.items())))
 
     def render(self, texts: dict | None = None) -> str:
-        return self._join(lambda amp: f"({_coeff_text(amp)})", "|%s>", texts)
+        return self._join(_render_coeff, "|%s>", texts)
 
     def latex(self, texts: dict | None = None) -> str:
         return self._join(_latex, r"\ket{%s}", texts)
@@ -231,15 +236,20 @@ class Superposition:
 
 
 def _coeff_text(amp: Packed) -> str:
-    poly = _poly_text(amp)
+    """An amplitude as `render` shows it, before its parentheses: the
+    numerator, over `sqrt2` or `sqrt2^k`; a numerator of other than one term
+    takes parentheses before a denominator."""
+    text, terms = _poly(amp, _POWER_NAMES, "*")
     k = amp[4]
     if k == 0:
-        return poly
-    single = sum(1 for c in amp[:4] if c) == 1
-    base = poly if single else f"({poly})"
-    if k == 1:
-        return f"{base}/sqrt2"
-    return f"{base}/sqrt2^{k}"
+        return text
+    if terms != 1:
+        text = f"({text})"
+    return text + "/sqrt2" if k == 1 else f"{text}/sqrt2^{k}"
+
+
+def _render_coeff(amp: Packed) -> str:
+    return f"({_coeff_text(amp)})"
 
 
 def ket(bits: str | BasisState) -> Superposition:

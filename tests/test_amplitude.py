@@ -16,10 +16,12 @@ from qmc.amplitude import (
     OMEGA,
     REAL_ONE,
     REAL_ZERO,
+    _latex,
     _mod_sq,
     _mul,
     _times_unit,
 )
+from qmc.state import _coeff_text
 
 SQRT2 = Amplitude(CycloInt(0, 1, 0, -1))  # w - w^3
 HALF = Amplitude(CycloInt(1), 2)
@@ -241,6 +243,79 @@ def test_amplitude_text():
 def test_zero_numerator_text():
     assert AMP_ZERO.text() == "(0)"
     assert AMP_ZERO.latex() == "0"
+
+
+# The coefficient formatters as they were before `_poly` became one pass
+# that also counts the terms: the reference the one formatter must match
+# byte for byte.
+def _old_poly(coeffs: tuple[int, ...], powers: tuple[str, ...], mul: str) -> str:
+    parts: list[tuple[str, str]] = []
+    for coef, power in zip(coeffs, powers):
+        if coef == 0:
+            continue
+        if not power:
+            body = str(abs(coef))
+        elif abs(coef) == 1:
+            body = power
+        else:
+            body = f"{abs(coef)}{mul}{power}"
+        parts.append(("-" if coef < 0 else "+", body))
+    if not parts:
+        return "0"
+    sign, body = parts[0]
+    out = ("-" if sign == "-" else "") + body
+    for sign, body in parts[1:]:
+        out += f" {sign} {body}"
+    return out
+
+
+def _old_text(x: tuple) -> str:
+    body = f"({_old_poly(x[:4], ('', 'w', 'w^2', 'w^3'), '*')})"
+    return body if x[4] == 0 else f"{body}/sqrt2^{x[4]}"
+
+
+def _old_coeff_text(amp: tuple) -> str:
+    poly = _old_poly(amp[:4], ("", "w", "w^2", "w^3"), "*")
+    k = amp[4]
+    if k == 0:
+        return poly
+    single = sum(1 for c in amp[:4] if c) == 1
+    base = poly if single else f"({poly})"
+    if k == 1:
+        return f"{base}/sqrt2"
+    return f"{base}/sqrt2^{k}"
+
+
+def _old_latex(x: tuple) -> str:
+    body = _old_poly(x[:4], ("", r"\omega", r"\omega^2", r"\omega^3"), "")
+    k = x[4]
+    if k == 0:
+        return body
+    if " " in body:
+        body = f"({body})"
+    denom = r"\sqrt{2}" if k == 1 else r"\sqrt{2}^{%d}" % k
+    return r"\frac{%s}{%s}" % (body, denom)
+
+
+# Zero and the units, which print without a coefficient, small values, and
+# values past 2^64 of either sign.
+_FORMAT_COEFFS = st.one_of(
+    st.sampled_from([0, 1, -1]),
+    st.integers(-9, 9),
+    st.integers(2**64 + 1, 2**200).flatmap(lambda c: st.sampled_from([c, -c])),
+)
+_FORMAT_EXPONENTS = st.one_of(st.sampled_from([0, 1]), st.integers(2, 80))
+
+
+@example(packed=(0, 0, 0, 0, 0))
+@example(packed=(0, 0, 0, 0, 3))  # not canonical: a zero numerator over sqrt2^3
+@example(packed=(-1, 0, 0, 0, 1))
+@example(packed=(0, -(2**65), 0, 1, 2))
+@given(st.tuples(*[_FORMAT_COEFFS] * 4, _FORMAT_EXPONENTS))
+def test_the_one_formatter_matches_the_old_formatters(packed):
+    assert Amplitude.of(packed).text() == _old_text(packed)
+    assert _coeff_text(packed) == _old_coeff_text(packed)
+    assert _latex(packed) == _old_latex(packed)
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,7 @@ from qmc.gates import BUILTIN_NAMES, Gate, GateApplication, apply, builtin
 from qmc.oracle import run_circuit
 from qmc.parser import elaborate_bindings, parse_proof
 from qmc.state import BasisState, Superposition, combine, ket, norm_sq
-from qmc.translate import Circuit, circuit_to_proof, final_state
+from qmc.translate import Circuit, circuit_to_proof, final_state, random_circuit
 
 from conftest import (
     GOLDEN,
@@ -573,6 +573,107 @@ def test_annotations_of_valid_scripts_are_derived(text):
 def test_proof_node_arity_is_validated():
     with pytest.raises(ValueError):
         ProofNode(Tensor(), (), Coherent(ket("00")))
+    ax = ProofNode.derive(Ax())
+    with pytest.raises(ValueError, match=r"^rule tensor takes 2 premises, got 1$"):
+        ProofNode(Tensor(), (ax,), Coherent(ket("00")))
+
+
+def _premise_nodes() -> dict[str, ProofNode]:
+    ax = ProofNode.derive(Ax())
+    born = ProofNode.derive(BornRule(), (ax,))
+    return {"ax": ax, "born": born, "measured": ProofNode.derive(Measure(BasisState("0")), (born,))}
+
+
+# What `derive` refuses, by rule and premise nodes, with the error class and
+# message it raises, the same as `apply_rule` on the premises' conclusions.
+_DERIVE_REFUSALS = [
+    ("count", Tensor(), ("ax",), WrongPremiseShape, "rule tensor takes 2 premises, got 1"),
+    ("count", BornRule(), (), WrongPremiseShape, "rule born takes 1 premises, got 0"),
+    ("count", Ax(), ("ax",), WrongPremiseShape, "rule ax takes 0 premises, got 1"),
+    ("kind", Prep(BasisState("0")), ("ax",), WrongPremiseShape, "prep needs a measured premise"),
+    (
+        "kind",
+        Unitary(GateApplication(builtin("H"), (0,))),
+        ("measured",),
+        WrongPremiseShape,
+        "a gate rule needs one coherent premise",
+    ),
+    (
+        "kind",
+        Measure(BasisState("0")),
+        ("ax",),
+        WrongPremiseShape,
+        "measurement needs one Born-annotated premise",
+    ),
+    (
+        "born",
+        Unitary(GateApplication(builtin("X"), (0,))),
+        ("born",),
+        BRNormalFormViolation,
+        _BORN_ONLY_FEEDS_MEASURE,
+    ),
+    ("born", BornRule(), ("born",), BRNormalFormViolation, _BORN_ONLY_FEEDS_MEASURE),
+    ("born", Tensor(), ("ax", "born"), BRNormalFormViolation, _BORN_ONLY_FEEDS_MEASURE),
+    (
+        "weaken",
+        Weaken(BasisState("1")),
+        ("ax",),
+        NonMonotonicityViolation,
+        "weakening is rejected: an added state would interfere with the "
+        "superposition already present, so prior conclusions need not survive",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "rule, names, error, message",
+    [refusal[1:] for refusal in _DERIVE_REFUSALS],
+    ids=[f"{what}-{rule.keyword}" for what, rule, *_ in _DERIVE_REFUSALS],
+)
+def test_derive_keeps_every_check_of_apply_rule(rule, names, error, message):
+    nodes = _premise_nodes()
+    premises = tuple(nodes[name] for name in names)
+    with pytest.raises(RuleError) as derived:
+        ProofNode.derive(rule, premises, "x")
+    assert type(derived.value) is error
+    assert str(derived.value) == message
+    with pytest.raises(RuleError) as applied:
+        apply_rule(rule, [p.conclusion for p in premises])
+    assert type(applied.value) is error and str(applied.value) == message
+
+
+_NODE_FIELDS = [f.name for f in dataclasses.fields(ProofNode)]
+
+
+def _assert_derived_as_checked(node: ProofNode) -> None:
+    checked = ProofNode(node.rule, node.premises, node.conclusion, node.label)
+    assert type(node) is ProofNode
+    assert list(vars(node)) == list(vars(checked)) == _NODE_FIELDS
+    for name in _NODE_FIELDS:
+        assert getattr(node, name) is getattr(checked, name)
+    assert node.conclusion == apply_rule(node.rule, [p.conclusion for p in node.premises])
+    assert repr(node) == repr(checked)
+    assert node.is_assumption == checked.is_assumption
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32), st.sampled_from(["enumerate", "sample"]))
+def test_each_derived_node_equals_the_checked_node(seed, mode):
+    rng = random.Random(seed)
+    c = random_circuit(rng, max_width=4, max_gates=25, measured=rng.random() < 0.7)
+    for proof in circuit_to_proof(c, mode, seed):
+        for node, _, entering in calculus.walk(proof):
+            if entering:
+                _assert_derived_as_checked(node)
+
+
+def test_each_elaborated_node_equals_the_checked_node():
+    for name in GOLDEN_PROOFS:
+        for label, node in elaborate_bindings(parse_proof((GOLDEN / name).read_text())):
+            assert node.label == label
+            _assert_derived_as_checked(node)
+    for label, node in elaborate_bindings(parse_proof(PREP_LEAF_SCRIPT)):
+        _assert_derived_as_checked(node)
 
 
 # ---------------------------------------------------------------------------

@@ -211,3 +211,13 @@ def test_gate_application_rejects_a_negative_wire():
         GateApplication(builtin("H"), (-1,))
     with pytest.raises(ValueError, match="nonnegative"):
         GateApplication(builtin("CNOT"), (0, -2))
+
+
+def test_the_kept_label_stays_out_of_eq_hash_and_repr():
+    a = GateApplication(builtin("CNOT"), (2, 10))
+    b = GateApplication(builtin("CNOT"), (2, 10))
+    assert a.label() == a.text == "CNOT [2,10]"
+    object.__setattr__(b, "text", "another label")
+    assert a == b and hash(a) == hash(b)
+    assert repr(a) == repr(b) == f"GateApplication(gate={a.gate!r}, wires=(2, 10))"
+    assert a != GateApplication(builtin("CNOT"), (10, 2))

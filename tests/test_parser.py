@@ -39,6 +39,7 @@ from qmc.parser import (
     elaborate,
     parse_circuit,
     parse_proof,
+    proof_rows,
     render_circuit,
     render_proof,
     render_script,
@@ -47,7 +48,7 @@ from qmc.parser import (
     _ScriptParser,
     _script_expr,
 )
-from qmc.gates import GateApplication, builtin
+from qmc.gates import Gate, GateApplication, builtin
 from qmc.state import BasisState, _coeff_text, ket
 from qmc.translate import circuit_to_proof, random_circuit
 
@@ -1064,3 +1065,30 @@ def test_a_latex_pass_formats_each_distinct_born_weight_once(monkeypatch):
     assert render_proof(proof, "latex") == expected
     assert len(calls) == 2
     assert r"\frac{1}{512}\ket{111111111}" in expected
+
+
+def test_no_proof_path_hashes_a_gate(monkeypatch):
+    # Hashing a GateApplication walks its gate's matrix of amplitudes, so a
+    # proof's path shares applications and rules by identity, never by hash.
+    rng = random.Random(7)
+    lines = ["qubits 3"]
+    for _ in range(2000):
+        name = rng.choice(["H", "T", "S", "X", "Z", "CNOT"])
+        wires = rng.sample(range(3), 2 if name == "CNOT" else 1)
+        lines.append(f"{name} {' '.join(map(str, wires))}")
+    text = "\n".join(lines + ["measure"]) + "\n"
+
+    def refuse(gate):
+        raise AssertionError(f"gate {gate.name} hashed")
+
+    monkeypatch.setattr(Gate, "__hash__", refuse)
+    with pytest.raises(AssertionError, match="hashed"):
+        hash(GateApplication(builtin("H"), (0,)))
+    circuit = parse_circuit(text)
+    (proof,) = circuit_to_proof(circuit, "sample", 3)
+    script = parse_proof(render_script(proof, "chain"))
+    root = elaborate(script)
+    assert len(script.bindings) == 2 * 3 - 1 + 2000 + 2
+    assert "".join(proof_rows(root)) == "".join(proof_rows(proof))
+    assert sum(1 for _ in proof_rows(root, "latex")) > 2000
+    assert check(root).valid
