@@ -43,7 +43,16 @@ from .amplitude import (
     _mul,
     _times_unit,
 )
-from .state import MEMO_ENTRIES, MEMO_TERMS, Superposition, _clip, _memo, combine, merge
+from .state import (
+    MEMO_ENTRIES,
+    MEMO_TERMS,
+    Superposition,
+    _clip,
+    _memo,
+    _wire_text,
+    combine,
+    merge,
+)
 
 Matrix = tuple[tuple[Amplitude, ...], ...]
 
@@ -140,7 +149,7 @@ class GateApplication:
         if any(w < 0 for w in self.wires):
             raise ValueError("wire indices must be nonnegative")
         object.__setattr__(
-            self, "text", f"{self.gate.name} [{','.join(map(str, self.wires))}]"
+            self, "text", f"{self.gate.name} [{','.join(map(_wire_text, self.wires))}]"
         )
 
     def label(self) -> str:
@@ -267,7 +276,9 @@ def _plan(app: GateApplication, width: int) -> tuple[int, dict]:
     # meets; a width gets a plan only once its wires fit, so is checked once.
     for w in app.wires:
         if w >= width:
-            raise ValueError(f"wire {_clip(str(w))} out of range for width-{width} register")
+            raise ValueError(
+                f"wire {_clip(_wire_text(w))} out of range for width-{width} register"
+            )
     gate = app.gate
     # Wire w is bit width-1-w of a basis index, and row bit j (from the
     # most significant) belongs to wires[j].  place[row] puts a row's bits

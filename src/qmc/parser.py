@@ -651,8 +651,14 @@ def parse_circuit(text: str) -> Circuit:
 
 def render_circuit(c: Circuit) -> str:
     lines = [f"qubits {c.width}"]
+    # By application: its line, formatted once; a parse shares one
+    # application between the gate lines that repeat it.
+    texts: dict[int, str] = {}
     for op in c.ops:
-        lines.append(op.gate.name + " " + " ".join(str(w) for w in op.wires))
+        line = texts.get(id(op))
+        if line is None:
+            line = texts[id(op)] = " ".join((op.gate.name, *map(str, op.wires)))
+        lines.append(line)
     if c.measured:
         lines.append("measure")
     return "\n".join(lines) + "\n"

@@ -92,6 +92,23 @@ def _clip(text: str) -> str:
     return text if len(text) <= 15 else text[:12] + "..."
 
 
+def _wire_text(wire: int) -> str:
+    """A wire index's decimal text.  One too long for `str` (by default more
+    than 4300 digits) is quoted as `_clip` quotes a long text, by its first
+    12 digits and `...`, found without converting the whole wire."""
+    try:
+        return str(wire)
+    except ValueError:
+        pass
+    # 10^digits <= wire, since 0.30102 < log10(2), so the quotient keeps at
+    # least the 12 leading digits.
+    digits = (wire.bit_length() - 1) * 30102 // 100000
+    lead = wire // 10 ** (digits - 11)
+    while lead >= 10**12:
+        lead //= 10
+    return f"{lead}..."
+
+
 @dataclass(frozen=True, order=True)
 class BasisState:
     """An n-bit computational basis state; wire 0 is the leftmost bit."""

@@ -18,6 +18,9 @@ a fixed random 10-wire circuit, taken before the engine kept per-call memos
 (see `state`), so they hold with or without one in each step.  Brickwork
 states repeat a few amplitudes over 256-1024 terms; the random circuit's
 hardly repeat.
+`sweep_circuits.sha256` pins the sweep's circuits themselves: the
+`render_circuit` text of each of the 200, taken while `random_circuit` drew
+with `rng.choice` and `rng.sample`.
 
 A hypothesis property also compares `gates.apply` with the textbook column
 sum written here with `Amplitude` arithmetic and `BasisState` bits, on the
@@ -50,6 +53,7 @@ DIGESTS = GOLDEN / "expected" / "final_states.sha256"
 WIDE_DIGESTS = GOLDEN / "expected" / "final_states_wide.sha256"
 DIST_DIGESTS = GOLDEN / "expected" / "dist_wide.sha256"
 PROOF_DIGESTS = GOLDEN / "expected" / "proofs_wide.sha256"
+SWEEP_DIGESTS = GOLDEN / "expected" / "sweep_circuits.sha256"
 
 
 def pinned_circuits(apps: dict | None = None) -> dict[str, Circuit]:
@@ -161,6 +165,21 @@ def test_the_shared_sweep_matches_the_pinned_digests():
     # Plans built for one circuit are reused by later ones of other widths.
     expected = DIGESTS.read_text(encoding="ascii").splitlines()
     assert digest_lines({}) == expected
+
+
+def test_the_sweep_draws_the_pinned_circuits():
+    expected = SWEEP_DIGESTS.read_text(encoding="ascii").splitlines()
+    assert len(expected) == 200
+    for apps in (None, {}):
+        sweep = {
+            name: c for name, c in pinned_circuits(apps).items() if name.startswith("sweep/")
+        }
+        assert sum(len(c.ops) for c in sweep.values()) == 2825
+        actual = [
+            f"{name} {hashlib.sha256(render_circuit(c).encode()).hexdigest()}"
+            for name, c in sweep.items()
+        ]
+        assert actual == expected
 
 
 def test_a_shared_apps_dict_draws_the_same_circuits():

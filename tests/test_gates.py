@@ -3,11 +3,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qmc.amplitude import AMP_ONE, AMP_ZERO, Amplitude, CycloInt, INV_SQRT2
 from qmc.gates import Gate, GateApplication, apply, builtin, is_unitary, BUILTIN_NAMES
 from qmc.oracle import compare, run_circuit
-from qmc.state import BasisState, Superposition, ket, norm_sq
+from qmc.state import BasisState, Superposition, _wire_text, ket, norm_sq
 from qmc.translate import final_state, random_circuit
 
 from conftest import corrupted, matmul, random_orbit_state
@@ -146,6 +147,43 @@ def test_x_flips():
 def test_wire_out_of_range():
     with pytest.raises(ValueError, match="out of range"):
         apply(GateApplication(builtin("H"), (1,)), ket("0"))
+
+
+# 5001 digits: past the 4300 that `str` converts by default.
+HUGE_WIRE = 3 * 10**5000 + 7
+
+
+def test_a_wire_past_the_int_to_str_limit_is_quoted_in_the_label():
+    app = GateApplication(builtin("CNOT"), (0, HUGE_WIRE))
+    assert app.label() == "CNOT [0,300000000000...]"
+
+
+def test_a_wire_past_the_int_to_str_limit_is_quoted_in_the_range_error():
+    app = GateApplication(builtin("H"), (HUGE_WIRE,))
+    with pytest.raises(ValueError) as err:
+        apply(app, ket("0"))
+    assert str(err.value) == "wire 300000000000... out of range for width-1 register"
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(10**11, 10**12 - 1),
+    st.integers(4300 - 11, 7000),
+    st.sampled_from(["zeros", "nines", "random"]),
+    st.integers(0, 2**32),
+)
+def test_a_long_wire_is_quoted_by_its_first_12_digits(lead, shift, tail, seed):
+    # The tails of all zeros and all nines sit at the edges of the digit count
+    # that the bit length gives.
+    rest = {"zeros": 0, "nines": 10**shift - 1}.get(tail)
+    if rest is None:
+        rest = random.Random(seed).randrange(10**shift)
+    assert _wire_text(lead * 10**shift + rest) == f"{lead}..."
+
+
+def test_a_wire_within_the_int_to_str_limit_is_its_whole_text():
+    for wire in (0, 7, 10**15, 10**4300 - 1):
+        assert _wire_text(wire) == str(wire)
 
 
 def test_duplicate_wires_rejected():

@@ -50,7 +50,7 @@ from qmc.parser import (
 )
 from qmc.gates import Gate, GateApplication, builtin
 from qmc.state import BasisState, _coeff_text, ket
-from qmc.translate import circuit_to_proof, random_circuit
+from qmc.translate import Circuit, circuit_to_proof, random_circuit
 
 from conftest import (
     GOLDEN,
@@ -767,6 +767,20 @@ def test_repeated_applications_share_one_object():
 def test_render_circuit_round_trips():
     circuit = bell_circuit()
     assert parse_circuit(render_circuit(circuit)) == circuit
+
+
+def test_render_circuit_writes_each_line_as_from_scratch():
+    # Shared, repeated and equal but distinct applications: the line memo
+    # keys by object.
+    parsed = parse_circuit("qubits 3\nCNOT 0 1\nH 2\nCNOT 0 1\nCNOT 1 0\nH 2\nmeasure\n")
+    copies = Circuit(3, tuple(GateApplication(op.gate, op.wires) for op in parsed.ops))
+    rng, apps = random.Random(3), {}
+    swept = [random_circuit(rng, measured=rng.random() < 0.5, apps=apps) for _ in range(30)]
+    for c in (parsed, copies, *swept):
+        lines = [f"qubits {c.width}"]
+        lines += [op.gate.name + " " + " ".join(str(w) for w in op.wires) for op in c.ops]
+        lines += ["measure"] if c.measured else []
+        assert render_circuit(c) == "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -329,6 +329,68 @@ def test_circuit_wire_validation():
         Circuit(0, ())
 
 
+def test_a_wire_past_the_int_to_str_limit_is_quoted_in_the_circuit_check():
+    wire = 3 * 10**5000 + 7  # 5001 digits: past the 4300 that `str` converts
+    message = "wire 300000000000... out of range for 2-qubit circuit"
+    with pytest.raises(ValueError) as err:
+        Circuit(2, (GateApplication(builtin("H"), (wire,)),))
+    assert str(err.value) == message
+    with pytest.raises(ValueError) as err:
+        Circuit.check_wire(wire, 2)
+    assert str(err.value) == message
+
+
+# ---------------------------------------------------------------------------
+# random_circuit
+# ---------------------------------------------------------------------------
+
+def choice_sample_circuit(
+    rng: random.Random, max_width: int, max_gates: int, measured: bool
+) -> Circuit:
+    """The reference: `random_circuit` as it drew with `rng.choice` of the
+    gate and `rng.sample` of its wires."""
+    width = rng.randint(1, max_width)
+    names = ("X", "Z", "S", "T", "H", "CNOT") if width >= 2 else ("X", "Z", "S", "T", "H")
+    ops = []
+    for _ in range(rng.randint(0, max_gates)):
+        gate = builtin(rng.choice(names))
+        ops.append(GateApplication(gate, tuple(rng.sample(range(width), gate.arity))))
+    return Circuit(width, tuple(ops), measured)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 2**64),
+    st.integers(1, 21),
+    st.integers(0, 60),
+    st.booleans(),
+    st.booleans(),
+)
+def test_random_circuit_draws_as_choice_and_sample_did(
+    seed, max_width, max_gates, measured, shared
+):
+    reference, drawn = random.Random(seed), random.Random(seed)
+    apps: dict | None = {} if shared else None
+    for _ in range(4):
+        expected = choice_sample_circuit(reference, max_width, max_gates, measured)
+        assert random_circuit(drawn, max_width, max_gates, measured, apps) == expected
+        assert drawn.getstate() == reference.getstate()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**64), st.integers(22, 64), st.integers(0, 60))
+def test_random_circuit_wires_are_distinct_and_in_range_above_21_wires(
+    seed, max_width, max_gates
+):
+    # `rng.sample` draws otherwise above 21 wires, so only the shape is pinned.
+    c = random_circuit(random.Random(seed), max_width, max_gates)
+    assert 1 <= c.width <= max_width and len(c.ops) <= max_gates
+    for op in c.ops:
+        assert op.gate.name in ("X", "Z", "S", "T", "H", "CNOT")
+        assert len(set(op.wires)) == len(op.wires) == op.gate.arity
+        assert all(0 <= w < c.width for w in op.wires)
+
+
 # ---------------------------------------------------------------------------
 # translate --to proof
 # ---------------------------------------------------------------------------
