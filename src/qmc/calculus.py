@@ -13,9 +13,11 @@ computes its annotation and none can be built with a wrong one;
 
 `apply_rule` is the one derivation: it tests a rule's premise count and
 kinds, then concludes.  `ProofNode.derive` concludes through it and builds
-the node without repeating the count test that the public `ProofNode(...)`
-makes.  `sequent_text` writes a sequent's state through `Superposition.render`,
-whose coefficients come from the one formatter, `amplitude._poly`.
+the node with `ProofNode._of`, without repeating the count test that the
+public `ProofNode(...)` makes; a script's derivation loop
+(`parser.derive_bindings`) concludes through it too.  `sequent_text`
+writes a sequent's state through `Superposition.render`, whose coefficients
+come from the one formatter, `amplitude._poly`.
 
 Weakening is rejected on both sides.  On the right this is structural: no
 sequent variant can hold a second succedent formula.  On the left it is a
@@ -435,7 +437,7 @@ class ProofNode:
 
     @property
     def is_assumption(self) -> bool:
-        return self.rule.assumable and not self.premises
+        return verdict(self.rule, len(self.premises)) == "assumed"
 
     @classmethod
     def derive(
@@ -445,13 +447,22 @@ class ProofNode:
         label: str | None = None,
     ) -> ProofNode:
         """The node concluding what the rule derives from the premises (see
-        `apply_rule`).
+        `apply_rule`), which has made the premise-count test of
+        `__post_init__`, so the node is built by `_of`."""
+        return cls._of(rule, premises, apply_rule(rule, [p.conclusion for p in premises]), label)
 
-        `apply_rule` has made the premise-count test of `__post_init__`, so
-        the node is built without repeating it: the one constructor without
-        the check, as `Coherent._of` is for a sequent.
-        """
-        conclusion = apply_rule(rule, [p.conclusion for p in premises])
+    @classmethod
+    def _of(
+        cls,
+        rule: RuleApp,
+        premises: tuple[ProofNode, ...],
+        conclusion: Sequent,
+        label: str | None,
+    ) -> ProofNode:
+        """The node of a conclusion that `apply_rule` derived from the
+        premises' conclusions, built without repeating its premise-count
+        test: the one constructor without the check, as `Coherent._of` is
+        for a sequent."""
         node = object.__new__(cls)
         node.__dict__.update(rule=rule, premises=premises, conclusion=conclusion, label=label)
         return node
@@ -554,13 +565,13 @@ class CheckReport:
         )
 
 
-def verdict(node: ProofNode | None, detail: str = "") -> str:
-    """A node's status: `invalid` when detail says why its rule does not
-    derive it (node is None for a binding that derived no node), else
-    `assumed` for an assumption leaf and `ok` for any other node."""
+def verdict(rule: RuleApp, premises: int, detail: str = "") -> str:
+    """The status of an application of the rule to that many premises:
+    `invalid` when detail says why the rule does not derive it, else
+    `assumed` for an assumption leaf and `ok` for any other."""
     if detail:
         return "invalid"
-    return "assumed" if node.is_assumption else "ok"
+    return "assumed" if rule.assumable and not premises else "ok"
 
 
 def check(proof: ProofNode) -> CheckReport:
@@ -589,7 +600,7 @@ def check(proof: ProofNode) -> CheckReport:
             detail = ""
             if expected != node.conclusion:
                 detail = f"expected {sequent_text(expected, texts)}, found {found}"
-        status = verdict(node, detail)
+        status = verdict(node.rule, len(node.premises), detail)
         nodes.append(
             NodeReport(places.pop(), node.rule.label(), status, detail, found, node.label)
         )

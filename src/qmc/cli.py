@@ -9,25 +9,29 @@ command stops quietly with exit 1: no message and no traceback.  A command
 that runs out of memory prints `error: out of memory` and exits 1.  Rows are
 written as they are made, so those written before it stay written.
 
-Every command that reads a .qmc script elaborates it first.  `qmc check`
-prints one row per binding, in script order: `ok`, or `assumed` for an
-assumption leaf, with its conclusion; then `valid`.  When a binding's rule
-fails, any command prints the same rows up to the failure, then the failed
-binding as `invalid` with the reason, then `invalid`, and exits 1.  A
-binding that no later one consumes (the root aside) is a parse error.
+Every command that reads a .qmc script derives each of its bindings first,
+through `parser.derive_bindings`, which keeps only the conclusions a later
+binding reads.  `qmc check` prints one row per binding, in script order, as
+soon as it is derived: `ok`, or `assumed` for an assumption leaf, with its
+conclusion; then `valid`.  `dist` keeps only the root's conclusion, and
+`translate --to circuit` reads the circuit off the script's rules; `run`
+and `render` print from the proof tree.  When a binding's rule fails, any
+command prints the same rows up to the failure, then the failed binding as
+`invalid` with the reason, then `invalid`, and exits 1; a command other
+than `check` derives the script again to print them.  A binding that no
+later one consumes (the root aside) is a parse error.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import os
 import random
 import re
 import sys
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from . import calculus, oracle, parser as frontend, translate
 from .amplitude import REAL_ONE
@@ -78,24 +82,33 @@ def _kind(path: str) -> str:
     raise _UsageError(f"unrecognized input extension {suffix!r}; expected .qmc or .qc")
 
 
-def _print_report(
-    completed: Iterable[tuple[str, calculus.ProofNode]],
-    failure: ElaborationError | None = None,
-) -> None:
-    """`qmc check`'s report: one `name: status  text` row per elaborated
-    binding, in script order, with its conclusion; then, when elaboration
-    failed, the failed binding with the reason; then the overall verdict."""
-    texts: dict = {}  # one rendering memo for every node
-    rows = (
-        f"{name}: {verdict(node)}  {sequent_text(node.conclusion, texts)}\n"
-        for name, node in completed
-    )
-    if failure is None:
-        _emit(itertools.chain(rows, ["valid\n"]))
-        return
-    detail = f"{type(failure.cause).__name__}: {failure.cause}"
-    failed = f"{failure.binding.name}: {verdict(None, detail)}  {detail}\n"
-    _emit(itertools.chain(rows, [failed, "invalid\n"]))
+def _print_report(script: frontend.ProofScript) -> bool:
+    """`qmc check`'s report, and whether the script is valid: one
+    `name: status  text` row per binding, in script order, with its
+    conclusion, each written as soon as it is derived; then `valid`, or,
+    at the first binding whose rule fails, that binding with the reason and
+    `invalid`."""
+    texts: dict = {}  # one rendering memo for every row
+    valid = True
+
+    def rows() -> Iterator[str]:
+        nonlocal valid
+        try:
+            for b, conclusion in frontend.derive_bindings(script):
+                yield (
+                    f"{b.name}: {verdict(b.rule, len(b.premises))}  "
+                    f"{sequent_text(conclusion, texts)}\n"
+                )
+        except ElaborationError as err:
+            valid = False
+            b, detail = err.binding, f"{type(err.cause).__name__}: {err.cause}"
+            yield f"{b.name}: {verdict(b.rule, len(b.premises), detail)}  {detail}\n"
+            yield "invalid\n"
+        else:
+            yield "valid\n"
+
+    _emit(rows())
+    return valid
 
 
 # ---------------------------------------------------------------------------
@@ -105,10 +118,9 @@ def _print_report(
 def cmd_check(args: argparse.Namespace) -> int:
     if _kind(args.path) != ".qmc":
         raise _UsageError("check expects a .qmc proof script")
-    # Elaboration derived every node, so it was the check; linearity puts
-    # every binding in the root's tree, so its list is the whole report.
-    _print_report(frontend.elaborate_bindings(parse_proof(_read(args.path))))
-    return 0
+    # Deriving every binding is the check; linearity puts every binding in
+    # the root's tree, so its rows are the whole report.
+    return 0 if _print_report(parse_proof(_read(args.path))) else 1
 
 
 def _distribution_of(path: str) -> calculus.Distribution:
@@ -117,7 +129,7 @@ def _distribution_of(path: str) -> calculus.Distribution:
     if kind == ".qc":
         circuit = parse_circuit(text)
         return distribution(final_state(circuit))
-    root = elaborate(parse_proof(text)).conclusion
+    root = frontend.conclude(parse_proof(text))
     if isinstance(root, Coherent):
         return distribution(root.state)
     if isinstance(root, BornAnnotated):
@@ -249,7 +261,10 @@ def cmd_translate(args: argparse.Namespace) -> int:
             raise _UsageError("translating to a circuit expects a .qmc proof script")
         proof = parse_proof(text)
         _require_dir(outdir)
-        circuit = translate.proof_to_circuit(elaborate(proof))
+        # The script is checked first, so a failed binding comes before an
+        # untranslatable rule; the circuit is read off its rules alone.
+        frontend.conclude(proof)
+        circuit = translate.proof_to_circuit(frontend.skeleton(proof))
         outputs = [(outdir / f"{stem}.qc", frontend.render_circuit(circuit))]
     for path, content in outputs:
         _write(path, content)
@@ -391,11 +406,16 @@ def _argparser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _argparser().parse_args(argv)
+    failed = None
     try:
         try:
             code = args.func(args)
         except ElaborationError as err:
-            _print_report(err.completed, err)
+            failed = err.script
+        if failed is not None:
+            # Out of the handler, so that no traceback keeps a conclusion
+            # alive while the report derives the script again.
+            _print_report(failed)
             code = 1
         sys.stdout.flush()  # a closed pipe shows up here, inside the guard
         return code

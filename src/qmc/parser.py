@@ -1,12 +1,18 @@
 """Front end for proof scripts (.qmc) and circuit descriptions (.qc).
 
-Proof scripts are straight-line bindings elaborated into proof trees.  Each
-binding but the last, the root, is consumed exactly once as a premise:
-premises are physical resources, so consuming one twice would clone a
-quantum state, and the calculus refuses weakening, so none may be dropped.
-Every binding is therefore in the root's tree.  `weaken` is deliberately
-part of the grammar so that its rejection is a checked error with a reason,
-not a syntax error.
+Proof scripts are straight-line bindings.  Each binding but the last, the
+root, is consumed exactly once as a premise: premises are physical
+resources, so consuming one twice would clone a quantum state, and the
+calculus refuses weakening, so none may be dropped.  Every binding is
+therefore in the root's tree.  `weaken` is deliberately part of the grammar
+so that its rejection is a checked error with a reason, not a syntax error.
+
+`derive_bindings` is the one derivation loop over a script: it derives the
+bindings in script order and drops each premise's conclusion once its
+consumer is derived, so a pass holds only the live conclusions.
+`conclude` keeps only the root's; `elaborate` and `elaborate_bindings`
+build the proof tree over the same loop; `skeleton` is the tree's rules and
+premises without deriving anything.
 
 Both formats are UTF-8 with `#` comments.  Every parse failure carries a
 1-based line and column into the original text.
@@ -43,6 +49,7 @@ from .calculus import (
     ProofNode,
     RuleApp,
     RuleError,
+    Sequent,
     Tensor,
     Unitary,
     sequent_text,
@@ -365,22 +372,52 @@ def parse_proof(text: str) -> ProofScript:
 # ---------------------------------------------------------------------------
 
 class ElaborationError(Exception):
-    """A rule application failed while building the proof tree.
+    """A rule application failed while deriving a script's bindings.
 
-    Carries the offending binding and every node elaborated before it, so
-    callers can report per-binding verdicts up to the failure.
+    Carries the offending binding, the cause, and the script, so that a
+    caller can report the verdicts up to the failure by deriving the script
+    again (`cli._print_report`); it holds no conclusion of its own.
     """
 
-    def __init__(
-        self, binding: Binding, cause: Exception, completed: list[tuple[str, ProofNode]]
-    ) -> None:
+    def __init__(self, binding: Binding, cause: Exception, script: ProofScript) -> None:
         self.binding = binding
         self.cause = cause
-        self.completed = completed
+        self.script = script
         super().__init__(
             f"line {binding.line}: binding {binding.name!r}: "
             f"{type(cause).__name__}: {cause}"
         )
+
+
+def derive_bindings(script: ProofScript) -> Iterator[tuple[Binding, Sequent]]:
+    """Derive the script's bindings in script order: each binding with its
+    conclusion, yielded as soon as it is derived.
+
+    This is the one derivation loop over a script.  Each binding is derived
+    once, through `calculus.apply_rule`, from its premises' conclusions.
+    Linearity consumes each premise exactly once, so its conclusion is
+    dropped there, and the pass keeps only the conclusions that a later
+    binding still reads.  The first binding whose rule fails raises
+    `ElaborationError`.
+    """
+    apply_rule = calculus.apply_rule  # as bound when the pass starts
+    live: dict[str, Sequent] = {}
+    pop = live.pop
+    for b in script.bindings:
+        try:
+            conclusion = apply_rule(b.rule, list(map(pop, b.premises)))
+        except (RuleError, ValueError) as cause:
+            raise ElaborationError(b, cause, script) from cause
+        live[b.name] = conclusion
+        yield b, conclusion
+
+
+def conclude(script: ProofScript) -> Sequent:
+    """The root's conclusion, every binding derived (`derive_bindings`);
+    no other conclusion outlives its consumer."""
+    for _, conclusion in derive_bindings(script):
+        pass
+    return conclusion
 
 
 def elaborate(script: ProofScript) -> ProofNode:
@@ -393,19 +430,27 @@ def elaborate(script: ProofScript) -> ProofNode:
 
 
 def elaborate_bindings(script: ProofScript) -> list[tuple[str, ProofNode]]:
-    """Each binding's name and node, in script order, as `elaborate` builds
-    them; the last node is the root, and every other one lies under it."""
+    """Each binding's name and node, in script order, each node built from
+    `derive_bindings`' conclusion; the last node is the root, and every
+    other one lies under it."""
     nodes: dict[str, ProofNode] = {}
     completed: list[tuple[str, ProofNode]] = []
-    for b in script.bindings:
-        premises = tuple(map(nodes.__getitem__, b.premises))
-        try:
-            node = ProofNode.derive(b.rule, premises, b.name)
-        except (RuleError, ValueError) as cause:
-            raise ElaborationError(b, cause, completed) from cause
-        nodes[b.name] = node
+    pop, of = nodes.pop, ProofNode._of
+    for b, conclusion in derive_bindings(script):
+        node = nodes[b.name] = of(b.rule, tuple(map(pop, b.premises)), conclusion, b.name)
         completed.append((b.name, node))
     return completed
+
+
+def skeleton(script: ProofScript) -> ProofNode:
+    """The script's proof tree with no conclusions: its rules and premises
+    alone, all that `translate.proof_to_circuit` reads.  Nothing is
+    derived, so a caller that needs the script checked derives it first."""
+    nodes: dict[str, ProofNode] = {}
+    pop, of = nodes.pop, ProofNode._of
+    for b in script.bindings:
+        nodes[b.name] = of(b.rule, tuple(map(pop, b.premises)), None, b.name)
+    return nodes.popitem()[1]
 
 
 # ---------------------------------------------------------------------------

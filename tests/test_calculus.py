@@ -48,7 +48,7 @@ from qmc.calculus import (
 )
 from qmc.gates import BUILTIN_NAMES, Gate, GateApplication, apply, builtin
 from qmc.oracle import run_circuit
-from qmc.parser import elaborate_bindings, parse_proof
+from qmc.parser import derive_bindings, elaborate, elaborate_bindings, parse_proof
 from qmc.state import BasisState, Superposition, combine, ket, norm_sq
 from qmc.translate import Circuit, circuit_to_proof, final_state, random_circuit
 
@@ -520,15 +520,15 @@ def test_a_hand_built_node_with_a_wrong_conclusion_is_invalid():
 # ---------------------------------------------------------------------------
 
 def _assert_report_is_check(text: str):
-    """check's report on the script's root, once shown to have the
-    elaboration's rows: one per binding, in script order."""
-    completed = elaborate_bindings(parse_proof(text))
+    """check's report on the script's root, once shown to have the rows of
+    the script-order pass: one per binding, in script order."""
+    script = parse_proof(text)
     texts: dict = {}
     rows = [
-        (name, verdict(node), sequent_text(node.conclusion, texts))
-        for name, node in completed
+        (b.name, verdict(b.rule, len(b.premises)), sequent_text(conclusion, texts))
+        for b, conclusion in derive_bindings(script)
     ]
-    full = check(completed[-1][1])
+    full = check(elaborate(script))
     assert full.valid
     assert rows == [(n.label, n.status, n.conclusion) for n in full.nodes]
     return full

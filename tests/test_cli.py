@@ -4,6 +4,7 @@ import decimal
 import hashlib
 import io
 import os
+import random
 import re
 import shutil
 import subprocess
@@ -15,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmc import calculus, cli, oracle, parser, state, translate
 from qmc.amplitude import PACKED_ONE
@@ -63,6 +65,29 @@ def test_check_derives_each_node_once(run_cli, monkeypatch, tmp_path, name):
     code, _, _ = run_cli("check", str(tmp_path / name))
     assert code == 0
     assert len(calls) == derived
+
+
+@pytest.mark.parametrize("name", ["bell_00.qmc", "hh.qmc", "prep_leaf.qmc"])
+@pytest.mark.parametrize("command", [("dist",), ("translate", "--to", "circuit")])
+def test_dist_and_translate_derive_each_binding_once(
+    run_cli, monkeypatch, tmp_path, command, name
+):
+    # Whatever the verdict after it (a measured root has nothing left to
+    # distribute, an assumption leaf no circuit form), each binding is
+    # derived once, and no tree is derived again.
+    text = PREP_LEAF_SCRIPT if name == "prep_leaf.qmc" else (GOLDEN / name).read_text()
+    (tmp_path / name).write_text(text)
+    calls = []
+    apply_rule = calculus.apply_rule
+
+    def counted(rule, premises):
+        calls.append(rule)
+        return apply_rule(rule, premises)
+
+    monkeypatch.setattr(calculus, "apply_rule", counted)
+    code, _, err = run_cli(command[0], str(tmp_path / name), *command[1:])
+    assert code in (0, 1) and err.count("\n") <= 1
+    assert [b.rule for b in parse_proof(text).bindings] == calls
 
 
 def test_each_pass_formats_each_distinct_amplitude_once(run_cli, monkeypatch):
@@ -114,11 +139,16 @@ _SCRIPT_COMMANDS = (
 )
 
 
-def _stdout_lines(*argv: str) -> tuple[int, list[str]]:
-    out = io.StringIO()
-    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+def _main_io(*argv: str) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
         code = main(list(argv))
-    return code, out.getvalue().splitlines()
+    return code, out.getvalue(), err.getvalue()
+
+
+def _stdout_lines(*argv: str) -> tuple[int, list[str]]:
+    code, out, _ = _main_io(*argv)
+    return code, out.splitlines()
 
 
 @settings(max_examples=40, deadline=None)
@@ -140,6 +170,143 @@ def test_a_failed_binding_reports_the_earlier_ones_as_check_does(text):
             assert out[:-2] == verdicts[:-1], command
             assert out[-2].startswith("w: invalid  NonMonotonicityViolation: ")
             assert out[-1] == "invalid"
+
+
+def _reference_report(script: parser.ProofScript) -> str:
+    """`check`'s report as the tree-keeping printer made it: the rows of
+    `elaborate_bindings`' nodes, then `valid`; or, when a binding fails, the
+    rows of the nodes elaborated before it, the failed binding with the
+    reason, and `invalid`."""
+    try:
+        completed, failure = parser.elaborate_bindings(script), None
+    except parser.ElaborationError as err:
+        before = script.bindings[: script.bindings.index(err.binding)]
+        completed, failure = parser.elaborate_bindings(script._replace(bindings=before)), err
+    texts: dict = {}
+    rows = [
+        f"{name}: {'assumed' if node.is_assumption else 'ok'}  "
+        f"{calculus.sequent_text(node.conclusion, texts)}\n"
+        for name, node in completed
+    ]
+    if failure is None:
+        return "".join(rows) + "valid\n"
+    detail = f"{type(failure.cause).__name__}: {failure.cause}"
+    return "".join(rows) + f"{failure.binding.name}: invalid  {detail}\ninvalid\n"
+
+
+def _tree_script(seed: int, faults: int) -> str:
+    """A random script: `ax` and `prep` leaves (assumptions, of 1-2 wires),
+    gates and tensors, then perhaps `born` and a `measure` of a random
+    outcome (which may not be in the support).  Up to `faults` bindings of
+    one premise are then broken: a weakening, a wire out of range, a
+    measurement of a coherent premise, or a Born annotation that its
+    consumer may not take.  The bindings are in a random order that binds
+    each premise before its consumer, so often not in postorder."""
+    rng = random.Random(seed)
+    exprs: list[str] = []  # each binding's rule, "{}" for each premise name
+    premises: list[tuple[int, ...]] = []
+
+    def bind(expr: str, *of: int) -> int:
+        exprs.append(expr)
+        premises.append(of)
+        return len(exprs) - 1
+
+    subtrees = []  # (binding, width) of each one not yet consumed
+    for _ in range(rng.randint(1, 3)):
+        if rng.random() < 0.3:
+            bits = "".join(rng.choice("01") for _ in range(rng.randint(1, 2)))
+            subtrees.append((bind(f"prep |{bits}>"), len(bits)))
+        else:
+            subtrees.append((bind("ax"), 1))
+    steps = rng.randint(0, 6)
+    while len(subtrees) > 1 or steps > 0:
+        if len(subtrees) > 1 and (steps <= 0 or rng.random() < 0.4):
+            (i, wi), (j, wj) = (subtrees.pop(rng.randrange(len(subtrees))) for _ in range(2))
+            subtrees.append((bind("tensor {} {}", i, j), wi + wj))
+            continue
+        k = rng.randrange(len(subtrees))
+        i, width = subtrees[k]
+        gate = rng.choice(("H", "T", "S", "X", "Z", "CNOT")[: 6 if width > 1 else 5])
+        wires = ",".join(map(str, rng.sample(range(width), 2 if gate == "CNOT" else 1)))
+        subtrees[k] = (bind(f"gate {gate} [{wires}] {{}}", i), width)
+        steps -= 1
+    ((root, width),) = subtrees
+    if rng.random() < 0.6:
+        root = bind("born {}", root)
+        if rng.random() < 0.6:
+            bits = "".join(rng.choice("01") for _ in range(width))
+            bind(f"measure {{}} outcome=|{bits}>", root)
+    unary = [i for i, of in enumerate(premises) if len(of) == 1]
+    for i in rng.sample(unary, min(faults, len(unary))):
+        exprs[i] = rng.choice(
+            ("weaken {} |0>", "gate H [9] {}", "measure {} outcome=|0>", "born {}")
+        )
+    # A random order in which each binding follows its premises.
+    waiting = [len(of) for of in premises]
+    consumer = {p: i for i, of in enumerate(premises) for p in of}
+    ready = [i for i, n in enumerate(waiting) if not n]
+    lines = []
+    while ready:
+        i = ready.pop(rng.randrange(len(ready)))
+        names = [f"b{p}" for p in premises[i]]
+        lines.append(f"b{i} = {exprs[i].format(*names)};")
+        if i in consumer:
+            waiting[consumer[i]] -= 1
+            if not waiting[consumer[i]]:
+                ready.append(consumer[i])
+    return "proof t { " + " ".join(lines) + " }\n"
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.one_of(
+        VALID_SCRIPTS, st.builds(_tree_script, st.integers(0, 2**32 - 1), st.integers(0, 2))
+    )
+)
+def test_every_report_and_read_back_equals_the_tree_based_reference(text):
+    script = parse_proof(text)
+    report = _reference_report(script)
+    valid = report.endswith("\nvalid\n")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "s.qmc"
+        path.write_text(text, encoding="utf-8")
+        assert _main_io("check", str(path)) == (0 if valid else 1, report, "")
+        if not valid:
+            # Before any verdict of its own (an untranslatable rule, a root
+            # that has nothing left to distribute), each command reports
+            # the failed binding as `check` does.
+            for command, *flags in _SCRIPT_COMMANDS:
+                assert _main_io(command, str(path), *flags) == (1, report, ""), command
+            assert not (Path(tmp) / "s.qc").exists()
+            return
+        try:
+            circuit = parser.render_circuit(translate.proof_to_circuit(elaborate(script)))
+        except translate.UnsupportedTranslation as err:
+            expected = (1, "", f"error: UnsupportedTranslation: {err}\n")
+            assert _main_io("translate", str(path), "--to", "circuit") == expected
+            assert not (Path(tmp) / "s.qc").exists()
+        else:
+            expected = (0, f"{Path(tmp) / 's.qc'}\n", "")
+            assert _main_io("translate", str(path), "--to", "circuit") == expected
+            assert (Path(tmp) / "s.qc").read_text(encoding="utf-8") == circuit
+
+
+def test_a_failed_binding_comes_before_every_other_verdict(tmp_path):
+    # An assumption leaf has no circuit form, and a measured root leaves
+    # nothing to distribute, but the failed binding before them is what
+    # every command reports.  Two bindings fail; the first in script order
+    # is the one reported.
+    text = (
+        "proof p { a = prep |1>; b = ax; g = gate H [9] b; t = tensor a g; "
+        "w = weaken t |0>; d = born w; m = measure d outcome=|00>; }\n"
+    )
+    path = tmp_path / "p.qmc"
+    path.write_text(text, encoding="utf-8")
+    report = _reference_report(parse_proof(text))
+    assert report.splitlines()[:2] == ["a: assumed  |1> =>", "b: ok  |0> =>"]
+    assert report.splitlines()[2].startswith("g: invalid  ValueError: ")
+    for command, *flags in _SCRIPT_COMMANDS:
+        assert _main_io(command, str(path), *flags) == (1, report, ""), command
 
 
 def test_check_lists_bindings_in_script_order(run_cli, tmp_path):
@@ -421,15 +588,28 @@ def test_running_out_of_memory_is_one_error_line(tmp_path, command, name):
         preexec_fn=_cap_child_memory,
         timeout=120,
     )
-    assert (proc.returncode, proc.stdout, proc.stderr) == (1, b"", b"error: out of memory\n")
+    assert (proc.returncode, proc.stderr) == (1, b"error: out of memory\n")
+    if command == "dist":
+        assert proc.stdout == b""
+        return
+    # `check` writes each row as soon as its binding is derived, so the rows
+    # before the one that ran out stay written: whole rows, each the one
+    # `check` prints for its binding, in script order, and no verdict line.
+    # The 79 bindings that build the register are cheap, so they are there.
+    parsed = parse_proof(script)
+    rows = proc.stdout.decode().splitlines(keepends=True)
+    assert len(rows) >= 79
+    prefix = parsed._replace(bindings=parsed.bindings[: len(rows)])
+    assert "".join(rows) + "valid\n" == _reference_report(prefix)
 
 
-def _bw16() -> str:
-    """16 wires: H on every wire twice, then T, then H, then a CNOT chain,
-    measured.  Its proof holds rows of up to 2^16 terms: 50-72 MB of text."""
-    ops = [f"{gate} {w}" for gate in ("H", "H", "T", "H") for w in range(16)]
-    ops += [f"CNOT {w} {w + 1}" for w in range(15)]
-    return "qubits 16\n" + "\n".join(ops) + "\nmeasure\n"
+def _bw16(width: int = 16) -> str:
+    """`width` wires, 16 by default: H on every wire twice, then T, then H,
+    then a CNOT chain, measured.  The proof of bw16 holds rows of up to
+    2^16 terms: 50-72 MB of text."""
+    ops = [f"{gate} {w}" for gate in ("H", "H", "T", "H") for w in range(width)]
+    ops += [f"CNOT {w} {w + 1}" for w in range(width - 1)]
+    return f"qubits {width}\n" + "\n".join(ops) + "\nmeasure\n"
 
 
 # sha256 of each command's stdout on bw16 and its `--seed 1` script, taken
@@ -473,6 +653,50 @@ def test_a_wide_proof_prints_under_the_memory_cap(run_cli, tmp_path):
         assert hashlib.sha256(stdout.read_bytes()).hexdigest() == digest, command
 
 
+# sha256 of `check`'s stdout on the bw17 script (`translate --to proof
+# --seed 1`), and of the circuit that `translate --to circuit` writes from
+# it, taken without the cap from the commands that built the whole proof
+# tree first; under the cap, both ran out of memory.
+_BW17_DIGESTS = {
+    "check": "3b321e02d80e59517e366051b84c2e74ce83e62566a17ad1f3129bac0dbf70f3",
+    "translate": "2ed35c4317b3ed84af43dfcb49de1c2701186050f24633d30eec1c2c5d854fc6",
+}
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs preexec_fn")
+def test_a_wider_script_checks_and_reads_back_under_the_memory_cap(run_cli, tmp_path):
+    # Both derive the script in one pass that keeps only the conclusions a
+    # later binding reads, so they hold two states of 2^17 terms at most.
+    circuit = tmp_path / "bw17.qc"
+    circuit.write_text(_bw16(17), encoding="utf-8")
+    code, out, _ = run_cli("translate", str(circuit), "--to", "proof", "--seed", "1")
+    assert code == 0
+    script = Path(out.strip())
+    back = tmp_path / "back"
+    back.mkdir()
+    env = {**_subprocess_env(), "OPENBLAS_NUM_THREADS": "1"}
+    stdout = tmp_path / "stdout"
+    for argv, written in [
+        (["check", str(script)], stdout),
+        (["translate", str(script), "--to", "circuit", "--outdir", str(back)], None),
+    ]:
+        with stdout.open("wb") as sink:
+            proc = subprocess.run(
+                [sys.executable, "-m", "qmc", *argv],
+                stdout=sink,
+                stderr=subprocess.PIPE,
+                env=env,
+                preexec_fn=_cap_child_memory,
+                timeout=120,
+            )
+        assert (argv[0], proc.returncode, proc.stderr) == (argv[0], 0, b"")
+        if written is None:
+            written = back / f"{script.stem}.qc"
+            assert stdout.read_text(encoding="utf-8") == f"{written}\n"
+        digest = hashlib.sha256(written.read_bytes()).hexdigest()
+        assert digest == _BW17_DIGESTS[argv[0]], argv[0]
+
+
 @pytest.mark.parametrize("command", ["render", "run --seed 1"])
 def test_rows_written_before_running_out_of_memory_stay_written(
     run_cli, monkeypatch, workdir, command
@@ -496,17 +720,6 @@ def test_rows_written_before_running_out_of_memory_stay_written(
     assert out == "".join(rows.splitlines(keepends=True)[:2])
 
 
-def _script_tree(script) -> calculus.ProofNode:
-    """A script's proof tree with no conclusions: its rules and premises
-    alone, all that `proof_to_circuit` reads."""
-    nodes: dict = {}
-    for b in script.bindings:
-        premises = tuple(nodes.pop(name) for name in b.premises)
-        nodes[b.name] = calculus.ProofNode(b.rule, premises, None)
-    (root,) = nodes.values()
-    return root
-
-
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs preexec_fn")
 def test_an_unmeasured_circuit_translates_without_its_state(run_cli, tmp_path):
     # The 40-qubit state would hold 2^40 terms; the script is written from
@@ -528,7 +741,7 @@ def test_an_unmeasured_circuit_translates_without_its_state(run_cli, tmp_path):
         )
         script = directory / f"h{n}.qmc"
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"{script}\n".encode(), b"")
-        tree = _script_tree(parse_proof(script.read_text(encoding="utf-8")))
+        tree = parser.skeleton(parse_proof(script.read_text(encoding="utf-8")))
         assert translate.proof_to_circuit(tree) == parse_circuit(circuit)
     source.unlink()
     code, out, err = run_cli("translate", str(script), "--to", "circuit")

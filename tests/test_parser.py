@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmc.amplitude import PACKED_ONE, _latex
-from qmc.cli import main
+from qmc.cli import _print_report, main
 from qmc.calculus import (
     RULES,
     Ax,
@@ -800,7 +800,14 @@ def test_elaborate_weaken_fails_with_the_reason():
         elaborate(script)
     assert isinstance(err.value.cause, NonMonotonicityViolation)
     assert err.value.binding.name == "w"
-    assert [name for name, _ in err.value.completed] == ["a"]
+    # The report derived from the error's script: row a, then the failed w.
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert not _print_report(err.value.script)
+    rows = out.getvalue().splitlines()
+    assert rows[0] == "a: ok  |0> =>"
+    assert rows[1].startswith("w: invalid  NonMonotonicityViolation: ")
+    assert rows[2:] == ["invalid"]
 
 
 def test_elaborate_wire_out_of_range_fails_at_the_binding():
