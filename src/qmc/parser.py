@@ -17,18 +17,23 @@ premises without deriving anything.
 Both formats are UTF-8 with `#` comments.  Every parse failure carries a
 1-based line and column into the original text.
 
-A script has one lexical grammar, `_WORD_RE`, and is read at
-regular-expression speed: each line, cut at its first `#`, goes through one
-`findall` into plain token strings, which the parser reads by index.  The
-text is lexically valid exactly when its tokens, joined, equal its cut lines
-with the blanks removed; only a text that fails that test is searched, line
-by line, for the first character that no token or blank holds, which raises
-its error.  A binding's line and column, and an error's, are computed from
-the tokens when needed.  A `Binding` and the `ProofScript` that holds them
-are plain named tuples, the cheapest record to build once per binding.
-Each parse builds one `GateApplication` per distinct gate and wires (in a
-circuit, per distinct gate line) and shares it between the bindings or
-operations that repeat it; a bad application fails where it first occurs.
+A script has one lexical grammar, `_WORD_RE`, and is read in two passes of
+C-level string methods and one binding loop.  The first pass cuts each line
+at its first `#`, spaces out the punctuation and splits the lines at blanks
+into pieces, and checks every distinct piece in one `findall` (`_rows`);
+only a piece that is not one token is read with its own `findall`.  The
+second tests that the text is lexically valid: exactly when its tokens,
+joined, equal its cut lines with the blanks removed.  Only a text that
+fails that test is searched, line by line, for the first character that no
+token or blank holds, which raises its error.  The parser reads the plain
+token strings by index, a binding at a time in one inline loop.  A
+binding's line and column, and an error's, are computed from the tokens
+when needed.  A `Binding` and the `ProofScript` that holds them are plain
+named tuples, the cheapest record to build once per binding.  Each parse
+builds one `GateApplication` per distinct gate and wires (in a circuit, per
+distinct gate line) and shares it between the bindings or operations that
+repeat it, in a script with the one gate rule on it; a bad application
+fails where it first occurs.
 An error quotes a token of more than 15 characters by its first 12 and
 `...`, so its message stays one short line whatever the input.
 """
@@ -38,6 +43,7 @@ from __future__ import annotations
 import re
 import string
 from bisect import bisect_right
+from itertools import accumulate, chain
 from typing import Callable, Iterator, NamedTuple
 
 from . import calculus
@@ -146,10 +152,43 @@ def is_identifier(text: str) -> bool:
 # punctuation and kets.  A token's first character tells its kind.  This is
 # the script's one lexical grammar: it reads the tokens, decides whether a
 # text is rejected, and positions a token or an error.
-_WORD_RE = re.compile(rf"{_IDENT_RE.pattern}|{_INT_RE.pattern}|[{{}}=;\[\],]|\|[01]+>")
+_PUNCTUATION = "{}=;[],"  # each a token of one character
+_WORD_RE = re.compile(
+    rf"{_IDENT_RE.pattern}|{_INT_RE.pattern}|[{re.escape(_PUNCTUATION)}]|\|[01]+>"
+)
 _IDENT_START = frozenset(string.ascii_letters + "_")
 _BLANKS = " \t\r"
 _NO_BLANKS = str.maketrans("", "", _BLANKS)
+
+
+# The most lines lexed at once, so that the lexer's copies of the text (the
+# spaced lines, their pieces, the distinct pieces) are one block's size.
+_BLOCK = 4096
+
+
+def _rows(codes: list[str]) -> list[list[str]]:
+    """The tokens of each line of code, as `_WORD_RE.findall` reads it.
+
+    Each line's pieces are its code split at blanks, with each punctuation
+    mark spaced out first.  No token holds a blank or a punctuation mark but
+    the mark itself, so a line's tokens are its pieces' tokens, in order, and
+    a piece is almost always one token.  Every distinct piece is one token
+    exactly when one `findall` over them, a line each, gives them back;
+    otherwise each piece that is not among the tokens it gives is read with
+    its own `findall`.
+    """
+    spaced = "\n".join(codes)
+    for mark in _PUNCTUATION:
+        spaced = spaced.replace(mark, f" {mark} ")
+    rows = list(map(str.split, spaced.split("\n")))
+    pieces = list(set(chain.from_iterable(rows)))
+    words = _WORD_RE.findall("\n".join(pieces))
+    if words != pieces:
+        odd = set(pieces).difference(words)
+        for n, row in enumerate(rows):
+            if not odd.isdisjoint(row):
+                rows[n] = [w for p in row for w in (_WORD_RE.findall(p) if p in odd else (p,))]
+    return rows
 
 
 class _ScriptParser:
@@ -163,25 +202,27 @@ class _ScriptParser:
 
     def __init__(self, text: str) -> None:
         self.lines = text.split("\n")
-        self.tokens: list[str] = []
-        self.starts: list[int] = []  # the index of each line's first token
+        codes = self.lines  # each line cut at its first '#'
+        if "#" in text:  # a comment: no token holds a '#'
+            codes = [code.partition("#")[0] for code in codes]
+        tokens: list[str] = []
+        starts: list[int] = []  # the index of each line's first token
+        for k in range(0, len(codes), _BLOCK):
+            rows = _rows(codes[k : k + _BLOCK])
+            starts += accumulate(map(len, rows[:-1]), initial=len(tokens))
+            tokens += chain.from_iterable(rows)
+        self.tokens = tokens
+        self.starts = starts
         # The token columns of each line asked about a token past its first.
         self.columns: dict[int, list[int]] = {}
-        codes: list[str] = []  # each line cut at its first '#'
-        tokens, starts, findall = self.tokens, self.starts, _WORD_RE.findall
-        for code in self.lines:
-            starts.append(len(tokens))
-            if "#" in code:  # a comment: no token holds a '#'
-                code = code[: code.index("#")]
-            codes.append(code)
-            tokens += findall(code)
         # Valid exactly when the tokens hold every character but blanks.
         if "".join(tokens) != "".join(codes).translate(_NO_BLANKS):
             raise self.reject(codes)
         tokens.append("")
         self.pos = 0
-        # One GateApplication per distinct (gate, wires) in this script.
-        self.apps: dict[tuple[str, tuple[int, ...]], GateApplication] = {}
+        # One gate rule, on one GateApplication, per distinct (gate, wires)
+        # in this script.
+        self.apps: dict[tuple[str, tuple[int, ...]], Unitary] = {}
 
     def reject(self, codes: list[str]) -> SourceError:
         """The error at the first character of the cut lines that no token
@@ -255,30 +296,114 @@ class _ScriptParser:
         return tok
 
     def parse(self) -> ProofScript:
+        """The header, then each binding in one pass over the tokens by
+        index, with its rule read as the rule's form says.  Where an inline
+        test fails, `expect`, `expect_ident` or `fail` is called at that
+        token, and raises its error."""
         self.expect("proof")
         name = self.expect_ident("a proof name")
         self.expect("{")
+        tokens, lines, starts, apps = self.tokens, self.lines, self.starts, self.apps
+        ends = starts[1:] + [len(tokens)]  # past each line's last token
         bindings: list[Binding] = []
+        record = tuple.__new__  # a Binding without its __new__'s Python frame
         bound: set[str] = set()
         consumed: set[str] = set()
-        tokens = self.tokens
-        while tokens[self.pos] != "}":
-            i = self.pos
-            bind = self.expect_ident("a binding name")
+        i, n = self.pos, 0  # a binding's first token; a cursor on the 0-based lines
+        while (bind := tokens[i]) != "}":
+            if bind[:1] not in _IDENT_START or bind in _KEYWORDS:
+                self.pos = i
+                self.expect_ident("a binding name")
             if bind in bound:
                 raise self.fail(f"identifier {_clip(bind)!r} is bound twice", i)
-            self.expect("=")
-            rule, premises = self.parse_rule(bound, consumed)
-            self.expect(";")
+            if tokens[i + 1] != "=":
+                self.pos = i + 1
+                self.expect("=")
+            entry = _FORMS.get(tokens[i + 2])
+            if entry is None:
+                raise self.fail("expected a rule expression", i + 2)
+            rule, form = entry
+            made: RuleApp | None = None  # the binding's rule, once made
+            fields: list[object] = []
+            premises: list[str] = []
+            j = i + 3
+            for word, kind in form:
+                if word:
+                    if tokens[j] != word or tokens[j + 1] != "=":
+                        self.pos = j
+                        self.expect(word)
+                        self.expect("=")
+                    j += 2
+                tok = tokens[j]
+                if kind == "premise":
+                    if tok not in bound:  # a bound name is an identifier
+                        self.pos = j
+                        self.expect_ident("a premise identifier")
+                        raise self.fail(f"unbound identifier {_clip(tok)!r}", j)
+                    if tok in consumed:
+                        raise self.fail(
+                            f"identifier {_clip(tok)!r} already consumed; premises are "
+                            "linear resources",
+                            j,
+                        )
+                    consumed.add(tok)
+                    premises.append(tok)
+                elif kind == "ket":
+                    if tok[:1] != "|":
+                        raise self.fail("expected a ket like |01>", j)
+                    fields.append(BasisState(tok[1:-1]))
+                else:  # a gate and its wires, `name [w, ...]`
+                    at = j
+                    if tok not in BUILTIN_NAMES:
+                        raise self.fail(_UNKNOWN_GATE, j)
+                    if tokens[j + 1] != "[":
+                        self.pos = j + 1
+                        self.expect("[")
+                    wires = []
+                    j += 2
+                    while True:
+                        wire = tokens[j]
+                        if not wire[:1].isdigit():
+                            raise self.fail("expected a wire index", j)
+                        try:
+                            wires.append(int(wire))
+                        except ValueError:  # too long for int(): `_number` raises the error
+                            _number(*self.position(j))
+                        if tokens[j + 1] != ",":
+                            break
+                        j += 2
+                    j += 1
+                    if tokens[j] != "]":
+                        self.pos = j
+                        self.expect("]")
+                    # The gate is its form's one field, so the bindings of
+                    # one application share its rule.
+                    key = (tok, tuple(wires))
+                    made = apps.get(key)
+                    if made is None:
+                        made = apps[key] = rule(
+                            _gate_application(tok, key[1], lambda: self.position(at)[1:])
+                        )
+                j += 1
+            if tokens[j] != ";":
+                self.pos = j
+                self.expect(";")
             bound.add(bind)
-            line = self.line(i)
-            bindings.append(Binding(bind, rule, premises, line, self.column(i, line)))
-        close = self.pos
-        self.expect("}")
+            while ends[n] <= i:
+                n += 1
+            if i == starts[n]:  # only blanks come before a line's first token
+                code = lines[n]
+                col = len(code) - len(code.lstrip(_BLANKS)) + 1
+            else:
+                col = self.column(i, n + 1)
+            if made is None:
+                made = rule(*fields)
+            bindings.append(record(Binding, (bind, made, tuple(premises), n + 1, col)))
+            i = j + 1
         if not bindings:
-            raise self.fail("a proof needs at least one binding", close)
-        if tokens[self.pos]:
-            raise self.fail("unexpected input after closing '}'")
+            raise self.fail("a proof needs at least one binding", i)
+        if tokens[i + 1]:
+            raise self.fail("unexpected input after closing '}'", i + 1)
         # The root, bound last, is the one binding nothing can consume.
         if len(consumed) < len(bindings) - 1:
             unused = next(b for b in bindings if b.name not in consumed)
@@ -289,76 +414,6 @@ class _ScriptParser:
                 unused.name,
             )
         return ProofScript(name, tuple(bindings))
-
-    def parse_rule(
-        self, bound: set[str], consumed: set[str]
-    ) -> tuple[RuleApp, tuple[str, ...]]:
-        """A rule keyword and its operands, read as the rule's form says."""
-        tokens = self.tokens
-        tok = tokens[self.pos]
-        if tok not in _FORMS:
-            raise self.fail("expected a rule expression")
-        self.pos += 1
-        rule, form = _FORMS[tok]
-        fields: list[object] = []
-        premises: list[str] = []
-        for word, kind in form:
-            if word:
-                self.expect(word)
-                self.expect("=")
-            if kind == "premise":
-                i = self.pos
-                premise = self.expect_ident("a premise identifier")
-                if premise not in bound:
-                    raise self.fail(f"unbound identifier {_clip(premise)!r}", i)
-                if premise in consumed:
-                    raise self.fail(
-                        f"identifier {_clip(premise)!r} already consumed; premises are "
-                        "linear resources",
-                        i,
-                    )
-                consumed.add(premise)
-                premises.append(premise)
-            elif kind == "ket":
-                tok = tokens[self.pos]
-                if tok[:1] != "|":
-                    raise self.fail("expected a ket like |01>")
-                self.pos += 1
-                fields.append(BasisState(tok[1:-1]))
-            else:
-                fields.append(self.parse_gate())
-        return rule(*fields), tuple(premises)
-
-    def parse_gate(self) -> GateApplication:
-        i = self.pos
-        gate = self.tokens[i]
-        if gate not in BUILTIN_NAMES:
-            raise self.fail(_UNKNOWN_GATE)
-        self.pos += 1
-        self.expect("[")
-        wires = [self._wire()]
-        while self.tokens[self.pos] == ",":
-            self.pos += 1
-            wires.append(self._wire())
-        self.expect("]")
-        key = (gate, tuple(wires))
-        app = self.apps.get(key)
-        if app is None:
-            app = self.apps[key] = _gate_application(
-                gate, key[1], lambda: self.position(i)[1:]
-            )
-        return app
-
-    def _wire(self) -> int:
-        tok = self.tokens[self.pos]
-        if not tok[:1].isdigit():
-            raise self.fail("expected a wire index")
-        try:
-            wire = int(tok)
-        except ValueError:  # too long for int(): `_number` raises the error
-            return _number(*self.position(self.pos))
-        self.pos += 1
-        return wire
 
 
 def parse_proof(text: str) -> ProofScript:

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qmc import parser as qmc_parser
 from qmc.amplitude import PACKED_ONE, _latex
 from qmc.cli import _print_report, main
 from qmc.calculus import (
@@ -43,6 +44,8 @@ from qmc.parser import (
     render_circuit,
     render_proof,
     render_script,
+    script_writer,
+    _BLOCK,
     _FORMS,
     _WORD_RE,
     _ScriptParser,
@@ -661,8 +664,16 @@ def _insert(text: str, pieces: list[tuple[int, str]]) -> str:
     return text
 
 
-# Valid scripts with blanks, comments and newlines put in anywhere, which
-# may also split a token; and short texts over the scripts' own characters.
+# The characters that `str.split` cuts at but `_BLANKS` does not hold, so
+# that no token or blank holds them.
+_SPLIT_ONLY_BLANKS = "\x0b\x0c\x1c\x85\xa0\u2028\u3000"
+# Pieces that spacing out the punctuation leaves as more or less than one
+# token.
+_ODD_PIECES = ["12ab", "x|01>y", "|0 1>", "a$b"]
+
+# Valid scripts with blanks, comments, newlines, split-only blanks and odd
+# pieces put in anywhere, which may also split a token; and short texts over
+# the scripts' own characters and the split-only blanks.
 _SCANNED_TEXTS = st.one_of(
     _ANY_TEXT,
     st.builds(
@@ -671,12 +682,16 @@ _SCANNED_TEXTS = st.one_of(
         st.lists(
             st.tuples(
                 st.integers(0, 10**6),
-                st.sampled_from([" ", "\t", "\r", "\n", "\r\n", "# c\n", "#", "# |0> x\n"]),
+                st.sampled_from(
+                    [" ", "\t", "\r", "\n", "\r\n", "# c\n", "#", "# |0> x\n"]
+                    + list(_SPLIT_ONLY_BLANKS)
+                    + _ODD_PIECES
+                ),
             ),
             max_size=6,
         ),
     ),
-    st.text(alphabet="ab01 \t\r\n#|>{}=;[],$", max_size=60),
+    st.text(alphabet="ab01 \t\r\n#|>{}=;[],$" + _SPLIT_ONLY_BLANKS, max_size=60),
 )
 
 
@@ -741,6 +756,100 @@ def test_the_fast_scan_agrees_with_the_positioned_scan(text):
         return
     parser = _ScriptParser(text)
     assert [parser.position(i) for i in range(len(parser.tokens))] == positioned
+
+
+# The reference for the tokens: the per-line scan, each line cut at its
+# first '#' and read by one `findall`, then the end of input.  A text is
+# accepted exactly when its tokens, joined, equal its cut lines without
+# blanks.
+def _line_scan(text: str) -> tuple[list[str], list[int], bool]:
+    """The tokens, the index of each line's first token, and whether the
+    text is accepted."""
+    tokens, starts, codes = [], [], []
+    for code in text.split("\n"):
+        starts.append(len(tokens))
+        if "#" in code:
+            code = code[: code.index("#")]
+        codes.append(code)
+        tokens += _WORD_RE.findall(code)
+    accepted = "".join(tokens) == re.sub("[ \t\r]", "", "".join(codes))
+    return tokens + [""], starts, accepted
+
+
+@settings(max_examples=400, deadline=None)
+@given(_SCANNED_TEXTS)
+def test_the_split_scan_reads_what_the_per_line_scan_reads(text):
+    tokens, starts, accepted = _line_scan(text)
+    try:
+        parser = _ScriptParser(text)
+    except SourceError:
+        assert not accepted
+        return
+    assert accepted
+    assert (parser.tokens, parser.starts) == (tokens, starts)
+
+
+def test_the_split_scan_reads_across_its_blocks_of_lines():
+    lines = [f"g{k + 1} = gate H [{k % 3}] g{k}; # line {k}" for k in range(2 * _BLOCK + 9)]
+    for k in (0, _BLOCK - 1, _BLOCK, 2 * _BLOCK - 1, 2 * _BLOCK):
+        lines[k] = "12ab x|01>y{" + lines[k]
+    text = "\n".join(lines)
+    tokens, starts, accepted = _line_scan(text)
+    parser = _ScriptParser(text)
+    assert accepted and (parser.tokens, parser.starts) == (tokens, starts)
+    # A split-only blank in the last block, or a bad piece on the last line.
+    for k, piece in ((2 * _BLOCK + 3, "\x0b"), (len(lines) - 1, "a$b")):
+        bad = "\n".join(lines[:k] + [piece + lines[k]] + lines[k + 1 :])
+        with pytest.raises(SourceError) as expected:
+            _scan(bad)
+        with pytest.raises(SourceError) as err:
+            _ScriptParser(bad)
+        assert _error(err.value) == _error(expected.value)
+        assert err.value.line == k + 1
+
+
+class _CountingPattern:
+    """A compiled pattern that records every call of its methods."""
+
+    def __init__(self, pattern: re.Pattern) -> None:
+        self.pattern = pattern
+        self.calls: list[tuple[str, tuple]] = []
+
+    def __getattr__(self, name):
+        method = getattr(self.pattern, name)
+
+        def call(*args, **kwargs):
+            self.calls.append((name, args))
+            return method(*args, **kwargs)
+
+        return call
+
+
+def test_a_well_formed_script_is_scanned_in_one_findall(monkeypatch):
+    # A golden script, or a chain of 2,000 gates, is lexed and parsed with
+    # one call of `_WORD_RE`: one findall over its distinct pieces, never
+    # one a line or one a token.
+    rng = random.Random(30)
+    apps = [
+        GateApplication(builtin(name), wires)
+        for name, wires in (("H", (0,)), ("T", (1,)), ("CNOT", (0, 1)), ("S", (0,)))
+    ]
+    chain = Circuit(2, tuple(rng.choice(apps) for _ in range(2000)), True)
+    texts = [path.read_text() for path in sorted(GOLDEN.glob("*.qmc"))]
+    texts.append(script_writer(chain)("chain", BasisState("01")))
+    counting = _CountingPattern(_WORD_RE)
+    monkeypatch.setattr(qmc_parser, "_WORD_RE", counting)
+    for text in texts:
+        counting.calls.clear()
+        parser = _ScriptParser(text)
+        script = parser.parse()
+        assert script.bindings
+        pieces = set(parser.tokens[:-1])
+        [(method, (scanned,))] = counting.calls
+        assert method == "findall"
+        assert sorted(scanned.split("\n")) == sorted(pieces)
+    assert len(script.bindings) == 2 * 2 - 1 + 2000 + 2
+    assert len(pieces) < len(parser.tokens) / 4
 
 
 def test_many_bindings_on_one_line_keep_their_columns():
