@@ -26,7 +26,11 @@ around one packed tuple, whose operators call those functions.
 numerator in one pass over its coefficients and counts its nonzero terms on
 the way, which decides the parentheses before a denominator:
 `Amplitude.text`, `_latex` (the LaTeX renderers') and `state._coeff_text`
-(the ascii renderers') are each a few lines around it.
+(the ascii renderers') are each a few lines around it.  `_decimal` is the
+one decimal writer of a ring integer for a number too long for `str` under
+the interpreter's limit on int-to-str digits: `_poly` falls back to it only
+when `str` refuses a coefficient, and `ExactReal`'s texts and the reprs
+write every integer through it, so an exact value of any length prints.
 
 Coefficients are Python ints, hence arbitrary precision: values grow, they
 never silently wrap.
@@ -35,6 +39,7 @@ never silently wrap.
 from __future__ import annotations
 
 import math
+from typing import Callable
 
 _SQRT2 = math.sqrt(2.0)
 # Below 2^1021, p + q*sqrt2 stays inside the float range (2^1024).
@@ -171,12 +176,47 @@ def _to_complex(x: Packed) -> complex:
     return complex(re, im) / _SQRT2**k
 
 
+# The digits of one chunk of `_decimal`: below 640, the lowest limit that
+# CPython lets `sys.set_int_max_str_digits` set, so `str` takes any chunk.
+_CHUNK_DIGITS = 512
+_CHUNK = 10**_CHUNK_DIGITS
+
+
+def _decimal(n: int) -> str:
+    """The decimal text of an integer of any length: `str(n)` below the
+    interpreter's limit on int-to-str conversion (4300 digits by default),
+    and past it the same digits, from chunks of `_CHUNK_DIGITS` that `divmod`
+    cuts off and `str` writes zero-padded.  The limit is never lifted."""
+    try:
+        return str(n)
+    except ValueError:
+        pass
+    sign, n = ("-", -n) if n < 0 else ("", n)
+    chunks = []
+    while n >= _CHUNK:
+        n, low = divmod(n, _CHUNK)
+        chunks.append(str(low).zfill(_CHUNK_DIGITS))
+    chunks.append(sign + str(n))
+    return "".join(reversed(chunks))
+
+
 def _poly(x: Packed, powers: tuple[str, str, str, str], mul: str) -> tuple[str, int]:
     """The numerator of a packed amplitude, as in `1 - w + 2*w^3`, with its
-    number of nonzero terms, in one pass over the coefficients; powers names
-    w^0 to w^3 and mul stands between a coefficient and its power."""
+    number of nonzero terms; powers names w^0 to w^3 and mul stands between
+    a coefficient and its power.  Only a coefficient too long for `str`
+    makes a second pass, through `_decimal`."""
+    try:
+        return _poly_pass(x, powers, mul, str)
+    except ValueError:
+        return _poly_pass(x, powers, mul, _decimal)
+
+
+def _poly_pass(
+    x: Packed, powers: tuple[str, str, str, str], mul: str, digits: Callable[[int], str]
+) -> tuple[str, int]:
+    """`_poly` in one pass over the coefficients, each written by digits."""
     a0, a1, a2, a3, _ = x
-    text = str(a0) if a0 else ""
+    text = digits(a0) if a0 else ""
     terms = 1 if a0 else 0
     for coef, power in ((a1, powers[1]), (a2, powers[2]), (a3, powers[3])):
         if coef:
@@ -185,7 +225,7 @@ def _poly(x: Packed, powers: tuple[str, str, str, str], mul: str) -> tuple[str, 
                 coef = -coef
             else:
                 sign = " + " if terms else ""
-            text += sign + power if coef == 1 else f"{sign}{coef}{mul}{power}"
+            text += sign + power if coef == 1 else f"{sign}{digits(coef)}{mul}{power}"
             terms += 1
     return text or "0", terms
 
@@ -228,7 +268,7 @@ class CycloInt:
         return hash(self.coeffs)
 
     def __repr__(self) -> str:
-        return f"CycloInt{self.coeffs}"
+        return f"CycloInt({', '.join(map(_decimal, self.coeffs))})"
 
     def times_sqrt2(self) -> CycloInt:
         return CycloInt(*_times_sqrt2(*self.coeffs))
@@ -403,17 +443,24 @@ class ExactReal:
             k -= shift
         return math.ldexp(p + q * _SQRT2, -k)
 
-    def text(self) -> str:
+    def _numerator(self, sqrt2: str) -> str:
+        """p, or p + q*sqrt2 with the given text for sqrt2, signed."""
+        p = _decimal(self.p)
         if self.q == 0:
-            return str(self.p) if self.k == 0 else f"{self.p}/{1 << self.k}"
-        body = f"({self.p}{self.q:+d}*sqrt2)"
-        return body if self.k == 0 else f"{body}/{1 << self.k}"
+            return p
+        return f"{p}{'+' if self.q > 0 else ''}{_decimal(self.q)}{sqrt2}"
+
+    def text(self) -> str:
+        body = self._numerator("*sqrt2")
+        if self.q:
+            body = f"({body})"
+        return body if self.k == 0 else f"{body}/{_decimal(1 << self.k)}"
 
     def latex(self) -> str:
-        body = str(self.p) if self.q == 0 else f"{self.p}{self.q:+d}\\sqrt{{2}}"
+        body = self._numerator("\\sqrt{2}")
         if self.k == 0:
             return body
-        return r"\frac{%s}{%d}" % (body, 1 << self.k)
+        return r"\frac{%s}{%s}" % (body, _decimal(1 << self.k))
 
     def __str__(self) -> str:
         return self.text()

@@ -175,13 +175,22 @@ def cmd_dist(args: argparse.Namespace) -> int:
     return 0
 
 
+# The texts that `int` reads as an integer, whatever their length.
+_INTEGER_RE = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")
+
+
 def _seed(text: str, source: str) -> int:
     """The seed that `--seed` or QMC_SEED (the source) gives as text; an
-    error quotes the text clipped, so its message stays one short line."""
+    error quotes the text clipped, so its message stays one short line.  An
+    integer too long for `int()` (by default more than 4300 digits) is
+    refused in the parsers' words."""
     try:
         return int(text)
     except ValueError:
-        raise _UsageError(f"{source} must be an integer, got {_clip(text)!r}") from None
+        if _INTEGER_RE.fullmatch(text) is None:
+            raise _UsageError(f"{source} must be an integer, got {_clip(text)!r}") from None
+    digits = len(re.findall(r"\d", text))
+    raise _UsageError(f"{source}: number too long ({digits} digits)")
 
 
 def cmd_run(args: argparse.Namespace) -> int:

@@ -1,7 +1,7 @@
 """Dense exact engine for `translate.final_state` on wide, nearly full registers.
 
-The dict engine (`gates.apply_packed` on packed dicts) pays one Python
-dict operation per term per gate.  Once a register of at least `MIN_WIDTH`
+The dict engine (`gates.apply_packed` and `gates.apply_run` on packed dicts)
+pays one Python dict operation per term per gate.  Once a register of at least `MIN_WIDTH`
 wires has at least 2^n / 2^`FILL_SHIFT` nonzero amplitudes, `final_state`
 hands the remaining gates to `run`, which keeps the same exact values in
 arrays:

@@ -21,11 +21,16 @@ interference between computational paths takes effect.  Over more than
 rotated or multiplied once per kernel entry, through a memo that lives for
 the call (see `state`).
 
+`apply_run` is the kernel for two or more permutation gates in a row: each
+term goes through the whole run, one table lookup per gate, before it is
+stored, and its amplitude is rotated once, by the run's total power of w.
+
 `apply`, the proof path's entry, wraps the kernel for one `Superposition`,
 which it sorts: a permutation gate's dict as the kernel gives it, any other
 gate's products through `state.combine`, which wraps the same merge.
-`translate.final_state` runs a circuit's gates on the kernel and sorts one
-state per circuit.
+`translate.final_state` runs a circuit's gates on the kernel, each run of
+two or more permutation gates through `apply_run`, and sorts one state per
+circuit.
 """
 
 from __future__ import annotations
@@ -232,6 +237,40 @@ def apply_packed(
                         memo = None
                 amp = rotated
         out[basis ^ wires | row] = amp
+    return out
+
+
+def apply_run(
+    run: list[GateApplication], width: int, packed: dict[int, Packed]
+) -> dict[int, Packed]:
+    """Two or more permutation applications in a row on a packed dict, as
+    `apply_packed` one after another would give them, but each term goes
+    through the whole run before it is stored: its basis index is looked up
+    once per gate, and its amplitude is rotated once, by the run's total
+    power of w.  No table over the run's wires is built."""
+    plans = [app.plans.get(width) or _plan(app, width) for app in run]
+    memo = _memo(packed.values()) if len(packed) > MEMO_TERMS else None
+    out: dict[int, Packed] = {}
+    for basis, amp in packed.items():
+        power = 0
+        for mask, table in plans:
+            wires = basis & mask
+            row, j = table[wires]
+            basis ^= wires ^ row
+            power += j
+        power &= 7
+        if power:
+            if memo is None:
+                amp = _times_unit(amp, power, 0)
+            else:
+                key = amp, power
+                rotated = memo.get(key)
+                if rotated is None:
+                    rotated = memo[key] = _times_unit(amp, power, 0)
+                    if len(memo) > MEMO_ENTRIES:
+                        memo = None
+                amp = rotated
+        out[basis] = amp
     return out
 
 

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import re
 import string
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from itertools import accumulate, chain
 from typing import Callable, Iterator, NamedTuple
 
@@ -159,6 +159,7 @@ _WORD_RE = re.compile(
 _IDENT_START = frozenset(string.ascii_letters + "_")
 _BLANKS = " \t\r"
 _NO_BLANKS = str.maketrans("", "", _BLANKS)
+_BLANKS_TO_SPACES = str.maketrans(_BLANKS, " " * len(_BLANKS))
 
 
 # The most lines lexed at once, so that the lexer's copies of the text (the
@@ -228,17 +229,27 @@ class _ScriptParser:
         """The error at the first character of the cut lines that no token
         or blank holds, looked for in the first line that has one."""
         tokens, starts = self.tokens, self.starts + [len(self.tokens)]
-        n = next(
-            n
-            for n, code in enumerate(codes)
-            if "".join(tokens[starts[n] : starts[n + 1]]) != code.translate(_NO_BLANKS)
-        )
-        code, at = codes[n], 0
-        for m in _WORD_RE.finditer(code):
-            if code[at : m.start()].strip(_BLANKS):
+        for n, code in enumerate(codes):
+            solid = code.translate(_NO_BLANKS)
+            joined = "".join(tokens[starts[n] : starts[n + 1]])
+            if joined != solid:
                 break
-            at = m.end()
-        c = len(code) - len(code[at:].lstrip(_BLANKS))  # that character's offset
+        # The line without blanks and its tokens joined agree up to its first
+        # bad character, at offset `at`, and differ there unless that is a
+        # '|' and the next token a ket, whose first digit (never bad) then
+        # meets the '|' or bad character that follows.  So the prefixes agree
+        # up to a length that `bisect` finds by C-level comparisons, and only
+        # a '|' before it is stepped back over.
+        agree = bisect_left(
+            range(len(joined) + 1), True, key=lambda m: not solid.startswith(joined[:m])
+        ) - 1
+        at = agree - (agree > 0 and joined[agree - 1] == "|")
+        # Its offset in the line: the first whose prefix, with its blanks
+        # counted by C-level `count`, holds at + 1 characters that are not.
+        spaced = code.translate(_BLANKS_TO_SPACES)
+        c = bisect_left(
+            range(len(code)), at + 1, key=lambda i: i + 1 - spaced.count(" ", 0, i + 1)
+        )
         line = self.lines[n]
         if line[c] != "|":
             return SourceError(n + 1, c + 1, "unexpected character", line[c])

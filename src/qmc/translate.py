@@ -10,9 +10,10 @@ composition and are refused rather than guessed at.
 
 `final_state` (behind `qmc dist` of a circuit and the selftest sweep) runs
 the gates on the dict engine's kernel, `gates.apply_packed`, one packed dict
-after another, until the register has at least `dense.MIN_WIDTH` wires and
-a quarter of its basis states (2^n / 2^`dense.FILL_SHIFT`) carry an
-amplitude; from there `dense.run` takes them on int64 arrays while every
+after another, and each run of two or more consecutive permutation gates in
+one `gates.apply_run`, until the register has at least `dense.MIN_WIDTH`
+wires and a quarter of its basis states (2^n / 2^`dense.FILL_SHIFT`) carry
+an amplitude; from there `dense.run` takes them on int64 arrays while every
 coefficient stays below 2^`dense.MAX_BITS`.  A gate that would pass that
 bound, or that has an entry of no w^j / sqrt2^e form, goes back to the dict
 engine, which finishes the circuit.  So `final_state` sorts one state per
@@ -43,7 +44,7 @@ from .calculus import (
     walk,
 )
 from .amplitude import PACKED_ONE
-from .gates import GateApplication, apply_packed, builtin
+from .gates import GateApplication, apply_packed, apply_run, builtin
 from .state import Superposition, _clip, _wire_text
 
 
@@ -80,20 +81,41 @@ def final_state(c: Circuit) -> Superposition:
     """Exact state after running every gate on |0...0>.
 
     The gates run on the dict engine's kernel, one packed dict after
-    another, until the state suits `dense`, then on its arrays, and from any
-    gate that `dense.run` hands back, on the kernel again (see the module
+    another, with each run of two or more permutation gates in one
+    `apply_run`, until the state suits `dense`, then on its arrays, and from
+    any gate that `dense.run` hands back, on the kernel again (see the module
     docstring).  The result is the same either way."""
     width = c.width
     packed = {0: PACKED_ONE}
     ops = iter(c.ops)
+    run: list[GateApplication] = []  # permutation gates not yet applied
+    may_go_dense = True  # a register goes dense at most once
     for op in ops:
+        if op.gate.permutation:
+            run.append(op)
+            continue
+        if run:
+            packed = _apply_permutations(run, width, packed)
+            run = []
         packed = apply_packed(op, width, packed)
-        if dense.suits(width, len(packed)):
+        # A permutation keeps the support's size, so only this gate can
+        # have made the state suit `dense`.
+        if may_go_dense and dense.suits(width, len(packed)):
+            may_go_dense = False
             packed = dense.run(Superposition._of(width, packed), ops).packed
-            break
-    for op in ops:  # the gates that `dense.run` left, if any
-        packed = apply_packed(op, width, packed)
+    if run:
+        packed = _apply_permutations(run, width, packed)
     return Superposition._of(width, packed)
+
+
+def _apply_permutations(
+    run: list[GateApplication], width: int, packed: dict
+) -> dict:
+    """A run of permutation gates on the kernel: a run of one through
+    `apply_packed`, whose loop is the faster for a single gate."""
+    if len(run) == 1:
+        return apply_packed(run[0], width, packed)
+    return apply_run(run, width, packed)
 
 
 def circuit_to_proof(

@@ -1,6 +1,8 @@
 """Exact ring arithmetic: canonical forms, ring laws, and the float bridge."""
 
 import math
+import sys
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import example, given
@@ -16,9 +18,13 @@ from qmc.amplitude import (
     OMEGA,
     REAL_ONE,
     REAL_ZERO,
+    _CHUNK_DIGITS,
+    _POWER_NAMES,
+    _decimal,
     _latex,
     _mod_sq,
     _mul,
+    _poly,
     _times_unit,
 )
 from qmc.state import _coeff_text
@@ -464,3 +470,62 @@ def test_to_float_is_the_old_float_wherever_that_was_finite(p, q, k):
     elif (REAL_ONE - x).sign() >= 0 and (REAL_ONE + x).sign() >= 0:
         # A value in [-1, 1], such as a probability, always converts.
         assert math.isfinite(x.to_float())
+
+
+needs_digit_limit = pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no limit on int-to-str digits"
+)
+
+
+@contextmanager
+def digit_limit(limit: int):
+    """The interpreter's int-to-str limit set to limit, then restored."""
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
+def unlimited_str(n: int) -> str:
+    with digit_limit(0):
+        return str(n)
+
+
+@st.composite
+def long_integers(draw):
+    """Integers of 1 to 3 chunks past the limit of 640 digits or short of
+    it, with runs of zeros or nines that meet the chunk boundaries."""
+    digits = draw(st.integers(1, 640 + 3 * _CHUNK_DIGITS))
+    n = draw(st.integers(10 ** (digits - 1) if digits > 1 else 0, 10**digits - 1))
+    shift = draw(st.sampled_from((0, _CHUNK_DIGITS, _CHUNK_DIGITS - 1, 2 * _CHUNK_DIGITS)))
+    n = draw(st.sampled_from((n, n * 10**shift, n * 10**shift - 1, n * 10**shift + 1)))
+    return draw(st.sampled_from((n, -n)))
+
+
+@needs_digit_limit
+@given(n=long_integers(), limit=st.sampled_from((640, 641, 1000, 4300)))
+def test_decimal_is_str_on_either_side_of_the_limit(n, limit):
+    expected = unlimited_str(n)
+    with digit_limit(limit):
+        assert _decimal(n) == expected
+
+
+@needs_digit_limit
+def test_numbers_past_the_limit_format_in_full():
+    big = 10**4400
+    with digit_limit(4300):
+        poly = _poly((big, 1, 0, -big, 3), _POWER_NAMES, "*")
+        real = ExactReal(big + 1, -big, 3)
+        texts = (real.text(), real.latex(), repr(real), repr(CycloInt(big, 0, -big)))
+        small_denominator = ExactReal(1, 0, 15000).text()
+    digits, odd = unlimited_str(big), unlimited_str(big + 1)
+    assert poly == (f"{digits} + w - {digits}*w^3", 3)
+    assert texts == (
+        f"({odd}-{digits}*sqrt2)/8",
+        rf"\frac{{{odd}-{digits}\sqrt{{2}}}}{{8}}",
+        f"ExactReal(({odd}-{digits}*sqrt2)/8)",
+        f"CycloInt({digits}, 0, -{digits}, 0)",
+    )
+    assert small_denominator == f"1/{unlimited_str(1 << 15000)}"

@@ -697,6 +697,41 @@ def test_a_wider_script_checks_and_reads_back_under_the_memory_cap(run_cli, tmp_
         assert digest == _BW17_DIGESTS[argv[0]], argv[0]
 
 
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no limit on int-to-str digits"
+)
+def test_exact_numbers_past_the_digit_limit_print_in_full(run_cli, tmp_path):
+    # The Born weights of an HT^k chain have about k/2 bits, so at k = 5000
+    # about 750 digits: past 640, the lowest limit CPython accepts.  Under it
+    # each command prints what it prints with no limit, byte for byte.
+    circuit = tmp_path / "ht.qc"
+    circuit.write_text("qubits 1\n" + "H 0\nT 0\n" * 5000 + "measure\n", encoding="utf-8")
+    code, out, _ = run_cli("translate", str(circuit), "--to", "proof", "--outdir", str(tmp_path))
+    assert code == 0
+    script = out.split()[0]
+    code, out, _ = run_cli("dist", str(circuit))
+    assert code == 0 and max(map(len, re.findall(r"\d+", out))) > 640
+    stdout = tmp_path / "stdout"
+    for argv in (["dist", str(circuit)], ["run", str(circuit), "--seed", "1"], ["check", script]):
+        digests = []
+        for limit in ("640", "0"):
+            with stdout.open("wb") as sink:
+                proc = subprocess.run(
+                    [sys.executable, "-X", f"int_max_str_digits={limit}", "-m", "qmc", *argv],
+                    stdout=sink,
+                    stderr=subprocess.PIPE,
+                    env=_subprocess_env(),
+                    timeout=120,
+                )
+            assert (argv[0], proc.returncode, proc.stderr) == (argv[0], 0, b"")
+            digest = hashlib.sha256()
+            with stdout.open("rb") as printed:
+                for chunk in iter(lambda: printed.read(1 << 20), b""):
+                    digest.update(chunk)
+            digests.append(digest.hexdigest())
+        assert digests[0] == digests[1], argv[0]
+
+
 @pytest.mark.parametrize("command", ["render", "run --seed 1"])
 def test_rows_written_before_running_out_of_memory_stay_written(
     run_cli, monkeypatch, workdir, command
@@ -883,14 +918,31 @@ def test_run_bad_env_seed(run_cli, workdir, monkeypatch):
     assert "QMC_SEED" in err
 
 
+def test_a_seed_past_the_digit_limit_is_refused_as_too_long(run_cli, workdir, monkeypatch):
+    # One more digit than int() converts by default, with a sign and blanks
+    # that int() reads; a shorter one of the same form is a seed.
+    monkeypatch.setenv("QMC_SEED", " -" + "7" * 4301 + " ")
+    assert run_cli("run", str(workdir / "bell.qc")) == (
+        2,
+        "",
+        "error: QMC_SEED: number too long (4301 digits)\n",
+    )
+    monkeypatch.setenv("QMC_SEED", " -" + "7" * 4300 + " ")
+    assert run_cli("run", str(workdir / "bell.qc"))[0] == 0
+
+
 @pytest.mark.parametrize("command", [["run"], ["translate", "--to", "proof"]], ids=["run", "translate"])
 @pytest.mark.parametrize(
-    "seed, quoted",
-    # Past int()'s default conversion limit, 5000 digits read as no integer.
-    [("pi", "'pi'"), ("9" * 5000, "'999999999999...'")],
+    "seed, message",
+    # Past int()'s default conversion limit, 5000 digits are refused in the
+    # words of the parsers' positioned error, not read as no integer.
+    [
+        ("pi", "--seed must be an integer, got 'pi'"),
+        ("9" * 5000, "--seed: number too long (5000 digits)"),
+    ],
     ids=["word", "5000-digits"],
 )
-def test_a_bad_seed_flag_is_one_short_usage_error(run_cli, workdir, command, seed, quoted):
+def test_a_bad_seed_flag_is_one_short_usage_error(run_cli, workdir, command, seed, message):
     outdir = workdir / "out"
     outdir.mkdir()
     name, *flags = command
@@ -898,7 +950,7 @@ def test_a_bad_seed_flag_is_one_short_usage_error(run_cli, workdir, command, see
         flags += ["--outdir", str(outdir)]
     code, out, err = run_cli(name, str(workdir / "bell.qc"), *flags, "--seed", seed)
     assert (code, out) == (2, "")
-    assert err == f"error: --seed must be an integer, got {quoted}\n"
+    assert err == f"error: {message}\n"
     assert len(err.encode()) < 300
     assert not any(outdir.iterdir())
 
@@ -1283,6 +1335,26 @@ def test_selftest_sweep_catches_a_gate_that_breaks_the_norm(run_cli, monkeypatch
         return out
 
     monkeypatch.setattr(translate, "apply_packed", dropping)
+    assert run_cli("selftest") == (
+        1,
+        "unitarity: ok\ngolden proofs: ok\n",
+        "selftest failure: differential: circuit 2: exact state has norm squared 1/4, "
+        "expected 1\n",
+    )
+
+
+def test_selftest_sweep_catches_a_run_that_breaks_the_norm(run_cli, monkeypatch):
+    # The same fault in the kernel that `final_state` runs each run of two or
+    # more permutation gates through: the sweep's norm guard covers it too.
+    apply_run = translate.apply_run
+
+    def dropping(run, width, packed):
+        out = apply_run(run, width, packed)
+        if len(out) >= 2:
+            del out[max(out)]
+        return out
+
+    monkeypatch.setattr(translate, "apply_run", dropping)
     assert run_cli("selftest") == (
         1,
         "unitarity: ok\ngolden proofs: ok\n",

@@ -1,8 +1,13 @@
-"""The dense engine of `translate.final_state` against the dict engine.
+"""The dense engine and the permutation runs of `translate.final_state`
+against the dict engine.
 
 `dense.run` must give the packed superposition that `gates.apply` gives,
 term for term and in the same order, and agree with the float oracle.  The
-dict engine here is the plain loop of `gates.apply` over the gates.
+dict engine here is the plain loop of `gates.apply` over the gates.  So must
+`gates.apply_run`, which `final_state` sends each run of two or more
+permutation gates through: on long runs, on phaseful permutations outside
+the built-in set, on states above `state.MEMO_TERMS`, and on runs before and
+after a dense hand-over and a hand-back.
 """
 
 from __future__ import annotations
@@ -12,13 +17,13 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from qmc import dense, oracle
-from qmc.amplitude import REAL_ONE, Amplitude, CycloInt
-from qmc.gates import BUILTIN_NAMES, GateApplication, apply, builtin
+from qmc import dense, oracle, translate
+from qmc.amplitude import AMP_ONE, AMP_ZERO, REAL_ONE, Amplitude, CycloInt
+from qmc.gates import BUILTIN_NAMES, Gate, GateApplication, apply, apply_run, builtin
 from qmc.state import BasisState, Superposition, ket, norm_sq
 from qmc.translate import Circuit, final_state
-from conftest import brickwork
-from test_engine_pins import custom_gates, pinned_circuits
+from conftest import WIDE_STATES, brickwork, random_orbit_state
+from test_engine_pins import custom_gates, pinned_circuits, unit
 
 
 def dict_engine(state: Superposition, ops) -> Superposition:
@@ -245,3 +250,130 @@ def test_a_final_state_that_went_dense_has_norm_exactly_one(seed, width, n_gates
     assert runs == [width]  # `dense.suits` was reached
     assert norm_sq(actual) == REAL_ONE
     assert actual == dict_engine(ket("0" * width), ops)
+
+
+def permutation(name: str, rows: list[int], powers: list[int]) -> Gate:
+    """The gate that sends column c to row rows[c], times w^powers[c]."""
+    size = len(rows)
+    return Gate(
+        name,
+        size.bit_length() - 1,
+        tuple(
+            tuple(unit(powers[col]) if rows[col] == row else AMP_ZERO for col in range(size))
+            for row in range(size)
+        ),
+    )
+
+
+# Phaseful permutations outside the built-in set: [[0, -i], [i, 0]], and a
+# CNOT whose flipped block carries w^3.
+Y = permutation("Y", [1, 0], [2, 6])
+CNOT_W3 = permutation("CW", [0, 1, 3, 2], [0, 0, 3, 0])
+# An entry of no w^j / sqrt2^e form: `dense.run` hands the state back here.
+HAND_BACK = Gate("D", 1, ((AMP_ONE, AMP_ZERO), (AMP_ZERO, Amplitude(CycloInt(2)))))
+
+
+@st.composite
+def phaseful_permutations(draw) -> Gate:
+    size = 1 << draw(st.integers(1, 2))
+    rows = draw(st.permutations(range(size)))
+    return permutation("P", rows, draw(st.lists(st.integers(0, 7), min_size=size, max_size=size)))
+
+
+def permutation_ops(rng: random.Random, width: int, gates: list[Gate], n_gates: int):
+    fit = [gate for gate in gates if gate.arity <= width]
+    return [
+        GateApplication(gate, tuple(rng.sample(range(width), gate.arity)))
+        for gate in (rng.choice(fit) for _ in range(n_gates))
+    ]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    width=st.integers(1, 9),
+    custom=st.lists(phaseful_permutations(), max_size=3),
+)
+def test_final_state_over_permutation_runs_equals_the_dict_engine(seed, width, custom):
+    # H on every wire or a random set of them, then runs of 0 to 60
+    # permutation gates, each closed by H or by a gate that `dense.run` hands
+    # back.  From 8 wires a filled register goes dense and comes back, so the
+    # runs after it meet 256-512 terms that repeat a few amplitudes: the
+    # run's memo.
+    rng = random.Random(seed)
+    gates = [builtin(name) for name in ("X", "Z", "S", "T", "CNOT", "I")]
+    gates += [Y, CNOT_W3, *custom]
+    h = builtin("H")
+    filled = rng.choice((width, rng.randint(0, width)))
+    ops = [GateApplication(h, (w,)) for w in rng.sample(range(width), filled)]
+    for _ in range(rng.randint(1, 4)):
+        ops += permutation_ops(rng, width, gates, rng.choice((0, 1, 2, rng.randint(3, 60))))
+        ops.append(GateApplication(rng.choice((h, h, HAND_BACK)), (rng.randrange(width),)))
+    ops += permutation_ops(rng, width, gates, rng.randint(0, 60))
+    actual = final_state(Circuit(width, tuple(ops)))
+    expected = dict_engine(ket("0" * width), ops)
+    assert list(actual.packed.items()) == list(expected.packed.items())
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    state=st.one_of(
+        WIDE_STATES,
+        st.builds(
+            lambda seed, width: random_orbit_state(random.Random(seed), width),
+            st.integers(0, 2**32 - 1),
+            st.integers(1, 5),
+        ),
+    ),
+    custom=st.lists(phaseful_permutations(), max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+    n_gates=st.integers(2, 40),
+)
+def test_a_run_equals_its_gates_one_at_a_time(state, custom, seed, n_gates):
+    # States above `state.MEMO_TERMS` whose amplitudes repeat (the memo
+    # serves the whole run), hardly repeat (it is not started) or first the
+    # one and then the other (it is dropped part way), and small ones.
+    gates = [builtin(name) for name in ("X", "Z", "S", "T", "CNOT")] + [Y, CNOT_W3, *custom]
+    run = permutation_ops(random.Random(seed), state.width, gates, n_gates)
+    actual = Superposition._of(state.width, apply_run(run, state.width, dict(state.packed)))
+    assert list(actual.packed.items()) == list(dict_engine(state, run).packed.items())
+
+
+def test_runs_around_a_hand_over_and_an_int64_hand_back(monkeypatch):
+    # H on every wire goes dense; a chain on wires 0 and 1 whose runs of
+    # permutations lie between Hadamards grows its coefficients past 62 bits,
+    # so the dict engine takes the state back and runs the rest, runs and
+    # all, on 256 terms.
+    width = dense.MIN_WIDTH
+    h, t, s, cnot = (builtin(name) for name in ("H", "T", "S", "CNOT"))
+    block = [
+        GateApplication(h, (0,)),
+        GateApplication(t, (0,)),
+        GateApplication(cnot, (0, 1)),
+        GateApplication(Y, (2,)),
+        GateApplication(h, (1,)),
+        GateApplication(s, (1,)),
+        GateApplication(t, (1,)),
+        GateApplication(CNOT_W3, (1, 3)),
+    ]
+    ops = [GateApplication(h, (w,)) for w in range(width)] + block * 200
+    events = []
+    run, give_back = translate.apply_run, dense.apply
+
+    def ran(gates, width, packed):
+        events.append(("run", len(gates), len(packed)))
+        return run(gates, width, packed)
+
+    def handed_back(op, state):
+        events.append(("back", op.label(), len(state)))
+        return give_back(op, state)
+
+    monkeypatch.setattr(translate, "apply_run", ran)
+    monkeypatch.setattr(dense, "apply", handed_back)
+    actual = final_state(Circuit(width, tuple(ops)))
+    expected = dict_engine(ket("0" * width), ops)
+    assert list(actual.packed.items()) == list(expected.packed.items())
+    # The dense engine took every run before the hand-back, and each run
+    # after it went through `apply_run` whole, on the full register.
+    assert events[0][0] == "back"
+    assert events[1:] and set(events[1:]) == {("run", 3, 1 << width)}

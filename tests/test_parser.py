@@ -758,6 +758,31 @@ def test_the_fast_scan_agrees_with_the_positioned_scan(text):
     assert [parser.position(i) for i in range(len(parser.tokens))] == positioned
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "| |01>",
+        "||01>",
+        "|$|01>",
+        "|0 |1>",
+        "a |\t\r|0> b",
+        "proof p { a = prep | |01>; }",
+        "a " * 1000 + "| |0>",
+        "|01> " * 1000 + "|\n|0>",
+    ],
+    ids=["blank", "adjacent", "dollar", "digit", "tab", "in-a-script", "late", "next-line"],
+)
+def test_a_bad_bar_before_a_ket_is_positioned_at_the_bar(text):
+    # Without blanks the line reads '|' then the ket's '|01>...', so the
+    # prefixes of the line and of its tokens agree one character past the
+    # bad '|'; the error is still at the '|'.
+    with pytest.raises(SourceError) as expected:
+        _scan(text)
+    with pytest.raises(SourceError) as err:
+        _ScriptParser(text)
+    assert _error(err.value) == _error(expected.value)
+
+
 # The reference for the tokens: the per-line scan, each line cut at its
 # first '#' and read by one `findall`, then the end of input.  A text is
 # accepted exactly when its tokens, joined, equal its cut lines without

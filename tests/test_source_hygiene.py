@@ -1,11 +1,15 @@
-"""Source hygiene that a linter would check: no unused import, no dead private name.
+"""Source hygiene that a linter would check: no unused import, no dead
+private name, no change to the interpreter's digit limit.
 
-Two AST checks over `src/qmc`:
+Three AST checks over `src/qmc`:
 
 - every name that a module other than `__init__.py` (which imports to
   re-export) binds by `import` is used in that module;
 - every module-level `_private` name is referenced somewhere in `src/qmc`,
-  as a name or as an attribute.
+  as a name or as an attribute;
+- no module names `set_int_max_str_digits`, as a name, an attribute or a
+  string: qmc prints exact numbers of any length under whatever limit on
+  int-to-str conversion the interpreter has, and never lifts it.
 """
 
 from __future__ import annotations
@@ -84,3 +88,20 @@ def test_every_module_level_private_name_is_referenced():
         if name not in used
     ]
     assert not dead, f"private names nothing in src/qmc references: {dead}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_sets_the_digit_limit(path):
+    tree = _tree(path)
+    strings = {
+        node.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    }
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert "set_int_max_str_digits" not in _names_read(tree) | imported | strings, path.name
