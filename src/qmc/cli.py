@@ -63,7 +63,7 @@ def _read(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
     except OSError as err:
-        raise _UsageError(f"cannot read {path}: {err}") from err
+        raise _UsageError(f"cannot read {path}: {err.strerror or err}") from err
     except UnicodeDecodeError as err:
         raise _UsageError(f"{path} is not valid UTF-8: {err}") from err
 
@@ -72,7 +72,7 @@ def _write(path: Path, content: str) -> None:
     try:
         path.write_text(content, encoding="utf-8")
     except OSError as err:
-        raise _UsageError(f"cannot write {path}: {err}") from err
+        raise _UsageError(f"cannot write {path}: {err.strerror or err}") from err
 
 
 def _kind(path: str) -> str:
@@ -257,7 +257,14 @@ def cmd_translate(args: argparse.Namespace) -> int:
         if circuit.measured:
             dist = distribution(final_state(circuit))
             outcomes = dist.outcomes() if seed is None else [sample_outcome(dist, seed)[0]]
-            branches = {f"{stem}_{outcome.bits}": outcome for outcome in outcomes}
+            # A branch is named by its outcome's bits unless that name would
+            # pass the usual 255-byte NAME_MAX; then every branch is named by
+            # its outcome's rank in `dist` order.
+            if len(os.fsencode(f"{stem}_{'0' * circuit.width}.qmc")) > 255:
+                rank = {b: k for k, b in enumerate(dist.weights)}
+                branches = {f"{stem}_{rank[o.index]}": o for o in outcomes}
+            else:
+                branches = {f"{stem}_{o.bits}": o for o in outcomes}
         else:
             branches = {stem: None}
         script = frontend.script_writer(circuit)

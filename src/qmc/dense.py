@@ -1,10 +1,10 @@
 """Dense exact engine for `translate.final_state` on wide, nearly full registers.
 
 The dict engine (`gates.apply_packed` and `gates.apply_run` on packed dicts)
-pays one Python dict operation per term per gate.  Once a register of at least `MIN_WIDTH`
-wires has at least 2^n / 2^`FILL_SHIFT` nonzero amplitudes, `final_state`
-hands the remaining gates to `run`, which keeps the same exact values in
-arrays:
+pays one Python dict operation per term per gate.  Once a register of at
+least `MIN_WIDTH` wires has at least 2^n / 2^`FILL_SHIFT` nonzero
+amplitudes, `final_state` hands its packed dict and the remaining gates to
+`run`, which keeps the same exact values in arrays:
 
 - The state is an int64 array of shape (4, 2^n): column b holds the Z[w]
   numerator (a0, a1, a2, a3) of basis index b, and every column stands over
@@ -23,12 +23,12 @@ arrays:
   gate has raised K and left every coefficient even, the factor 2 is
   divided out and K falls by 2.  A gate
   that would pass the limit hands the state back to the dict engine, which
-  finishes the circuit.
+  applies it with `gates.apply_packed` and finishes the circuit.
 - The boundary back to packed tuples is vectorized: one masked loop divides
   every term's numerator by sqrt2 while it can, which brings each to the
   Giles & Selinger normal form of `amplitude` (arXiv:1212.0506), then one
-  `tolist` builds the packed dict.  The result equals the dict engine's
-  term for term and in the same order.
+  `tolist` builds the packed dict, in ascending order of basis index.  Its
+  terms equal the dict engine's.
 """
 
 from __future__ import annotations
@@ -38,8 +38,8 @@ from typing import Iterator
 import numpy as np
 
 from . import amplitude
-from .gates import Gate, GateApplication, apply
-from .state import Superposition
+from .amplitude import Packed
+from .gates import Gate, GateApplication, apply_packed
 
 # Chosen by timing 20 random H/T/S/CNOT gates on both engines (Python 3.11,
 # numpy 2.4, a 2-CPU Intel Xeon host): from 8 wires on, with a quarter of
@@ -60,21 +60,25 @@ def suits(width: int, terms: int) -> bool:
     return width >= MIN_WIDTH and terms << FILL_SHIFT >= 1 << width
 
 
-def run(s: Superposition, ops: Iterator[GateApplication]) -> Superposition:
-    """Apply the gates that ops yields to s, on arrays, and return the
-    exact result.
+def run(
+    width: int, packed: dict[int, Packed], ops: Iterator[GateApplication]
+) -> dict[int, Packed]:
+    """Apply the gates that ops yields to the width-wire packed dict, whose
+    keys may come in any order, on arrays, and return the exact result as a
+    packed dict.
 
-    If s does not fit the arrays, nothing is taken from ops.  If a gate does
-    not (a coefficient could reach 2^MAX_BITS, or an entry has no
-    w^j / sqrt2^e form), the state goes back to packed form and
-    `gates.apply` applies that gate.  Either way, the gates still in ops are
-    the caller's to apply on the dict engine.
+    If the state does not fit the arrays, nothing is taken from ops and
+    packed itself is returned.  If a gate does not (a coefficient could
+    reach 2^MAX_BITS, or an entry has no w^j / sqrt2^e form), the state goes
+    back to packed form and `gates.apply_packed` applies that gate: a
+    permutation adds no bits and has only unit entries, so it is never the
+    one.  Either way, the gates still in ops are the caller's to apply on
+    the dict engine.
     """
-    start = _from_packed(s)
+    start = _from_packed(width, packed)
     if start is None:
-        return s
+        return packed
     c, k, bits = start
-    width = s.width
     steps: dict = {}  # by gate identity: a circuit repeats a few gates
     for op in ops:
         key = id(op.gate)
@@ -84,7 +88,7 @@ def run(s: Superposition, ops: Iterator[GateApplication]) -> Superposition:
         if step is not None and bits + step[1] > MAX_BITS:
             bits = _bits(c)
         if step is None or bits + step[1] > MAX_BITS:
-            return apply(op, _to_packed(c, k, width))
+            return apply_packed(op, width, _to_packed(c, k))
         rows, growth, lift = step
         c = _apply(c, op, width, rows)
         k += lift
@@ -96,7 +100,7 @@ def run(s: Superposition, ops: Iterator[GateApplication]) -> Superposition:
             c >>= 1
             k -= 2
             bits -= 1
-    return _to_packed(c, k, width)
+    return _to_packed(c, k)
 
 
 def _bits(c: np.ndarray) -> int:
@@ -104,11 +108,13 @@ def _bits(c: np.ndarray) -> int:
     return max(int(c.max()), -int(c.min())).bit_length()
 
 
-def _from_packed(s: Superposition) -> tuple[np.ndarray, int, int] | None:
-    """(array, K, bits) for s over its largest exponent K, or None when a
-    coefficient would not stay below 2^MAX_BITS."""
+def _from_packed(
+    width: int, packed: dict[int, Packed]
+) -> tuple[np.ndarray, int, int] | None:
+    """(array, K, bits) for the packed dict over its largest exponent K, or
+    None when a coefficient would not stay below 2^MAX_BITS."""
     try:
-        terms = np.array(list(s.packed.values()), dtype=np.int64)
+        terms = np.array(list(packed.values()), dtype=np.int64)
     except OverflowError:
         return None
     nums, ks = terms[:, :4].T, terms[:, 4]
@@ -121,8 +127,8 @@ def _from_packed(s: Superposition) -> tuple[np.ndarray, int, int] | None:
     odd = (lift & 1).astype(bool)
     nums[:, odd] = _times_sqrt2(nums[:, odd])
     nums <<= lift >> 1
-    c = np.zeros((4, 1 << s.width), dtype=np.int64)
-    c[:, np.fromiter(s.packed, dtype=np.int64, count=len(s.packed))] = nums
+    c = np.zeros((4, 1 << width), dtype=np.int64)
+    c[:, np.fromiter(packed, dtype=np.int64, count=len(packed))] = nums
     return c, k, _bits(c)
 
 
@@ -197,8 +203,9 @@ def _apply(
     return out.reshape(4, -1)
 
 
-def _to_packed(c: np.ndarray, k: int, width: int) -> Superposition:
-    """The packed superposition of the array over sqrt2^k.
+def _to_packed(c: np.ndarray, k: int) -> dict[int, Packed]:
+    """The packed dict of the array over sqrt2^k, in ascending order of
+    basis index.
 
     Each nonzero column is divided by sqrt2 while its numerator allows it
     (a0 = a2 and a1 = a3 modulo 2, as in `amplitude._canonical`; then
@@ -219,5 +226,4 @@ def _to_packed(c: np.ndarray, k: int, width: int) -> Superposition:
         x = x[:, divisible]
         nums[:, live] = _times_sqrt2(x) >> 1
         ks[live] -= 1
-    packed = dict(zip(basis.tolist(), zip(*nums.tolist(), ks.tolist())))
-    return Superposition._of(width, packed)
+    return dict(zip(basis.tolist(), zip(*nums.tolist(), ks.tolist())))

@@ -7,30 +7,31 @@ has that form (every built-in entry does) and kept as a packed amplitude
 otherwise, whether the gate is a permutation, and whether it is unitary,
 exactly (`is_unitary`).
 
-`apply_packed` is the dict engine's kernel: it takes and gives packed
-dicts whose keys come in any order, and reads the selected wires' bits off
-each basis index.  A permutation gate (X, Z, S, T, CNOT, I) has one unit
+The dict engine has one kernel per job, each on packed dicts whose keys
+come in any order.  A permutation gate (X, Z, S, T, CNOT, I) has one unit
 entry w^j per column in distinct rows, so it sends each term to its own
-basis index, rotated by w^j; no two terms meet, and the result is built
-directly.  Any other gate emits, for every nonzero entry of the column, the
-amplitude times the entry with the row's bits put in their place; a
-unit-scaled entry rotates the amplitude (`_times_unit`) instead of
-multiplying it.  Those results are merged by `state.merge`, which is where
-interference between computational paths takes effect.  Over more than
-`state.MEMO_TERMS` terms that repeat amplitudes, each distinct amplitude is
-rotated or multiplied once per kernel entry, through a memo that lives for
-the call (see `state`).
+basis index, rotated by w^j; no two terms meet, and no sum is needed.
+`apply_run` takes a run of one or more such gates in a row: each term goes
+through the whole run, one table lookup per gate, before it is stored, and
+its amplitude is rotated once, by the run's total power of w.
+`apply_packed` takes any other gate: it emits, for every nonzero entry of a
+term's column, the amplitude times the entry with the row's bits put in
+their place; a unit-scaled entry rotates the amplitude (`_times_unit`)
+instead of multiplying it.  Those results are merged by `state.merge`,
+which is where interference between computational paths takes effect.
+`translate.final_state` runs a circuit's gates on these two kernels and
+sorts one state per circuit.
 
-`apply_run` is the kernel for two or more permutation gates in a row: each
-term goes through the whole run, one table lookup per gate, before it is
-stored, and its amplitude is rotated once, by the run's total power of w.
-
-`apply`, the proof path's entry, wraps the kernel for one `Superposition`,
-which it sorts: a permutation gate's dict as the kernel gives it, any other
+`apply`, the proof path's entry, gives one sorted `Superposition` per gate:
+a permutation gate's terms moved and rotated in its own loop, any other
 gate's products through `state.combine`, which wraps the same merge.
-`translate.final_state` runs a circuit's gates on the kernel, each run of
-two or more permutation gates through `apply_run`, and sorts one state per
-circuit.
+
+Over more than `state.MEMO_TERMS` terms that repeat amplitudes, the
+products behind `apply_packed` and `apply`, and `apply`'s permutation loop,
+rotate or multiply each distinct amplitude once per kernel entry, through a
+memo that lives for the call (see `state`).  `apply_run` keeps none: the
+runs that reach the dict engine meet few terms, since a register that
+fills up goes to `dense` and comes back only past its int64 bound.
 """
 
 from __future__ import annotations
@@ -200,25 +201,14 @@ def apply(app: GateApplication, s: Superposition) -> Superposition:
     """Apply the gate to the designated wires of every basis term.
 
     Other wires are untouched.  A permutation gate moves each term to one
-    new basis index, so no two terms meet and the result is built directly.
-    Any other gate's rewritten terms are merged with `combine`, so exact
-    cancellation between them happens there.
+    new basis index, rotated by its column's w^j, so no two terms meet and
+    the result is built directly.  Any other gate's rewritten terms are
+    merged with `combine`, so exact cancellation between them happens there.
     """
     width = s.width
-    if app.gate.permutation:
-        return Superposition._of(width, apply_packed(app, width, s.packed))
-    return combine(_products(app, width, s.packed), width)
-
-
-def apply_packed(
-    app: GateApplication, width: int, packed: dict[int, Packed]
-) -> dict[int, Packed]:
-    """The kernel of `apply`: the gate on a packed dict of the given width,
-    whose keys may come in any order, as a new dict whose keys come in no
-    set order.  Any gate but a permutation is merged by `state.merge`.
-    """
+    packed = s.packed
     if not app.gate.permutation:
-        return merge(_products(app, width, packed))
+        return combine(_products(app, width, packed), width)
     mask, table = app.plans.get(width) or _plan(app, width)
     memo = _memo(packed.values()) if len(packed) > MEMO_TERMS else None
     out: dict[int, Packed] = {}
@@ -237,19 +227,27 @@ def apply_packed(
                         memo = None
                 amp = rotated
         out[basis ^ wires | row] = amp
-    return out
+    return Superposition._of(width, out)
+
+
+def apply_packed(
+    app: GateApplication, width: int, packed: dict[int, Packed]
+) -> dict[int, Packed]:
+    """A gate that is not a permutation on a packed dict of the given width,
+    whose keys may come in any order, merged by `state.merge` into a new
+    dict whose keys come in no set order."""
+    return merge(_products(app, width, packed))
 
 
 def apply_run(
     run: list[GateApplication], width: int, packed: dict[int, Packed]
 ) -> dict[int, Packed]:
-    """Two or more permutation applications in a row on a packed dict, as
-    `apply_packed` one after another would give them, but each term goes
-    through the whole run before it is stored: its basis index is looked up
-    once per gate, and its amplitude is rotated once, by the run's total
-    power of w.  No table over the run's wires is built."""
+    """One or more permutation applications in a row on a packed dict, as
+    `apply` one after another would give them, but each term goes through
+    the whole run before it is stored: its basis index is looked up once
+    per gate, and its amplitude is rotated once, by the run's total power
+    of w.  No table over the run's wires is built."""
     plans = [app.plans.get(width) or _plan(app, width) for app in run]
-    memo = _memo(packed.values()) if len(packed) > MEMO_TERMS else None
     out: dict[int, Packed] = {}
     for basis, amp in packed.items():
         power = 0
@@ -259,18 +257,7 @@ def apply_run(
             basis ^= wires ^ row
             power += j
         power &= 7
-        if power:
-            if memo is None:
-                amp = _times_unit(amp, power, 0)
-            else:
-                key = amp, power
-                rotated = memo.get(key)
-                if rotated is None:
-                    rotated = memo[key] = _times_unit(amp, power, 0)
-                    if len(memo) > MEMO_ENTRIES:
-                        memo = None
-                amp = rotated
-        out[basis] = amp
+        out[basis] = _times_unit(amp, power, 0) if power else amp
     return out
 
 

@@ -12,20 +12,23 @@ terms: `merge` in the dict engine, and on wide registers the row sums of
 cannot make two terms meet (permutations and phases, see `gates`) need no sum.
 `merge` gives a dict in no set order, for `gates.apply_packed`, on which
 (with `gates.apply_run` for runs of permutation gates) `translate.final_state`
-runs a circuit's gates and sorts one state per circuit; `combine` wraps the
+runs a circuit's gates and builds one state per circuit; `combine` wraps the
 one merge and sorts its result, for the proof path's `gates.apply`.
 
 A wide state repeats a few amplitudes over its whole support (a 10-wire
 register after a Hadamard layer: 1024 terms, at most 24 distinct amplitudes).
-So `merge`, `gates.apply_packed` and `gates.apply_run` each keep a memo for
-one call, from each distinct input to its result, when the call has more
-than `MEMO_TERMS` terms and its first `MEMO_ENTRIES` + 1 amplitudes, in the
-order the call meets them, hold at most `MEMO_ENTRIES` // 2 distinct values,
-and drop it once it holds more than `MEMO_ENTRIES` entries.  Packed tuples are canonical and the
-memoized functions pure, so the memo is exact whatever that order; every
-term still goes through `merge`, and nothing is cached across calls.
+So `merge`, the products behind `gates.apply_packed` and `gates.apply`, and
+the permutation loop of `gates.apply` each keep a memo for one call, from
+each distinct input to its result, when the call has more than `MEMO_TERMS`
+terms and its first `MEMO_ENTRIES` + 1 amplitudes, in the order the call
+meets them, hold at most `MEMO_ENTRIES` // 2 distinct values, and drop it
+once it holds more than `MEMO_ENTRIES` entries.  Packed tuples are canonical
+and the memoized functions pure, so the memo is exact whatever that order;
+every term still goes through `merge`, and nothing is cached across calls.
 `norm_sq` keeps none: its |amplitude|^2 costs little more than the lookup
-would.
+would.  Nor does `gates.apply_run`: a full register leaves the dict engine
+for `dense`, so its runs meet more than `MEMO_TERMS` terms only after an
+int64 hand-back.
 
 `render` and `latex` write each distinct amplitude once per rendering
 pass (see `_join`), through `_coeff_text` and `amplitude._latex`, which share

@@ -9,16 +9,17 @@ order; proofs that prepare from earlier measurements describe sequential
 composition and are refused rather than guessed at.
 
 `final_state` (behind `qmc dist` of a circuit and the selftest sweep) runs
-the gates on the dict engine's kernel, `gates.apply_packed`, one packed dict
-after another, and each run of two or more consecutive permutation gates in
-one `gates.apply_run`, until the register has at least `dense.MIN_WIDTH`
-wires and a quarter of its basis states (2^n / 2^`dense.FILL_SHIFT`) carry
-an amplitude; from there `dense.run` takes them on int64 arrays while every
+the gates on the dict engine's kernels, one packed dict after another: each
+run of consecutive permutation gates in one `gates.apply_run`, and each
+other gate in `gates.apply_packed`, until the register has at least
+`dense.MIN_WIDTH` wires and a quarter of its basis states
+(2^n / 2^`dense.FILL_SHIFT`) carry an amplitude; from there `dense.run`
+takes the packed dict and the gates on int64 arrays while every
 coefficient stays below 2^`dense.MAX_BITS`.  A gate that would pass that
 bound, or that has an entry of no w^j / sqrt2^e form, goes back to the dict
-engine, which finishes the circuit.  So `final_state` sorts one state per
-circuit, at the end (and one more where it hands a state to `dense.run`),
-not one per gate.  `circuit_to_proof` keeps one sorted `Superposition` per
+engine as a packed dict, and the dict engine finishes the circuit.  So
+`final_state` builds and sorts one state per circuit, at the end, not one
+per gate.  `circuit_to_proof` keeps one sorted `Superposition` per
 node, each built by `gates.apply`, since every node's state is printed and
 hashed in order.  `qmc translate --to proof` builds no
 tree: a circuit's proof has a fixed shape, so `parser.script_writer` writes
@@ -80,11 +81,11 @@ class Circuit:
 def final_state(c: Circuit) -> Superposition:
     """Exact state after running every gate on |0...0>.
 
-    The gates run on the dict engine's kernel, one packed dict after
-    another, with each run of two or more permutation gates in one
-    `apply_run`, until the state suits `dense`, then on its arrays, and from
-    any gate that `dense.run` hands back, on the kernel again (see the module
-    docstring).  The result is the same either way."""
+    The gates run on the dict engine's kernels, one packed dict after
+    another, each run of permutation gates in one `apply_run` and each
+    other gate in `apply_packed`, until the state suits `dense`, then on its
+    arrays, and from any gate that `dense.run` hands back, on the kernels
+    again (see the module docstring).  The result is the same either way."""
     width = c.width
     packed = {0: PACKED_ONE}
     ops = iter(c.ops)
@@ -95,27 +96,17 @@ def final_state(c: Circuit) -> Superposition:
             run.append(op)
             continue
         if run:
-            packed = _apply_permutations(run, width, packed)
+            packed = apply_run(run, width, packed)
             run = []
         packed = apply_packed(op, width, packed)
         # A permutation keeps the support's size, so only this gate can
         # have made the state suit `dense`.
         if may_go_dense and dense.suits(width, len(packed)):
             may_go_dense = False
-            packed = dense.run(Superposition._of(width, packed), ops).packed
+            packed = dense.run(width, packed, ops)
     if run:
-        packed = _apply_permutations(run, width, packed)
+        packed = apply_run(run, width, packed)
     return Superposition._of(width, packed)
-
-
-def _apply_permutations(
-    run: list[GateApplication], width: int, packed: dict
-) -> dict:
-    """A run of permutation gates on the kernel: a run of one through
-    `apply_packed`, whose loop is the faster for a single gate."""
-    if len(run) == 1:
-        return apply_packed(run[0], width, packed)
-    return apply_run(run, width, packed)
 
 
 def circuit_to_proof(

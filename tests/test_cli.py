@@ -794,6 +794,7 @@ def test_missing_file(run_cli):
     code, _, err = run_cli("check", "/nonexistent/path.qmc")
     assert code == 2
     assert "cannot read" in err
+    assert err.count("/nonexistent/path.qmc") == 1
 
 
 def test_unrecognized_extension(run_cli, tmp_path):
@@ -1170,6 +1171,43 @@ def test_an_output_path_that_cannot_be_written_is_a_usage_error(
     assert (code, out) == (2, "")
     assert err.startswith(f"error: cannot write {outdir / output}: ")
     assert len(err.splitlines()) == 1
+    assert err.count(str(outdir / output)) == 1
+
+
+@pytest.mark.parametrize(
+    "width, names",
+    [
+        # "w_" + 249 bits + ".qmc" is 255 bytes, the usual NAME_MAX.
+        (249, ["w_0" + "0" * 248, "w_1" + "0" * 248]),
+        (250, ["w_0", "w_1"]),
+        (300, ["w_0", "w_1"]),
+    ],
+)
+def test_branches_too_long_to_name_by_their_bits_are_named_by_rank(
+    run_cli, tmp_path, width, names
+):
+    source = tmp_path / "w.qc"
+    source.write_text(f"qubits {width}\nH 0\nmeasure\n", encoding="ascii")
+    every, drawn = tmp_path / "every", tmp_path / "drawn"
+    every.mkdir()
+    drawn.mkdir()
+    paths = [every / f"{name}.qmc" for name in names]
+    assert run_cli("translate", str(source), "--to", "proof", "--outdir", str(every)) == (
+        0,
+        "".join(f"{path}\n" for path in paths),
+        "",
+    )
+    for path in paths:
+        code, out, err = run_cli("check", str(path))
+        assert (code, err) == (0, "")
+        assert out.endswith("valid\n")
+        assert f"proof {path.stem} " in path.read_text(encoding="ascii")
+    # A drawn branch keeps the name and script it has among all of them.
+    args = ("--to", "proof", "--seed", "3", "--outdir", str(drawn))
+    code, out, err = run_cli("translate", str(source), *args)
+    (path,) = drawn.iterdir()
+    assert (code, out, err) == (0, f"{path}\n", "")
+    assert path.read_text(encoding="ascii") == (every / path.name).read_text(encoding="ascii")
 
 
 @pytest.mark.parametrize(
@@ -1325,7 +1363,7 @@ def test_selftest_sweep_catches_a_gate_that_breaks_the_norm(run_cli, monkeypatch
     # each final state is the runtime guard left against such a bug; it
     # speaks before the comparison with the oracle would.  The fault drops
     # the largest basis index of each gate result with two or more terms, at
-    # the kernel that `final_state` runs every gate through.
+    # the kernel that `final_state` runs every gate but a permutation through.
     apply_packed = translate.apply_packed
 
     def dropping(app, width, packed):
@@ -1344,8 +1382,8 @@ def test_selftest_sweep_catches_a_gate_that_breaks_the_norm(run_cli, monkeypatch
 
 
 def test_selftest_sweep_catches_a_run_that_breaks_the_norm(run_cli, monkeypatch):
-    # The same fault in the kernel that `final_state` runs each run of two or
-    # more permutation gates through: the sweep's norm guard covers it too.
+    # The same fault in the kernel that `final_state` runs each run of
+    # permutation gates through: the sweep's norm guard covers it too.
     apply_run = translate.apply_run
 
     def dropping(run, width, packed):

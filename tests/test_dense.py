@@ -1,13 +1,15 @@
 """The dense engine and the permutation runs of `translate.final_state`
 against the dict engine.
 
-`dense.run` must give the packed superposition that `gates.apply` gives,
-term for term and in the same order, and agree with the float oracle.  The
-dict engine here is the plain loop of `gates.apply` over the gates.  So must
-`gates.apply_run`, which `final_state` sends each run of two or more
-permutation gates through: on long runs, on phaseful permutations outside
-the built-in set, on states above `state.MEMO_TERMS`, and on runs before and
-after a dense hand-over and a hand-back.
+`dense.run` must give the packed dict that `gates.apply` gives, term for
+term, and agree with the float oracle.  The dict engine here is the plain
+loop of `gates.apply` over the gates.  So must `gates.apply_run`, which
+`final_state` sends each run of one or more permutation gates through: on
+long runs, on phaseful permutations outside the built-in set, on states
+above `state.MEMO_TERMS`, and on runs before and after a dense hand-over
+and a hand-back, where the gate that `dense.run` refuses goes to
+`gates.apply_packed`.  Across all of it `final_state` builds one
+`Superposition` per circuit.
 """
 
 from __future__ import annotations
@@ -19,7 +21,15 @@ from hypothesis import assume, given, settings, strategies as st
 
 from qmc import dense, oracle, translate
 from qmc.amplitude import AMP_ONE, AMP_ZERO, REAL_ONE, Amplitude, CycloInt
-from qmc.gates import BUILTIN_NAMES, Gate, GateApplication, apply, apply_run, builtin
+from qmc.gates import (
+    BUILTIN_NAMES,
+    Gate,
+    GateApplication,
+    apply,
+    apply_packed,
+    apply_run,
+    builtin,
+)
 from qmc.state import BasisState, Superposition, ket, norm_sq
 from qmc.translate import Circuit, final_state
 from conftest import WIDE_STATES, brickwork, random_orbit_state
@@ -32,6 +42,11 @@ def dict_engine(state: Superposition, ops) -> Superposition:
     return state
 
 
+def dense_run(state: Superposition, ops) -> Superposition:
+    """`dense.run` on the state's packed dict, as a superposition."""
+    return Superposition._of(state.width, dense.run(state.width, state.packed, ops))
+
+
 def random_ops(rng: random.Random, width: int, n_gates: int, names=BUILTIN_NAMES):
     ops = []
     for _ in range(n_gates):
@@ -40,7 +55,7 @@ def random_ops(rng: random.Random, width: int, n_gates: int, names=BUILTIN_NAMES
     return ops
 
 
-def no_fallback(op, state):
+def no_fallback(op, width, packed):
     raise AssertionError(f"the dense engine handed {op.label()} back")
 
 
@@ -61,8 +76,8 @@ def test_dense_from_the_first_gate_equals_the_dict_engine(seed, width, n_gates):
     ops += random_ops(rng, width, n_gates)
     expected = dict_engine(ket("0" * width), ops)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(dense, "apply", no_fallback)
-        actual = dense.run(ket("0" * width), iter(ops))
+        patch.setattr(dense, "apply_packed", no_fallback)
+        actual = dense_run(ket("0" * width), iter(ops))
     assert list(actual.packed.items()) == list(expected.packed.items())
     floats = oracle.run_circuit(Circuit(width, tuple(ops)))
     assert oracle.compare(actual, floats, 1e-9)[0]
@@ -103,7 +118,7 @@ def test_any_state_and_gates_outside_the_built_in_set_equal_the_dict_engine(
         for gate in gates
     ]
     rest = iter(ops)
-    actual = dict_engine(dense.run(state, rest), rest)
+    actual = dict_engine(dense_run(state, rest), rest)
     assert list(actual.packed.items()) == list(dict_engine(state, ops).packed.items())
 
 
@@ -124,12 +139,12 @@ def test_past_the_int64_bound_the_dict_engine_finishes():
     ops = [GateApplication(h, (w,)) for w in range(width)] + block * 200
     handed_back = []
 
-    def fallback(op, state):
+    def fallback(op, width, packed):
         handed_back.append(op)
-        return apply(op, state)
+        return apply_packed(op, width, packed)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(dense, "apply", fallback)
+        patch.setattr(dense, "apply_packed", fallback)
         actual = final_state(Circuit(width, tuple(ops)))
     assert len(handed_back) == 1
     expected = dict_engine(ket("0" * width), ops)
@@ -155,7 +170,7 @@ def test_coefficients_at_the_int64_edge_equal_the_dict_engine(sign, c, names):
     state = Superposition(width, {BasisState.of(b, width): amp for b in range(1 << width)})
     ops = [GateApplication(builtin(name), (0,)) for name in names]
     rest = iter(ops)
-    actual = dict_engine(dense.run(state, rest), rest)
+    actual = dict_engine(dense_run(state, rest), rest)
     assert list(actual.packed.items()) == list(dict_engine(state, ops).packed.items())
 
 
@@ -178,13 +193,13 @@ def test_a_state_past_the_bound_stays_packed(amps):
         },
     )
     ops = iter([GateApplication(builtin("H"), (0,))])
-    assert dense.run(state, ops) is state
+    assert dense.run(width, state.packed, ops) is state.packed
     assert next(ops, None) is not None  # the gate is left to the dict engine
 
 
 def test_narrow_or_sparse_circuits_never_go_dense(monkeypatch):
-    def refuse(state, ops):
-        raise AssertionError(f"a {state.width}-wire state went dense")
+    def refuse(width, packed, ops):
+        raise AssertionError(f"a {width}-wire state went dense")
 
     monkeypatch.setattr(dense, "run", refuse)
     # The selftest sweep, 1 to 6 wires.
@@ -211,9 +226,9 @@ def test_a_full_register_goes_dense(monkeypatch):
     runs = []
     run = dense.run
 
-    def counted(state, ops):
-        runs.append(len(state))
-        return run(state, ops)
+    def counted(width, packed, ops):
+        runs.append(len(packed))
+        return run(width, packed, ops)
 
     monkeypatch.setattr(dense, "run", counted)
     width = dense.MIN_WIDTH
@@ -240,9 +255,9 @@ def test_a_final_state_that_went_dense_has_norm_exactly_one(seed, width, n_gates
     runs = []
     run = dense.run
 
-    def counted(state, rest):
-        runs.append(state.width)
-        return run(state, rest)
+    def counted(width, packed, rest):
+        runs.append(width)
+        return run(width, packed, rest)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(dense, "run", counted)
@@ -298,8 +313,7 @@ def test_final_state_over_permutation_runs_equals_the_dict_engine(seed, width, c
     # H on every wire or a random set of them, then runs of 0 to 60
     # permutation gates, each closed by H or by a gate that `dense.run` hands
     # back.  From 8 wires a filled register goes dense and comes back, so the
-    # runs after it meet 256-512 terms that repeat a few amplitudes: the
-    # run's memo.
+    # runs after it meet 256-512 terms that repeat a few amplitudes.
     rng = random.Random(seed)
     gates = [builtin(name) for name in ("X", "Z", "S", "T", "CNOT", "I")]
     gates += [Y, CNOT_W3, *custom]
@@ -327,23 +341,23 @@ def test_final_state_over_permutation_runs_equals_the_dict_engine(seed, width, c
     ),
     custom=st.lists(phaseful_permutations(), max_size=3),
     seed=st.integers(0, 2**32 - 1),
-    n_gates=st.integers(2, 40),
+    n_gates=st.integers(1, 40),
 )
 def test_a_run_equals_its_gates_one_at_a_time(state, custom, seed, n_gates):
-    # States above `state.MEMO_TERMS` whose amplitudes repeat (the memo
-    # serves the whole run), hardly repeat (it is not started) or first the
-    # one and then the other (it is dropped part way), and small ones.
+    # Runs of one gate and longer, on states above `state.MEMO_TERMS` whose
+    # amplitudes repeat or hardly repeat (where the proof path's permutation
+    # loop keeps its memo or does not start it), and on small ones.
     gates = [builtin(name) for name in ("X", "Z", "S", "T", "CNOT")] + [Y, CNOT_W3, *custom]
     run = permutation_ops(random.Random(seed), state.width, gates, n_gates)
     actual = Superposition._of(state.width, apply_run(run, state.width, dict(state.packed)))
     assert list(actual.packed.items()) == list(dict_engine(state, run).packed.items())
 
 
-def test_runs_around_a_hand_over_and_an_int64_hand_back(monkeypatch):
-    # H on every wire goes dense; a chain on wires 0 and 1 whose runs of
-    # permutations lie between Hadamards grows its coefficients past 62 bits,
-    # so the dict engine takes the state back and runs the rest, runs and
-    # all, on 256 terms.
+def hand_back_circuit() -> Circuit:
+    """H on every wire goes dense; then a chain on wires 0 and 1 whose runs
+    of permutations lie between Hadamards grows its coefficients past 62
+    bits, so the dict engine takes the state back and runs the rest, runs
+    and all, on 256 terms."""
     width = dense.MIN_WIDTH
     h, t, s, cnot = (builtin(name) for name in ("H", "T", "S", "CNOT"))
     block = [
@@ -357,23 +371,54 @@ def test_runs_around_a_hand_over_and_an_int64_hand_back(monkeypatch):
         GateApplication(CNOT_W3, (1, 3)),
     ]
     ops = [GateApplication(h, (w,)) for w in range(width)] + block * 200
+    return Circuit(width, tuple(ops))
+
+
+def test_runs_around_a_hand_over_and_an_int64_hand_back(monkeypatch):
+    circuit = hand_back_circuit()
+    width = circuit.width
     events = []
-    run, give_back = translate.apply_run, dense.apply
+    run, give_back = translate.apply_run, dense.apply_packed
 
     def ran(gates, width, packed):
         events.append(("run", len(gates), len(packed)))
         return run(gates, width, packed)
 
-    def handed_back(op, state):
-        events.append(("back", op.label(), len(state)))
-        return give_back(op, state)
+    def handed_back(op, width, packed):
+        events.append(("back", op.label(), len(packed)))
+        return give_back(op, width, packed)
 
     monkeypatch.setattr(translate, "apply_run", ran)
-    monkeypatch.setattr(dense, "apply", handed_back)
-    actual = final_state(Circuit(width, tuple(ops)))
-    expected = dict_engine(ket("0" * width), ops)
+    monkeypatch.setattr(dense, "apply_packed", handed_back)
+    actual = final_state(circuit)
+    expected = dict_engine(ket("0" * width), circuit.ops)
     assert list(actual.packed.items()) == list(expected.packed.items())
     # The dense engine took every run before the hand-back, and each run
     # after it went through `apply_run` whole, on the full register.
     assert events[0][0] == "back"
     assert events[1:] and set(events[1:]) == {("run", 3, 1 << width)}
+
+
+@pytest.mark.parametrize(
+    "circuit",
+    [
+        pytest.param(brickwork(dense.MIN_WIDTH), id="dense"),
+        pytest.param(hand_back_circuit(), id="handed-back"),
+        pytest.param(Circuit(3, tuple(random_ops(random.Random(5), 3, 60))), id="dict"),
+    ],
+)
+def test_final_state_builds_one_superposition(monkeypatch, circuit):
+    # The packed dict goes from |0...0> through both engines and the
+    # hand-over each way; only the answer is sorted into a `Superposition`.
+    built = []
+    of = Superposition._of.__func__
+
+    def counted(cls, width, sums):
+        built.append(width)
+        return of(cls, width, sums)
+
+    monkeypatch.setattr(Superposition, "_of", classmethod(counted))
+    actual = final_state(circuit)
+    assert built == [circuit.width]
+    monkeypatch.undo()
+    assert actual == dict_engine(ket("0" * circuit.width), circuit.ops)

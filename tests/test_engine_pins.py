@@ -87,9 +87,9 @@ def test_wide_final_states_match_the_pinned_digests(monkeypatch):
     runs = []
     run = dense.run
 
-    def counted(state, ops):
-        runs.append(state.width)
-        return run(state, ops)
+    def counted(width, packed, ops):
+        runs.append(width)
+        return run(width, packed, ops)
 
     monkeypatch.setattr(dense, "run", counted)
     actual = [digest_line(f"brickwork/{n}", brickwork(n)) for n in range(9, 13)]
