@@ -15,7 +15,10 @@ computes its annotation and none can be built with a wrong one;
 kinds, then concludes.  `ProofNode.derive` concludes through it and builds
 the node with `ProofNode._of`, without repeating the count test that the
 public `ProofNode(...)` makes; a script's derivation loop
-(`parser.derive_bindings`) concludes through it too.  `sequent_text`
+(`parser.derive_bindings`) concludes through it too, and so does
+`parser.conclude`, for every binding but a gate step that cannot fail,
+which it runs with the rest of its chain on the circuit kernels.
+`sequent_text`
 writes a sequent's state through `Superposition.render`, whose coefficients
 come from the one formatter, `amplitude._poly`.
 

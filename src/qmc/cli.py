@@ -10,12 +10,16 @@ that runs out of memory prints `error: out of memory` and exits 1.  Rows are
 written as they are made, so those written before it stay written.
 
 Every command that reads a .qmc script derives each of its bindings first,
-through `parser.derive_bindings`, which keeps only the conclusions a later
-binding reads.  `qmc check` prints one row per binding, in script order, as
-soon as it is derived: `ok`, or `assumed` for an assumption leaf, with its
-conclusion; then `valid`.  `dist` keeps only the root's conclusion, and
-`translate --to circuit` reads the circuit off the script's rules; `run`
-and `render` print from the proof tree.  When a binding's rule fails, any
+in script order, keeping only the conclusions a later binding reads.
+`qmc check` prints one row per binding as soon as it is derived
+(`parser.derive_bindings`): `ok`, or `assumed` for an assumption leaf, with
+its conclusion; then `valid`.  `run` and `render` print from the proof
+tree.  `dist` and `translate --to circuit` print no node, so they derive
+through `parser.conclude`, which runs each chain of gate steps through
+`final_state`'s kernel loop with one state per chain; every binding that
+can fail still goes through `calculus.apply_rule`.  `dist` prints the
+root's distribution, and `translate --to circuit` reads the circuit off the
+script's rules.  When a binding's rule fails, any
 command prints the same rows up to the failure, then the failed binding as
 `invalid` with the reason, then `invalid`, and exits 1; a command other
 than `check` derives the script again to print them.  A binding that no

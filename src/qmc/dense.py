@@ -1,9 +1,9 @@
-"""Dense exact engine for `translate.final_state` on wide, nearly full registers.
+"""Dense exact engine for `translate.run_gates` on wide, nearly full registers.
 
 The dict engine (`gates.apply_packed` and `gates.apply_run` on packed dicts)
 pays one Python dict operation per term per gate.  Once a register of at
 least `MIN_WIDTH` wires has at least 2^n / 2^`FILL_SHIFT` nonzero
-amplitudes, `final_state` hands its packed dict and the remaining gates to
+amplitudes, `run_gates` hands its packed dict and the remaining gates to
 `run`, which keeps the same exact values in arrays:
 
 - The state is an int64 array of shape (4, 2^n): column b holds the Z[w]
@@ -55,7 +55,7 @@ MAX_BITS = 62
 
 
 def suits(width: int, terms: int) -> bool:
-    """Whether `final_state` should hand the rest of a circuit to `run`, once
+    """Whether `run_gates` should hand the rest of its gates to `run`, once
     its width-wire state holds the given number of terms."""
     return width >= MIN_WIDTH and terms << FILL_SHIFT >= 1 << width
 

@@ -19,8 +19,9 @@ term's column, the amplitude times the entry with the row's bits put in
 their place; a unit-scaled entry rotates the amplitude (`_times_unit`)
 instead of multiplying it.  Those results are merged by `state.merge`,
 which is where interference between computational paths takes effect.
-`translate.final_state` runs a circuit's gates on these two kernels and
-sorts one state per circuit.
+`translate.run_gates` runs a circuit's gates (`final_state`), or a script's
+chain of gate steps (`parser.conclude`), on these two kernels and sorts one
+state per run.
 
 `apply`, the proof path's entry, gives one sorted `Superposition` per gate:
 a permutation gate's terms moved and rotated in its own loop, any other

@@ -7,11 +7,16 @@ calculus refuses weakening, so none may be dropped.  Every binding is
 therefore in the root's tree.  `weaken` is deliberately part of the grammar
 so that its rejection is a checked error with a reason, not a syntax error.
 
-`derive_bindings` is the one derivation loop over a script: it derives the
-bindings in script order and drops each premise's conclusion once its
-consumer is derived, so a pass holds only the live conclusions.
-`conclude` keeps only the root's; `elaborate` and `elaborate_bindings`
-build the proof tree over the same loop; `skeleton` is the tree's rules and
+`derive_bindings` derives the bindings in script order, each through
+`calculus.apply_rule`, and drops each premise's conclusion once its
+consumer is derived, so a pass holds only the live conclusions; `check`
+prints each of them, and `elaborate` and `elaborate_bindings` build the
+proof tree over it.  `conclude`, behind `dist` and `translate --to circuit`
+of a script, needs only the root's conclusion.  It makes the same pass, but
+runs each chain of gate steps as a circuit segment through
+`translate.run_gates`, the kernel loop of `translate.final_state`, with one
+sorted state per chain instead of one per gate; every binding that can
+fail still goes through `apply_rule`.  `skeleton` is the tree's rules and
 premises without deriving anything.
 
 Both formats are UTF-8 with `#` comments.  Every parse failure carries a
@@ -46,11 +51,12 @@ from bisect import bisect_left, bisect_right
 from itertools import accumulate, chain
 from typing import Callable, Iterator, NamedTuple
 
-from . import calculus
+from . import calculus, translate
 from .calculus import (
     RULES,
     Ax,
     BornRule,
+    Coherent,
     Measure,
     ProofNode,
     RuleApp,
@@ -62,7 +68,7 @@ from .calculus import (
     walk,
 )
 from .gates import BUILTIN_NAMES, GateApplication, builtin
-from .state import BasisState, _clip
+from .state import BasisState, Superposition, _clip
 from .translate import Circuit
 
 
@@ -459,8 +465,9 @@ def derive_bindings(script: ProofScript) -> Iterator[tuple[Binding, Sequent]]:
     """Derive the script's bindings in script order: each binding with its
     conclusion, yielded as soon as it is derived.
 
-    This is the one derivation loop over a script.  Each binding is derived
-    once, through `calculus.apply_rule`, from its premises' conclusions.
+    This is the derivation loop of every command that prints a node (see
+    `conclude` for the root alone).  Each binding is derived once, through
+    `calculus.apply_rule`, from its premises' conclusions.
     Linearity consumes each premise exactly once, so its conclusion is
     dropped there, and the pass keeps only the conclusions that a later
     binding still reads.  The first binding whose rule fails raises
@@ -479,11 +486,53 @@ def derive_bindings(script: ProofScript) -> Iterator[tuple[Binding, Sequent]]:
 
 
 def conclude(script: ProofScript) -> Sequent:
-    """The root's conclusion, every binding derived (`derive_bindings`);
-    no other conclusion outlives its consumer."""
-    for _, conclusion in derive_bindings(script):
-        pass
-    return conclusion
+    """The root's conclusion, as the last of `derive_bindings`, derived in
+    one pass in script order over the live conclusions.
+
+    A chain of gate bindings runs as a circuit segment.  A gate binding
+    whose one premise is a live coherent conclusion, whose gate is unitary
+    and whose wires lie below the premise's width cannot fail, so it only
+    appends its application to the gates pending on that conclusion.  Any
+    other binding first applies each premise's pending gates in one call of
+    `translate.run_gates`, the kernel loop of `translate.final_state`, and
+    sorts one state per chain; then it derives through
+    `calculus.apply_rule`, as `derive_bindings` does.  So every binding
+    that can fail still fails there, at the same binding with the same
+    cause, and raises `ElaborationError`.
+    """
+    apply_rule, run_gates = calculus.apply_rule, translate.run_gates  # as bound now
+    live: dict[str, Sequent] = {}
+    # The applications not yet applied to a live coherent conclusion, in
+    # order, by the name of the binding whose conclusion they give.
+    pending: dict[str, list[GateApplication]] = {}
+
+    def take(name: str) -> Sequent:
+        """The named premise's conclusion, its pending gates applied."""
+        seq = live.pop(name)
+        ops = pending.pop(name, None)
+        if ops is None:
+            return seq
+        width = seq.state.width
+        return Coherent._of(Superposition._of(width, run_gates(width, seq.state.packed, ops)))
+
+    for b in script.bindings:
+        rule = b.rule
+        if type(rule) is Unitary and len(b.premises) == 1:
+            (name,) = b.premises
+            seq, app = live[name], rule.app
+            width = seq.state.width
+            if type(seq) is Coherent and app.gate.unitary and all(w < width for w in app.wires):
+                del live[name]
+                live[b.name] = seq
+                ops = pending[b.name] = pending.pop(name, [])
+                ops.append(app)
+                continue
+        premises = list(map(take, b.premises))
+        try:
+            live[b.name] = apply_rule(rule, premises)
+        except (RuleError, ValueError) as cause:
+            raise ElaborationError(b, cause, script) from cause
+    return take(script.bindings[-1].name)
 
 
 def elaborate(script: ProofScript) -> ProofNode:

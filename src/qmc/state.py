@@ -11,9 +11,10 @@ terms: `merge` in the dict engine, and on wide registers the row sums of
 `dense._apply`, whose zero columns `dense._to_packed` drops.  Gates that
 cannot make two terms meet (permutations and phases, see `gates`) need no sum.
 `merge` gives a dict in no set order, for `gates.apply_packed`, on which
-(with `gates.apply_run` for runs of permutation gates) `translate.final_state`
-runs a circuit's gates and builds one state per circuit; `combine` wraps the
-one merge and sorts its result, for the proof path's `gates.apply`.
+(with `gates.apply_run` for runs of permutation gates) `translate.run_gates`
+runs a circuit's gates, or a script's chain of gate steps, and builds one
+state per run; `combine` wraps the one merge and sorts its result, for the
+proof path's `gates.apply`.
 
 A wide state repeats a few amplitudes over its whole support (a 10-wire
 register after a Hadamard layer: 1024 terms, at most 24 distinct amplitudes).

@@ -8,20 +8,23 @@ wire layout off the tensor structure and re-emits the gates in derivation
 order; proofs that prepare from earlier measurements describe sequential
 composition and are refused rather than guessed at.
 
+`run_gates` is the one kernel loop for a run of gates on a packed dict.
 `final_state` (behind `qmc dist` of a circuit and the selftest sweep) runs
-the gates on the dict engine's kernels, one packed dict after another: each
-run of consecutive permutation gates in one `gates.apply_run`, and each
-other gate in `gates.apply_packed`, until the register has at least
-`dense.MIN_WIDTH` wires and a quarter of its basis states
-(2^n / 2^`dense.FILL_SHIFT`) carry an amplitude; from there `dense.run`
-takes the packed dict and the gates on int64 arrays while every
+a circuit through it from |0...0>, and `parser.conclude` (behind `dist` and
+`translate --to circuit` of a script) each chain of gate steps from the
+chain's first state.  It runs the gates on the dict engine's kernels, one
+packed dict after another: each run of consecutive permutation gates in
+one `gates.apply_run`, and each other gate in `gates.apply_packed`, until
+the register has at least `dense.MIN_WIDTH` wires and a quarter of its
+basis states (2^n / 2^`dense.FILL_SHIFT`) carry an amplitude; from there
+`dense.run` takes the packed dict and the gates on int64 arrays while every
 coefficient stays below 2^`dense.MAX_BITS`.  A gate that would pass that
 bound, or that has an entry of no w^j / sqrt2^e form, goes back to the dict
-engine as a packed dict, and the dict engine finishes the circuit.  So
+engine as a packed dict, and the dict engine finishes the run.  So
 `final_state` builds and sorts one state per circuit, at the end, not one
-per gate.  `circuit_to_proof` keeps one sorted `Superposition` per
-node, each built by `gates.apply`, since every node's state is printed and
-hashed in order.  `qmc translate --to proof` builds no
+per gate, and `conclude` one per chain.  `circuit_to_proof` keeps one sorted
+`Superposition` per node, each built by `gates.apply`, since every node's
+state is printed and hashed in order.  `qmc translate --to proof` builds no
 tree: a circuit's proof has a fixed shape, so `parser.script_writer` writes
 its scripts from the circuit, and only a measured circuit's outcomes need a
 state, its `final_state`.
@@ -31,6 +34,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Iterable
 
 from . import dense
 from .calculus import (
@@ -44,7 +48,7 @@ from .calculus import (
     sample_outcome,
     walk,
 )
-from .amplitude import PACKED_ONE
+from .amplitude import PACKED_ONE, Packed
 from .gates import GateApplication, apply_packed, apply_run, builtin
 from .state import Superposition, _clip, _wire_text
 
@@ -78,17 +82,20 @@ class Circuit:
             )
 
 
-def final_state(c: Circuit) -> Superposition:
-    """Exact state after running every gate on |0...0>.
+def run_gates(
+    width: int, packed: dict[int, Packed], ops: Iterable[GateApplication]
+) -> dict[int, Packed]:
+    """The width-wire packed dict, whose keys may come in any order, after
+    the gates that ops yields, in no set key order; packed itself is not
+    changed.
 
-    The gates run on the dict engine's kernels, one packed dict after
-    another, each run of permutation gates in one `apply_run` and each
-    other gate in `apply_packed`, until the state suits `dense`, then on its
-    arrays, and from any gate that `dense.run` hands back, on the kernels
-    again (see the module docstring).  The result is the same either way."""
-    width = c.width
-    packed = {0: PACKED_ONE}
-    ops = iter(c.ops)
+    The one kernel loop, behind `final_state` and each chain of a script's
+    gate steps (`parser.conclude`): each run of permutation gates in one
+    `apply_run` and each other gate in `apply_packed`, until the state suits
+    `dense`, then on its arrays, and from any gate that `dense.run` hands
+    back, on the kernels again (see the module docstring).  The result is
+    the same either way."""
+    ops = iter(ops)
     run: list[GateApplication] = []  # permutation gates not yet applied
     may_go_dense = True  # a register goes dense at most once
     for op in ops:
@@ -99,14 +106,20 @@ def final_state(c: Circuit) -> Superposition:
             packed = apply_run(run, width, packed)
             run = []
         packed = apply_packed(op, width, packed)
-        # A permutation keeps the support's size, so only this gate can
-        # have made the state suit `dense`.
+        # A permutation keeps the support's size, so the test is made after
+        # each other gate (a state that suits `dense` from the start, as a
+        # chain's may, goes dense after its first such gate).
         if may_go_dense and dense.suits(width, len(packed)):
             may_go_dense = False
             packed = dense.run(width, packed, ops)
     if run:
         packed = apply_run(run, width, packed)
-    return Superposition._of(width, packed)
+    return packed
+
+
+def final_state(c: Circuit) -> Superposition:
+    """Exact state after running every gate on |0...0>, through `run_gates`."""
+    return Superposition._of(c.width, run_gates(c.width, {0: PACKED_ONE}, c.ops))
 
 
 def circuit_to_proof(

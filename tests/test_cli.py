@@ -25,7 +25,8 @@ from qmc.cli import main
 from qmc.parser import elaborate, parse_circuit, parse_proof
 
 from conftest import (
-    GOLDEN, GOLDEN_PROOFS, PREP_LEAF_SCRIPT, VALID_SCRIPTS, corrupted, load_golden,
+    GOLDEN, GOLDEN_PROOFS, PREP_LEAF_SCRIPT, VALID_SCRIPTS, brickwork, corrupted,
+    load_golden,
 )
 
 
@@ -74,20 +75,32 @@ def test_dist_and_translate_derive_each_binding_once(
 ):
     # Whatever the verdict after it (a measured root has nothing left to
     # distribute, an assumption leaf no circuit form), each binding is
-    # derived once, and no tree is derived again.
+    # derived once, and no tree is derived again: every binding but a gate
+    # step goes through apply_rule once, in script order, and each gate
+    # step's application through the kernel loop once, with the rest of its
+    # chain.  In these scripts the chains are consumed in script order.
     text = PREP_LEAF_SCRIPT if name == "prep_leaf.qmc" else (GOLDEN / name).read_text()
     (tmp_path / name).write_text(text)
-    calls = []
-    apply_rule = calculus.apply_rule
+    calls, ran = [], []
+    apply_rule, run_gates = calculus.apply_rule, translate.run_gates
 
     def counted(rule, premises):
         calls.append(rule)
         return apply_rule(rule, premises)
 
+    def recorded(width, packed, ops):
+        ops = list(ops)
+        ran.extend(ops)
+        return run_gates(width, packed, ops)
+
     monkeypatch.setattr(calculus, "apply_rule", counted)
+    monkeypatch.setattr(translate, "run_gates", recorded)
     code, _, err = run_cli(command[0], str(tmp_path / name), *command[1:])
     assert code in (0, 1) and err.count("\n") <= 1
-    assert [b.rule for b in parse_proof(text).bindings] == calls
+    rules = [b.rule for b in parse_proof(text).bindings]
+    gate_steps = [rule.app for rule in rules if isinstance(rule, calculus.Unitary)]
+    assert gate_steps == ran and ran
+    assert [rule for rule in rules if not isinstance(rule, calculus.Unitary)] == calls
 
 
 def test_each_pass_formats_each_distinct_amplitude_once(run_cli, monkeypatch):
@@ -289,6 +302,120 @@ def test_every_report_and_read_back_equals_the_tree_based_reference(text):
             expected = (0, f"{Path(tmp) / 's.qc'}\n", "")
             assert _main_io("translate", str(path), "--to", "circuit") == expected
             assert (Path(tmp) / "s.qc").read_text(encoding="utf-8") == circuit
+
+
+def _concluded(derive, script: parser.ProofScript):
+    """What `derive(script)` gives: (root, None), or (None, its error)."""
+    try:
+        return derive(script), None
+    except parser.ElaborationError as err:
+        return None, err
+
+
+def _last_conclusion(script: parser.ProofScript) -> calculus.Sequent:
+    for _, conclusion in parser.derive_bindings(script):
+        pass
+    return conclusion
+
+
+def _assert_concludes_as_derived(text: str) -> None:
+    """`conclude`, which runs each chain of gate steps through
+    `translate.run_gates`, gives the last conclusion of `derive_bindings`,
+    state and key order alike, or fails at the same binding with the same
+    cause."""
+    script = parse_proof(text)
+    expected, failure = _concluded(_last_conclusion, script)
+    root, err = _concluded(parser.conclude, script)
+    if failure is not None:
+        assert err is not None and err.binding is failure.binding
+        assert type(err.cause) is type(failure.cause)
+        assert str(err.cause) == str(failure.cause)
+        return
+    assert err is None
+    assert type(root) is type(expected) and root == expected
+    assert list(root.state.packed.items()) == list(expected.state.packed.items())
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param(
+            "proof p { a = ax; b = ax; h = gate H [0] a; t1 = gate T [0] h; "
+            "x = gate X [0] b; s = gate H [0] x; t = tensor t1 s; "
+            "c = gate CNOT [0,1] t; h2 = gate H [1] c; }",
+            id="sub-registers-before-a-tensor",
+        ),
+        pytest.param(
+            "proof p { a = prep |10>; h = gate H [1] a; b = ax; t = tensor h b; "
+            "c = gate CNOT [1,2] t; d = born c; m = measure d outcome=|101>; }",
+            id="prep-leaves",
+        ),
+        pytest.param(
+            "proof p { a = ax; h = gate H [0] a; g = gate H [3] h; b = ax; "
+            "w = weaken b |0>; t = tensor g w; }",
+            id="two-failing-bindings",
+        ),
+        pytest.param(
+            "proof p { a = ax; h = gate H [0] a; g = gate CNOT [0,1] h; }",
+            id="wire-out-of-range",
+        ),
+        pytest.param(
+            "proof p { a = ax; h = gate H [0] a; d = born h; g = gate X [0] d; }",
+            id="gate-fed-a-born-premise",
+        ),
+    ],
+)
+def test_conclude_equals_the_last_derived_conclusion(text):
+    _assert_concludes_as_derived(text)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(
+        VALID_SCRIPTS, st.builds(_tree_script, st.integers(0, 2**32 - 1), st.integers(0, 2))
+    )
+)
+def test_conclude_equals_the_last_derived_conclusion_on_random_scripts(text):
+    _assert_concludes_as_derived(text)
+
+
+def test_a_non_unitary_gate_fails_at_its_own_binding(monkeypatch):
+    # A gate that is not unitary may break the norm, so its step is not
+    # deferred: it is derived through apply_rule, whose norm check fails.
+    builtin = parser.builtin
+
+    def faulty(name):
+        return corrupted(builtin(name)) if name == "H" else builtin(name)
+
+    monkeypatch.setattr(parser, "builtin", faulty)
+    text = "proof p { a = ax; x = gate X [0] a; h = gate H [0] x; t = gate T [0] h; }"
+    _assert_concludes_as_derived(text)
+    with pytest.raises(parser.ElaborationError) as err:
+        parser.conclude(parse_proof(text))
+    assert err.value.binding.name == "h"
+    assert isinstance(err.value.cause, calculus.UnnormalizedState)
+
+
+def test_dist_of_a_dense_script_equals_dist_of_its_circuit(monkeypatch, tmp_path):
+    # The unmeasured 10-wire brickwork fills its register, so its script's
+    # gate chain goes through the dense hand-over, as its circuit does.
+    circuit = tmp_path / "bw10.qc"
+    circuit.write_text(parser.render_circuit(brickwork(10)), encoding="utf-8")
+    assert _main_io("translate", str(circuit), "--to", "proof") == (
+        0, f"{tmp_path / 'bw10.qmc'}\n", ""
+    )
+    went_dense = []
+    run = translate.dense.run
+
+    def counted(width, packed, ops):
+        went_dense.append(width)
+        return run(width, packed, ops)
+
+    monkeypatch.setattr(translate.dense, "run", counted)
+    from_circuit = _main_io("dist", str(circuit))
+    from_script = _main_io("dist", str(tmp_path / "bw10.qmc"))
+    assert from_circuit[0] == 0 and from_script == from_circuit
+    assert went_dense == [10, 10]
 
 
 def test_a_failed_binding_comes_before_every_other_verdict(tmp_path):

@@ -9,7 +9,8 @@ long runs, on phaseful permutations outside the built-in set, on states
 above `state.MEMO_TERMS`, and on runs before and after a dense hand-over
 and a hand-back, where the gate that `dense.run` refuses goes to
 `gates.apply_packed`.  Across all of it `final_state` builds one
-`Superposition` per circuit.
+`Superposition` per circuit.  A script's chain of gate steps runs through
+the same loop (`translate.run_gates`, from `parser.conclude`).
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ from qmc.gates import (
     apply_run,
     builtin,
 )
+from qmc.calculus import Ax, Tensor, Unitary
+from qmc.parser import Binding, ProofScript, conclude
 from qmc.state import BasisState, Superposition, ket, norm_sq
 from qmc.translate import Circuit, final_state
 from conftest import WIDE_STATES, brickwork, random_orbit_state
@@ -397,6 +400,36 @@ def test_runs_around_a_hand_over_and_an_int64_hand_back(monkeypatch):
     # after it went through `apply_run` whole, on the full register.
     assert events[0][0] == "back"
     assert events[1:] and set(events[1:]) == {("run", 3, 1 << width)}
+
+
+def test_a_script_of_the_hand_back_circuit_concludes_to_its_final_state(monkeypatch):
+    # The circuit's proof as a script, its bindings built rather than parsed
+    # since two of its gates are not built in: `parser.conclude` runs its one
+    # gate chain through the same kernel loop, dense hand-over and int64
+    # hand-back included.
+    circuit = hand_back_circuit()
+    bindings = [Binding("q0", Ax(), (), 1, 1)]
+    last = "q0"
+    for w in range(1, circuit.width):
+        bindings.append(Binding(f"q{w}", Ax(), (), 1, 1))
+        bindings.append(Binding(f"r{w}", Tensor(), (last, f"q{w}"), 1, 1))
+        last = f"r{w}"
+    for k, op in enumerate(circuit.ops):
+        bindings.append(Binding(f"g{k}", Unitary(op), (last,), 1, 1))
+        last = f"g{k}"
+    handed_back = []
+    give_back = dense.apply_packed
+
+    def counted(op, width, packed):
+        handed_back.append(op)
+        return give_back(op, width, packed)
+
+    monkeypatch.setattr(dense, "apply_packed", counted)
+    root = conclude(ProofScript("hand_back", tuple(bindings)))
+    assert len(handed_back) == 1
+    monkeypatch.undo()
+    expected = final_state(circuit)
+    assert list(root.state.packed.items()) == list(expected.packed.items())
 
 
 @pytest.mark.parametrize(
