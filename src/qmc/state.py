@@ -7,25 +7,30 @@ bitstring, and iteration always follows it; renderings and reports are
 deterministic.  Only nonzero amplitudes are stored: the public constructor
 drops zeros, and the sums that merge terms of like basis states drop any that
 comes out exactly zero, which is where destructive interference eliminates
-terms: `merge` in the dict engine, and on wide registers the row sums of
-`dense._apply`, whose zero columns `dense._to_packed` drops.  Gates that
-cannot make two terms meet (permutations and phases, see `gates`) need no sum.
-`merge` gives a dict in no set order, for `gates.apply_packed`, on which
-(with `gates.apply_run` for runs of permutation gates) `translate.run_gates`
-runs a circuit's gates, or a script's chain of gate steps, and builds one
-state per run; `combine` wraps the one merge and sorts its result, for the
-proof path's `gates.apply`.
+terms.  Those sums are made in three places: `merge`, here, for the proof
+path and for any gate of the dict engine but a one-wire gate of unit form;
+the paired loop of `gates.apply_packed`, which sums the two terms a
+one-wire gate such as H mixes in one step; and on wide registers the row
+sums of `dense._apply`, whose zero columns `dense._to_packed` drops.  Gates
+that cannot make two terms meet (permutations and phases, see `gates`) need
+no sum.  `merge` gives a dict in no set order, for `gates.apply_packed`, on
+which (with `gates.apply_run` for runs of permutation gates)
+`translate.run_gates` runs a circuit's gates, or a script's chain of gate
+steps, and builds one state per run; `combine` wraps `merge` and sorts its
+result, for the proof path's `gates.apply`, so every gate of a proof that
+is not a permutation merges its terms here.
 
 A wide state repeats a few amplitudes over its whole support (a 10-wire
 register after a Hadamard layer: 1024 terms, at most 24 distinct amplitudes).
-So `merge`, the products behind `gates.apply_packed` and `gates.apply`, and
-the permutation loop of `gates.apply` each keep a memo for one call, from
-each distinct input to its result, when the call has more than `MEMO_TERMS`
-terms and its first `MEMO_ENTRIES` + 1 amplitudes, in the order the call
-meets them, hold at most `MEMO_ENTRIES` // 2 distinct values, and drop it
-once it holds more than `MEMO_ENTRIES` entries.  Packed tuples are canonical
-and the memoized functions pure, so the memo is exact whatever that order;
-every term still goes through `merge`, and nothing is cached across calls.
+So `merge`, the paired loop and the products behind `gates.apply_packed`
+and `gates.apply`, and the permutation loop of `gates.apply` each keep a
+memo for one call, from each distinct input (an amplitude, a pair of
+addends, a column pair) to its result, when the call has more than
+`MEMO_TERMS` terms and its first `MEMO_ENTRIES` + 1 amplitudes, in the
+order the call meets them, hold at most `MEMO_ENTRIES` // 2 distinct
+values, and drop it once it holds more than `MEMO_ENTRIES` entries.  Packed
+tuples are canonical and the memoized functions pure, so the memo is exact
+whatever that order, and nothing is cached across calls.
 `norm_sq` keeps none: its |amplitude|^2 costs little more than the lookup
 would.  Nor does `gates.apply_run`: a full register leaves the dict engine
 for `dense`, so its runs meet more than `MEMO_TERMS` terms only after an
@@ -301,7 +306,9 @@ def combine(parts: list[tuple[Packed, int]], width: int) -> Superposition:
 def merge(parts: list[tuple[Packed, int]]) -> dict[int, Packed]:
     """The nonzero sums of `combine`, by basis index in no set order.
 
-    The dict engine's interference happens here (the dense engine's in
+    The proof path's interference happens here, and the dict engine's for
+    every gate but a one-wire gate of unit form, whose terms meet in the
+    paired loop of `gates.apply_packed` (the dense engine's meet in
     `dense._apply`): two equal, oppositely signed contributions to the same
     basis state cancel and the term disappears from the support.  Over more
     than `MEMO_TERMS` parts that repeat amplitudes, each distinct pair of

@@ -14,7 +14,9 @@ a circuit through it from |0...0>, and `parser.conclude` (behind `dist` and
 `translate --to circuit` of a script) each chain of gate steps from the
 chain's first state.  It runs the gates on the dict engine's kernels, one
 packed dict after another: each run of consecutive permutation gates in
-one `gates.apply_run`, and each other gate in `gates.apply_packed`, until
+one `gates.apply_run`, and each other gate in `gates.apply_packed` (a
+Hadamard's pairs of terms each summed in one step there, in its paired
+loop, any other gate's products merged by `state.merge`), until
 the register has at least `dense.MIN_WIDTH` wires and a quarter of its
 basis states (2^n / 2^`dense.FILL_SHIFT`) carry an amplitude; from there
 `dense.run` takes the packed dict and the gates on int64 arrays while every
@@ -69,7 +71,9 @@ class Circuit:
     def __post_init__(self) -> None:
         if self.width < 1:
             raise ValueError("circuit needs at least one qubit")
-        for op in self.ops:
+        # A parse and `random_circuit` share one application per distinct
+        # gate and wires, so each is checked once, by identity.
+        for op in {id(op): op for op in self.ops}.values():
             for w in op.wires:
                 self.check_wire(w, self.width)
 

@@ -3,12 +3,22 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from qmc.amplitude import AMP_ONE, AMP_ZERO, Amplitude, CycloInt, INV_SQRT2
-from qmc.gates import Gate, GateApplication, apply, builtin, is_unitary, BUILTIN_NAMES
+from qmc import gates
+from qmc.amplitude import AMP_ONE, AMP_ZERO, Amplitude, CycloInt, INV_SQRT2, OMEGA
+from qmc.gates import (
+    Gate,
+    GateApplication,
+    _products,
+    apply,
+    apply_packed,
+    builtin,
+    is_unitary,
+    BUILTIN_NAMES,
+)
 from qmc.oracle import compare, run_circuit
-from qmc.state import BasisState, Superposition, _wire_text, ket, norm_sq
+from qmc.state import BasisState, Superposition, _wire_text, ket, merge, norm_sq
 from qmc.translate import final_state, random_circuit
 
 from conftest import corrupted, matmul, random_orbit_state
@@ -259,3 +269,125 @@ def test_the_kept_label_stays_out_of_eq_hash_and_repr():
     assert a == b and hash(a) == hash(b)
     assert repr(a) == repr(b) == f"GateApplication(gate={a.gate!r}, wires=(2, 10))"
     assert a != GateApplication(builtin("CNOT"), (10, 2))
+
+
+# ---------------------------------------------------------------------------
+# the paired one-wire kernel of apply_packed
+# ---------------------------------------------------------------------------
+
+def _unit(j: int, e: int) -> Amplitude:
+    """w^j / sqrt2^e."""
+    coeffs = [0, 0, 0, 0]
+    coeffs[j & 3] = -1 if j & 4 else 1
+    return Amplitude(CycloInt(*coeffs), e)
+
+
+@st.composite
+def _pair_gates(draw) -> Gate:
+    """H, or a one-wire gate whose entries are w^j / sqrt2^e with one e per
+    row, some entries zero: unitary or not, a zero row allowed."""
+    if draw(st.booleans()):
+        return builtin("H")
+    rows = []
+    for _ in range(2):
+        e = draw(st.integers(0, 3))
+        powers = draw(st.lists(st.none() | st.integers(0, 7), min_size=2, max_size=2))
+        rows.append(tuple(AMP_ZERO if j is None else _unit(j, e) for j in powers))
+    gate = Gate("U", 1, tuple(rows))
+    assert gate.pair is not None
+    return gate
+
+
+_COEFF = st.integers(-3, 3) | st.integers(-(2**70), 2**70)
+
+
+@st.composite
+def _amplitudes(draw) -> tuple:
+    """A nonzero amplitude, its coefficients small or past 64 bits, its
+    exponent 0 to 4 before it is canonicalized."""
+    coeffs = draw(st.tuples(_COEFF, _COEFF, _COEFF, _COEFF))
+    amp = Amplitude(CycloInt(*coeffs), draw(st.integers(0, 4)))
+    return AMP_ONE.packed if amp.is_zero() else amp.packed
+
+
+@st.composite
+def _paired_dicts(draw) -> tuple[int, int, dict]:
+    """(width, wire, packed): each pair of basis indices that differ in the
+    wire's bit holds neither, its low or high index alone, both, or both
+    with equal or opposite amplitudes, which H cancels to one term.  Past
+    `state.MEMO_TERMS` terms, the amplitudes come from a small pool, so the
+    per-call memo starts.  Keys come in shuffled order."""
+    width = draw(st.integers(1, 9))
+    wire = draw(st.integers(0, width - 1))
+    bit = 1 << (width - 1 - wire)
+    lows = [b for b in range(1 << width) if not b & bit]
+    pool = draw(st.lists(_amplitudes(), min_size=1, max_size=3)) if width > 7 else None
+
+    def amplitude():
+        return draw(st.sampled_from(pool) if pool else _amplitudes())
+
+    if pool is None:
+        lows = lows[: draw(st.integers(1, 24))]
+    packed = {}
+    for low in lows:
+        kind = draw(st.sampled_from(("none", "low", "high", "both", "equal", "opposite")))
+        x = amplitude()
+        if kind in ("low", "both", "equal", "opposite"):
+            packed[low] = x
+        if kind in ("high", "both"):
+            packed[low | bit] = amplitude()
+        elif kind == "equal":
+            packed[low | bit] = x
+        elif kind == "opposite":
+            packed[low | bit] = (-x[0], -x[1], -x[2], -x[3], x[4])
+    keys = draw(st.permutations(list(packed)))
+    return width, wire, {b: packed[b] for b in keys}
+
+
+def _reference(app: GateApplication, width: int, packed: dict) -> dict:
+    return merge(_products(app, width, packed))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_pair_gates(), _paired_dicts())
+def test_the_paired_kernel_gives_the_merged_products(gate, drawn):
+    width, wire, packed = drawn
+    assume(not gate.permutation)  # whose plan holds no product lists
+    app = GateApplication(gate, (wire,))
+    before = dict(packed)
+    assert apply_packed(app, width, packed) == _reference(app, width, packed)
+    assert packed == before
+
+
+def test_the_paired_kernel_cancels_exactly():
+    h = GateApplication(builtin("H"), (0,))
+    once = apply_packed(h, 1, {0: AMP_ONE.packed})
+    assert once == {0: INV_SQRT2.packed, 1: INV_SQRT2.packed}
+    assert apply_packed(h, 1, once) == {0: AMP_ONE.packed}
+    assert apply_packed(h, 1, {1: once[1], 0: once[0]}) == {0: AMP_ONE.packed}
+
+
+def test_other_gates_take_the_merged_products(monkeypatch):
+    calls = []
+
+    def counted(app, width, packed):
+        calls.append(app.gate.name)
+        return _products(app, width, packed)
+
+    monkeypatch.setattr(gates, "_products", counted)
+    two = Amplitude(CycloInt(2))
+    h = builtin("H")
+    others = (
+        Gate("NOTUNIT", 1, ((two, AMP_ZERO), (AMP_ZERO, AMP_ONE))),
+        Gate("MIXED", 1, ((INV_SQRT2, AMP_ONE), (AMP_ONE, AMP_ZERO))),
+        Gate("HI", 2, _kron(h.matrix, builtin("I").matrix)),
+    )
+    state = {0: AMP_ONE.packed, 1: INV_SQRT2.packed, 3: OMEGA.packed}
+    for gate in others:
+        assert gate.pair is None and not gate.permutation, gate.name
+        app = GateApplication(gate, tuple(range(gate.arity)))
+        assert apply_packed(app, 2, state) == _reference(app, 2, state)
+    assert calls == [gate.name for gate in others]
+    calls.clear()
+    apply_packed(GateApplication(h, (1,)), 2, state)
+    assert calls == []

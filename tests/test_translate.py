@@ -329,6 +329,18 @@ def test_circuit_wire_validation():
         Circuit(0, ())
 
 
+def test_a_repeated_out_of_range_application_raises_the_same_error():
+    # The check runs once per distinct application; one shared by many gates,
+    # as a parse shares it, fails as a lone one does, wherever it stands.
+    h0 = GateApplication(builtin("H"), (0,))
+    bad = GateApplication(builtin("CNOT"), (1, 3))
+    message = "wire 3 out of range for 3-qubit circuit"
+    for ops in ((bad,) * 50, (h0, bad, h0) * 20, (h0,) * 30 + (bad,)):
+        with pytest.raises(ValueError) as err:
+            Circuit(3, ops)
+        assert str(err.value) == message
+
+
 def test_a_wire_past_the_int_to_str_limit_is_quoted_in_the_circuit_check():
     wire = 3 * 10**5000 + 7  # 5001 digits: past the 4300 that `str` converts
     message = "wire 300000000000... out of range for 2-qubit circuit"
