@@ -15,16 +15,18 @@ basis index, rotated by w^j; no two terms meet, and no sum is needed.
 through the whole run, one table lookup per gate, before it is stored, and
 its amplitude is rotated once, by the run's total power of w.
 `apply_packed` takes any other gate, and that is where interference between
-computational paths takes effect.  A one-wire gate whose nonzero entries
-are all w^j / sqrt2^e, with one e per row (`Gate.pair`; H is one), runs a
-paired loop: each basis index with the wire's bit clear is taken with its
-partner, the index with the bit set, and each output row is one exact sum
-of the two, rotated, added at a common exponent and canonicalized once; a
-sum that is exactly zero stores no term.  Any other gate emits, for every
-nonzero entry of a term's column, the amplitude times the entry with the
-row's bits put in their place (a unit-scaled entry rotates the amplitude,
-`_times_unit`, instead of multiplying it), and `state.merge` sums those
-products by basis index.  `translate.run_gates` runs a circuit's gates
+computational paths takes effect.  A gate of H's shape, ((1, 1), (1, -1))
+/ sqrt2^e (`Gate.pair`; H has e = 1 and is the only built-in that is not a
+permutation), runs a paired loop: each basis index with the wire's bit
+clear is taken with its partner, the index with the bit set, and their sum
+and difference are each added at a common exponent and canonicalized once;
+a sum that is exactly zero stores no term.  Every other gate that is not a
+permutation emits, for every nonzero entry of a term's column, the
+amplitude times the entry with the row's bits put in their place (a
+unit-scaled entry rotates the amplitude, `_times_unit`, instead of
+multiplying it), and `state.merge` sums those products by basis index; a
+custom one-wire gate of unit form other than H's shape, such as S.H or
+H.T, goes there too.  `translate.run_gates` runs a circuit's gates
 (`final_state`), or a script's chain of gate steps (`parser.conclude`), on
 these two kernels and sorts one state per run.
 
@@ -91,16 +93,14 @@ class Gate:
     # unitary gate keeps a normalized state normalized, so its rule's
     # conclusion needs no norm check (see `calculus.Unitary`).
     unitary: bool = field(init=False, repr=False, compare=False)
-    # Computed once for a one-wire gate whose nonzero entries all have the
-    # form w^j / sqrt2^e, with one e per row: (e, j0, j1) per row, j0 and
-    # j1 the powers of its entries in columns 0 and 1, None where an entry
-    # is zero (see `apply_packed`).  None for any other gate.
-    pair: tuple[tuple[int, int | None, int | None], ...] | None = field(
-        init=False, repr=False, compare=False
-    )
+    # Computed once: e for a gate of H's shape, ((1, 1), (1, -1)) / sqrt2^e,
+    # whose terms `apply_packed` sums in pairs; None for any other gate.
+    pair: int | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         size = 1 << self.arity
+        if len(self.matrix) != size or any(len(row) != size for row in self.matrix):
+            raise ValueError(f"{self.name} needs a {size}x{size} matrix")
         kernel = tuple(
             tuple(
                 (row, *_unit_form(self.matrix[row][col].packed))
@@ -119,25 +119,9 @@ class Gate:
         object.__setattr__(self, "kernel", kernel)
         object.__setattr__(self, "permutation", len(rows) == size)
         object.__setattr__(self, "unitary", is_unitary(self))
-        object.__setattr__(self, "pair", _pair_form(kernel) if self.arity == 1 else None)
-
-
-def _pair_form(
-    kernel: tuple[tuple[tuple[int, int, int, Packed | None], ...], ...],
-) -> tuple[tuple[int, int | None, int | None], ...] | None:
-    """A one-wire kernel's (e, j0, j1) per row, or None when an entry has
-    no unit form or a row mixes exponents."""
-    powers: list[list[int | None]] = [[None, None], [None, None]]
-    exponents: list[set[int]] = [set(), set()]
-    for col, column in enumerate(kernel):
-        for row, j, e, entry in column:
-            if entry is not None:
-                return None
-            powers[row][col] = j
-            exponents[row].add(e)
-    if any(len(es) > 1 for es in exponents):
-        return None
-    return tuple((min(es, default=0), *js) for es, js in zip(exponents, powers))
+        e = kernel[0][0][2] if kernel[0] else 0
+        h_shape = (((0, 0, e, None), (1, 0, e, None)), ((0, 0, e, None), (1, 4, e, None)))
+        object.__setattr__(self, "pair", e if kernel == h_shape else None)
 
 
 def _unit_form(x: Packed) -> tuple[int, int, Packed | None]:
@@ -274,7 +258,7 @@ def apply_packed(
     whose keys may come in any order, as a new dict whose keys come in no
     set order.
 
-    A one-wire gate of `Gate.pair` form takes each basis index with its
+    A gate of H's shape (`Gate.pair`) takes each basis index with its
     wire's bit clear together with its partner, the index with the bit set,
     and computes each of the pair's two outputs as one exact sum (see
     `_pair_sums`); a partner whose own partner is absent is taken alone.
@@ -282,8 +266,8 @@ def apply_packed(
     products are merged by `state.merge`.  Over more than `MEMO_TERMS`
     terms that repeat amplitudes, each distinct column pair is summed once
     (see `state`)."""
-    form = app.gate.pair
-    if form is None:
+    e = app.gate.pair
+    if e is None:
         return merge(_products(app, width, packed))
     bit = (app.plans.get(width) or _plan(app, width))[0]
     memo = _memo(packed.values()) if len(packed) > MEMO_TERMS else None
@@ -298,12 +282,12 @@ def apply_packed(
             low = basis
             x, y = amp, packed.get(basis | bit)
         if memo is None:
-            s0, s1 = _pair_sums(x, y, form)
+            s0, s1 = _pair_sums(x, y, e)
         else:
             key = x, y
             sums = memo.get(key)
             if sums is None:
-                sums = memo[key] = _pair_sums(x, y, form)
+                sums = memo[key] = _pair_sums(x, y, e)
                 if len(memo) > MEMO_ENTRIES:
                     memo = None
             s0, s1 = sums
@@ -314,22 +298,18 @@ def apply_packed(
     return out
 
 
-def _pair_sums(
-    x: Packed | None, y: Packed | None, form: tuple[tuple[int, int | None, int | None], ...]
-) -> tuple[Packed, Packed]:
-    """The two outputs of a one-wire gate of pair form, (e, j0, j1) per row,
+def _pair_sums(x: Packed | None, y: Packed | None, e: int) -> tuple[Packed, Packed]:
+    """The two outputs of a gate of H's shape, ((1, 1), (1, -1)) / sqrt2^e,
     on the amplitudes x of the wire's 0 and y of its 1, None when absent:
-    row r is (w^j0 x + w^j1 y) / sqrt2^e, canonical, zero as PACKED_ZERO.
-    Both present, they are lifted to one exponent k once, and each row is
-    summed there and canonicalized once, at k + e.  One alone is rotated
-    by `_times_unit`."""
-    (e0, j00, j01), (e1, j10, j11) = form
-    if x is None or y is None:
-        a, j0, j1 = (x, j00, j10) if y is None else (y, j01, j11)
-        return (
-            PACKED_ZERO if j0 is None else _times_unit(a, j0, e0),
-            PACKED_ZERO if j1 is None else _times_unit(a, j1, e1),
-        )
+    (x + y) / sqrt2^e and (x - y) / sqrt2^e, canonical, zero as
+    PACKED_ZERO.  Both present, they are lifted to one exponent k once, and
+    each output is summed there and canonicalized once, at k + e.  One
+    alone is scaled by `_times_unit`."""
+    if y is None:
+        s = _times_unit(x, 0, e)
+        return s, s
+    if x is None:
+        return _times_unit(y, 0, e), _times_unit(y, 4, e)
     # Lift the smaller exponent as `amplitude._add` does.
     x0, x1, x2, x3, k = x
     y0, y1, y2, y3, ky = y
@@ -345,38 +325,11 @@ def _pair_sums(
             y0, y1, y2, y3 = _times_sqrt2(y0, y1, y2, y3)
         d >>= 1
         y0, y1, y2, y3 = y0 << d, y1 << d, y2 << d, y3 << d
-    # A row of powers 0 and 0, or 0 and 4, as each of H's, adds or subtracts
-    # here; any other goes through `_row_sum`.
-    if j00 == 0 and j01 == 0:
-        s0 = _canonical(x0 + y0, x1 + y1, x2 + y2, x3 + y3, k + e0)
-    elif j00 == 0 and j01 == 4:
-        s0 = _canonical(x0 - y0, x1 - y1, x2 - y2, x3 - y3, k + e0)
-    else:
-        s0 = _row_sum((x0, x1, x2, x3), j00, (y0, y1, y2, y3), j01, k + e0)
-    if j10 == 0 and j11 == 0:
-        s1 = _canonical(x0 + y0, x1 + y1, x2 + y2, x3 + y3, k + e1)
-    elif j10 == 0 and j11 == 4:
-        s1 = _canonical(x0 - y0, x1 - y1, x2 - y2, x3 - y3, k + e1)
-    else:
-        s1 = _row_sum((x0, x1, x2, x3), j10, (y0, y1, y2, y3), j11, k + e1)
-    return s0, s1
-
-
-def _row_sum(
-    xs: tuple[int, int, int, int],
-    jx: int | None,
-    ys: tuple[int, int, int, int],
-    jy: int | None,
-    k: int,
-) -> Packed:
-    """(w^jx X + w^jy Y) / sqrt2^k, canonical, for numerators X and Y; a
-    power of None drops its term."""
-    a0 = a1 = a2 = a3 = 0
-    for cs, j in ((xs, jx), (ys, jy)):
-        if j is not None:
-            b0, b1, b2, b3, _ = _times_unit((*cs, 0), j, 0)  # rotated by w^j
-            a0, a1, a2, a3 = a0 + b0, a1 + b1, a2 + b2, a3 + b3
-    return _canonical(a0, a1, a2, a3, k)
+    k += e
+    return (
+        _canonical(x0 + y0, x1 + y1, x2 + y2, x3 + y3, k),
+        _canonical(x0 - y0, x1 - y1, x2 - y2, x3 - y3, k),
+    )
 
 
 def apply_run(

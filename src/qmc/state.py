@@ -8,10 +8,10 @@ deterministic.  Only nonzero amplitudes are stored: the public constructor
 drops zeros, and the sums that merge terms of like basis states drop any that
 comes out exactly zero, which is where destructive interference eliminates
 terms.  Those sums are made in three places: `merge`, here, for the proof
-path and for any gate of the dict engine but a one-wire gate of unit form;
-the paired loop of `gates.apply_packed`, which sums the two terms a
-one-wire gate such as H mixes in one step; and on wide registers the row
-sums of `dense._apply`, whose zero columns `dense._to_packed` drops.  Gates
+path and for every gate of the dict engine that is not a permutation but
+one of H's shape; the paired loop of `gates.apply_packed`, which sums the
+two terms a gate of H's shape mixes in one step; and on wide registers the
+row sums of `dense._apply`, whose zero columns `dense._to_packed` drops.  Gates
 that cannot make two terms meet (permutations and phases, see `gates`) need
 no sum.  `merge` gives a dict in no set order, for `gates.apply_packed`, on
 which (with `gates.apply_run` for runs of permutation gates)
@@ -307,9 +307,8 @@ def merge(parts: list[tuple[Packed, int]]) -> dict[int, Packed]:
     """The nonzero sums of `combine`, by basis index in no set order.
 
     The proof path's interference happens here, and the dict engine's for
-    every gate but a one-wire gate of unit form, whose terms meet in the
-    paired loop of `gates.apply_packed` (the dense engine's meet in
-    `dense._apply`): two equal, oppositely signed contributions to the same
+    every gate but one of H's shape, whose terms meet in the paired loop of
+    `gates.apply_packed` (the dense engine's meet in `dense._apply`): two equal, oppositely signed contributions to the same
     basis state cancel and the term disappears from the support.  Over more
     than `MEMO_TERMS` parts that repeat amplitudes, each distinct pair of
     addends is added once (see the module docstring).

@@ -15,9 +15,9 @@ a circuit through it from |0...0>, and `parser.conclude` (behind `dist` and
 chain's first state.  It runs the gates on the dict engine's kernels, one
 packed dict after another: each run of consecutive permutation gates in
 one `gates.apply_run`, and each other gate in `gates.apply_packed` (a
-Hadamard's pairs of terms each summed in one step there, in its paired
-loop, any other gate's products merged by `state.merge`), until
-the register has at least `dense.MIN_WIDTH` wires and a quarter of its
+Hadamard's pairs of terms, or those of any gate of H's shape, each summed
+in one step there, in its paired loop, and every other gate's products
+merged by `state.merge`), until the register has at least `dense.MIN_WIDTH` wires and a quarter of its
 basis states (2^n / 2^`dense.FILL_SHIFT`) carry an amplitude; from there
 `dense.run` takes the packed dict and the gates on int64 arrays while every
 coefficient stays below 2^`dense.MAX_BITS`.  A gate that would pass that

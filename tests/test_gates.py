@@ -53,6 +53,20 @@ def test_all_builtins_are_unitary():
         assert builtin(name).unitary, name
 
 
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        ((AMP_ONE,),),
+        ((AMP_ONE, AMP_ZERO, AMP_ZERO), (AMP_ZERO, AMP_ONE, AMP_ZERO)),
+        ((AMP_ONE, AMP_ZERO), (AMP_ZERO, AMP_ONE), (AMP_ZERO, AMP_ZERO)),
+        ((AMP_ONE, AMP_ZERO), (AMP_ZERO,)),
+    ],
+)
+def test_a_matrix_of_the_wrong_shape_is_refused(matrix):
+    with pytest.raises(ValueError, match=r"^G needs a 2x2 matrix$"):
+        Gate("G", 1, matrix)
+
+
 def test_permutation_flags():
     # X, CNOT and I move basis states; Z, S and T multiply them by w^j.
     for name in ("X", "Z", "S", "T", "CNOT", "I"):
@@ -284,17 +298,27 @@ def _unit(j: int, e: int) -> Amplitude:
 
 @st.composite
 def _pair_gates(draw) -> Gate:
-    """H, or a one-wire gate whose entries are w^j / sqrt2^e with one e per
-    row, some entries zero: unitary or not, a zero row allowed."""
-    if draw(st.booleans()):
-        return builtin("H")
-    rows = []
-    for _ in range(2):
-        e = draw(st.integers(0, 3))
-        powers = draw(st.lists(st.none() | st.integers(0, 7), min_size=2, max_size=2))
-        rows.append(tuple(AMP_ZERO if j is None else _unit(j, e) for j in powers))
-    gate = Gate("U", 1, tuple(rows))
-    assert gate.pair is not None
+    """H; H's shape, ((1, 1), (1, -1)) / sqrt2^e, non-unitary for e != 1; or
+    a one-wire gate whose entries are w^j / sqrt2^e, some zero, unitary or
+    not, a zero row allowed.  Only H's shape has a `Gate.pair`, its e."""
+    kind = draw(st.sampled_from(("H", "shape", "unit")))
+    if kind == "H":
+        gate = builtin("H")
+        assert gate.pair == 1
+        return gate
+    es = [draw(st.integers(0, 3))] * 2
+    powers = [[0, 0], [0, 4]]
+    if kind == "unit":
+        es = [draw(st.integers(0, 3)) for _ in range(2)]
+        row = st.lists(st.none() | st.integers(0, 7), min_size=2, max_size=2)
+        powers = [draw(row), draw(row)]
+    rows = tuple(
+        tuple(AMP_ZERO if j is None else _unit(j, e) for j in js)
+        for e, js in zip(es, powers)
+    )
+    gate = Gate("U", 1, rows)
+    h_shape = es[0] == es[1] and powers == [[0, 0], [0, 4]]
+    assert gate.pair == (es[0] if h_shape else None)
     return gate
 
 
@@ -381,6 +405,9 @@ def test_other_gates_take_the_merged_products(monkeypatch):
         Gate("NOTUNIT", 1, ((two, AMP_ZERO), (AMP_ZERO, AMP_ONE))),
         Gate("MIXED", 1, ((INV_SQRT2, AMP_ONE), (AMP_ONE, AMP_ZERO))),
         Gate("HI", 2, _kron(h.matrix, builtin("I").matrix)),
+        # one-wire unitaries of unit form that are not of H's shape
+        Gate("SH", 1, matmul(builtin("S").matrix, h.matrix)),
+        Gate("HT", 1, matmul(h.matrix, builtin("T").matrix)),
     )
     state = {0: AMP_ONE.packed, 1: INV_SQRT2.packed, 3: OMEGA.packed}
     for gate in others:
