@@ -13,8 +13,11 @@ Every command that reads a .qmc script derives each of its bindings first,
 in script order, keeping only the conclusions a later binding reads.
 `qmc check` prints one row per binding as soon as it is derived
 (`parser.derive_bindings`): `ok`, or `assumed` for an assumption leaf, with
-its conclusion; then `valid`.  `run` and `render` print from the proof
-tree.  `dist` and `translate --to circuit` print no node, so they derive
+its conclusion; then `valid`.  `render`, and `run` of a script, print
+from the proof tree.  `run` of a circuit builds none: its proof has a fixed
+shape, so `parser.sampled_rows` derives the state after each gate once, in
+circuit order, and then writes the rows root first from those states.
+`dist` and `translate --to circuit` print no node, so they derive
 through `parser.conclude`, which runs each chain of gate steps through
 `final_state`'s kernel loop with one state per chain; every binding that
 can fail still goes through `calculus.apply_rule`.  `dist` prints the
@@ -208,7 +211,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         circuit = parse_circuit(text)
         if not circuit.measured:
             raise _ValidationError("circuit has no terminal measure; nothing to run")
-        (proof,) = translate.circuit_to_proof(circuit, "sample", seed)
+        conclusion, rows = frontend.sampled_rows(circuit, seed)
     else:
         base = elaborate(parse_proof(text))
         root = base.conclusion
@@ -218,8 +221,8 @@ def cmd_run(args: argparse.Namespace) -> int:
             )
         outcome, _ = sample_outcome(root.dist, seed)
         proof = calculus.ProofNode.derive(Measure(outcome), (base,))
-    _emit(frontend.proof_rows(proof, "ascii"))
-    conclusion = proof.conclusion
+        conclusion, rows = proof.conclusion, frontend.proof_rows(proof, "ascii")
+    _emit(rows)
     assert isinstance(conclusion, Measured)
     print(f"outcome {conclusion.outcome} p={conclusion.prob.text()}")
     return 0

@@ -19,6 +19,12 @@ sorted state per chain instead of one per gate; every binding that can
 fail still goes through `apply_rule`.  `skeleton` is the tree's rules and
 premises without deriving anything.
 
+A circuit's proof has a fixed shape, so two writers work from the circuit
+without a tree: `script_writer`, behind `translate --to proof`, writes its
+scripts, and `sampled_rows`, behind `run` of a circuit, its sampled proof's
+ascii rows, from the state after each gate, derived once in circuit order.
+Those rows and `proof_rows`' ascii rows share one row format, `_ascii_row`.
+
 Both formats are UTF-8 with `#` comments.  Every parse failure carries a
 1-based line and column into the original text.
 
@@ -52,22 +58,26 @@ from itertools import accumulate, chain
 from typing import Callable, Iterator, NamedTuple
 
 from . import calculus, translate
+from .amplitude import PACKED_ONE
 from .calculus import (
     RULES,
     Ax,
     BornRule,
     Coherent,
     Measure,
+    Measured,
     ProofNode,
     RuleApp,
     RuleError,
     Sequent,
     Tensor,
     Unitary,
+    sample_outcome,
     sequent_text,
     walk,
 )
 from .gates import BUILTIN_NAMES, GateApplication, builtin
+from .gates import apply as apply_gate
 from .state import BasisState, Superposition, _clip
 from .translate import Circuit
 
@@ -582,10 +592,7 @@ def proof_rows(p: ProofNode, format: str = "ascii") -> Iterator[str]:
         depth = 0
         for node, _, entering in walk(p):
             if entering:  # no local keeps a row's text over the yield
-                yield (
-                    f"{'  ' * depth}{sequent_text(node.conclusion, texts)}"
-                    f"  [{node.rule.label()}]\n"
-                )
+                yield _ascii_row(depth, node.conclusion, node.rule.label(), texts)
                 depth += 1
             else:
                 depth -= 1
@@ -597,6 +604,14 @@ def proof_rows(p: ProofNode, format: str = "ascii") -> Iterator[str]:
         yield "\\end{prooftree}\n"
     else:
         raise ValueError(f"unknown render format: {format}")
+
+
+def _ascii_row(depth: int, seq: Sequent, label: str, texts: dict) -> str:
+    """One row of an ascii proof, with its newline: the conclusion's text,
+    indented two spaces per level of depth, then its rule's label; texts is
+    the pass's rendering memo.  The one row format of `proof_rows` and
+    `sampled_rows`."""
+    return f"{'  ' * depth}{sequent_text(seq, texts)}  [{label}]\n"
 
 
 def render_proof(p: ProofNode, format: str = "ascii") -> str:
@@ -697,6 +712,56 @@ def script_writer(c: Circuit) -> Callable[[str, BasisState | None], str]:
         return f"proof {name} {{\n{body}  s{k + 2} = {measure};\n}}\n"
 
     return write
+
+
+def sampled_rows(c: Circuit, seed: int) -> tuple[Measured, Iterator[str]]:
+    """The root conclusion and the ascii rows of the measured circuit c's
+    sampled proof: the rows that `proof_rows` gives the tree of
+    `translate.circuit_to_proof(c, "sample", seed)`, without the tree.
+
+    The proof's shape depends on the circuit alone (see `script_writer`),
+    so only its conclusions are derived, and all of them before this
+    returns: in circuit order, each gate's state by `gates.apply` from the
+    one before, a gate that is not unitary with the norm check that
+    `Unitary.conclude` makes, then the Born annotation and the sampled
+    measurement through `calculus.apply_rule`.  The rows go out root first:
+    the measurement, the Born annotation, each gate from the last to the
+    first, each state dropped as its row is yielded, then the register's
+    left-associated tensors of |0...0> and its axioms, one per wire.
+    """
+    if not c.measured:
+        raise ValueError("circuit has no terminal measure; nothing to sample")
+    state = Superposition._of(c.width, {0: PACKED_ONE})
+    seqs = [Coherent._of(state)]
+    for op in c.ops:
+        state = apply_gate(op, state)
+        seqs.append(Coherent._of(state) if op.gate.unitary else Coherent(state))
+    born_rule = BornRule()
+    born = calculus.apply_rule(born_rule, [seqs[-1]])
+    measure = Measure(sample_outcome(born.dist, seed)[0])
+    root = calculus.apply_rule(measure, [born])
+
+    def rows() -> Iterator[str]:
+        texts: dict = {}  # the pass's rendering memo
+        yield _ascii_row(0, root, measure.label(), texts)
+        yield _ascii_row(1, born, born_rule.label(), texts)
+        depth = 2
+        for op in reversed(c.ops):
+            yield _ascii_row(depth, seqs.pop(), op.text, texts)
+            depth += 1
+        tensor, ax = Tensor().label(), Ax().label()
+        # The tensors, widest first: each the left premise of the one before.
+        for width in range(c.width, 1, -1):
+            zeros = Coherent._of(Superposition._of(width, {0: PACKED_ONE}))
+            yield _ascii_row(depth, zeros, tensor, texts)
+            depth += 1
+        zero = Coherent._of(Superposition._of(1, {0: PACKED_ONE}))
+        yield _ascii_row(depth, zero, ax, texts)  # the leftmost wire's
+        for _ in range(c.width - 1):  # each tensor's right premise, innermost first
+            yield _ascii_row(depth, zero, ax, texts)
+            depth -= 1
+
+    return root, rows()
 
 
 def _script_expr(rule: RuleApp, premise_names: list[str]) -> str:

@@ -26,10 +26,12 @@ engine as a packed dict, and the dict engine finishes the run.  So
 `final_state` builds and sorts one state per circuit, at the end, not one
 per gate, and `conclude` one per chain.  `circuit_to_proof` keeps one sorted
 `Superposition` per node, each built by `gates.apply`, since every node's
-state is printed and hashed in order.  `qmc translate --to proof` builds no
-tree: a circuit's proof has a fixed shape, so `parser.script_writer` writes
-its scripts from the circuit, and only a measured circuit's outcomes need a
-state, its `final_state`.
+state is printed and hashed in order.  No command but the selftest builds
+that tree: a circuit's proof has a fixed shape, so `parser.script_writer`
+writes the scripts of `qmc translate --to proof` from the circuit, and only
+a measured circuit's outcomes need a state, its `final_state`;
+`parser.sampled_rows` writes the rows of `qmc run` from the states that
+tree holds, one per gate by `gates.apply`, without its nodes.
 """
 
 from __future__ import annotations
@@ -220,24 +222,38 @@ def random_circuit(
 ) -> Circuit:
     """A random circuit for differential sweeps; deterministic given the rng.
 
-    Each gate is `rng.randrange` draws: the gate, its first wire, and for a
-    CNOT its second wire among the others.  Up to 21 wires these consume the
-    rng as `rng.choice(gates)` and `rng.sample(range(width), arity)` do, and
-    give the same circuits, at a fraction of `sample`'s cost per call; above
-    21, `sample` draws otherwise, while these wires stay distinct and in
-    range.
+    Every number is drawn as `rng.randrange(n)` draws it from a
+    `random.Random` (CPython's `_randbelow_with_getrandbits`, the same on
+    3.10-3.13), by one local loop over `rng.getrandbits`: the width and the
+    gate count as `rng.randint` draws them, then per gate the gate, its
+    first wire, and for a CNOT its second wire among the others.  Up to 21
+    wires these consume the rng as `rng.choice(gates)` and
+    `rng.sample(range(width), arity)` do, and give the same circuits, at a
+    fraction of `sample`'s cost per call; above 21, `sample` draws
+    otherwise, while these wires stay distinct and in range.
 
     A sweep may pass one `apps` dict for all its circuits, so that each
     distinct (gate, wires) is one `GateApplication` with one set of plans, as
     in a parse.  The draws from the rng are the same either way.
     """
-    width = rng.randint(1, max_width)
+    if max_width < 1 or max_gates < 0:  # `draw(0)` would never return
+        raise ValueError("a random circuit needs max_width >= 1 and max_gates >= 0")
+    getrandbits = rng.getrandbits
+
+    def draw(n: int) -> int:
+        """A number below n > 0, drawn as `rng.randrange(n)` draws it."""
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return r
+
+    width = 1 + draw(max_width)
     gates = _RANDOM_GATES if width >= 2 else _RANDOM_GATES[:-1]
     if apps is None:
         apps = {}
-    draw = rng.randrange
     ops = []
-    for _ in range(rng.randint(0, max_gates)):
+    for _ in range(draw(max_gates + 1)):
         gate = gates[draw(len(gates))]
         first = draw(width)
         if gate.arity == 1:

@@ -15,19 +15,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qmc import calculus, cli, oracle, parser, state, translate
 from qmc.amplitude import PACKED_ONE
 
 from qmc.cli import main
-from qmc.parser import elaborate, parse_circuit, parse_proof
+from qmc.parser import elaborate, parse_circuit, parse_proof, render_proof
 
 from conftest import (
     GOLDEN, GOLDEN_PROOFS, PREP_LEAF_SCRIPT, VALID_SCRIPTS, brickwork, corrupted,
     load_golden,
 )
+from test_golden_cli import EXPECTED as GOLDEN_EXPECTED, golden_inputs, transcript
 
 
 @pytest.fixture
@@ -757,8 +758,9 @@ _BW16_STDOUT = {
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs preexec_fn")
 def test_a_wide_proof_prints_under_the_memory_cap(run_cli, tmp_path):
-    # Each row goes out as it is made, so a command holds the tree and one
-    # row, never the whole proof's text.
+    # Each row goes out as it is made, so a command holds the tree (`run`
+    # of the circuit, its gate states) and one row, never the whole proof's
+    # text.
     circuit = tmp_path / "bw16.qc"
     circuit.write_text(_bw16(), encoding="utf-8")
     code, out, _ = run_cli("translate", str(circuit), "--to", "proof", "--seed", "1")
@@ -1105,6 +1107,67 @@ def test_run_unmeasured_circuit(run_cli, workdir):
     code, _, err = run_cli("run", str(workdir / "hh.qc"))
     assert code == 1
     assert "no terminal measure" in err
+
+
+def _tree_run(c: translate.Circuit, seed: int) -> str:
+    """`run`'s stdout as the tree of `circuit_to_proof` prints it."""
+    (proof,) = translate.circuit_to_proof(c, "sample", seed)
+    root = proof.conclusion
+    return render_proof(proof) + f"outcome {root.outcome} p={root.prob.text()}\n"
+
+
+# Seeds over the whole integer range: negative, and at or past 2^64, too.
+_ANY_SEED = st.one_of(
+    st.integers(), st.integers(max_value=-1), st.integers(min_value=2**64)
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.builds(
+        lambda s: translate.random_circuit(random.Random(s), 6, 40, measured=True),
+        st.integers(0, 2**32 - 1),
+    ),
+    _ANY_SEED,
+)
+@example(translate.Circuit(3, (), measured=True), 1)  # no gate at all
+def test_run_of_a_circuit_prints_the_rows_of_its_sampled_tree(c, seed):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.qc"
+        path.write_text(parser.render_circuit(c), encoding="ascii")
+        assert _main_io("run", str(path), "--seed", str(seed)) == (0, _tree_run(c, seed), "")
+
+
+def test_run_of_a_circuit_builds_no_tree(monkeypatch, tmp_path):
+    # Every golden circuit's transcript stays as it is with no tree to be
+    # had, and `run` derives only the Born annotation and the measurement
+    # through `apply_rule`, however many gates the circuit has.
+    def refuse(*_):
+        raise AssertionError("circuit_to_proof was called")
+
+    calls = []
+    apply_rule = calculus.apply_rule
+
+    def counted(rule, premises):
+        calls.append(type(rule))
+        return apply_rule(rule, premises)
+
+    monkeypatch.setattr(translate, "circuit_to_proof", refuse)
+    monkeypatch.setattr(calculus, "apply_rule", counted)
+    for name, text in golden_inputs().items():
+        if name.endswith(".qc"):
+            workdir = tmp_path / name
+            workdir.mkdir()
+            expected = (GOLDEN_EXPECTED / f"{name}.txt").read_bytes()
+            assert transcript(name, text, workdir).encode() == expected, name
+    chain = tmp_path / "chain.qc"
+    chain.write_text("qubits 2\n" + "H 0\nCNOT 0 1\nT 1\n" * 300 + "measure\n")
+    for path in sorted(GOLDEN.glob("*.qc")) + [chain]:
+        if "measure" in path.read_text().split():
+            calls.clear()
+            code, out, _ = _main_io("run", str(path), "--seed", "1")
+            assert code == 0 and out.endswith("\n"), path.name
+            assert calls == [calculus.BornRule, calculus.Measure], path.name
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from qmc.calculus import (
     ProofNode,
     Tensor,
     Unitary,
+    UnnormalizedState,
     check,
     sequent_text,
     walk,
@@ -44,6 +45,7 @@ from qmc.parser import (
     render_circuit,
     render_proof,
     render_script,
+    sampled_rows,
     script_writer,
     _BLOCK,
     _FORMS,
@@ -61,6 +63,7 @@ from conftest import (
     VALID_CIRCUITS,
     VALID_SCRIPTS,
     bell_circuit,
+    corrupted,
     load_golden,
 )
 
@@ -1198,6 +1201,41 @@ def test_sequent_text_forms():
     assert sequent_text(born.conclusion) == (
         "(1/sqrt2)|00> + (1/sqrt2)|11> => (1/2)|00> + (1/2)|11>"
     )
+
+
+def _custom(name: str, wire: int) -> GateApplication:
+    """A non-unitary gate: `name`'s matrix with its first row zeroed."""
+    return GateApplication(corrupted(builtin(name)), (wire,))
+
+
+@pytest.mark.parametrize(
+    "ops, breaks",
+    [
+        # Zeroing X's first row keeps |0> at norm 1; zeroing H's does not.
+        ([_custom("X", 0), GateApplication(builtin("H"), (1,))], False),
+        ([GateApplication(builtin("H"), (1,)), _custom("H", 0), _custom("X", 1)], True),
+    ],
+    ids=["norm-kept", "norm-broken"],
+)
+def test_sampled_rows_check_a_custom_gate_as_the_tree_does(ops, breaks):
+    # Only the library can hand the writer a gate that is not unitary; it
+    # fails with the tree's error before any row, or prints the tree's rows.
+    c = Circuit(2, tuple(ops), measured=True)
+    if breaks:
+        with pytest.raises(UnnormalizedState) as tree:
+            circuit_to_proof(c, "sample", 9)
+        with pytest.raises(UnnormalizedState) as writer:
+            sampled_rows(c, 9)
+        assert str(writer.value) == str(tree.value)
+    else:
+        (proof,) = circuit_to_proof(c, "sample", 9)
+        root, rows = sampled_rows(c, 9)
+        assert (root, "".join(rows)) == (proof.conclusion, render_proof(proof))
+
+
+def test_sampled_rows_refuse_an_unmeasured_circuit():
+    with pytest.raises(ValueError, match="no terminal measure"):
+        sampled_rows(bell_circuit(measured=False), 1)
 
 
 def test_a_latex_pass_formats_each_distinct_born_weight_once(monkeypatch):
