@@ -51,6 +51,7 @@ from .translate import (
     Circuit,
     UnsupportedTranslation,
     circuit_to_proof,
+    final_distribution,
     final_state,
     proof_to_circuit,
 )
@@ -99,6 +100,7 @@ __all__ = [
     "compare",
     "distribution",
     "elaborate",
+    "final_distribution",
     "final_state",
     "is_unitary",
     "ket",

@@ -15,9 +15,10 @@ are, so the zero test and equality are tuple comparisons.  The module-level
 `_mul`, `_add`, `_canonical` and `_mod_sq` are the one implementation of the
 ring, `_times_unit` is `_mul` by a unit w^j / sqrt2^e done as a rotation of
 the coefficients, and `_real_add` is the sum of the reals that `_mod_sq`
-yields: `ExactReal` adds with it and `calculus.sample_outcome` walks its CDF
-with it, while `state.norm_sq`, the norm of each checked sequent and each
-distribution, inlines both for speed.  `_sign` is the exact sign of such a
+yields: `ExactReal` adds with it, `calculus.sample_outcome` walks its CDF
+with it and `calculus._born` sums a distribution's norm with it, over the
+distinct weights, while `state.norm_sq`, the norm of each checked sequent,
+inlines both for speed.  `_sign` is the exact sign of such a
 real.  They are module-private because the state engine calls them once per
 term.  `Amplitude` is the value the API and the renderers see: a thin wrapper
 around one packed tuple, whose operators call those functions.
@@ -152,6 +153,18 @@ def _real_add(x: tuple[int, int, int], y: tuple[int, int, int]) -> tuple[int, in
         pa, qa, ka, pb, qb, kb = pb, qb, kb, pa, qa, ka
     d = ka - kb
     return pa + (pb << d), qa + (qb << d), ka
+
+
+def _real_canonical(p: int, q: int, k: int) -> tuple[int, int, int]:
+    """The (p + q*sqrt2) / 2^k triple in `ExactReal`'s canonical form: k = 0
+    or p, q not both even, and zero is (0, 0, 0)."""
+    if p == 0 and q == 0:
+        return 0, 0, 0
+    if k:
+        low = p | q  # its trailing zeros are those p and q share
+        shift = min(k, (low & -low).bit_length() - 1)
+        return p >> shift, q >> shift, k - shift
+    return p, q, k
 
 
 def _sign(p: int, q: int) -> int:
@@ -374,17 +387,7 @@ class ExactReal:
     def __init__(self, p: int, q: int = 0, k: int = 0) -> None:
         if k < 0:
             raise ValueError("power-of-two exponent must be nonnegative")
-        if p == 0 and q == 0:
-            k = 0
-        elif k:
-            low = p | q  # its trailing zeros are those p and q share
-            shift = min(k, (low & -low).bit_length() - 1)
-            p >>= shift
-            q >>= shift
-            k -= shift
-        self.p = p
-        self.q = q
-        self.k = k
+        self.p, self.q, self.k = _real_canonical(p, q, k)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, int):

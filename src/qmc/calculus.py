@@ -8,8 +8,11 @@ A measured sequent commits to one outcome with its exact probability; the
 turnstile form is terminal except for preparation, which turns the recorded
 outcome into a fresh coherent antecedent.  The state alone determines the
 distribution, and the state and outcome the probability, so each sequent
-computes its annotation and none can be built with a wrong one;
-`distribution` is the one way to build a `Distribution`.
+computes its annotation and none can be built with a wrong one.
+`_born` builds every `Distribution` and makes its one check: the weights
+sum to exactly 1 and each is positive.  `distribution` feeds it from
+a state's packed amplitudes, and `translate.final_distribution` from the
+dense engine's arrays, when a circuit ends on them.
 
 `apply_rule` is the one derivation: it tests a rule's premise count and
 kinds, then concludes.  `ProofNode.derive` concludes through it and builds
@@ -30,11 +33,12 @@ terms already present and can destroy previously available conclusions.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import accumulate, filterfalse, repeat
-from typing import Callable, Iterator, Sequence, Union
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence, Union
 
-from .amplitude import ExactReal, REAL_ONE, _mod_sq, _real_add, _sign
+from .amplitude import ExactReal, _mod_sq, _real_add, _real_canonical, _sign
 from .gates import GateApplication, apply
 from .state import BasisState, Superposition, _clip, ket, norm_sq, tensor
 
@@ -85,7 +89,9 @@ class Distribution:
     are equal triples.  `BasisState`s and `ExactReal`s are built only where
     the API hands them out: `items`, `outcomes`, `__getitem__`, the draw of
     `sample_outcome`, and the one text per distinct weight.  There is no
-    public constructor: `distribution` derives the one value a state has.
+    public constructor: `distribution` derives the one value a state has,
+    and `translate.final_distribution` that of a circuit's final state,
+    both through `_born`.
     """
 
     __slots__ = ("width", "weights")
@@ -96,7 +102,7 @@ class Distribution:
     @classmethod
     def _of(cls, width: int, weights: dict[int, tuple[int, int, int]]) -> Distribution:
         """The distribution of canonical triples by basis index, in
-        ascending order, that `distribution` has checked."""
+        ascending order, that `_born` has checked."""
         dist = object.__new__(cls)
         dist.width = width
         dist.weights = weights
@@ -168,31 +174,59 @@ class Distribution:
 def distribution(s: Superposition) -> Distribution:
     """Born distribution of a normalized state: P(x) = |amplitude(x)|^2.
 
-    Each distinct amplitude's `_mod_sq` is computed once and each distinct
-    weight's sign tested once: a wide state has far fewer distinct weights
-    than terms (all 2^n outcomes of a brickwork circuit have one).  The
-    triple of a canonical amplitude is canonical: num not divisible by
-    sqrt2 makes num * conj(num) not divisible by 2, so p and q are not
-    both even unless k = 0.  The weights sum to the norm, checked first.
+    Each distinct amplitude's `_mod_sq` is computed once, and `_born`
+    checks and reduces each distinct weight once: a wide state has far fewer
+    distinct weights than terms (all 2^n outcomes of a brickwork circuit
+    have one).  `translate.final_distribution` feeds `_born` from the dense
+    engine's arrays instead, one class per distinct |amplitude|^2.
     """
-    _require_normalized(s)
     packed = s.packed
-    by_amp = {amp: _mod_sq(amp) for amp in set(packed.values())}
-    weights = dict(zip(packed, map(by_amp.__getitem__, packed.values())))
-    for t in set(by_amp.values()):
+    counts = Counter(packed.values())
+    weights = {amp: _mod_sq(amp) for amp in counts}
+    return _born(s.width, packed, packed.values(), weights, counts)
+
+
+def _born(
+    width: int,
+    basis: Iterable[int],
+    classes: Iterable[Hashable],
+    weights: Mapping[Hashable, tuple[int, int, int]],
+    counts: Mapping[Hashable, int] | Sequence[int],
+) -> Distribution:
+    """The one place that builds and checks a distribution: the outcome
+    basis[i] (ascending) has the weight weights[classes[i]], a (p, q, k)
+    triple for (p + q*sqrt2) / 2^k, not yet reduced, and counts[c] outcomes
+    are of the class c.
+
+    The weights sum to the norm, sum(counts[c] * weights[c]), which must be
+    exactly 1 (checked first, with the message of the sequents' check).
+    Each distinct triple is then brought to `ExactReal`'s canonical form and
+    its sign tested, once, so equal weights are equal triples.
+    """
+    total = (0, 0, 0)
+    for c, (p, q, k) in weights.items():
+        n = counts[c]
+        total = _real_add(total, (n * p, n * q, k))
+    _require_unit_norm(*total)
+    reduced = {t: _real_canonical(*t) for t in set(weights.values())}
+    of = {c: reduced[t] for c, t in weights.items()}
+    dist = Distribution._of(width, dict(zip(basis, map(of.__getitem__, classes))))
+    for t in reduced.values():
         if _sign(t[0], t[1]) <= 0:
-            b = next(b for b, u in weights.items() if u == t)
+            b = next(b for b, u in dist.weights.items() if u == t)
             raise ValueError(
-                f"probability of {BasisState.of(b, s.width)} must be positive, "
+                f"probability of {BasisState.of(b, width)} must be positive, "
                 f"got {ExactReal(*t)}"
             )
-    return Distribution._of(s.width, weights)
+    return dist
 
 
-def _require_normalized(state: Superposition) -> None:
-    """The one normalization check; an empty state has norm squared 0."""
-    n = norm_sq(state)
-    if n != REAL_ONE:
+def _require_unit_norm(p: int, q: int, k: int) -> None:
+    """The one normalization check, of a state's norm squared
+    (p + q*sqrt2) / 2^k (that of an empty state is 0): a sequent's, and a
+    distribution's in `_born`."""
+    if _real_canonical(p, q, k) != (1, 0, 0):
+        n = ExactReal(p, q, k)
         raise UnnormalizedState(f"state has norm squared {n.text()}, expected 1")
 
 
@@ -203,7 +237,8 @@ class Coherent:
     state: Superposition
 
     def __post_init__(self) -> None:
-        _require_normalized(self.state)
+        n = norm_sq(self.state)
+        _require_unit_norm(n.p, n.q, n.k)
 
     @classmethod
     def _of(cls, state: Superposition) -> Coherent:

@@ -17,7 +17,10 @@ its conclusion; then `valid`.  `render`, and `run` of a script, print
 from the proof tree.  `run` of a circuit builds none: its proof has a fixed
 shape, so `parser.sampled_rows` derives the state after each gate once, in
 circuit order, and then writes the rows root first from those states.
-`dist` and `translate --to circuit` print no node, so they derive
+`dist` of a circuit, and the outcomes of `translate --to proof` of a
+measured one, come from `translate.final_distribution`, which reads the
+Born weights off the dense engine's arrays when the circuit ends on them.
+`dist` and `translate --to circuit` of a script print no node, so they derive
 through `parser.conclude`, which runs each chain of gate steps through
 `final_state`'s kernel loop with one state per chain; every binding that
 can fail still goes through `calculus.apply_rule`.  `dist` prints the
@@ -55,7 +58,12 @@ from .calculus import (
 from .gates import BUILTIN_NAMES, builtin
 from .parser import ElaborationError, SourceError, elaborate, parse_circuit, parse_proof
 from .state import _clip, ket, norm_sq
-from .translate import UnsupportedTranslation, final_state, random_circuit
+from .translate import (
+    UnsupportedTranslation,
+    final_distribution,
+    final_state,
+    random_circuit,
+)
 
 
 class _UsageError(Exception):
@@ -134,8 +142,7 @@ def _distribution_of(path: str) -> calculus.Distribution:
     kind = _kind(path)
     text = _read(path)
     if kind == ".qc":
-        circuit = parse_circuit(text)
-        return distribution(final_state(circuit))
+        return final_distribution(parse_circuit(text))
     root = frontend.conclude(parse_proof(text))
     if isinstance(root, Coherent):
         return distribution(root.state)
@@ -262,7 +269,7 @@ def cmd_translate(args: argparse.Namespace) -> int:
         # measurement branch; only an explicit --seed samples one, and
         # QMC_SEED is never read.
         if circuit.measured:
-            dist = distribution(final_state(circuit))
+            dist = final_distribution(circuit)
             outcomes = dist.outcomes() if seed is None else [sample_outcome(dist, seed)[0]]
             # A branch is named by its outcome's bits unless that name would
             # pass the usual 255-byte NAME_MAX; then every branch is named by

@@ -24,16 +24,24 @@ amplitudes, `run_gates` hands its packed dict and the remaining gates to
   divided out and K falls by 2.  A gate
   that would pass the limit hands the state back to the dict engine, which
   applies it with `gates.apply_packed` and finishes the circuit.
-- The boundary back to packed tuples is vectorized: one masked loop divides
+- A run that ends on the arrays returns them as `Arrays`.  The boundary
+  back to packed tuples (`packed_of`) is vectorized: one masked loop divides
   every term's numerator by sqrt2 while it can, which brings each to the
   Giles & Selinger normal form of `amplitude` (arXiv:1212.0506), then one
   `tolist` builds the packed dict, in ascending order of basis index.  Its
   terms equal the dict engine's.
+- A caller that wants only the Born weights (`translate.final_distribution`)
+  skips that boundary when every coefficient is below 2^`BORN_BITS`:
+  `Arrays.born` computes each column's |amplitude|^2 over 2^K in int64,
+  p = a0^2 + a1^2 + a2^2 + a3^2 and q = a0*a1 + a1*a2 + a2*a3 - a3*a0 as in
+  `amplitude._mod_sq`, and groups equal (p, q) pairs with one `lexsort`.
+  `calculus` checks the weights and reduces each distinct one.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from itertools import repeat
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -52,6 +60,54 @@ FILL_SHIFT = 2
 # row sums grow no coefficient past the bound, but `_to_packed`'s division by
 # sqrt2 adds two of them once more, so a bound of 63 could wrap there.
 MAX_BITS = 62
+# Below 2^30, a coefficient's square and a sum of four products of two stay
+# below 2^62, so `Arrays.born` computes every |amplitude|^2 in int64.
+BORN_BITS = 30
+
+
+class Arrays(NamedTuple):
+    """The state of a run that ended on the arrays: column b of c holds the
+    numerator of basis index b, over sqrt2^k."""
+
+    c: np.ndarray
+    k: int
+
+    def born(
+        self,
+    ) -> tuple[list[int], list[int], dict[int, tuple[int, int, int]], list[int]] | None:
+        """The Born weights of the nonzero columns, or None when a
+        coefficient reaches 2^BORN_BITS.
+
+        They come as (basis, classes, weights, counts): the basis indices
+        in ascending order, and the class of each, one class per distinct
+        |amplitude|^2.  weights[j] is the (p, q, k) of class j, standing for
+        (p + q*sqrt2) / 2^k as `amplitude._mod_sq` gives it, not reduced,
+        and counts[j] the number of its columns.
+        """
+        c, k = self
+        if _bits(c) > BORN_BITS:
+            return None
+        basis = np.flatnonzero(c.any(axis=0))
+        a0, a1, a2, a3 = c[:, basis]
+        p = a0 * a0 + a1 * a1 + a2 * a2 + a3 * a3
+        q = a0 * a1 + a1 * a2 + a2 * a3 - a3 * a0
+        # Equal (p, q) pairs end up next to each other; `np.unique` over
+        # the pairs as rows took longer than the whole of this.
+        order = np.lexsort((q, p))
+        p, q = p[order], q[order]
+        first = np.ones(len(order), dtype=bool)
+        first[1:] = (p[1:] != p[:-1]) | (q[1:] != q[:-1])
+        classes = np.empty_like(order)
+        classes[order] = np.cumsum(first) - 1
+        starts = np.flatnonzero(first)
+        weights = dict(enumerate(zip(p[starts].tolist(), q[starts].tolist(), repeat(k))))
+        counts = np.diff(starts, append=len(order))
+        return basis.tolist(), classes.tolist(), weights, counts.tolist()
+
+
+def packed_of(end: dict[int, Packed] | Arrays) -> dict[int, Packed]:
+    """The packed dict of a state that `run` returned."""
+    return _to_packed(*end) if isinstance(end, Arrays) else end
 
 
 def suits(width: int, terms: int) -> bool:
@@ -62,10 +118,10 @@ def suits(width: int, terms: int) -> bool:
 
 def run(
     width: int, packed: dict[int, Packed], ops: Iterator[GateApplication]
-) -> dict[int, Packed]:
+) -> dict[int, Packed] | Arrays:
     """Apply the gates that ops yields to the width-wire packed dict, whose
-    keys may come in any order, on arrays, and return the exact result as a
-    packed dict.
+    keys may come in any order, on arrays, and return the exact result: its
+    `Arrays` when every gate ran on them, else a packed dict.
 
     If the state does not fit the arrays, nothing is taken from ops and
     packed itself is returned.  If a gate does not (a coefficient could
@@ -100,7 +156,7 @@ def run(
             c >>= 1
             k -= 2
             bits -= 1
-    return _to_packed(c, k)
+    return Arrays(c, k)
 
 
 def _bits(c: np.ndarray) -> int:

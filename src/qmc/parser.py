@@ -57,7 +57,7 @@ from bisect import bisect_left, bisect_right
 from itertools import accumulate, chain
 from typing import Callable, Iterator, NamedTuple
 
-from . import calculus, translate
+from . import calculus, dense, translate
 from .amplitude import PACKED_ONE
 from .calculus import (
     RULES,
@@ -523,7 +523,8 @@ def conclude(script: ProofScript) -> Sequent:
         if ops is None:
             return seq
         width = seq.state.width
-        return Coherent._of(Superposition._of(width, run_gates(width, seq.state.packed, ops)))
+        end = run_gates(width, seq.state.packed, ops)
+        return Coherent._of(Superposition._of(width, dense.packed_of(end)))
 
     for b in script.bindings:
         rule = b.rule

@@ -339,8 +339,8 @@ def norm_sq(s: Superposition) -> ExactReal:
     """Sum of |amplitude|^2, one pass over the packed amplitudes per call."""
     # |num|^2 = p + q*sqrt2 as in `amplitude._mod_sq`, over 2^k; the running
     # sums p_total, q_total stand over 2^k_max.  This inlines `_mod_sq` and
-    # `_real_add` because every checked sequent (`calculus._require_normalized`)
-    # and every distribution runs it over its whole state: calling them per
+    # `_real_add` because every checked sequent (`calculus.Coherent`) runs it
+    # over its whole state: calling them per
     # term took about 700 us against 300 us for a 1024-term norm (Python
     # 3.11, 2-CPU Intel Xeon).
     p_total = q_total = k_max = 0

@@ -9,10 +9,12 @@ order; proofs that prepare from earlier measurements describe sequential
 composition and are refused rather than guessed at.
 
 `run_gates` is the one kernel loop for a run of gates on a packed dict.
-`final_state` (behind `qmc dist` of a circuit and the selftest sweep) runs
-a circuit through it from |0...0>, and `parser.conclude` (behind `dist` and
-`translate --to circuit` of a script) each chain of gate steps from the
-chain's first state.  It runs the gates on the dict engine's kernels, one
+`final_state` (behind the selftest sweep) runs a circuit through it from
+|0...0>, `final_distribution` (behind `qmc dist` of a circuit and the
+outcomes of `translate --to proof` of a measured one) does the same for the
+Born weights, and `parser.conclude` (behind `dist` and `translate --to
+circuit` of a script) runs each chain of gate steps from the chain's first
+state.  It runs the gates on the dict engine's kernels, one
 packed dict after another: each run of consecutive permutation gates in
 one `gates.apply_run`, and each other gate in `gates.apply_packed` (a
 Hadamard's pairs of terms, or those of any gate of H's shape, each summed
@@ -22,16 +24,24 @@ basis states (2^n / 2^`dense.FILL_SHIFT`) carry an amplitude; from there
 `dense.run` takes the packed dict and the gates on int64 arrays while every
 coefficient stays below 2^`dense.MAX_BITS`.  A gate that would pass that
 bound, or that has an entry of no w^j / sqrt2^e form, goes back to the dict
-engine as a packed dict, and the dict engine finishes the run.  So
-`final_state` builds and sorts one state per circuit, at the end, not one
-per gate, and `conclude` one per chain.  `circuit_to_proof` keeps one sorted
-`Superposition` per node, each built by `gates.apply`, since every node's
-state is printed and hashed in order.  No command but the selftest builds
-that tree: a circuit's proof has a fixed shape, so `parser.script_writer`
-writes the scripts of `qmc translate --to proof` from the circuit, and only
-a measured circuit's outcomes need a state, its `final_state`;
-`parser.sampled_rows` writes the rows of `qmc run` from the states that
-tree holds, one per gate by `gates.apply`, without its nodes.
+engine as a packed dict, and the dict engine finishes the run.  A run that
+ends on the arrays hands them back as `dense.Arrays`: `final_state` and
+`conclude` turn them into a packed dict (`dense.packed_of`), and build and
+sort one state per circuit or chain, at the end, not one per gate.
+`final_distribution` reads the weights off the arrays instead, with no
+packed dict and no state, while every coefficient is below
+2^`dense.BORN_BITS`; past that bound, or after a hand-back to the dict
+engine, or on a register that never went dense, it takes the distribution
+of the packed state, as `distribution(final_state(c))`.
+
+`circuit_to_proof` keeps one sorted `Superposition` per node, each built by
+`gates.apply`, since every node's state is printed and hashed in order.  No
+command but the selftest builds that tree: a circuit's proof has a fixed
+shape, so `parser.script_writer` writes the scripts of `qmc translate --to
+proof` from the circuit, and only a measured circuit's outcomes need its
+`final_distribution`; `parser.sampled_rows` writes the rows of `qmc run`
+from the states that tree holds, one per gate by `gates.apply`, without its
+nodes.
 """
 
 from __future__ import annotations
@@ -44,11 +54,14 @@ from . import dense
 from .calculus import (
     Ax,
     BornRule,
+    Distribution,
     Measure,
     Prep,
     ProofNode,
     Tensor,
     Unitary,
+    _born,
+    distribution,
     sample_outcome,
     walk,
 )
@@ -90,17 +103,18 @@ class Circuit:
 
 def run_gates(
     width: int, packed: dict[int, Packed], ops: Iterable[GateApplication]
-) -> dict[int, Packed]:
+) -> dict[int, Packed] | dense.Arrays:
     """The width-wire packed dict, whose keys may come in any order, after
-    the gates that ops yields, in no set key order; packed itself is not
-    changed.
+    the gates that ops yields: a packed dict in no set key order, or the
+    `dense.Arrays` the run ended on, which `dense.packed_of` turns into one;
+    packed itself is not changed.
 
-    The one kernel loop, behind `final_state` and each chain of a script's
-    gate steps (`parser.conclude`): each run of permutation gates in one
-    `apply_run` and each other gate in `apply_packed`, until the state suits
-    `dense`, then on its arrays, and from any gate that `dense.run` hands
-    back, on the kernels again (see the module docstring).  The result is
-    the same either way."""
+    The one kernel loop, behind `final_state`, `final_distribution` and
+    each chain of a script's gate steps (`parser.conclude`): each run of
+    permutation gates in one `apply_run` and each other gate in
+    `apply_packed`, until the state suits `dense`, then on its arrays, and
+    from any gate that `dense.run` hands back, on the kernels again (see the
+    module docstring).  The result is the same either way."""
     ops = iter(ops)
     run: list[GateApplication] = []  # permutation gates not yet applied
     may_go_dense = True  # a register goes dense at most once
@@ -117,7 +131,10 @@ def run_gates(
         # chain's may, goes dense after its first such gate).
         if may_go_dense and dense.suits(width, len(packed)):
             may_go_dense = False
-            packed = dense.run(width, packed, ops)
+            end = dense.run(width, packed, ops)
+            if isinstance(end, dense.Arrays):
+                return end  # it ran every gate left
+            packed = end
     if run:
         packed = apply_run(run, width, packed)
     return packed
@@ -125,7 +142,23 @@ def run_gates(
 
 def final_state(c: Circuit) -> Superposition:
     """Exact state after running every gate on |0...0>, through `run_gates`."""
-    return Superposition._of(c.width, run_gates(c.width, {0: PACKED_ONE}, c.ops))
+    end = run_gates(c.width, {0: PACKED_ONE}, c.ops)
+    return Superposition._of(c.width, dense.packed_of(end))
+
+
+def final_distribution(c: Circuit) -> Distribution:
+    """`distribution(final_state(c))`, through `run_gates`.
+
+    When the run ends on the dense engine with every coefficient below
+    2^`dense.BORN_BITS`, the weights come off its arrays (`dense.Arrays.born`)
+    with no packed dict and no `Superposition`; otherwise from the packed
+    state.  Either way `calculus` checks them in one place.
+    """
+    end = run_gates(c.width, {0: PACKED_ONE}, c.ops)
+    born = end.born() if isinstance(end, dense.Arrays) else None
+    if born is None:
+        return distribution(Superposition._of(c.width, dense.packed_of(end)))
+    return _born(c.width, *born)
 
 
 def circuit_to_proof(

@@ -11,17 +11,26 @@ and a hand-back, where the gate that `dense.run` refuses goes to
 `gates.apply_packed`.  Across all of it `final_state` builds one
 `Superposition` per circuit.  A script's chain of gate steps runs through
 the same loop (`translate.run_gates`, from `parser.conclude`).
+
+`translate.final_distribution` reads the Born weights of a circuit that
+ends dense off its arrays, below 2^`dense.BORN_BITS`, and must give
+`distribution(final_state(c))` item for item, in order: on the arrays, at
+the 30-bit edge, past it, after a hand-back, and on an unnormalized state,
+where both fail with one message.
 """
 
 from __future__ import annotations
 
+import hashlib
+import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from qmc import dense, oracle, translate
-from qmc.amplitude import AMP_ONE, AMP_ZERO, REAL_ONE, Amplitude, CycloInt
+from qmc.amplitude import AMP_ONE, AMP_ZERO, PACKED_ONE, REAL_ONE, Amplitude, CycloInt
 from qmc.gates import (
     BUILTIN_NAMES,
     Gate,
@@ -31,12 +40,12 @@ from qmc.gates import (
     apply_run,
     builtin,
 )
-from qmc.calculus import Ax, Tensor, Unitary
-from qmc.parser import Binding, ProofScript, conclude
+from qmc.calculus import Ax, Tensor, UnnormalizedState, Unitary, _born, distribution
+from qmc.parser import Binding, ProofScript, conclude, render_circuit
 from qmc.state import BasisState, Superposition, ket, norm_sq
-from qmc.translate import Circuit, final_state
+from qmc.translate import Circuit, final_distribution, final_state
 from conftest import WIDE_STATES, brickwork, random_orbit_state
-from test_engine_pins import custom_gates, pinned_circuits, unit
+from test_engine_pins import DIST_DIGESTS, _stdout_of, custom_gates, pinned_circuits, unit
 
 
 def dict_engine(state: Superposition, ops) -> Superposition:
@@ -47,7 +56,8 @@ def dict_engine(state: Superposition, ops) -> Superposition:
 
 def dense_run(state: Superposition, ops) -> Superposition:
     """`dense.run` on the state's packed dict, as a superposition."""
-    return Superposition._of(state.width, dense.run(state.width, state.packed, ops))
+    end = dense.run(state.width, state.packed, ops)
+    return Superposition._of(state.width, dense.packed_of(end))
 
 
 def random_ops(rng: random.Random, width: int, n_gates: int, names=BUILTIN_NAMES):
@@ -455,3 +465,146 @@ def test_final_state_builds_one_superposition(monkeypatch, circuit):
     assert built == [circuit.width]
     monkeypatch.undo()
     assert actual == dict_engine(ket("0" * circuit.width), circuit.ops)
+
+
+def layered_circuit(layers: int) -> Circuit:
+    """8 wires, each layer H and then T on every wire, then CNOTs on
+    neighbours: from every wire in even layers, from every second wire in
+    odd ones.  It goes dense after the first layer and never comes back; from
+    16 layers on its final coefficients pass 30 bits (32 bits at 16 layers,
+    55 at 28)."""
+    width = dense.MIN_WIDTH
+    h, t, cnot = builtin("H"), builtin("T"), builtin("CNOT")
+    ops = []
+    for layer in range(layers):
+        ops += [GateApplication(h, (w,)) for w in range(width)]
+        ops += [GateApplication(t, (w,)) for w in range(width)]
+        step = 1 if layer % 2 == 0 else 2
+        ops += [GateApplication(cnot, (w, w + 1)) for w in range(0, width - 1, step)]
+    return Circuit(width, tuple(ops))
+
+
+def assert_same_distribution(c: Circuit) -> None:
+    actual = final_distribution(c)
+    expected = distribution(final_state(c))
+    assert actual.width == expected.width
+    assert list(actual.weights.items()) == list(expected.weights.items())
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    width=st.integers(dense.MIN_WIDTH, 11),
+    n_gates=st.integers(0, 40),
+)
+def test_born_weights_off_the_arrays_equal_those_of_the_final_state(seed, width, n_gates):
+    # H on at least all wires but two fills a quarter of the register, so
+    # the circuit goes dense and ends there, with small coefficients.
+    rng = random.Random(seed)
+    filled = rng.sample(range(width), rng.randint(width - dense.FILL_SHIFT, width))
+    ops = [GateApplication(builtin("H"), (w,)) for w in filled]
+    ops += random_ops(rng, width, n_gates, ("H", "T", "S", "CNOT"))
+    c = Circuit(width, tuple(ops))
+    end = translate.run_gates(width, {0: PACKED_ONE}, c.ops)
+    assert isinstance(end, dense.Arrays) and end.born() is not None
+    assert_same_distribution(c)
+
+
+@pytest.mark.parametrize(
+    "circuit",
+    [
+        pytest.param(layered_circuit(16), id="layered16"),
+        pytest.param(layered_circuit(28), id="layered28"),
+        pytest.param(hand_back_circuit(), id="handed-back"),
+    ],
+)
+def test_born_weights_past_30_bits_come_from_the_packed_state(circuit):
+    # The layered circuits end on arrays whose coefficients pass 30 bits,
+    # so their weights take the Python-int path; the hand-back circuit ends
+    # on the dict engine.
+    end = translate.run_gates(circuit.width, {0: PACKED_ONE}, circuit.ops)
+    if isinstance(end, dense.Arrays):
+        assert dense.BORN_BITS < dense._bits(end.c) <= dense.MAX_BITS
+        assert end.born() is None
+    assert_same_distribution(circuit)
+
+
+def edge_arrays(c: int, sign: int) -> dense.Arrays:
+    """An 8-wire normalized state on arrays whose largest coefficients are
+    +-c, in columns with q > 0, q < 0 and q = 0, and whose other columns
+    (one nonzero coefficient each, below 2^30) fill the norm up to 1."""
+    width = dense.MIN_WIDTH
+    a = sign * c
+    # Each column with its partner (a0, -a1, a2, -a3), whose q is the
+    # negative of its own, so the q of the norm is 0.
+    edge = [(a, a, a, a), (a, c, 0, 0), (0, 0, a, 0), (a, 0, -a, 0)]
+    edge += [(a0, -a1, a2, -a3) for a0, a1, a2, a3 in edge]
+    total = sum(a0 * a0 + a1 * a1 + a2 * a2 + a3 * a3 for a0, a1, a2, a3 in edge)
+    k = total.bit_length()
+    rest = (1 << k) - total
+    fill = []
+    while rest:
+        x = min(math.isqrt(rest), (1 << dense.BORN_BITS) - 1)
+        fill.append((x, 0, 0, 0) if len(fill) % 2 else (0, 0, 0, -x))
+        rest -= x * x
+    columns = edge + fill
+    step = (1 << width) // len(columns)
+    assert step
+    arrays = np.zeros((4, 1 << width), dtype=np.int64)
+    # Spread over the register, so that basis states between them stay empty.
+    arrays[:, [step * i for i in range(len(columns))]] = np.array(columns).T
+    return dense.Arrays(arrays, k)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("c", [2**29, 2**30 - 1, 2**30, 2**30 + 1, 2**31 - 1])
+def test_born_weights_at_the_30_bit_edge_equal_those_of_the_packed_state(sign, c):
+    # Below 2^30 the squares and the sums of four products stay inside int64
+    # and the weights come off the arrays; from 2^30 on `born` refuses them
+    # (at 2^31 - 1, a sum of four squares would wrap).
+    arrays = edge_arrays(c, sign)
+    born = arrays.born()
+    assert (born is None) == (c >= 2**30)
+    if born is not None:
+        actual = _born(dense.MIN_WIDTH, *born)
+        expected = distribution(Superposition._of(dense.MIN_WIDTH, dense.packed_of(arrays)))
+        assert list(actual.weights.items()) == list(expected.weights.items())
+
+
+# A custom gate that is not unitary but has entries w^j / sqrt2^e, so the
+# dense engine runs it: the shear [[1, w], [0, 1]].
+SHEAR = Gate("N", 1, ((AMP_ONE, unit(1)), (AMP_ZERO, AMP_ONE)))
+
+
+def test_an_unnormalized_state_on_the_arrays_fails_with_the_packed_path_message(monkeypatch):
+    width = dense.MIN_WIDTH
+    h = builtin("H")
+    ops = [GateApplication(h, (w,)) for w in range(width)]
+    ops += [GateApplication(SHEAR, (0,)), GateApplication(builtin("T"), (3,))]
+    c = Circuit(width, tuple(ops))
+    with pytest.raises(UnnormalizedState) as expected:
+        distribution(final_state(c))
+    with monkeypatch.context() as patch:
+        patch.setattr(dense, "_to_packed", no_conversion)
+        with pytest.raises(UnnormalizedState) as actual:
+            final_distribution(c)
+    assert str(actual.value) == str(expected.value)
+    assert "sqrt2" in str(actual.value)  # its q is not 0
+
+
+def no_conversion(c, k):
+    raise AssertionError("the arrays were turned into a packed dict")
+
+
+def test_dist_of_wide_brickwork_reads_its_weights_off_the_arrays(monkeypatch, tmp_path):
+    # Brickwork n = 9..12 ends on arrays with small coefficients: `qmc dist`
+    # prints its pinned stdout with no packed dict made.
+    monkeypatch.setattr(dense, "_to_packed", no_conversion)
+    expected = DIST_DIGESTS.read_text(encoding="ascii").splitlines()[-4:]
+    actual = []
+    for n in range(9, 13):
+        path = tmp_path / f"brickwork_{n}.qc"
+        path.write_text(render_circuit(brickwork(n)), encoding="ascii")
+        digest = hashlib.sha256(_stdout_of(["dist", str(path)]).encode()).hexdigest()
+        actual.append(f"brickwork/{n} {digest}")
+    assert actual == expected
