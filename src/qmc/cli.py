@@ -292,9 +292,9 @@ def cmd_translate(args: argparse.Namespace) -> int:
         proof = parse_proof(text)
         _require_dir(outdir)
         # The script is checked first, so a failed binding comes before an
-        # untranslatable rule; the circuit is read off its rules alone.
+        # untranslatable rule; the circuit is read off its bindings alone.
         frontend.conclude(proof)
-        circuit = translate.proof_to_circuit(frontend.skeleton(proof))
+        circuit = translate.steps_to_circuit(proof.bindings)
         outputs = [(outdir / f"{stem}.qc", frontend.render_circuit(circuit))]
     for path, content in outputs:
         _write(path, content)

@@ -164,6 +164,8 @@ class GateApplication:
     # `label()`, made once per application rather than once per rendered
     # node or written gate step.
     text: str = field(init=False, repr=False, compare=False)
+    # The highest wire, so that a range check costs one comparison.
+    max_wire: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.wires) != self.gate.arity:
@@ -178,6 +180,7 @@ class GateApplication:
         object.__setattr__(
             self, "text", f"{self.gate.name} [{','.join(map(_wire_text, self.wires))}]"
         )
+        object.__setattr__(self, "max_wire", max(self.wires, default=-1))
 
     def label(self) -> str:
         return self.text

@@ -16,8 +16,9 @@ of a script, needs only the root's conclusion.  It makes the same pass, but
 runs each chain of gate steps as a circuit segment through
 `translate.run_gates`, the kernel loop of `translate.final_state`, with one
 sorted state per chain instead of one per gate; every binding that can
-fail still goes through `apply_rule`.  `skeleton` is the tree's rules and
-premises without deriving anything.
+fail still goes through `apply_rule`.  `translate --to circuit` then reads
+the circuit off the bindings themselves, in script order, through
+`translate.steps_to_circuit`, with no tree.
 
 A circuit's proof has a fixed shape, so two writers work from the circuit
 without a tree: `script_writer`, behind `translate --to proof`, writes its
@@ -532,7 +533,7 @@ def conclude(script: ProofScript) -> Sequent:
             (name,) = b.premises
             seq, app = live[name], rule.app
             width = seq.state.width
-            if type(seq) is Coherent and app.gate.unitary and all(w < width for w in app.wires):
+            if type(seq) is Coherent and app.gate.unitary and app.max_wire < width:
                 del live[name]
                 live[b.name] = seq
                 ops = pending[b.name] = pending.pop(name, [])
@@ -566,17 +567,6 @@ def elaborate_bindings(script: ProofScript) -> list[tuple[str, ProofNode]]:
         node = nodes[b.name] = of(b.rule, tuple(map(pop, b.premises)), conclusion, b.name)
         completed.append((b.name, node))
     return completed
-
-
-def skeleton(script: ProofScript) -> ProofNode:
-    """The script's proof tree with no conclusions: its rules and premises
-    alone, all that `translate.proof_to_circuit` reads.  Nothing is
-    derived, so a caller that needs the script checked derives it first."""
-    nodes: dict[str, ProofNode] = {}
-    pop, of = nodes.pop, ProofNode._of
-    for b in script.bindings:
-        nodes[b.name] = of(b.rule, tuple(map(pop, b.premises)), None, b.name)
-    return nodes.popitem()[1]
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,15 @@
 A circuit compiles to a proof that prepares one axiom leaf per qubit,
 assembles the register with left-associated tensor steps, applies each gate
 in order, and, if the circuit is measured, finishes with a Born annotation
-and one measurement per requested outcome.  The reverse direction reads the
-wire layout off the tensor structure and re-emits the gates in derivation
-order; proofs that prepare from earlier measurements describe sequential
-composition and are refused rather than guessed at.
+and one measurement per requested outcome.  The reverse direction,
+`steps_to_circuit`, reads the circuit off a proof's steps in one pass: a
+script's bindings in script order (behind `translate --to circuit`), or a
+tree's nodes in postorder (`proof_to_circuit`).  Each live step keeps its
+width and its gates as runs by wire offset, so a tensor moves the right
+factor's gates by the left factor's width and the gates come out in the
+tree's postorder whatever the script order; proofs that prepare from
+earlier measurements describe sequential composition and are refused
+rather than guessed at.
 
 `run_gates` is the one kernel loop for a run of gates on a packed dict.
 `final_state` (behind the selftest sweep) runs a circuit through it from
@@ -48,7 +53,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable
+from operator import itemgetter
+from typing import Iterable, Iterator, Sequence
 
 from . import dense
 from .calculus import (
@@ -58,6 +64,7 @@ from .calculus import (
     Measure,
     Prep,
     ProofNode,
+    RuleApp,
     Tensor,
     Unitary,
     _born,
@@ -189,58 +196,111 @@ def circuit_to_proof(
     return [ProofNode.derive(Measure(outcome), (born,)) for outcome in outcomes]
 
 
-def proof_to_circuit(p: ProofNode) -> Circuit:
-    """Recover the circuit a proof describes.
+_STEP = itemgetter(0, 1, 2)
 
-    Axiom leaves are numbered left to right; each tensor subtree occupies a
-    contiguous wire window, and gates applied before tensoring are commuted
-    onto the assembled register by offsetting their wires.
+
+def steps_to_circuit(steps: Iterable[Sequence]) -> Circuit:
+    """Recover the circuit a proof describes from its steps.
+
+    A step's first three items are its key, its rule and its premises' keys,
+    as in a script's `parser.Binding`; each premise comes before the step
+    that consumes it, and the root last.  Each live step holds its width,
+    its gates as (wire offset, applications) runs, and the first rule in
+    the preorder of its subtree that has no circuit form.  Axiom leaves
+    take one wire each, left to right.  A gate joins its premise's last run
+    at offset 0, or starts one; a tensor joins the right factor's runs, each
+    moved by the left factor's width, to the left's.  So the gates come out
+    in the tree's postorder, and a gate applied before tensoring is
+    commuted onto the assembled register by offsetting its wires, once, at
+    the end.
+
+    A root `measure` must conclude from a Born annotation, checked first; a
+    root `born` asks for a measurement whether or not a branch was chosen.
+    Below that, the first rule without a circuit form in preorder refuses
+    the proof.
     """
-    measured = False
-    root = p
-    if isinstance(root.rule, Measure):
-        root = root.premises[0]
-        if not isinstance(root.rule, BornRule):
+    # (width, runs, first refused rule or None) of each step not yet consumed.
+    live: dict = {}
+    pop = live.pop
+    # Each Born annotation's premise's entry, in case the annotation is the
+    # root or the root's premise.
+    borns: dict = {}
+    for key, rule, premises in map(_STEP, steps):
+        kind = type(rule)
+        if kind is Unitary:
+            (premise,) = premises
+            entry = live[key] = pop(premise)
+            if entry[2] is None:
+                runs = entry[1]
+                if runs and not runs[-1][0]:
+                    runs[-1][1].append(rule.app)
+                else:
+                    runs.append((0, [rule.app]))
+        elif kind is Tensor:
+            (w1, runs, bad), (w2, right, bad2) = map(pop, premises)
+            if bad is None:
+                bad = bad2
+                runs += [(w1 + offset, apps) for offset, apps in right]
+            live[key] = (w1 + w2, runs, bad)
+        elif kind is Ax:
+            live[key] = (1, [], None)
+        else:
+            entries = list(map(pop, premises))
+            if kind is BornRule and len(entries) == 1:
+                borns[key] = entries[0]
+            live[key] = (0, [], rule)
+    measured = True
+    if kind is Measure:
+        entry = borns.get(premises[0])
+        if entry is None:
             raise UnsupportedTranslation(
                 "a measurement must conclude from a Born annotation"
             )
-    if isinstance(root.rule, BornRule):
-        # A measurement was asked for, whether or not a branch was chosen.
-        measured = True
-        root = root.premises[0]
-
+    elif kind is BornRule:
+        entry = borns[key]
+    else:
+        measured = False
+        entry = live[key]
+    width, runs, bad = entry
+    if isinstance(bad, Prep):
+        raise UnsupportedTranslation(
+            "proofs that prepare from an earlier measurement describe "
+            "sequential composition and have no single-circuit form"
+        )
+    if bad is not None:  # weakening, or a measurement or Born annotation below the root
+        raise UnsupportedTranslation(f"rule {bad.label()} has no circuit form")
     ops: list[GateApplication] = []
-    # (lowest wire, width) of each subtree left and not yet used by its
-    # parent.  Wires go out left to right, so the top span ends at the next
-    # free wire.
-    spans: list[tuple[int, int]] = []
-    for node, _, entering in walk(root):
-        rule = node.rule
-        if entering:
-            if isinstance(rule, (Ax, Tensor, Unitary)):
-                continue
-            if isinstance(rule, Prep):
-                raise UnsupportedTranslation(
-                    "proofs that prepare from an earlier measurement describe "
-                    "sequential composition and have no single-circuit form"
-                )
-            # Measurement below the root, or weakening.
-            raise UnsupportedTranslation(f"rule {rule.label()} has no circuit form")
-        if isinstance(rule, Ax):
-            spans.append((sum(spans[-1]) if spans else 0, 1))
-        elif isinstance(rule, Tensor):
-            _, w2 = spans.pop()
-            lo, w1 = spans.pop()
-            spans.append((lo, w1 + w2))
+    for offset, apps in runs:
+        if offset:
+            ops += [
+                GateApplication(app.gate, tuple(offset + wire for wire in app.wires))
+                for app in apps
+            ]
         else:
-            lo = spans[-1][0]
-            if lo:
-                shifted = tuple(lo + wire for wire in rule.app.wires)
-                ops.append(GateApplication(rule.app.gate, shifted))
-            else:
-                ops.append(rule.app)
-    ((_, width),) = spans
+            ops += apps
     return Circuit(width, tuple(ops), measured)
+
+
+def proof_to_circuit(p: ProofNode) -> Circuit:
+    """Recover the circuit a proof tree describes: `steps_to_circuit` of its
+    nodes in postorder."""
+    return steps_to_circuit(_postorder(p))
+
+
+def _postorder(root: ProofNode) -> Iterator[tuple[int, RuleApp, list[int]]]:
+    """Each node of the tree as a step keyed by its postorder index.  Its
+    premises' keys come off a stack, not out of a table by node identity,
+    so a hand-built tree that uses one node object twice gives two steps."""
+    stack: list[int] = []  # the key of each step left whose parent is not
+    k = 0
+    for node, _, entering in walk(root):
+        if not entering:
+            at = len(stack) - len(node.premises)
+            premises = stack[at:]
+            del stack[at:]
+            stack.append(k)
+            yield k, node.rule, premises
+            k += 1
 
 
 _RANDOM_GATES = tuple(builtin(name) for name in ("X", "Z", "S", "T", "H", "CNOT"))

@@ -905,8 +905,8 @@ def test_an_unmeasured_circuit_translates_without_its_state(run_cli, tmp_path):
         )
         script = directory / f"h{n}.qmc"
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"{script}\n".encode(), b"")
-        tree = parser.skeleton(parse_proof(script.read_text(encoding="utf-8")))
-        assert translate.proof_to_circuit(tree) == parse_circuit(circuit)
+        bindings = parse_proof(script.read_text(encoding="utf-8")).bindings
+        assert translate.steps_to_circuit(bindings) == parse_circuit(circuit)
     source.unlink()
     code, out, err = run_cli("translate", str(script), "--to", "circuit")
     assert (code, out, err) == (0, f"{source}\n", "")

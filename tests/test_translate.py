@@ -38,6 +38,7 @@ from qmc.translate import (
     final_state,
     proof_to_circuit,
     random_circuit,
+    steps_to_circuit,
 )
 
 from conftest import bell_circuit, brickwork, load_golden
@@ -312,6 +313,139 @@ def test_prep_proofs_are_refused():
     leaf = ProofNode(Prep(BasisState("1")), (), Coherent(ket("1")))
     with pytest.raises(UnsupportedTranslation, match="sequential"):
         proof_to_circuit(leaf)
+
+
+def _unchecked_tree(script) -> ProofNode:
+    """The script's proof tree from its rules and premises alone, nothing
+    derived, so that a script no rule would accept still has a tree."""
+    nodes: dict[str, ProofNode] = {}
+    for b in script.bindings:
+        premises = tuple(map(nodes.pop, b.premises))
+        nodes[b.name] = ProofNode._of(b.rule, premises, None, b.name)
+    return nodes.popitem()[1]
+
+
+# Two rules without a circuit form each, bound in an order that puts the one
+# later in preorder first.
+_TWO_REFUSALS = [
+    pytest.param(
+        "p = prep |1>; b = ax; w = weaken b |0>; t = tensor w p;",
+        "rule weaken has no circuit form",
+        id="weaken-left-of-an-earlier-prep",
+    ),
+    pytest.param(
+        "b = ax; w = weaken b |0>; p = prep |1>; t = tensor p w;",
+        "proofs that prepare from an earlier measurement",
+        id="prep-left-of-an-earlier-weaken",
+    ),
+    pytest.param(
+        "p = prep |1>; a = ax; d = born a; m = measure d outcome=|0>; t = tensor m p;",
+        "rule measure |0> has no circuit form",
+        id="measure-left-of-an-earlier-prep",
+    ),
+    pytest.param(
+        "a = ax; d = born a; m = measure d outcome=|0>; p = prep |1>; "
+        "g = gate H [0] p; t = tensor g m; r = born t;",
+        "proofs that prepare from an earlier measurement",
+        id="prep-left-of-an-earlier-born-under-a-born-root",
+    ),
+]
+
+
+@pytest.mark.parametrize("body, message", _TWO_REFUSALS)
+def test_the_bindings_reader_refuses_as_the_tree_reader_does(body, message):
+    script = parse_proof(f"proof p {{ {body} }}")
+    with pytest.raises(UnsupportedTranslation) as by_tree:
+        proof_to_circuit(_unchecked_tree(script))
+    with pytest.raises(UnsupportedTranslation) as by_steps:
+        steps_to_circuit(script.bindings)
+    assert str(by_steps.value) == str(by_tree.value)
+    assert str(by_steps.value).startswith(message)
+
+
+def test_a_root_measurement_without_a_born_premise_is_refused_before_any_rule():
+    script = parse_proof("proof p { q = prep |0>; w = weaken q |1>; m = measure w outcome=|0>; }")
+    with pytest.raises(UnsupportedTranslation, match="must conclude from a Born"):
+        steps_to_circuit(script.bindings)
+
+
+def test_a_node_object_used_as_both_premises_is_read_as_two_factors():
+    h = ProofNode.derive(Unitary(GateApplication(builtin("H"), (0,))), (ProofNode.derive(Ax()),))
+    root = ProofNode.derive(Tensor(), (h, h))
+    ops = tuple(GateApplication(builtin("H"), (w,)) for w in (0, 1))
+    assert proof_to_circuit(root) == Circuit(2, ops)
+
+
+def test_gate_steps_bound_across_both_factors_come_out_in_postorder():
+    script = parse_proof(
+        """proof p {
+          a = ax; b = ax;
+          ga = gate H [0] a;
+          gb = gate T [0] b;
+          ga2 = gate S [0] ga;
+          c = ax;
+          gb2 = gate X [0] gb;
+          bc = tensor gb2 c;
+          gc = gate CNOT [0,1] bc;
+          t = tensor ga2 gc;
+          g = gate CNOT [2,0] t;
+        }"""
+    )
+    ops = [("H", (0,)), ("S", (0,)), ("T", (1,)), ("X", (1,)), ("CNOT", (1, 2)), ("CNOT", (2, 0))]
+    expected = Circuit(3, tuple(GateApplication(builtin(n), w) for n, w in ops))
+    assert steps_to_circuit(script.bindings) == expected
+    assert proof_to_circuit(elaborate(script)) == expected
+
+
+@st.composite
+def interleaved_scripts(draw) -> str:
+    """A valid script of 2 to 6 `ax` leaves under nested tensors, with up to
+    three gates on each subtree, its bindings in a random order that binds
+    each premise before its consumer, so that the gate steps of the two
+    factors of a tensor interleave."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    exprs: list[str] = []
+    premises: list[tuple[int, ...]] = []
+
+    def bind(expr: str, *of: int) -> int:
+        exprs.append(expr)
+        premises.append(of)
+        return len(exprs) - 1
+
+    def build(leaves: int) -> int:
+        if leaves == 1:
+            node = bind("ax")
+        else:
+            left = rng.randint(1, leaves - 1)
+            node = bind("tensor {} {}", build(left), build(leaves - left))
+        for _ in range(rng.randint(0, 3)):
+            gate = rng.choice(("H", "T", "S", "X", "CNOT")[: 5 if leaves > 1 else 4])
+            wires = ",".join(map(str, rng.sample(range(leaves), 2 if gate == "CNOT" else 1)))
+            node = bind(f"gate {gate} [{wires}] {{}}", node)
+        return node
+
+    root = build(draw(st.integers(2, 6)))
+    if draw(st.booleans()):
+        root = bind("born {}", root)
+    waiting = [len(of) for of in premises]
+    consumer = {q: i for i, of in enumerate(premises) for q in of}
+    ready = [i for i, n in enumerate(waiting) if not n]
+    lines = []
+    while ready:
+        i = ready.pop(rng.randrange(len(ready)))
+        lines.append(f"b{i} = {exprs[i].format(*(f'b{q}' for q in premises[i]))};")
+        if i in consumer:
+            waiting[consumer[i]] -= 1
+            if not waiting[consumer[i]]:
+                ready.append(consumer[i])
+    return "proof p { " + " ".join(lines) + " }"
+
+
+@settings(max_examples=150, deadline=None)
+@given(interleaved_scripts())
+def test_bindings_in_any_order_read_as_the_elaborated_tree(text):
+    script = parse_proof(text)
+    assert steps_to_circuit(script.bindings) == proof_to_circuit(elaborate(script))
 
 
 def test_round_trip_on_random_measured_circuits():
