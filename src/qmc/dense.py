@@ -4,38 +4,41 @@ The dict engine (`gates.apply_packed` and `gates.apply_run` on packed dicts)
 pays one Python dict operation per term per gate.  Once a register of at
 least `MIN_WIDTH` wires has at least 2^n / 2^`FILL_SHIFT` nonzero
 amplitudes, `run_gates` hands its packed dict and the remaining gates to
-`run`, which keeps the same exact values in arrays:
+`run`, which keeps the same exact values in arrays to the end of the run:
 
-- The state is an int64 array of shape (4, 2^n): column b holds the Z[w]
+- The state is an array of shape (4, 2^n): column b holds the Z[w]
   numerator (a0, a1, a2, a3) of basis index b, and every column stands over
   one common sqrt2^K.  The array holds at most 2^`FILL_SHIFT` times as many
   columns as the dict held terms when it switched.
-- A gate's step is read off its `Gate.kernel`.  With E the largest e among
-  its entries w^j / sqrt2^e, each output row is the sum over its entries of
-  the input column's slice, lifted by sqrt2^(E - e) and rotated by w^j, and
-  K grows by E: a Hadamard is a butterfly, T, S and Z rotate the slice
-  where their wire is 1, and X and CNOT move slices.  A gate with an entry
-  of no such form is left to the dict engine.
-- Exactness: every coefficient stays below 2^`MAX_BITS` in absolute value,
-  so no sum or difference of two leaves int64.  A bound on the coefficient
-  bits grows with each gate's worst case (a Hadamard adds one) and is
-  measured again from the array before it would pass the limit.  When a
-  gate has raised K and left every coefficient even, the factor 2 is
-  divided out and K falls by 2.  A gate
-  that would pass the limit hands the state back to the dict engine, which
-  applies it with `gates.apply_packed` and finishes the circuit.
-- A run that ends on the arrays returns them as `Arrays`.  The boundary
-  back to packed tuples (`packed_of`) is vectorized: one masked loop divides
-  every term's numerator by sqrt2 while it can, which brings each to the
-  Giles & Selinger normal form of `amplitude` (arXiv:1212.0506), then one
-  `tolist` builds the packed dict, in ascending order of basis index.  Its
-  terms equal the dict engine's.
+- A gate's step is read off its matrix.  Each entry
+  (a0 + a1 w + a2 w^2 + a3 w^3) / sqrt2^e is one term per nonzero a_i,
+  scaled by |a_i|, so an entry w^j / sqrt2^e is one term.  With E the
+  largest e, each output row is the sum of its terms' input column slices,
+  lifted by sqrt2^(E - e), scaled and rotated by w^j, and K grows by E: a
+  Hadamard is a butterfly, T, S and Z rotate the slice where their wire is
+  1, and X and CNOT move slices.
+- Exactness: the array is int64 while every coefficient stays below
+  2^`MAX_BITS` in absolute value, so no sum or difference of two leaves
+  int64.  A bound on the coefficient bits grows with each gate's worst case
+  (a Hadamard adds one) and is measured again from the array before it
+  would pass the limit.  Before a gate that would pass it, the array
+  becomes one of Python ints (`dtype=object`), exact at any size, once,
+  and the run goes on there; a state that does not fit int64 starts there.
+  When a gate has raised K and left every coefficient even, the factor 2
+  is divided out and K falls by 2.
+- The run returns its arrays as `Arrays`.  The boundary back to packed
+  tuples (`packed_of`) is vectorized: one masked loop divides every term's
+  numerator by sqrt2 while it can, which brings each to the Giles &
+  Selinger normal form of `amplitude` (arXiv:1212.0506), then one `tolist`
+  builds the packed dict, in ascending order of basis index.  Its terms
+  equal the dict engine's.
 - A caller that wants only the Born weights (`translate.final_distribution`)
   skips that boundary when every coefficient is below 2^`BORN_BITS`:
-  `Arrays.born` computes each column's |amplitude|^2 over 2^K in int64,
+  `Arrays.born` computes each column's |amplitude|^2 over 2^K,
   p = a0^2 + a1^2 + a2^2 + a3^2 and q = a0*a1 + a1*a2 + a2*a3 - a3*a0 as in
-  `amplitude._mod_sq`, and groups equal (p, q) pairs with one `lexsort`.
-  `calculus` checks the weights and reduces each distinct one.
+  `amplitude._mod_sq`, in int64 (or Python ints, on an array that has
+  switched), and groups equal (p, q) pairs with one `lexsort`.  `calculus`
+  checks the weights and reduces each distinct one.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ import numpy as np
 
 from . import amplitude
 from .amplitude import Packed
-from .gates import Gate, GateApplication, apply_packed
+from .gates import Gate, GateApplication
 
 # Chosen by timing 20 random H/T/S/CNOT gates on both engines (Python 3.11,
 # numpy 2.4, a 2-CPU Intel Xeon host): from 8 wires on, with a quarter of
@@ -57,8 +60,9 @@ from .gates import Gate, GateApplication, apply_packed
 MIN_WIDTH = 8
 FILL_SHIFT = 2
 # A sum or difference of two coefficients below 2^62 fits int64.  The gates'
-# row sums grow no coefficient past the bound, but `_to_packed`'s division by
-# sqrt2 adds two of them once more, so a bound of 63 could wrap there.
+# row sums grow no int64 coefficient past the bound, but `_to_packed`'s
+# division by sqrt2 adds two of them once more, so a bound of 63 could wrap
+# there.  Past the bound the arrays hold Python ints.
 MAX_BITS = 62
 # Below 2^30, a coefficient's square and a sum of four products of two stay
 # below 2^62, so `Arrays.born` computes every |amplitude|^2 in int64.
@@ -66,8 +70,9 @@ BORN_BITS = 30
 
 
 class Arrays(NamedTuple):
-    """The state of a run that ended on the arrays: column b of c holds the
-    numerator of basis index b, over sqrt2^k."""
+    """The state at the end of `run`: column b of c holds the numerator of
+    basis index b, over sqrt2^k, in int64 or, past 2^MAX_BITS, Python
+    ints."""
 
     c: np.ndarray
     k: int
@@ -106,7 +111,7 @@ class Arrays(NamedTuple):
 
 
 def packed_of(end: dict[int, Packed] | Arrays) -> dict[int, Packed]:
-    """The packed dict of a state that `run` returned."""
+    """The packed dict of a state that `translate.run_gates` returned."""
     return _to_packed(*end) if isinstance(end, Arrays) else end
 
 
@@ -116,36 +121,26 @@ def suits(width: int, terms: int) -> bool:
     return width >= MIN_WIDTH and terms << FILL_SHIFT >= 1 << width
 
 
-def run(
-    width: int, packed: dict[int, Packed], ops: Iterator[GateApplication]
-) -> dict[int, Packed] | Arrays:
+def run(width: int, packed: dict[int, Packed], ops: Iterator[GateApplication]) -> Arrays:
     """Apply the gates that ops yields to the width-wire packed dict, whose
-    keys may come in any order, on arrays, and return the exact result: its
-    `Arrays` when every gate ran on them, else a packed dict.
+    keys may come in any order, on arrays, and return the exact result as
+    `Arrays`.
 
-    If the state does not fit the arrays, nothing is taken from ops and
-    packed itself is returned.  If a gate does not (a coefficient could
-    reach 2^MAX_BITS, or an entry has no w^j / sqrt2^e form), the state goes
-    back to packed form and `gates.apply_packed` applies that gate: a
-    permutation adds no bits and has only unit entries, so it is never the
-    one.  Either way, the gates still in ops are the caller's to apply on
-    the dict engine.
+    The array is int64 while every coefficient stays below 2^MAX_BITS.
+    Before a gate that could pass that bound it becomes an array of Python
+    ints (`dtype=object`), once, and the run goes on there to the end.
     """
-    start = _from_packed(width, packed)
-    if start is None:
-        return packed
-    c, k, bits = start
+    c, k, bits = _from_packed(width, packed)
     steps: dict = {}  # by gate identity: a circuit repeats a few gates
     for op in ops:
         key = id(op.gate)
         if key not in steps:
             steps[key] = _step(op.gate)
-        step = steps[key]
-        if step is not None and bits + step[1] > MAX_BITS:
+        rows, growth, lift = steps[key]
+        if bits + growth > MAX_BITS and c.dtype != object:
             bits = _bits(c)
-        if step is None or bits + step[1] > MAX_BITS:
-            return apply_packed(op, width, _to_packed(c, k))
-        rows, growth, lift = step
+            if bits + growth > MAX_BITS:
+                c = c.astype(object)
         c = _apply(c, op, width, rows)
         k += lift
         bits += growth
@@ -164,26 +159,26 @@ def _bits(c: np.ndarray) -> int:
     return max(int(c.max()), -int(c.min())).bit_length()
 
 
-def _from_packed(
-    width: int, packed: dict[int, Packed]
-) -> tuple[np.ndarray, int, int] | None:
-    """(array, K, bits) for the packed dict over its largest exponent K, or
-    None when a coefficient would not stay below 2^MAX_BITS."""
+def _from_packed(width: int, packed: dict[int, Packed]) -> tuple[np.ndarray, int, int]:
+    """(array, K, bits) for the packed dict over its largest exponent K: on
+    int64 when every coefficient stays below 2^MAX_BITS, else on Python
+    ints."""
+    values = list(packed.values())
     try:
-        terms = np.array(list(packed.values()), dtype=np.int64)
+        terms = np.array(values, dtype=np.int64)
     except OverflowError:
-        return None
-    nums, ks = terms[:, :4].T, terms[:, 4]
+        terms = np.array(values, dtype=object)
+    nums, ks = terms[:, :4].T, terms[:, 4].astype(np.int64)
     k = int(ks.max())
     lift = k - ks
     # num / sqrt2^k' = num * sqrt2^(K - k') / sqrt2^K, and sqrt2^d is
     # 2^(d // 2), times sqrt2 when d is odd: at most (d + 1) // 2 more bits.
     if _bits(nums) + (int(lift.max()) + 1) // 2 > MAX_BITS:
-        return None
+        nums = nums.astype(object)
     odd = (lift & 1).astype(bool)
     nums[:, odd] = _times_sqrt2(nums[:, odd])
     nums <<= lift >> 1
-    c = np.zeros((4, 1 << width), dtype=np.int64)
+    c = np.zeros((4, 1 << width), dtype=nums.dtype)
     c[:, np.fromiter(packed, dtype=np.int64, count=len(packed))] = nums
     return c, k, _bits(c)
 
@@ -193,28 +188,34 @@ def _times_sqrt2(x: np.ndarray) -> np.ndarray:
     return np.stack(amplitude._times_sqrt2(*x))
 
 
-def _step(gate: Gate) -> tuple[list, int, int] | None:
-    """(rows, growth, lift) of the gate, or None when an entry has no
-    w^j / sqrt2^e form.
+def _step(gate: Gate) -> tuple[list, int, int]:
+    """(rows, growth, lift) of the gate.
 
-    rows[row] lists (col, j, d) for the row's entries, each to be lifted by
-    sqrt2^d; growth bounds the bits the step adds; lift is what K grows by.
+    rows[row] lists (col, j, d, scale) terms, each the column's slice lifted
+    by sqrt2^d, times scale and rotated by w^j: an entry
+    (a0 + a1 w + a2 w^2 + a3 w^3) / sqrt2^e gives one term per nonzero a_i,
+    so an entry w^j / sqrt2^e gives one, of scale 1.  growth bounds the
+    bits the step adds; lift is what K grows by.
     """
-    kernel = gate.kernel
-    if any(entry is not None for column in kernel for *_, entry in column):
-        return None
-    lift = max((e for column in kernel for _, _, e, _ in column), default=0)
-    rows: list[list[tuple[int, int, int]]] = [[] for _ in kernel]
-    for col, column in enumerate(kernel):
-        for row, j, e, _ in column:
-            rows[row].append((col, j, lift - e))
-    # A lift by sqrt2^d adds (d + 1) // 2 bits and a sum of m terms
-    # (m - 1).bit_length().
+    terms = [
+        [
+            (col, i if a > 0 else i + 4, x[4], abs(a))
+            for col, x in enumerate(entry.packed for entry in row)
+            for i, a in enumerate(x[:4])
+            if a
+        ]
+        for row in gate.matrix
+    ]
+    lift = max((e for row in terms for _, _, e, _ in row), default=0)
+    rows = [[(col, j, lift - e, scale) for col, j, e, scale in row] for row in terms]
+    # A slice lifted by sqrt2^d grows by a factor below 2^((d + 1) // 2), so
+    # a row's sum grows by a factor below s = sum(scale 2^((d + 1) // 2)),
+    # which (s - 1).bit_length() bits hold.
     growth = max(
         (
-            max((d + 1) // 2 for *_, d in terms) + (len(terms) - 1).bit_length()
-            for terms in rows
-            if terms
+            (sum(scale << (d + 1) // 2 for _, _, d, scale in row) - 1).bit_length()
+            for row in rows
+            if row
         ),
         default=0,
     )
@@ -224,8 +225,8 @@ def _step(gate: Gate) -> tuple[list, int, int] | None:
 def _apply(
     c: np.ndarray, op: GateApplication, width: int, rows: list
 ) -> np.ndarray:
-    """The array after the gate: each row's slice is the sum of its entries'
-    column slices, lifted and rotated."""
+    """The array after the gate: each row's slice is the sum of its terms'
+    column slices, lifted, scaled and rotated."""
     # One axis per wire, wire 0 first (the most significant bit of a basis
     # index); a row or column of the gate fixes its wires' axes.  A state
     # that went dense had 2^(n - FILL_SHIFT) terms, so n stays far below
@@ -241,12 +242,14 @@ def _apply(
     out = np.empty_like(view)
     for row, terms in enumerate(rows):
         acc = None
-        for col, j, d in terms:
+        for col, j, d, scale in terms:
             x = view[index[col]]
             if d & 1:
                 x = _times_sqrt2(x)
             if d > 1:
                 x = x << (d >> 1)
+            if scale > 1:
+                x = x * scale
             if j & 3:
                 # w^j moves each coefficient j powers up; w^4 = -1 negates
                 # what wraps around.

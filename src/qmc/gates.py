@@ -39,9 +39,13 @@ Over more than `state.MEMO_TERMS` terms that repeat amplitudes, the paired
 loop sums each distinct column pair once, and the products behind
 `apply_packed` and `apply`, and `apply`'s permutation loop, rotate or
 multiply each distinct amplitude once per kernel entry, through a memo that
-lives for the call (see `state`).  `apply_run` keeps none: the runs that
-reach the dict engine meet few terms, since a register that fills up goes
-to `dense` and comes back only past its int64 bound.
+lives for the call (see `state`).  A register that fills a quarter of its
+basis goes to `dense` for good, so `apply_packed` and `apply_run` meet more
+than `MEMO_TERMS` terms only on a register of ten wires or more that is
+less full, or at the head of a script's chain; no benchmark workload makes
+such a call.  The paired loop keeps its memo for those states: on 12-14
+wires with 256-1024 terms a Hadamard took 0.5-0.9x its time without it.
+`apply_run` keeps none.
 """
 
 from __future__ import annotations

@@ -32,9 +32,10 @@ values, and drop it once it holds more than `MEMO_ENTRIES` entries.  Packed
 tuples are canonical and the memoized functions pure, so the memo is exact
 whatever that order, and nothing is cached across calls.
 `norm_sq` keeps none: its |amplitude|^2 costs little more than the lookup
-would.  Nor does `gates.apply_run`: a full register leaves the dict engine
-for `dense`, so its runs meet more than `MEMO_TERMS` terms only after an
-int64 hand-back.
+would.  Nor does `gates.apply_run`: a register that fills a quarter of its
+basis leaves the dict engine for `dense` for good, so its runs meet more
+than `MEMO_TERMS` terms only on ten wires or more below that fill, or at
+the head of a script's chain.
 
 `render` and `latex` write each distinct amplitude once per rendering
 pass (see `_join`), through `_coeff_text` and `amplitude._latex`, which share

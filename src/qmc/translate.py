@@ -24,20 +24,19 @@ packed dict after another: each run of consecutive permutation gates in
 one `gates.apply_run`, and each other gate in `gates.apply_packed` (a
 Hadamard's pairs of terms, or those of any gate of H's shape, each summed
 in one step there, in its paired loop, and every other gate's products
-merged by `state.merge`), until the register has at least `dense.MIN_WIDTH` wires and a quarter of its
-basis states (2^n / 2^`dense.FILL_SHIFT`) carry an amplitude; from there
-`dense.run` takes the packed dict and the gates on int64 arrays while every
-coefficient stays below 2^`dense.MAX_BITS`.  A gate that would pass that
-bound, or that has an entry of no w^j / sqrt2^e form, goes back to the dict
-engine as a packed dict, and the dict engine finishes the run.  A run that
-ends on the arrays hands them back as `dense.Arrays`: `final_state` and
-`conclude` turn them into a packed dict (`dense.packed_of`), and build and
-sort one state per circuit or chain, at the end, not one per gate.
+merged by `state.merge`), until the register has at least
+`dense.MIN_WIDTH` wires and a quarter of its basis states (2^n /
+2^`dense.FILL_SHIFT`) carry an amplitude; from there `dense.run` takes the
+packed dict and every gate left, on int64 arrays while every coefficient
+stays below 2^`dense.MAX_BITS` and on arrays of Python ints after, and
+hands them back as `dense.Arrays`.  `final_state` and `conclude` turn them
+into a packed dict (`dense.packed_of`), and build and sort one state per
+circuit or chain, at the end, not one per gate.
 `final_distribution` reads the weights off the arrays instead, with no
 packed dict and no state, while every coefficient is below
-2^`dense.BORN_BITS`; past that bound, or after a hand-back to the dict
-engine, or on a register that never went dense, it takes the distribution
-of the packed state, as `distribution(final_state(c))`.
+2^`dense.BORN_BITS`; past that bound, or on a register that never went
+dense, it takes the distribution of the packed state, as
+`distribution(final_state(c))`.
 
 `circuit_to_proof` keeps one sorted `Superposition` per node, each built by
 `gates.apply`, since every node's state is printed and hashed in order.  No
@@ -119,12 +118,11 @@ def run_gates(
     The one kernel loop, behind `final_state`, `final_distribution` and
     each chain of a script's gate steps (`parser.conclude`): each run of
     permutation gates in one `apply_run` and each other gate in
-    `apply_packed`, until the state suits `dense`, then on its arrays, and
-    from any gate that `dense.run` hands back, on the kernels again (see the
-    module docstring).  The result is the same either way."""
+    `apply_packed`, until the state suits `dense`, then every gate left on
+    its arrays (see the module docstring).  The result is the same either
+    way."""
     ops = iter(ops)
     run: list[GateApplication] = []  # permutation gates not yet applied
-    may_go_dense = True  # a register goes dense at most once
     for op in ops:
         if op.gate.permutation:
             run.append(op)
@@ -136,12 +134,8 @@ def run_gates(
         # A permutation keeps the support's size, so the test is made after
         # each other gate (a state that suits `dense` from the start, as a
         # chain's may, goes dense after its first such gate).
-        if may_go_dense and dense.suits(width, len(packed)):
-            may_go_dense = False
-            end = dense.run(width, packed, ops)
-            if isinstance(end, dense.Arrays):
-                return end  # it ran every gate left
-            packed = end
+        if dense.suits(width, len(packed)):
+            return dense.run(width, packed, ops)
     if run:
         packed = apply_run(run, width, packed)
     return packed
@@ -157,9 +151,10 @@ def final_distribution(c: Circuit) -> Distribution:
     """`distribution(final_state(c))`, through `run_gates`.
 
     When the run ends on the dense engine with every coefficient below
-    2^`dense.BORN_BITS`, the weights come off its arrays (`dense.Arrays.born`)
-    with no packed dict and no `Superposition`; otherwise from the packed
-    state.  Either way `calculus` checks them in one place.
+    2^`dense.BORN_BITS`, int64 or Python ints, the weights come off its
+    arrays (`dense.Arrays.born`) with no packed dict and no `Superposition`;
+    otherwise from the packed state.  Either way `calculus` checks them in
+    one place.
     """
     end = run_gates(c.width, {0: PACKED_ONE}, c.ops)
     born = end.born() if isinstance(end, dense.Arrays) else None

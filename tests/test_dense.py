@@ -2,21 +2,25 @@
 against the dict engine.
 
 `dense.run` must give the packed dict that `gates.apply` gives, term for
-term, and agree with the float oracle.  The dict engine here is the plain
-loop of `gates.apply` over the gates.  So must `gates.apply_run`, which
-`final_state` sends each run of one or more permutation gates through: on
-long runs, on phaseful permutations outside the built-in set, on states
-above `state.MEMO_TERMS`, and on runs before and after a dense hand-over
-and a hand-back, where the gate that `dense.run` refuses goes to
-`gates.apply_packed`.  Across all of it `final_state` builds one
+term, and agree with the float oracle.  The dict engine here is the proof
+path: the plain loop of `gates.apply` over the gates, one at a time.  So
+must `gates.apply_run`, which `final_state` sends each run of one or more
+permutation gates through: on long runs, on phaseful permutations outside
+the built-in set, on states above `state.MEMO_TERMS`, and on runs before a
+dense hand-over.  A register that goes dense stays dense: `dense.run`
+returns `Arrays` whose dtype changes at most once, from int64 to Python
+ints where a gate could pass 2^`dense.MAX_BITS`, and no gate after the
+hand-over reaches `apply_run` or `apply_packed`, gates with entries of no
+w^j / sqrt2^e form included.  Across all of it `final_state` builds one
 `Superposition` per circuit.  A script's chain of gate steps runs through
 the same loop (`translate.run_gates`, from `parser.conclude`).
 
 `translate.final_distribution` reads the Born weights of a circuit that
 ends dense off its arrays, below 2^`dense.BORN_BITS`, and must give
 `distribution(final_state(c))` item for item, in order: on the arrays, at
-the 30-bit edge, past it, after a hand-back, and on an unnormalized state,
-where both fail with one message.
+the 30-bit edge, past it, past the int64 bound, on Python ints whose
+coefficients fall back below 30 bits, and on an unnormalized state, where
+both fail with one message.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+from itertools import groupby
 
 import numpy as np
 import pytest
@@ -31,15 +36,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from qmc import dense, oracle, translate
 from qmc.amplitude import AMP_ONE, AMP_ZERO, PACKED_ONE, REAL_ONE, Amplitude, CycloInt
-from qmc.gates import (
-    BUILTIN_NAMES,
-    Gate,
-    GateApplication,
-    apply,
-    apply_packed,
-    apply_run,
-    builtin,
-)
+from qmc.gates import BUILTIN_NAMES, Gate, GateApplication, apply, apply_run, builtin
 from qmc.calculus import Ax, Tensor, UnnormalizedState, Unitary, _born, distribution
 from qmc.parser import Binding, ProofScript, conclude, render_circuit
 from qmc.state import BasisState, Superposition, ket, norm_sq
@@ -68,8 +65,27 @@ def random_ops(rng: random.Random, width: int, n_gates: int, names=BUILTIN_NAMES
     return ops
 
 
-def no_fallback(op, width, packed):
-    raise AssertionError(f"the dense engine handed {op.label()} back")
+def recorded_dtypes(patch: pytest.MonkeyPatch) -> list:
+    """The dtype of the array each gate on the dense engine takes, in the
+    order they run, filled in as the patched `dense._apply` is called."""
+    dtypes = []
+    apply_gate = dense._apply
+
+    def recorded(c, op, width, rows):
+        dtypes.append(c.dtype)
+        return apply_gate(c, op, width, rows)
+
+    patch.setattr(dense, "_apply", recorded)
+    return dtypes
+
+
+def stretches(items: list) -> list:
+    """The items in order, each stretch of equal ones once."""
+    return [item for item, _ in groupby(items)]
+
+
+# The arrays' dtype on either side of the int64 bound.
+INT64, PYTHON_INTS = np.dtype(np.int64), np.dtype(object)
 
 
 # Widths from the dense minimum up to 12: from 14 qubits on, the oracle's
@@ -88,9 +104,13 @@ def test_dense_from_the_first_gate_equals_the_dict_engine(seed, width, n_gates):
     ops = [GateApplication(builtin("H"), (w,)) for w in filled]
     ops += random_ops(rng, width, n_gates)
     expected = dict_engine(ket("0" * width), ops)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(dense, "apply_packed", no_fallback)
-        actual = dense_run(ket("0" * width), iter(ops))
+    rest = iter(ops)
+    end = dense.run(width, ket("0" * width).packed, rest)
+    # At most 24 gates after the Hadamards keep every coefficient far below
+    # the int64 bound: every gate ran on the int64 array, and none is left.
+    assert isinstance(end, dense.Arrays) and end.c.dtype == INT64
+    assert next(rest, None) is None
+    actual = Superposition._of(width, dense.packed_of(end))
     assert list(actual.packed.items()) == list(expected.packed.items())
     floats = oracle.run_circuit(Circuit(width, tuple(ops)))
     assert oracle.compare(actual, floats, 1e-9)[0]
@@ -109,10 +129,11 @@ def test_dense_from_the_first_gate_equals_the_dict_engine(seed, width, n_gates):
 def test_any_state_and_gates_outside_the_built_in_set_equal_the_dict_engine(
     seed, width, gates, data
 ):
-    # Custom gates bring entries with no w^j / sqrt2^e form (handed back to
-    # the dict engine), mixed exponents e (lifted by sqrt2^d), zero rows and
-    # growth past one bit per gate.  The start state is any one with small
-    # numerators over mixed exponents, so it is lifted to the largest.
+    # Custom gates bring entries with no w^j / sqrt2^e form (run as up to
+    # four integer-scaled terms), mixed exponents e (lifted by sqrt2^d), zero
+    # rows and growth past one bit per gate.  The start state is any one
+    # with small numerators over mixed exponents, so it is lifted to the
+    # largest.
     rng = random.Random(seed)
     state = Superposition(
         width,
@@ -135,10 +156,11 @@ def test_any_state_and_gates_outside_the_built_in_set_equal_the_dict_engine(
     assert list(actual.packed.items()) == list(dict_engine(state, ops).packed.items())
 
 
-def test_past_the_int64_bound_the_dict_engine_finishes():
+def test_past_the_int64_bound_the_arrays_go_on_as_python_ints():
     # H on every wire, then an H/T/S/CNOT chain on wires 0 and 1 whose
-    # coefficients grow past 62 bits: the dense engine takes the chain, hands
-    # the state back when a gate could overflow, and the dict engine ends it.
+    # coefficients grow past 62 bits: the dense engine takes the chain, turns
+    # its int64 array into one of Python ints once, before the first gate
+    # that could overflow, and ends the run there.
     width = dense.MIN_WIDTH
     h, t, s, cnot = (builtin(name) for name in ("H", "T", "S", "CNOT"))
     block = [
@@ -150,16 +172,12 @@ def test_past_the_int64_bound_the_dict_engine_finishes():
         GateApplication(t, (1,)),
     ]
     ops = [GateApplication(h, (w,)) for w in range(width)] + block * 200
-    handed_back = []
-
-    def fallback(op, width, packed):
-        handed_back.append(op)
-        return apply_packed(op, width, packed)
-
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(dense, "apply_packed", fallback)
-        actual = final_state(Circuit(width, tuple(ops)))
-    assert len(handed_back) == 1
+        dtypes = recorded_dtypes(patch)
+        end = translate.run_gates(width, {0: PACKED_ONE}, ops)
+    assert isinstance(end, dense.Arrays) and end.c.dtype == PYTHON_INTS
+    assert stretches(dtypes) == [INT64, PYTHON_INTS]
+    actual = Superposition._of(width, dense.packed_of(end))
     expected = dict_engine(ket("0" * width), ops)
     assert list(actual.packed.items()) == list(expected.packed.items())
     largest = max(max(abs(a) for a in amp[:4]) for amp in actual.packed.values())
@@ -169,9 +187,10 @@ def test_past_the_int64_bound_the_dict_engine_finishes():
 # Coefficients from 2^61 to 2^63, of either sign.  Every term holds
 # (c, 0, c, 0) = c(1 + i), so H on wire 0 sums two equal terms to
 # 2c(1 + i) / sqrt2 = 2c w, a normal form that `_to_packed` reaches as
-# (2c + 2c) w / 2: past int64 once |c| >= 2^61.  A bound of 62 bits refuses
-# that H for |c| >= 2^61 (62 bits plus the Hadamard's one), so the dict
-# engine applies it exactly; 63 would let it through, and the sum would wrap.
+# (2c + 2c) w / 2: past int64 once |c| >= 2^61.  A bound of 62 bits keeps
+# that H off the int64 array for |c| >= 2^61 (62 bits plus the Hadamard's
+# one), so it runs on Python ints exactly; 63 would let it through on int64,
+# and the sum would wrap.
 @pytest.mark.parametrize("sign", [1, -1])
 @pytest.mark.parametrize(
     "c", [2**61 - 1, 2**61, 2**61 + 1, 2**62 - 1, 2**62, 2**62 + 1, 2**63 - 1]
@@ -196,7 +215,7 @@ def test_coefficients_at_the_int64_edge_equal_the_dict_engine(sign, c, names):
         [(1 << 61, 0, 0, 0, 0), (1, 0, 0, 0, 4)],
     ],
 )
-def test_a_state_past_the_bound_stays_packed(amps):
+def test_a_state_past_the_bound_starts_on_python_ints(amps):
     width = dense.MIN_WIDTH
     state = Superposition(
         width,
@@ -205,9 +224,13 @@ def test_a_state_past_the_bound_stays_packed(amps):
             for b, amp in zip(range(1 << width), amps * (1 << width))
         },
     )
-    ops = iter([GateApplication(builtin("H"), (0,))])
-    assert dense.run(width, state.packed, ops) is state.packed
-    assert next(ops, None) is not None  # the gate is left to the dict engine
+    ops = [GateApplication(builtin("H"), (0,))]
+    rest = iter(ops)
+    end = dense.run(width, state.packed, rest)
+    assert isinstance(end, dense.Arrays) and end.c.dtype == PYTHON_INTS
+    assert next(rest, None) is None  # the gate ran on the arrays
+    actual = Superposition._of(width, dense.packed_of(end))
+    assert list(actual.packed.items()) == list(dict_engine(state, ops).packed.items())
 
 
 def test_narrow_or_sparse_circuits_never_go_dense(monkeypatch):
@@ -297,8 +320,9 @@ def permutation(name: str, rows: list[int], powers: list[int]) -> Gate:
 # CNOT whose flipped block carries w^3.
 Y = permutation("Y", [1, 0], [2, 6])
 CNOT_W3 = permutation("CW", [0, 1, 3, 2], [0, 0, 3, 0])
-# An entry of no w^j / sqrt2^e form: `dense.run` hands the state back here.
-HAND_BACK = Gate("D", 1, ((AMP_ONE, AMP_ZERO), (AMP_ZERO, Amplitude(CycloInt(2)))))
+# An entry of no w^j / sqrt2^e form, 2: `dense.run` scales the slice where
+# the wire is 1 by 2.
+DOUBLING = Gate("D", 1, ((AMP_ONE, AMP_ZERO), (AMP_ZERO, Amplitude(CycloInt(2)))))
 
 
 @st.composite
@@ -324,9 +348,9 @@ def permutation_ops(rng: random.Random, width: int, gates: list[Gate], n_gates: 
 )
 def test_final_state_over_permutation_runs_equals_the_dict_engine(seed, width, custom):
     # H on every wire or a random set of them, then runs of 0 to 60
-    # permutation gates, each closed by H or by a gate that `dense.run` hands
-    # back.  From 8 wires a filled register goes dense and comes back, so the
-    # runs after it meet 256-512 terms that repeat a few amplitudes.
+    # permutation gates, each closed by H or by `DOUBLING`, whose entry 2 has
+    # no w^j / sqrt2^e form.  From 8 wires a filled register goes dense and
+    # stays dense, so the runs after it run on its arrays.
     rng = random.Random(seed)
     gates = [builtin(name) for name in ("X", "Z", "S", "T", "CNOT", "I")]
     gates += [Y, CNOT_W3, *custom]
@@ -335,7 +359,7 @@ def test_final_state_over_permutation_runs_equals_the_dict_engine(seed, width, c
     ops = [GateApplication(h, (w,)) for w in rng.sample(range(width), filled)]
     for _ in range(rng.randint(1, 4)):
         ops += permutation_ops(rng, width, gates, rng.choice((0, 1, 2, rng.randint(3, 60))))
-        ops.append(GateApplication(rng.choice((h, h, HAND_BACK)), (rng.randrange(width),)))
+        ops.append(GateApplication(rng.choice((h, h, DOUBLING)), (rng.randrange(width),)))
     ops += permutation_ops(rng, width, gates, rng.randint(0, 60))
     actual = final_state(Circuit(width, tuple(ops)))
     expected = dict_engine(ket("0" * width), ops)
@@ -366,11 +390,11 @@ def test_a_run_equals_its_gates_one_at_a_time(state, custom, seed, n_gates):
     assert list(actual.packed.items()) == list(dict_engine(state, run).packed.items())
 
 
-def hand_back_circuit() -> Circuit:
+def past_int64_circuit() -> Circuit:
     """H on every wire goes dense; then a chain on wires 0 and 1 whose runs
     of permutations lie between Hadamards grows its coefficients past 62
-    bits, so the dict engine takes the state back and runs the rest, runs
-    and all, on 256 terms."""
+    bits, so the arrays go on as Python ints and run the rest, runs and
+    all, on 256 columns."""
     width = dense.MIN_WIDTH
     h, t, s, cnot = (builtin(name) for name in ("H", "T", "S", "CNOT"))
     block = [
@@ -387,37 +411,51 @@ def hand_back_circuit() -> Circuit:
     return Circuit(width, tuple(ops))
 
 
-def test_runs_around_a_hand_over_and_an_int64_hand_back(monkeypatch):
-    circuit = hand_back_circuit()
+def test_no_gate_after_the_hand_over_leaves_the_arrays(monkeypatch):
+    # A run of permutations on |0...0>, then the circuit past the int64
+    # bound: the run goes through `apply_run`, the Hadamards through
+    # `apply_packed` until a quarter of the register is filled, and every
+    # gate after that, runs of permutations too, on the arrays.
+    circuit = past_int64_circuit()
     width = circuit.width
+    ops = [GateApplication(Y, (2,)), GateApplication(CNOT_W3, (1, 3)), *circuit.ops]
     events = []
-    run, give_back = translate.apply_run, dense.apply_packed
+    run, apply_packed, apply_gate = translate.apply_run, translate.apply_packed, dense._apply
 
     def ran(gates, width, packed):
         events.append(("run", len(gates), len(packed)))
         return run(gates, width, packed)
 
-    def handed_back(op, width, packed):
-        events.append(("back", op.label(), len(packed)))
-        return give_back(op, width, packed)
+    def packed_gate(op, width, packed):
+        events.append(("packed", op.label()))
+        return apply_packed(op, width, packed)
+
+    def dense_gate(c, op, width, rows):
+        events.append(("dense", c.dtype))
+        return apply_gate(c, op, width, rows)
 
     monkeypatch.setattr(translate, "apply_run", ran)
-    monkeypatch.setattr(dense, "apply_packed", handed_back)
-    actual = final_state(circuit)
-    expected = dict_engine(ket("0" * width), circuit.ops)
+    monkeypatch.setattr(translate, "apply_packed", packed_gate)
+    monkeypatch.setattr(dense, "_apply", dense_gate)
+    actual = final_state(Circuit(width, tuple(ops)))
+    expected = dict_engine(ket("0" * width), ops)
     assert list(actual.packed.items()) == list(expected.packed.items())
-    # The dense engine took every run before the hand-back, and each run
-    # after it went through `apply_run` whole, on the full register.
-    assert events[0][0] == "back"
-    assert events[1:] and set(events[1:]) == {("run", 3, 1 << width)}
+    filled = width - dense.FILL_SHIFT
+    assert events[: 1 + filled] == [("run", 2, 1)] + [
+        ("packed", f"H [{w}]") for w in range(filled)
+    ]
+    # One `_apply` per gate left, and the dtype changes once.
+    on_arrays = events[1 + filled :]
+    assert len(on_arrays) == len(ops) - 2 - filled
+    assert stretches(on_arrays) == [("dense", INT64), ("dense", PYTHON_INTS)]
 
 
-def test_a_script_of_the_hand_back_circuit_concludes_to_its_final_state(monkeypatch):
+def test_a_script_of_the_past_int64_circuit_concludes_to_its_final_state(monkeypatch):
     # The circuit's proof as a script, its bindings built rather than parsed
     # since two of its gates are not built in: `parser.conclude` runs its one
-    # gate chain through the same kernel loop, dense hand-over and int64
-    # hand-back included.
-    circuit = hand_back_circuit()
+    # gate chain through the same kernel loop, dense hand-over and the switch
+    # to Python ints included.
+    circuit = past_int64_circuit()
     bindings = [Binding("q0", Ax(), (), 1, 1)]
     last = "q0"
     for w in range(1, circuit.width):
@@ -427,16 +465,10 @@ def test_a_script_of_the_hand_back_circuit_concludes_to_its_final_state(monkeypa
     for k, op in enumerate(circuit.ops):
         bindings.append(Binding(f"g{k}", Unitary(op), (last,), 1, 1))
         last = f"g{k}"
-    handed_back = []
-    give_back = dense.apply_packed
-
-    def counted(op, width, packed):
-        handed_back.append(op)
-        return give_back(op, width, packed)
-
-    monkeypatch.setattr(dense, "apply_packed", counted)
-    root = conclude(ProofScript("hand_back", tuple(bindings)))
-    assert len(handed_back) == 1
+    dtypes = recorded_dtypes(monkeypatch)
+    root = conclude(ProofScript("past_int64", tuple(bindings)))
+    assert len(dtypes) == len(circuit.ops) - (circuit.width - dense.FILL_SHIFT)
+    assert stretches(dtypes) == [INT64, PYTHON_INTS]
     monkeypatch.undo()
     expected = final_state(circuit)
     assert list(root.state.packed.items()) == list(expected.packed.items())
@@ -446,13 +478,14 @@ def test_a_script_of_the_hand_back_circuit_concludes_to_its_final_state(monkeypa
     "circuit",
     [
         pytest.param(brickwork(dense.MIN_WIDTH), id="dense"),
-        pytest.param(hand_back_circuit(), id="handed-back"),
+        pytest.param(past_int64_circuit(), id="python-ints"),
         pytest.param(Circuit(3, tuple(random_ops(random.Random(5), 3, 60))), id="dict"),
     ],
 )
 def test_final_state_builds_one_superposition(monkeypatch, circuit):
-    # The packed dict goes from |0...0> through both engines and the
-    # hand-over each way; only the answer is sorted into a `Superposition`.
+    # The packed dict goes from |0...0> through the dict engine and the
+    # hand-over to the arrays, int64 or Python ints; only the answer is
+    # sorted into a `Superposition`.
     built = []
     of = Superposition._of.__func__
 
@@ -470,9 +503,8 @@ def test_final_state_builds_one_superposition(monkeypatch, circuit):
 def layered_circuit(layers: int) -> Circuit:
     """8 wires, each layer H and then T on every wire, then CNOTs on
     neighbours: from every wire in even layers, from every second wire in
-    odd ones.  It goes dense after the first layer and never comes back; from
-    16 layers on its final coefficients pass 30 bits (32 bits at 16 layers,
-    55 at 28)."""
+    odd ones.  It goes dense after the first layer; from 16 layers on its
+    final coefficients pass 30 bits (32 bits at 16 layers, 55 at 28)."""
     width = dense.MIN_WIDTH
     h, t, cnot = builtin("H"), builtin("T"), builtin("CNOT")
     ops = []
@@ -511,22 +543,86 @@ def test_born_weights_off_the_arrays_equal_those_of_the_final_state(seed, width,
 
 
 @pytest.mark.parametrize(
-    "circuit",
+    "circuit, dtype",
     [
-        pytest.param(layered_circuit(16), id="layered16"),
-        pytest.param(layered_circuit(28), id="layered28"),
-        pytest.param(hand_back_circuit(), id="handed-back"),
+        pytest.param(layered_circuit(16), INT64, id="layered16"),
+        pytest.param(layered_circuit(28), INT64, id="layered28"),
+        pytest.param(past_int64_circuit(), PYTHON_INTS, id="python-ints"),
     ],
 )
-def test_born_weights_past_30_bits_come_from_the_packed_state(circuit):
-    # The layered circuits end on arrays whose coefficients pass 30 bits,
-    # so their weights take the Python-int path; the hand-back circuit ends
-    # on the dict engine.
+def test_born_weights_past_30_bits_come_from_the_packed_state(circuit, dtype):
+    # Each circuit ends on arrays whose coefficients pass 30 bits, so their
+    # weights take the packed path: the layered ones on int64, below the
+    # int64 bound, and the past-int64 circuit on Python ints, beyond it.
     end = translate.run_gates(circuit.width, {0: PACKED_ONE}, circuit.ops)
-    if isinstance(end, dense.Arrays):
-        assert dense.BORN_BITS < dense._bits(end.c) <= dense.MAX_BITS
-        assert end.born() is None
+    assert isinstance(end, dense.Arrays) and end.c.dtype == dtype
+    bits = dense._bits(end.c)
+    assert dense.BORN_BITS < bits and (bits <= dense.MAX_BITS) == (dtype == INT64)
+    assert end.born() is None
     assert_same_distribution(circuit)
+
+
+# A gate whose entries 1 + i have no w^j / sqrt2^e form: `dense.run` takes
+# each as two terms, the slice and the slice rotated by w^2.  It multiplies
+# the norm by sqrt2.
+ONE_PLUS_I = Gate(
+    "Q",
+    1,
+    ((Amplitude(CycloInt(1, 0, 1)), AMP_ZERO), (AMP_ZERO, Amplitude(CycloInt(1, 0, 1)))),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), width=st.integers(dense.MIN_WIDTH, dense.MIN_WIDTH + 1))
+def test_past_the_int64_bound_run_gates_equals_the_proof_path(seed, width):
+    # H on every wire, then built-in gates, `Y`, `CNOT_W3`, `DOUBLING` and
+    # 140 `ONE_PLUS_I` in a random order on random wires.  No gate lowers
+    # the norm and those 140 raise its square to at least 2^140, so some
+    # amplitude reaches 2^65.5 over at most 2^9 terms, and some numerator
+    # 2^63.5: the arrays pass the int64 bound after the register goes dense.
+    rng = random.Random(seed)
+    h = builtin("H")
+    gates = [builtin(name) for name in BUILTIN_NAMES] + [Y, CNOT_W3, DOUBLING]
+    body = [rng.choice(gates) for _ in range(rng.randint(20, 60))] + [ONE_PLUS_I] * 140
+    rng.shuffle(body)
+    ops = [GateApplication(h, (w,)) for w in range(width)]
+    ops += [GateApplication(g, tuple(rng.sample(range(width), g.arity))) for g in body]
+    with pytest.MonkeyPatch.context() as patch:
+        dtypes = recorded_dtypes(patch)
+        end = translate.run_gates(width, {0: PACKED_ONE}, ops)
+    assert isinstance(end, dense.Arrays)
+    assert stretches(dtypes) == [INT64, PYTHON_INTS]
+    actual = Superposition._of(width, dense.packed_of(end))
+    expected = dict_engine(ket("0" * width), ops)
+    assert list(actual.packed.items()) == list(expected.packed.items())
+
+
+# The inverses of the gates of `past_int64_circuit` that are not their own.
+INVERSES = {
+    builtin("T"): permutation("Tdg", [0, 1], [0, 7]),
+    builtin("S"): permutation("Sdg", [0, 1], [0, 6]),
+    CNOT_W3: permutation("CWdg", [0, 1, 3, 2], [0, 0, 0, 5]),
+}
+
+
+def test_a_mirror_past_the_int64_bound_reads_its_weights_off_python_ints(monkeypatch):
+    # Three layers of `layered_circuit`, then 130 blocks of
+    # `past_int64_circuit`'s chain, whose coefficients pass 62 bits (80 at
+    # its end), then the chain's exact inverse: the state comes back to the
+    # layers' own, with coefficients below 30 bits, on Python ints.
+    prefix = layered_circuit(3)
+    width = prefix.width
+    chain = past_int64_circuit().ops[width : width + 8 * 130]
+    inverse = [GateApplication(INVERSES.get(op.gate, op.gate), op.wires) for op in chain]
+    mirror = Circuit(width, prefix.ops + chain + tuple(reversed(inverse)))
+    with monkeypatch.context() as patch:
+        dtypes = recorded_dtypes(patch)
+        end = translate.run_gates(width, {0: PACKED_ONE}, mirror.ops)
+    assert stretches(dtypes) == [INT64, PYTHON_INTS]
+    assert isinstance(end, dense.Arrays) and end.c.dtype == PYTHON_INTS
+    assert dense._bits(end.c) <= dense.BORN_BITS and end.born() is not None
+    assert final_state(mirror) == final_state(prefix)
+    assert_same_distribution(mirror)
 
 
 def edge_arrays(c: int, sign: int) -> dense.Arrays:

@@ -200,8 +200,8 @@ def kernel_circuits(draw) -> Circuit:
     from 8 wires on the state may fill enough of the register to go dense,
     then random built-in gates and gates outside the built-in set, some with
     entries of no w^j / sqrt2^e form (the `_mul` path, which `dense.run`
-    hands back).  From 11 wires on, up to 512 terms stay on the kernel
-    before the switch.  Sparse ones, 24 to 48 wires: a GHZ prefix, up to
+    takes as integer-scaled terms).  From 11 wires on, up to 512 terms stay
+    on the kernel before the switch.  Sparse ones, 24 to 48 wires: a GHZ prefix, up to
     four 2-qubit chains on disjoint wires, a few H, then permutation gates.
     Deep chains give products of up to 256 distinct amplitudes over up to
     512 terms, in whatever order the kernel's dicts hold them, so the
