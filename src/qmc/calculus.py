@@ -17,10 +17,10 @@ dense engine's arrays, when a circuit ends on them.
 `apply_rule` is the one derivation: it tests a rule's premise count and
 kinds, then concludes.  `ProofNode.derive` concludes through it and builds
 the node with `ProofNode._of`, without repeating the count test that the
-public `ProofNode(...)` makes; a script's derivation loop
-(`parser.derive_bindings`) concludes through it too, and so does
-`parser.conclude`, for every binding but a gate step that cannot fail,
-which it runs with the rest of its chain on the circuit kernels.
+public `ProofNode(...)` makes.  A script's derivation loops conclude
+through it for every binding but a gate step that cannot fail:
+`parser.derive_bindings` runs such a step as one `gates.step`, and
+`parser.conclude` with the rest of its chain on the circuit kernels.
 `sequent_text`
 writes a sequent's state through `Superposition.render`, whose coefficients
 come from the one formatter, `amplitude._poly`.

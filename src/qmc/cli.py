@@ -12,8 +12,9 @@ written as they are made, so those written before it stay written.
 Every command that reads a .qmc script derives each of its bindings first,
 in script order, keeping only the conclusions a later binding reads.
 `qmc check` prints one row per binding as soon as it is derived
-(`parser.derive_bindings`): `ok`, or `assumed` for an assumption leaf, with
-its conclusion; then `valid`.  `render`, and `run` of a script, print
+(`parser.derive_bindings`, a gate step that cannot fail on the circuit
+kernels through `gates.step`): `ok`, or `assumed` for an assumption leaf,
+with its conclusion; then `valid`.  `render`, and `run` of a script, print
 from the proof tree.  `run` of a circuit builds none: its proof has a fixed
 shape, so `parser.sampled_rows` derives the state after each gate once, in
 circuit order, and then writes the rows root first from those states.

@@ -30,21 +30,29 @@ H.T, goes there too.  `translate.run_gates` runs a circuit's gates
 (`final_state`), or a script's chain of gate steps (`parser.conclude`), on
 these two kernels and sorts one state per run.
 
-`apply`, the proof path's entry, gives one sorted `Superposition` per gate:
-a permutation gate's terms moved and rotated in its own loop, any other
+`apply`, the library's entry (`calculus.Unitary`, so `circuit_to_proof`
+and `calculus.check`), gives one sorted `Superposition` per gate: a
+permutation gate's terms moved and rotated in its own loop, any other
 gate's products, a Hadamard's too, through `state.combine`, which wraps
-`state.merge`.
+`state.merge`.  `step`, the entry of the passes that print a proof
+(`check`, `render` and `run`, through `parser.derive_bindings` and
+`parser.sampled_rows`), gives the same state: a permutation's through
+`apply`'s loop, any other gate's through `apply_packed`, so a Hadamard's
+terms meet in the paired loop.  `apply` stays the independent reference
+that the tests hold `step` and the circuit kernels to.
 
 Over more than `state.MEMO_TERMS` terms that repeat amplitudes, the paired
 loop sums each distinct column pair once, and the products behind
 `apply_packed` and `apply`, and `apply`'s permutation loop, rotate or
 multiply each distinct amplitude once per kernel entry, through a memo that
 lives for the call (see `state`).  A register that fills a quarter of its
-basis goes to `dense` for good, so `apply_packed` and `apply_run` meet more
-than `MEMO_TERMS` terms only on a register of ten wires or more that is
-less full, or at the head of a script's chain; no benchmark workload makes
-such a call.  The paired loop keeps its memo for those states: on 12-14
-wires with 256-1024 terms a Hadamard took 0.5-0.9x its time without it.
+basis goes to `dense` for good, so on the circuit path `apply_packed` and
+`apply_run` meet more than `MEMO_TERMS` terms only on a register of ten
+wires or more that is less full, or at the head of a script's chain.  A
+printing pass's `step` meets them on every wide state: each Hadamard of a
+`wide` benchmark proof sums 256-1024 terms in the paired loop, and on the
+1024-term state of a 10-wire brickwork circuit it took about 0.9x its time
+without the memo; on 12-14 wires with 256-1024 terms, 0.5-0.9x.
 `apply_run` keeps none.
 """
 
@@ -256,6 +264,15 @@ def apply(app: GateApplication, s: Superposition) -> Superposition:
                 amp = rotated
         out[basis ^ wires | row] = amp
     return Superposition._of(width, out)
+
+
+def step(app: GateApplication, s: Superposition) -> Superposition:
+    """One gate step of a printing pass: the state `apply` gives, a
+    permutation's through `apply`'s own loop, any other gate's through
+    `apply_packed`, so a Hadamard's terms meet in the paired loop."""
+    if app.gate.permutation:
+        return apply(app, s)
+    return Superposition._of(s.width, apply_packed(app, s.width, s.packed))
 
 
 def apply_packed(

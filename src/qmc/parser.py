@@ -7,18 +7,19 @@ calculus refuses weakening, so none may be dropped.  Every binding is
 therefore in the root's tree.  `weaken` is deliberately part of the grammar
 so that its rejection is a checked error with a reason, not a syntax error.
 
-`derive_bindings` derives the bindings in script order, each through
-`calculus.apply_rule`, and drops each premise's conclusion once its
-consumer is derived, so a pass holds only the live conclusions; `check`
-prints each of them, and `elaborate` and `elaborate_bindings` build the
-proof tree over it.  `conclude`, behind `dist` and `translate --to circuit`
-of a script, needs only the root's conclusion.  It makes the same pass, but
-runs each chain of gate steps as a circuit segment through
-`translate.run_gates`, the kernel loop of `translate.final_state`, with one
-sorted state per chain instead of one per gate; every binding that can
-fail still goes through `apply_rule`.  `translate --to circuit` then reads
-the circuit off the bindings themselves, in script order, through
-`translate.steps_to_circuit`, with no tree.
+`derive_bindings` derives the bindings in script order, each once, and
+drops each premise's conclusion once its consumer is derived, so a pass
+holds only the live conclusions; `check` prints each of them, and
+`elaborate` and `elaborate_bindings` build the proof tree over it.  A gate
+step that cannot fail is one `gates.step`, on the circuit kernels; every
+other binding goes through `calculus.apply_rule`, so each failure comes at
+its own binding with its own cause.  `conclude`, behind `dist` and
+`translate --to circuit` of a script, needs only the root's conclusion.  It
+makes the same pass, but runs each chain of gate steps as a circuit segment
+through `translate.run_gates`, the kernel loop of `translate.final_state`,
+with one sorted state per chain instead of one per gate.  `translate --to
+circuit` then reads the circuit off the bindings themselves, in script
+order, through `translate.steps_to_circuit`, with no tree.
 
 A circuit's proof has a fixed shape, so two writers work from the circuit
 without a tree: `script_writer`, behind `translate --to proof`, writes its
@@ -58,7 +59,7 @@ from bisect import bisect_left, bisect_right
 from itertools import accumulate, chain
 from typing import Callable, Iterator, NamedTuple
 
-from . import calculus, dense, translate
+from . import calculus, dense, gates, translate
 from .amplitude import PACKED_ONE
 from .calculus import (
     RULES,
@@ -78,7 +79,6 @@ from .calculus import (
     walk,
 )
 from .gates import BUILTIN_NAMES, GateApplication, builtin
-from .gates import apply as apply_gate
 from .state import BasisState, Superposition, _clip
 from .translate import Circuit
 
@@ -477,23 +477,37 @@ def derive_bindings(script: ProofScript) -> Iterator[tuple[Binding, Sequent]]:
     conclusion, yielded as soon as it is derived.
 
     This is the derivation loop of every command that prints a node (see
-    `conclude` for the root alone).  Each binding is derived once, through
-    `calculus.apply_rule`, from its premises' conclusions.
+    `conclude` for the root alone).  Each binding is derived once, from its
+    premises' conclusions: a gate step that cannot fail (`_sure`) by
+    `gates.step`, whose state is the one `Unitary.conclude` gives, and
+    every other binding through `calculus.apply_rule`.
     Linearity consumes each premise exactly once, so its conclusion is
     dropped there, and the pass keeps only the conclusions that a later
     binding still reads.  The first binding whose rule fails raises
     `ElaborationError`.
     """
-    apply_rule = calculus.apply_rule  # as bound when the pass starts
+    apply_rule, step = calculus.apply_rule, gates.step  # as bound when the pass starts
     live: dict[str, Sequent] = {}
     pop = live.pop
     for b in script.bindings:
-        try:
-            conclusion = apply_rule(b.rule, list(map(pop, b.premises)))
-        except (RuleError, ValueError) as cause:
-            raise ElaborationError(b, cause, script) from cause
+        rule = b.rule
+        premises = b.premises
+        if type(rule) is Unitary and len(premises) == 1 and _sure(live[premises[0]], rule.app):
+            conclusion = Coherent._of(step(rule.app, pop(premises[0]).state))
+        else:
+            try:
+                conclusion = apply_rule(rule, list(map(pop, premises)))
+            except (RuleError, ValueError) as cause:
+                raise ElaborationError(b, cause, script) from cause
         live[b.name] = conclusion
         yield b, conclusion
+
+
+def _sure(seq: Sequent, app: GateApplication) -> bool:
+    """Whether the gate step of app on the premise seq cannot fail: seq is
+    a live coherent conclusion, the gate unitary, and its wires lie below
+    the premise's width."""
+    return type(seq) is Coherent and app.gate.unitary and app.max_wire < seq.state.width
 
 
 def conclude(script: ProofScript) -> Sequent:
@@ -501,12 +515,11 @@ def conclude(script: ProofScript) -> Sequent:
     one pass in script order over the live conclusions.
 
     A chain of gate bindings runs as a circuit segment.  A gate binding
-    whose one premise is a live coherent conclusion, whose gate is unitary
-    and whose wires lie below the premise's width cannot fail, so it only
-    appends its application to the gates pending on that conclusion.  Any
-    other binding first applies each premise's pending gates in one call of
-    `translate.run_gates`, the kernel loop of `translate.final_state`, and
-    sorts one state per chain; then it derives through
+    that cannot fail (`_sure`) only appends its application to the gates
+    pending on its premise's conclusion.  Any other binding first applies
+    each premise's pending gates in one call of `translate.run_gates`, the
+    kernel loop of `translate.final_state`, and sorts one state per chain;
+    then it derives through
     `calculus.apply_rule`, as `derive_bindings` does.  So every binding
     that can fail still fails there, at the same binding with the same
     cause, and raises `ElaborationError`.
@@ -531,13 +544,10 @@ def conclude(script: ProofScript) -> Sequent:
         rule = b.rule
         if type(rule) is Unitary and len(b.premises) == 1:
             (name,) = b.premises
-            seq, app = live[name], rule.app
-            width = seq.state.width
-            if type(seq) is Coherent and app.gate.unitary and app.max_wire < width:
-                del live[name]
-                live[b.name] = seq
+            if _sure(live[name], rule.app):
+                live[b.name] = live.pop(name)
                 ops = pending[b.name] = pending.pop(name, [])
-                ops.append(app)
+                ops.append(rule.app)
                 continue
         premises = list(map(take, b.premises))
         try:
@@ -712,7 +722,7 @@ def sampled_rows(c: Circuit, seed: int) -> tuple[Measured, Iterator[str]]:
 
     The proof's shape depends on the circuit alone (see `script_writer`),
     so only its conclusions are derived, and all of them before this
-    returns: in circuit order, each gate's state by `gates.apply` from the
+    returns: in circuit order, each gate's state by `gates.step` from the
     one before, a gate that is not unitary with the norm check that
     `Unitary.conclude` makes, then the Born annotation and the sampled
     measurement through `calculus.apply_rule`.  The rows go out root first:
@@ -725,7 +735,7 @@ def sampled_rows(c: Circuit, seed: int) -> tuple[Measured, Iterator[str]]:
     state = Superposition._of(c.width, {0: PACKED_ONE})
     seqs = [Coherent._of(state)]
     for op in c.ops:
-        state = apply_gate(op, state)
+        state = gates.step(op, state)
         seqs.append(Coherent._of(state) if op.gate.unitary else Coherent(state))
     born_rule = BornRule()
     born = calculus.apply_rule(born_rule, [seqs[-1]])

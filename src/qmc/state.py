@@ -7,18 +7,20 @@ bitstring, and iteration always follows it; renderings and reports are
 deterministic.  Only nonzero amplitudes are stored: the public constructor
 drops zeros, and the sums that merge terms of like basis states drop any that
 comes out exactly zero, which is where destructive interference eliminates
-terms.  Those sums are made in three places: `merge`, here, for the proof
-path and for every gate of the dict engine that is not a permutation but
-one of H's shape; the paired loop of `gates.apply_packed`, which sums the
-two terms a gate of H's shape mixes in one step; and on wide registers the
-row sums of `dense._apply`, whose zero columns `dense._to_packed` drops.  Gates
-that cannot make two terms meet (permutations and phases, see `gates`) need
-no sum.  `merge` gives a dict in no set order, for `gates.apply_packed`, on
+terms.  Those sums are made in three places: `merge`, here, for every gate
+that is not a permutation in a tree built through the API (`gates.apply`,
+so `circuit_to_proof` and `calculus.check`) and in the dict engine, but one
+of H's shape there; the paired loop of `gates.apply_packed`, which sums the
+two terms a gate of H's shape mixes in one step, for the circuit kernels
+and for the gate steps of a printed proof (`check`, `render`, `run`,
+through `gates.step`); and on wide registers the row sums of
+`dense._apply`, whose zero columns `dense._to_packed` drops.  Gates that
+cannot make two terms meet (permutations and phases, see `gates`) need no
+sum.  `merge` gives a dict in no set order, for `gates.apply_packed`, on
 which (with `gates.apply_run` for runs of permutation gates)
 `translate.run_gates` runs a circuit's gates, or a script's chain of gate
 steps, and builds one state per run; `combine` wraps `merge` and sorts its
-result, for the proof path's `gates.apply`, so every gate of a proof that
-is not a permutation merges its terms here.
+result, for `gates.apply`.
 
 A wide state repeats a few amplitudes over its whole support (a 10-wire
 register after a Hadamard layer: 1024 terms, at most 24 distinct amplitudes).

@@ -44,7 +44,7 @@ command but the selftest builds that tree: a circuit's proof has a fixed
 shape, so `parser.script_writer` writes the scripts of `qmc translate --to
 proof` from the circuit, and only a measured circuit's outcomes need its
 `final_distribution`; `parser.sampled_rows` writes the rows of `qmc run`
-from the states that tree holds, one per gate by `gates.apply`, without its
+from the states that tree holds, one per gate by `gates.step`, without its
 nodes.
 """
 

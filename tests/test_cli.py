@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qmc import calculus, cli, oracle, parser, state, translate
+from qmc import calculus, cli, gates, oracle, parser, state, translate
 from qmc.amplitude import PACKED_ONE
 
 from qmc.cli import main
@@ -52,21 +52,30 @@ def test_check_valid_golden(run_cli, workdir):
 
 @pytest.mark.parametrize("name", ["bell_00.qmc", "hh.qmc", "prep_leaf.qmc"])
 def test_check_derives_each_node_once(run_cli, monkeypatch, tmp_path, name):
-    # An assumption leaf, too, is concluded by apply_rule.
+    # Each binding is derived once, in script order, at one of two sites: a
+    # gate step that cannot fail (in these scripts, every gate step) through
+    # gates.step, every other binding, an assumption leaf too, through
+    # apply_rule.
     text = PREP_LEAF_SCRIPT if name == "prep_leaf.qmc" else (GOLDEN / name).read_text()
     (tmp_path / name).write_text(text)
-    derived = sum(1 for _, _, entering in calculus.walk(elaborate(parse_proof(text))) if entering)
-    calls = []
-    apply_rule = calculus.apply_rule
+    derived = []
+    apply_rule, step = calculus.apply_rule, gates.step
 
     def counted(rule, premises):
-        calls.append(rule)
+        derived.append(rule)
         return apply_rule(rule, premises)
 
+    def stepped(app, s):
+        derived.append(app)
+        return step(app, s)
+
     monkeypatch.setattr(calculus, "apply_rule", counted)
+    monkeypatch.setattr(gates, "step", stepped)
     code, _, _ = run_cli("check", str(tmp_path / name))
     assert code == 0
-    assert len(calls) == derived
+    rules = [b.rule for b in parse_proof(text).bindings]
+    assert derived == [rule.app if isinstance(rule, calculus.Unitary) else rule for rule in rules]
+    assert any(isinstance(rule, calculus.Unitary) for rule in rules)
 
 
 @pytest.mark.parametrize("name", ["bell_00.qmc", "hh.qmc", "prep_leaf.qmc"])

@@ -17,7 +17,10 @@ dense: the stdout of `qmc check`, every node's sequent, for the
 a fixed random 10-wire circuit, taken before the engine kept per-call memos
 (see `state`), so they hold with or without one in each step.  Brickwork
 states repeat a few amplitudes over 256-1024 terms; the random circuit's
-hardly repeat.
+hardly repeat.  `run_render_wide.sha256` pins, for the same four circuits,
+the stdout of `qmc run --seed 1` and of `qmc render` of their scripts in
+both formats, taken while those commands derived every gate node through
+`gates.apply`, before they stepped on the circuit kernels (`gates.step`).
 `sweep_circuits.sha256` pins the sweep's circuits themselves: the
 `render_circuit` text of each of the 200, taken while `random_circuit` drew
 with `rng.choice` and `rng.sample`.
@@ -28,7 +31,11 @@ built-in gates and on gates outside that set: non-unitary ones, entries with
 no w^j / sqrt2^e form, and single-entry columns that may share a row.  Its
 states are small orbit states and, above the memo threshold, wide states
 that repeat a few amplitudes, hardly any, or first the one and then the
-other (`conftest.wide_state`).
+other (`conftest.wide_state`).  Another holds `gates.step`, the gate step
+of the commands that print a proof, to `gates.apply` on the same states
+and gates, and on gates of H's shape at any scale and S.H; and a gate step
+that can fail is pinned to fail at its own binding with the message that
+`calculus.apply_rule` gives, in every command that reports it.
 """
 
 from __future__ import annotations
@@ -38,13 +45,14 @@ import hashlib
 import io
 import random
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import GOLDEN, WIDE_STATES, brickwork, random_orbit_state
-from qmc import dense
+from conftest import GOLDEN, WIDE_STATES, brickwork, corrupted, matmul, random_orbit_state
+from qmc import dense, gates, parser
 from qmc.amplitude import AMP_ZERO, INV_SQRT2, Amplitude, CycloInt
 from qmc.cli import main
-from qmc.gates import BUILTIN_NAMES, Gate, GateApplication, apply, builtin
+from qmc.gates import BUILTIN_NAMES, Gate, GateApplication, apply, builtin, step
 from qmc.parser import render_circuit
 from qmc.state import BasisState, Superposition
 from qmc.translate import Circuit, final_state, random_circuit
@@ -53,6 +61,7 @@ DIGESTS = GOLDEN / "expected" / "final_states.sha256"
 WIDE_DIGESTS = GOLDEN / "expected" / "final_states_wide.sha256"
 DIST_DIGESTS = GOLDEN / "expected" / "dist_wide.sha256"
 PROOF_DIGESTS = GOLDEN / "expected" / "proofs_wide.sha256"
+RUN_RENDER_DIGESTS = GOLDEN / "expected" / "run_render_wide.sha256"
 SWEEP_DIGESTS = GOLDEN / "expected" / "sweep_circuits.sha256"
 
 
@@ -138,18 +147,28 @@ def _stdout_of(argv: list[str]) -> str:
     return out.getvalue()
 
 
-def proof_digest_lines(directory) -> list[str]:
-    """`name sha256` of `qmc check` stdout on the `translate --to proof
-    --seed 1` script of measured brickwork n = 8..10 and of
-    `random_wide_circuit`."""
+def wide_scripts(directory) -> list[tuple[str, str, str]]:
+    """(name, .qc path, script path) of measured brickwork n = 8..10 and of
+    `random_wide_circuit`, each written to directory with the script that
+    `translate --to proof --seed 1` writes of it."""
     circuits = {f"brickwork/{n}": brickwork(n, measured=True) for n in range(8, 11)}
     circuits["random/10"] = random_wide_circuit()
-    lines = []
+    written = []
     for name, c in circuits.items():
         path = directory / (name.replace("/", "_") + ".qc")
         path.write_text(render_circuit(c), encoding="ascii")
         argv = ["translate", str(path), "--to", "proof", "--seed", "1"]
         (script,) = _stdout_of(argv + ["--outdir", str(directory)]).split()
+        written.append((name, str(path), script))
+    return written
+
+
+def proof_digest_lines(directory) -> list[str]:
+    """`name sha256` of `qmc check` stdout on the `translate --to proof
+    --seed 1` script of measured brickwork n = 8..10 and of
+    `random_wide_circuit`."""
+    lines = []
+    for name, _, script in wide_scripts(directory):
         report = _stdout_of(["check", script])
         lines.append(f"{name} {hashlib.sha256(report.encode()).hexdigest()}")
     return lines
@@ -159,6 +178,28 @@ def test_proof_path_matches_the_pinned_digests(tmp_path):
     expected = PROOF_DIGESTS.read_text(encoding="ascii").splitlines()
     assert len(expected) == 4
     assert proof_digest_lines(tmp_path) == expected
+
+
+def run_render_digest_lines(directory) -> list[str]:
+    """`command/name sha256` of `qmc run --seed 1` stdout on each circuit of
+    `wide_scripts`, then of `qmc render` stdout, ascii and latex, on its
+    script."""
+    lines = []
+    for name, path, script in wide_scripts(directory):
+        for command, argv in (
+            ("run", ["run", path, "--seed", "1"]),
+            ("ascii", ["render", script, "--format", "ascii"]),
+            ("latex", ["render", script, "--format", "latex"]),
+        ):
+            digest = hashlib.sha256(_stdout_of(argv).encode()).hexdigest()
+            lines.append(f"{command}/{name} {digest}")
+    return lines
+
+
+def test_run_and_render_match_the_pinned_digests(tmp_path):
+    expected = RUN_RENDER_DIGESTS.read_text(encoding="ascii").splitlines()
+    assert len(expected) == 12
+    assert run_render_digest_lines(tmp_path) == expected
 
 
 def test_the_shared_sweep_matches_the_pinned_digests():
@@ -286,3 +327,85 @@ def test_apply_equals_the_textbook_column_sum(state, gate, data):
     assert actual == expected
     assert actual.render() == expected.render()
     assert list(actual.terms()) == list(expected.terms())
+
+
+# Gates of H's shape, ((1, 1), (1, -1)) / sqrt2^e, which `apply_packed` sums
+# in pairs: unnormalized for e != 1.  And S.H, of unit form but not that
+# shape, whose products `state.merge` sums.
+def h_shape(e: int) -> Gate:
+    one, minus = Amplitude(CycloInt(1), e), Amplitude(CycloInt(-1), e)
+    return Gate("U", 1, ((one, one), (one, minus)))
+
+
+H_SHAPES = st.integers(0, 3).map(h_shape)
+S_H = Gate("SH", 1, matmul(builtin("S").matrix, builtin("H").matrix))
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    state=st.one_of(ORBIT_STATES, WIDE_STATES),
+    gate=st.one_of(
+        st.sampled_from(BUILTIN_NAMES).map(builtin), custom_gates(), H_SHAPES, st.just(S_H)
+    ),
+    data=st.data(),
+)
+def test_a_printing_step_equals_apply(state, gate, data):
+    # `gates.step`, the gate step of `check`, `render` and `run`, against
+    # `gates.apply`, the library's, term for term and in order.
+    width = state.width
+    assume(gate.arity <= width)
+    wires = tuple(
+        data.draw(st.permutations(range(width)).map(lambda p: p[: gate.arity]))
+    )
+    app = GateApplication(gate, wires)
+    expected = apply(app, state)
+    actual = step(app, state)
+    assert actual == expected
+    assert list(actual.packed.items()) == list(expected.packed.items())
+
+
+# Scripts whose last gate step can fail, after one that cannot: a wire out
+# of range, a Born-annotated premise, and (with the built-in H replaced by
+# a non-unitary gate) a step that breaks the norm.
+FAILING_SCRIPTS = {
+    "range": "proof p { a = ax; h = gate H [0] a; g = gate X [1] h; }",
+    "born": "proof p { a = ax; h = gate H [0] a; d = born h; g = gate H [0] d; }",
+    "norm": "proof p { a = ax; x = gate X [0] a; g = gate H [0] x; }",
+}
+
+
+@pytest.mark.parametrize("cause", FAILING_SCRIPTS)
+def test_a_gate_step_that_can_fail_fails_at_its_own_binding(cause, tmp_path, monkeypatch):
+    if cause == "norm":
+        monkeypatch.setitem(gates._BUILTINS, "H", corrupted(builtin("H")))
+    path = tmp_path / f"{cause}.qmc"
+    path.write_text(FAILING_SCRIPTS[cause], encoding="ascii")
+    commands = (
+        ["check"],
+        ["render", "--format", "ascii"],
+        ["render", "--format", "latex"],
+        ["run", "--seed", "1"],
+        ["dist"],
+    )
+
+    def reports() -> list[str]:
+        texts = []
+        for command in commands:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main([command[0], str(path), *command[1:]]) == 1
+            texts.append(out.getvalue())
+        return texts
+
+    actual = reports()
+    # The reference derives every binding through `calculus.apply_rule`.
+    monkeypatch.setattr(parser, "_sure", lambda seq, app: False)
+    expected = reports()
+    assert actual == expected
+    assert len(set(actual)) == 1
+    *rows, failed, verdict = actual[0].splitlines()
+    assert verdict == "invalid"
+    assert failed.startswith("g: invalid  ")
+    assert [row.split(":")[0] for row in rows] == [
+        b.name for b in parser.parse_proof(FAILING_SCRIPTS[cause]).bindings[:-1]
+    ]
